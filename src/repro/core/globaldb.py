@@ -27,7 +27,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..urlkit import normalize_url
 from .records import BlockType, decode_stages, encode_stages
@@ -197,7 +197,10 @@ class _AsShard:
     records ``(version, url)`` per change.  The log is bounded: when it
     outgrows a small multiple of the live table, old rows are forgotten
     and ``floor`` rises; diffs are only answerable for ``since_version >=
-    floor`` (older clients get a full snapshot).  ``expiry`` is a
+    floor`` (older clients get a full snapshot).  Changes are recorded
+    in *runs* (:meth:`mark_changed`): a write marks every URL it changed
+    between two entry-count changes as one step, with the same versions,
+    log and floor as marking them one at a time.  ``expiry`` is a
     lazy-deletion min-heap of ``(posted_at, url)`` rows used for
     write-time TTL eviction: refreshed entries leave stale heap rows
     behind, skipped when popped because the entry's current ``posted_at``
@@ -221,14 +224,32 @@ class _AsShard:
         # plane-weight items when the pull supplied a weighted criterion.
         self.batch_cache: Dict[Tuple, "SyncBatch"] = {}
 
-    def mark_changed(self, url: str) -> None:
-        self.version += 1
+    def mark_changed(self, urls: Sequence[str]) -> None:
+        """Record one run of changes: ``urls`` in change order, one
+        version each (a URL may repeat).
+
+        The run is one step — the version advances by ``len(urls)``, the
+        log grows by one ``extend``, the batch cache is cleared once and
+        the log trimmed once.  The log limit depends on the entry count,
+        so this equals marking each URL alone only while that count holds
+        still: callers end a run before inserting or deleting an entry.
+        Within a run the limit is constant, and one trim to it keeps the
+        same suffix of the log, and the same ``floor``, as a trim after
+        every append.  An empty run changes nothing.
+        """
+        if not urls:
+            return
+        start = self.version
+        self.version = start + len(urls)
         if self.batch_cache:
             self.batch_cache.clear()
-        self.log.append((self.version, url))
-        limit = max(256, 4 * len(self.entries))
-        while len(self.log) > limit:
-            self.floor = self.log.popleft()[0]
+        log = self.log
+        log.extend(zip(range(start + 1, self.version + 1), urls))
+        excess = len(log) - max(256, 4 * len(self.entries))
+        if excess > 0:
+            for _ in range(excess - 1):
+                log.popleft()
+            self.floor = log.popleft()[0]
 
     def touched_since(self, since_version: int) -> Set[str]:
         """URLs changed after ``since_version`` (caller checked >= floor)."""
@@ -310,51 +331,73 @@ class ServerDB:
         Returns the number of accepted items.  The client's entire current
         vouch set is extended by these entries (votes are renormalized by
         the ledger).
+
+        Each item is one change to its shard, but the changes are marked
+        in runs (:meth:`_AsShard.mark_changed`): a shard's changed URLs
+        collect in upload order and are marked together, ending a run
+        just before an insert moves the shard's entry count.  Versions,
+        log and floor come out as if every item were marked alone.
         """
         if uuid not in self._clients:
             raise RegistrationError(f"unknown client: {uuid!r}")
-        accepted = 0
+        if not reports:
+            return 0
         keys: List[Tuple[str, int]] = []
-        shards_touched: Dict[int, _AsShard] = {}
+        # asn -> (shard, URLs changed since the shard's last run ended)
+        runs: Dict[int, Tuple[_AsShard, List[str]]] = {}
         by_plane = self.reports_by_plane
+        track_expiry = self.entry_ttl is not None
+        heappush = heapq.heappush
         for item in reports:
             url = normalize_url(item.url)
-            keys.append((url, item.asn))
-            shard = self._shard(item.asn)
-            shards_touched[item.asn] = shard
-            entry = shard.entries.get(url)
+            asn = item.asn
+            plane = item.plane
+            keys.append((url, asn))
+            run = runs.get(asn)
+            if run is None:
+                run = runs[asn] = (self._shard(asn), [])
+            shard, pending = run
+            entries = shard.entries
+            entry = entries.get(url)
             if entry is None:
-                entry = GlobalEntry(
+                # The insert raises the log limit: mark the run so far
+                # under the limit it was made under.
+                if pending:
+                    shard.mark_changed(pending)
+                    pending.clear()
+                entries[url] = GlobalEntry(
                     url=url,
-                    asn=item.asn,
+                    asn=asn,
                     stages=list(item.stages),
                     measured_at=item.measured_at,
                     posted_at=now,
                     last_uuid=uuid,
                     first_measured_at=item.measured_at,
-                    last_plane=item.plane,
+                    last_plane=plane,
                 )
-                shard.entries[url] = entry
             else:
                 entry.posted_at = now
-                entry.measured_at = max(entry.measured_at, item.measured_at)
+                if item.measured_at > entry.measured_at:
+                    entry.measured_at = item.measured_at
                 entry.last_uuid = uuid
-                entry.last_plane = item.plane
+                entry.last_plane = plane
+                stages = entry.stages
                 for stage in item.stages:
-                    if stage not in entry.stages:
-                        entry.stages.append(stage)
-            shard.mark_changed(url)
-            if self.entry_ttl is not None:
-                heapq.heappush(shard.expiry, (now, url))
-            accepted += 1
-            self.update_count += 1
-            by_plane[item.plane] = by_plane.get(item.plane, 0) + 1
-        if accepted:
-            affected = self.voting.add_client_reports(uuid, keys)
-            self._mark_vote_changes(affected.difference(keys))
-            # Write-time eviction: stale rows leave with this write.
-            for shard in shards_touched.values():
-                self._evict_expired(shard, now)
+                    if stage not in stages:
+                        stages.append(stage)
+            pending.append(url)
+            if track_expiry:
+                heappush(shard.expiry, (now, url))
+            by_plane[plane] = by_plane.get(plane, 0) + 1
+        for shard, pending in runs.values():
+            shard.mark_changed(pending)
+        accepted = len(keys)
+        self.update_count += accepted
+        affected = self.voting.add_client_reports(uuid, keys)
+        self._mark_vote_changes(affected.difference(keys))
+        # Write-time eviction: stale rows leave with this write.
+        for shard, _ in runs.values():
+            self._evict_expired(shard, now)
         return accepted
 
     def post_dissent(self, uuid: str, url: str, asn: int, now: float) -> bool:
@@ -380,7 +423,7 @@ class ServerDB:
         if not self.voting.has_reporters(url, asn):
             shard = self._shards.get(asn)
             if shard is not None and shard.entries.pop(url, None) is not None:
-                shard.mark_changed(url)
+                shard.mark_changed((url,))
             return True
         return False
 
@@ -390,12 +433,23 @@ class ServerDB:
         A client growing its report list dilutes its vote on *every* key
         it vouches for, which can flip entries across a consumer's
         ``min_votes`` threshold — those entries must surface in the next
-        delta even though nothing re-posted them.
+        delta even though nothing re-posted them.  Nothing is inserted or
+        deleted here, so each shard's live keys, in ``keys`` order, are
+        marked as one run.
         """
+        runs: Dict[int, List[str]] = {}
         for url, asn in keys:
-            shard = self._shards.get(asn)
-            if shard is not None and url in shard.entries:
-                shard.mark_changed(url)
+            run = runs.get(asn)
+            if run is None:
+                runs[asn] = [url]
+            else:
+                run.append(url)
+        shards = self._shards
+        for asn, urls in runs.items():
+            shard = shards.get(asn)
+            if shard is not None:
+                entries = shard.entries
+                shard.mark_changed([url for url in urls if url in entries])
 
     # -- TTL eviction -------------------------------------------------------------
 
@@ -415,7 +469,7 @@ class ServerDB:
             if entry is None or entry.posted_at != posted_at:  # csaw-lint: disable=CSL006
                 continue  # refreshed since this heap row, or already gone
             del shard.entries[url]
-            shard.mark_changed(url)
+            shard.mark_changed((url,))
             dropped += 1
         return dropped
 
@@ -703,4 +757,4 @@ class ServerDB:
                 continue
             if not self.voting.has_reporters(url, asn):
                 del shard.entries[url]
-            shard.mark_changed(url)
+            shard.mark_changed((url,))

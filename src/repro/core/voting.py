@@ -55,10 +55,15 @@ DEFAULT_PLANE = "csaw"
 
 @dataclass(frozen=True)
 class VoteStats:
-    """Robustness estimates for one (URL, AS) entry."""
+    """Robustness estimates for one (URL, AS) entry.
+
+    ``reporters`` is a head-count: an ``int`` from the unweighted
+    queries, and a float from :meth:`VotingLedger.weighted_stats`, where
+    each plane's reporters count at that plane's weight.
+    """
 
     votes: float  # s_{j,k}
-    reporters: int  # n_{j,k}
+    reporters: float  # n_{j,k}; integral unless plane-weighted
 
     def passes(self, min_reporters: int = 1, min_votes: float = 0.0) -> bool:
         return self.reporters >= min_reporters and self.votes >= min_votes
@@ -212,11 +217,15 @@ class VotingLedger:
             # First vouch set for this client (the server-side hot path:
             # every cohort reporter lands here once per wave).  No old
             # votes to retract or re-bucket — one pass seeds ownership
-            # and the d-histograms, with the same bucket contents the
-            # general path below would produce.
+            # and the d-histograms (the per-plane mirror too, when
+            # active), with the same bucket contents the general path
+            # below would produce.
             d_new = len(new_keys)
             by_key = self._by_key
             hists = self._vote_hist
+            mirror = self._planes_active
+            plane = self._plane_of.get(client_id, DEFAULT_PLANE) if mirror else ""
+            plane_hists = self._plane_hist
             for key in new_keys:
                 owners = by_key.get(key)
                 if owners is None:
@@ -228,11 +237,17 @@ class VotingLedger:
                     hists[key] = {d_new: 1}
                 else:
                     hist[d_new] = hist.get(d_new, 0) + 1
+                if mirror:
+                    by_plane = plane_hists.get(key)
+                    if by_plane is None:
+                        plane_hists[key] = {plane: {d_new: 1}}
+                    else:
+                        hist = by_plane.get(plane)
+                        if hist is None:
+                            by_plane[plane] = {d_new: 1}
+                        else:
+                            hist[d_new] = hist.get(d_new, 0) + 1
             self._by_client[client_id] = new_keys
-            if self._planes_active:
-                plane = self._plane_of.get(client_id, DEFAULT_PLANE)
-                for key in new_keys:
-                    self._plane_hist_add(key, plane, d_new)
             return set(new_keys)
         d_old = len(old_keys)
         d_new = len(new_keys)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import UrlPrefixIndex
@@ -438,3 +438,279 @@ class TestGroupedSweepProperties:
             assert (ga.pulls, ga.pull_ptr) == (sa.pulls, sa.pull_ptr)
             assert ga.unconverged == sa.unconverged
             assert ga.converged_at == sa.converged_at
+
+
+class TestRunBatchedWriteProperties:
+    """ServerDB's run-batched write path against the per-item reference
+    in ``tests/_reference_globaldb.py``: hypothesis drives both through
+    the same uploads, dissents, revocations, pulls and TTL evictions and
+    demands identical shards (entries, versions, logs, floors, expiry
+    heaps), counters, ledger histograms, and pulls from every live
+    since-version."""
+
+    PLANES = ("csaw", "encore", "problist")
+    STAGE_SETS = (
+        (BlockType.BLOCK_PAGE,),
+        (BlockType.DNS_TIMEOUT, BlockType.BLOCK_PAGE),
+        (BlockType.DNS_TIMEOUT,),
+    )
+    ASN0 = 64500
+    #: Pull criteria compared: accept-all, a reporter quorum, and a
+    #: plane-weighted criterion.
+    CRITERIA = (
+        {},
+        {"min_reporters": 2},
+        {"plane_weights": {"encore": 0.5}},
+    )
+
+    _dt = st.sampled_from([0.0, 1.0, 2.5])
+    _client = st.integers(min_value=0, max_value=3)
+    _asn = st.integers(min_value=0, max_value=2)
+    # Each op ends with the sim-time step taken before it.  Small uploads
+    # span ASes and repeat URLs.  A bulk upload posts the first `count`
+    # URLs of one fixed list to the first AS: short ones fill its log to
+    # the 256-row limit, and a longer one refreshes the stored prefix
+    # before inserting past 64 entries, so the limit rises mid-upload
+    # after rows were already trimmed.
+    ops = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("post"),
+                _client,
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=11),  # url
+                        _asn,
+                        st.integers(min_value=0, max_value=2),  # stages
+                        st.sampled_from([0.0, 0.5, 3.0]),  # measured lag
+                    ),
+                    max_size=8,
+                ),
+                _dt,
+            ),
+            st.tuples(
+                st.just("bulk"),
+                _client,
+                st.integers(min_value=1, max_value=80),  # count
+                _dt,
+            ),
+            st.tuples(
+                st.just("dissent"),
+                _client,
+                st.integers(min_value=0, max_value=11),
+                _asn,
+                _dt,
+            ),
+            st.tuples(st.just("revoke"), _client, _dt),
+            st.tuples(st.just("pull"), _asn, _dt),
+        ),
+        min_size=4,
+        max_size=24,
+    )
+
+    @staticmethod
+    def _entry_row(entry):
+        return (
+            entry.url, entry.asn, tuple(entry.stages), entry.measured_at,
+            entry.posted_at, entry.last_uuid, entry.first_measured_at,
+            entry.last_plane,
+        )
+
+    @classmethod
+    def _state(cls, db):
+        ledger = db.voting
+        return (
+            [
+                (
+                    asn,
+                    [cls._entry_row(e) for e in shard.entries.values()],
+                    shard.version,
+                    list(shard.log),
+                    shard.floor,
+                    list(shard.expiry),
+                )
+                for asn, shard in db._shards.items()
+            ],
+            db.update_count,
+            list(db.reports_by_plane.items()),
+            list(db.clients_by_plane.items()),
+            ledger._vote_hist,
+            ledger._plane_hist,
+            ledger._by_key,
+            ledger._by_client,
+        )
+
+    @classmethod
+    def _sync_rows(cls, result):
+        return (
+            result.version,
+            result.full,
+            [cls._entry_row(e) for e in result.entries],
+            result.removed,
+        )
+
+    def _assert_same(self, ref, fast):
+        assert self._state(fast) == self._state(ref)
+
+    def _assert_same_pulls(self, ref, fast, now):
+        for asn in list(fast._shards):
+            for db in (ref, fast):
+                db.blocked_for_as(asn, now)  # evict first, on both sides
+            self._assert_same(ref, fast)
+            shard = fast._shards[asn]
+            sinces = [None, *range(shard.floor, shard.version + 2)]
+            for i, since in enumerate(sinces):
+                # Accept-all from every since-version; the other criteria
+                # from every 8th, to bound the quadratic cost.
+                criteria = self.CRITERIA if i % 8 == 0 else self.CRITERIA[:1]
+                for criterion in criteria:
+                    rows = [
+                        self._sync_rows(
+                            db.sync_for_as(asn, now, since_version=since,
+                                           **criterion)
+                        )
+                        for db in (ref, fast)
+                    ]
+                    assert rows[0] == rows[1], (asn, since, criterion)
+                    batches = [
+                        db.sync_batch_for_as(asn, now, since_version=since,
+                                             **criterion)
+                        for db in (ref, fast)
+                    ]
+                    assert batches[0] == batches[1], (asn, since, criterion)
+
+    @classmethod
+    def _assert_ledger_matches_recompute(cls, ledger):
+        for url, asn in list(ledger._by_key):
+            assert ledger.stats(url, asn) == ledger.recompute_stats(url, asn)
+            for plane in cls.PLANES:
+                assert ledger.stats_for_plane(url, asn, plane) == \
+                    ledger.recompute_plane_stats(url, asn, plane)
+
+    @given(
+        ttl=st.sampled_from([None, 5.0]),
+        planes=st.booleans(),
+        operations=ops,
+    )
+    # Always run the mid-upload limit rise, mixed with a second client's
+    # growing list, a dissent, a revocation and TTL evictions.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[("bulk", 0, 60, 1.0)] * 5 + [
+            ("post", 1, [(0, 0, 1, 0.5), (1, 1, 0, 0.0)], 1.0),
+            ("bulk", 1, 80, 1.0),
+            ("dissent", 1, 1, 1, 0.0),
+            ("post", 2, [(2, 0, 0, 3.0), (2, 0, 2, 0.0)], 2.5),
+            ("revoke", 0, 2.5),
+            ("pull", 0, 2.5),
+        ],
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batched_writes_match_per_item_reference(
+        self, ttl, planes, operations
+    ):
+        from tests._reference_globaldb import ReferenceServerDB
+
+        ref, fast = ReferenceServerDB(entry_ttl=ttl), ServerDB(entry_ttl=ttl)
+        dbs = (ref, fast)
+
+        def both(call):
+            results = [call(db) for db in dbs]
+            assert results[0] == results[1]
+            return results[1]
+
+        plane_of = [
+            self.PLANES[i % 3] if planes else self.PLANES[0] for i in range(4)
+        ]
+        uuids = [
+            both(lambda db: db.register(now=float(i), plane=plane_of[i]))
+            for i in range(4)
+        ]
+
+        def items(client, rows, now):
+            return [
+                ReportItem(
+                    url=url,
+                    asn=self.ASN0 + asn,
+                    stages=self.STAGE_SETS[stages],
+                    measured_at=now - lag,
+                    plane=plane_of[client],
+                )
+                for url, asn, stages, lag in rows
+            ]
+
+        now = 10.0
+        for op in operations:
+            kind = op[0]
+            now += op[-1]
+            if kind == "post":
+                _, client, rows, _ = op
+                reports = items(
+                    client,
+                    [(f"http://u{u}.example/", a, s, lag)
+                     for u, a, s, lag in rows],
+                    now,
+                )
+                both(lambda db: db.post_update(uuids[client], reports, now))
+            elif kind == "bulk":
+                _, client, count, _ = op
+                urls = [f"http://b{i}.example/" for i in range(count)]
+                urls += urls[:3]  # refreshes within the same upload
+                reports = items(
+                    client, [(url, 0, 0, 0.0) for url in urls], now
+                )
+                both(lambda db: db.post_update(uuids[client], reports, now))
+            elif kind == "dissent":
+                _, client, url, asn, _ = op
+                both(lambda db: db.post_dissent(
+                    uuids[client], f"http://u{url}.example/",
+                    self.ASN0 + asn, now,
+                ))
+            elif kind == "revoke":
+                client = op[1]
+                for db in dbs:
+                    db.revoke(uuids[client])
+                uuids[client] = both(
+                    lambda db: db.register(now=now, plane=plane_of[client])
+                )
+            else:
+                asn = self.ASN0 + op[1]
+                both(lambda db: db.sync_batch_for_as(asn, now))
+            self._assert_same(ref, fast)
+        self._assert_ledger_matches_recompute(fast.voting)
+        self._assert_same_pulls(ref, fast, now + 1.0)
+
+    def test_log_limit_rising_mid_upload(self):
+        """A shard whose log sits at the 256-row limit takes an upload
+        that alternates refreshes with inserts: every insert past 64
+        entries ends a run and raises the limit, inside one upload, while
+        a second client's growing list re-marks its earlier keys."""
+        from tests._reference_globaldb import ReferenceServerDB
+
+        ref, fast = ReferenceServerDB(entry_ttl=None), ServerDB(entry_ttl=None)
+        for db in (ref, fast):
+            first = db.register(now=0.0)
+            second = db.register(now=0.0)
+
+            def post(uuid, urls, now, db=db):
+                return db.post_update(uuid, [
+                    ReportItem(url=url, asn=self.ASN0,
+                               stages=self.STAGE_SETS[0], measured_at=now)
+                    for url in urls
+                ], now)
+
+            old = [f"http://b{i}.example/" for i in range(60)]
+            for round_ in range(5):
+                post(first, old, 1.0 + round_)
+            post(second, old[:10], 7.0)
+            mixed = []
+            for i in range(60, 90):
+                mixed += [f"http://b{i}.example/", old[i % 60]]
+            post(first, mixed, 8.0)
+            post(second, mixed[:20], 9.0)
+        self._assert_same(ref, fast)
+        shard = fast._shards[self.ASN0]
+        assert len(shard.entries) == 90
+        assert 256 < len(shard.log) <= 4 * 90 and shard.floor > 0
+        self._assert_same_pulls(ref, fast, 10.0)

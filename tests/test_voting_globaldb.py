@@ -203,6 +203,55 @@ class TestServerDB:
         for entry in server.all_entries():
             assert server.stats_for(entry.url, entry.asn).reporters >= 1
 
+    def test_empty_upload_changes_nothing(self):
+        server = ServerDB()
+        uuid = server.register(now=0.0)
+        server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
+        version = server.version_for_as(17557)
+        reports_of = server.voting.reports_of(uuid)
+        stats = server.stats_for("http://a.com/", 17557)
+        assert server.post_update(uuid, [], now=2.0) == 0
+        assert server.version_for_as(17557) == version
+        assert server.update_count == 1
+        assert server.voting.reports_of(uuid) == reports_of
+        assert server.stats_for("http://a.com/", 17557) == stats
+        # A fresh client's empty upload registers no vouch set at all.
+        fresh = server.register(now=3.0)
+        assert server.post_update(fresh, [], now=4.0) == 0
+        assert fresh not in server.voting.clients()
+
+    def test_unknown_client_rejected_before_any_shard_changes(self):
+        server = ServerDB()
+        uuid = server.register(now=0.0)
+        server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
+        version = server.version_for_as(17557)
+        reports = self.make_reports(["http://a.com/", "http://b.com/"])
+        reports += self.make_reports(["http://c.com/"], asn=38193)
+        with pytest.raises(RegistrationError):
+            server.post_update("nope", reports, now=2.0)
+        assert server.shard_sizes() == {17557: 1}
+        assert server.version_for_as(17557) == version
+        assert server.update_count == 1
+        assert server.voting.client_count() == 1
+
+    def test_two_as_upload_advances_each_shard_by_its_items(self):
+        server = ServerDB()
+        uuid = server.register(now=0.0)
+        server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
+        before = server.version_for_as(17557)
+        fresh = server.register(now=2.0)
+        # Three items on 17557 (one a repeat within the upload, one a
+        # refresh of a stored entry) and two on 38193.
+        reports = self.make_reports(
+            ["http://a.com/", "http://b.com/", "http://b.com/"]
+        )
+        reports += self.make_reports(
+            ["http://c.com/", "http://d.com/"], asn=38193
+        )
+        assert server.post_update(fresh, reports, now=3.0) == 5
+        assert server.version_for_as(17557) == before + 3
+        assert server.version_for_as(38193) == 2
+
 
 class TestIncrementalVotingExactness:
     """The incremental s_{j,k} must match the from-scratch recompute
