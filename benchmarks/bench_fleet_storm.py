@@ -12,10 +12,11 @@ staggered batched delta pulls, and convergence tracking, and reports
 
 plus a live guard that the columnar batch path beats the per-client row
 path by >= 3x on the pull storm (the ratio BENCH_engine.json records as
-``fleet_pull_storm_rows`` / ``fleet_pull_storm_batch``), the round-4
-guard that the group-applied sweep beats the retained per-client spec
-loop by >= 3x on the 100k storm, and a budget guard on the million
-client storm (``fleet_report_storm_1m`` in BENCH_engine.json).
+``fleet_pull_storm_rows`` / ``fleet_pull_storm_batch``), the guard
+that the version-run sweep beats the per-client reference loop
+(``tests/_reference_fleet.py``) by >= 3x on the 100k storm, and a
+budget guard on the million client storm (``fleet_report_storm_1m`` in
+BENCH_engine.json).
 
 Wall-clock timing here uses ``time.perf_counter`` directly — allowed
 under ``benchmarks/*`` by the CSL002 scope — and always as back-to-back
@@ -34,6 +35,7 @@ from record_engine_bench import (
     run_fleet_pull_storm_rows,
 )
 from repro.core.fleet import run_fleet_storm, run_fleet_storm_sharded
+from tests._reference_fleet import run_reference_storm
 
 
 def test_fleet_report_storm_100k(benchmark, report):
@@ -116,20 +118,20 @@ def test_batched_sync_beats_rows_3x(report):
 
 
 def test_grouped_sweep_beats_spec_3x(report):
-    """Round-4 guard (DESIGN.md §11): the group-applied sweep must beat
-    the retained per-client spec loop by >= 3x on the 100k report storm.
-    ``sweep_mode="spec"`` keeps the pre-round-4 per-client cost shape,
-    so this back-to-back in-process ratio stands in for the cross-epoch
-    speedup that recorded absolute numbers can't prove on this box."""
+    """Sweep guard (DESIGN.md §11, §15): the version-run sweep must beat
+    the per-client reference loop by >= 3x on the 100k report storm.
+    The reference keeps the pre-round-4 per-client cost shape, so this
+    back-to-back in-process ratio stands in for the cross-epoch speedup
+    that recorded absolute numbers can't prove on this box."""
     kwargs = dict(seed=0, n_ases=50, clients_per_as=2000)
     grouped_best = spec_best = float("inf")
     grouped = spec = None
     for _ in range(3):  # interleave rounds so drift hits both sides alike
         start = time.perf_counter()
-        grouped = run_fleet_storm(sweep_mode="grouped", **kwargs)
+        grouped = run_fleet_storm(**kwargs)
         grouped_best = min(grouped_best, time.perf_counter() - start)
         start = time.perf_counter()
-        spec = run_fleet_storm(sweep_mode="spec", **kwargs)
+        spec = run_reference_storm(**kwargs)
         spec_best = min(spec_best, time.perf_counter() - start)
 
     # The fast path is an optimization, never a semantic change.
@@ -137,12 +139,13 @@ def test_grouped_sweep_beats_spec_3x(report):
 
     speedup = spec_best / grouped_best
     report(
-        "grouped sweep vs per-client spec loop (100k clients, 50 ASes):\n"
+        "version-run sweep vs per-client reference loop "
+        "(100k clients, 50 ASes):\n"
         f"  grouped: {grouped_best * 1000:.0f} ms   "
         f"spec: {spec_best * 1000:.0f} ms   speedup: {speedup:.1f}x"
     )
     assert speedup >= 3.0, (
-        f"grouped sweep only {speedup:.1f}x over the spec loop (need >= 3x)"
+        f"sweep only {speedup:.1f}x over the reference loop (need >= 3x)"
     )
 
 

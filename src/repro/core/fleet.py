@@ -3,13 +3,20 @@
 The engine, voting, and per-AS shard layers are each fast in isolation;
 this module exercises them *together* at population scale.  A
 :class:`ClientCohort` represents thousands-to-millions of C-Saw clients
-without one ``CSawClient`` object per user: each AS's population is a
-set of parallel record arrays (``array`` module typed arrays) —
+without one ``CSawClient`` object per user.  Each AS's population is
+stored by service rank as a few record arrays (``array`` module typed
+arrays) and a run queue, from which the per-client ``versions``,
+``next_pull_at``, ``rows_received`` and ``bytes_received`` views are
+built when read —
 
-- ``versions``      last global_DB shard version each client applied
-                    (−1 = never synced → next pull is a full snapshot);
-- ``next_pull_at``  each client's periodic blocked-list pull schedule;
-- ``bytes_received`` / ``rows_received``  per-client delta-sync cost;
+- ``offsets``       each client's pull stagger, rank-sorted at
+                    construction; a client's next pull is its offset
+                    plus ``pull_interval`` once per pull served;
+- ``runs``          ``[count, since_version]`` runs of clients in
+                    service order from ``pull_ptr`` (−1 = never synced
+                    → next pull is a full snapshot);
+- ``rows_diff`` / ``bytes_diff``  difference arrays over ranks of the
+                    per-client delta-sync cost;
 - ``pending``       per-reporter count of wave URLs not yet posted;
 - reporter identity arrays (indices + server-issued UUIDs) for the
   active-reporter subset — reputation/voting runs on real identities.
@@ -17,29 +24,23 @@ set of parallel record arrays (``array`` module typed arrays) —
 The mean-field observation that makes this sound: every client of an AS
 consumes the same server-side change stream, so a client's blocked-list
 view is a pure function of the shard version it last applied.  Only
-schedule offsets, sync costs, and reporter state differ per client —
-exactly what the arrays store.  ICLab-style fleets (many lightweight
-vantages, aggregate load is the bottleneck) and Turkmenistan-style
-low-penetration studies (huge populations, few active reporters) both
-fit this shape.
+schedule offsets, sync costs, and reporter state differ per client.
+ICLab-style fleets (many lightweight vantages, aggregate load is the
+bottleneck) and Turkmenistan-style low-penetration studies (huge
+populations, few active reporters) both fit this shape.
 
 Pulls ride the *columnar* delta-sync wire format
 (:meth:`~repro.core.globaldb.ServerDB.sync_batch_for_as`): one batch is
 built per (AS, since-version) per service tick and shared by every
-client at that version, then applied into the record arrays in one
-pass.  Reports go through the ordinary ``post_update`` path, so the
-voting ledger and shard change logs see real traffic.
+client at that version.  Reports go through the ordinary
+``post_update`` path, so the voting ledger and shard change logs see
+real traffic.
 
-Sweeps are *group-applied* (DESIGN.md §11): clients are stored in pull
-order (offsets sorted at construction), so the clients due in a sweep
-are one contiguous cyclic rank range, and every client in a run of
-equal since-versions receives the same batch, the same row/byte
-increments, and the same resulting version.  The sweep therefore costs
-O(distinct since-versions) batch/metric work plus O(clients due) array
-bookkeeping via slice assignment — never a per-client dict/property
-dance.  The original per-client loop is retained as the executable
-spec (``sweep_mode="spec"``) and a hypothesis property class proves
-the grouped path bit-identical across random wave/pull schedules.
+Sweeps work on *version runs* (DESIGN.md §15): the clients due in a
+sweep are a prefix of ``runs``, found by bisecting the offsets, and
+every client of a run receives the same batch, the same row/byte
+increments and the same resulting version.  A sweep therefore costs
+O(distinct since-versions), however many clients are due.
 
 Process fan-out: :func:`run_fleet_storm_sharded` partitions the AS
 space across worker processes with :mod:`repro.runner` — shards are
@@ -65,8 +66,13 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..runner import TrialSpec, derive_seed, merge_values, run_trials
 from ..simnet.engine import Environment
@@ -86,6 +92,18 @@ __all__ = [
 
 #: Stage evidence the wave's reporters upload (multi-stage blocking).
 WAVE_STAGES: Tuple[BlockType, ...] = (BlockType.DNS_TIMEOUT, BlockType.BLOCK_PAGE)
+
+
+def _add_cyclic(diff: array, lo: int, count: int, n: int, value: int) -> None:
+    """Add ``value`` to ``count`` consecutive ranks from ``lo`` (wrapping
+    past rank ``n - 1``) of the per-rank array that ``diff`` encodes."""
+    diff[lo] += value
+    hi = lo + count
+    if hi <= n:
+        diff[hi] -= value
+    else:
+        diff[0] += value
+        diff[hi - n] -= value
 
 
 class _PlaneGroup:
@@ -123,18 +141,19 @@ class _PlaneGroup:
         self.unconverged = n_clients
         self.converged_at: Optional[float] = None
         # Convergence-curve events: (sim time, clients converged so far)
-        # recorded at service-tick granularity — identical across sweep
-        # modes because it samples end-of-tick state, not sweep order.
+        # recorded at service-tick granularity — it samples end-of-tick
+        # state, not the order clients were served in.
         self.curve: List[Tuple[float, int]] = []
         self.last_converged = 0
 
 
 class CohortAs:
-    """One AS's client population, as parallel record arrays."""
+    """One AS's client population: stagger offsets, version runs, and
+    per-client sync cost as difference arrays (DESIGN.md §15)."""
 
     __slots__ = (
-        "asn", "n", "rng", "versions", "next_pull_at", "pull_order", "pull_ptr",
-        "bytes_received", "rows_received", "pulls", "wave_urls", "groups",
+        "asn", "n", "rng", "pull_interval", "offsets", "runs", "pull_ptr",
+        "rows_diff", "bytes_diff", "pulls", "wave_urls", "groups",
         "target_version", "wave_started_at", "converged_at", "unconverged",
     )
 
@@ -143,21 +162,24 @@ class CohortAs:
         self.asn = asn
         self.n = n
         self.rng = rng
-        self.versions = array("q", [-1]) * n  # -1 = never synced
+        self.pull_interval = pull_interval
         # Staggered periodic pulls: offsets are fixed per client and
-        # stored *rank-sorted*, so client index == service rank, the due
-        # order is cyclic, and each sweep touches one contiguous rank
-        # range — O(clients due), never O(population), and amenable to
-        # slice assignment.  Clients are exchangeable aside from the
-        # independently-sampled reporter subset, so sorting the offsets
-        # relabels clients without changing any aggregate outcome.
-        self.next_pull_at = array(
+        # stored *rank-sorted*, so client index == service rank and the
+        # due order is cyclic from ``pull_ptr``.  Clients are
+        # exchangeable aside from the independently-sampled reporter
+        # subset, so sorting the offsets relabels clients without
+        # changing any aggregate outcome.
+        self.offsets = array(
             "d", sorted(rng.uniform(0.0, pull_interval) for _ in range(n))
         )
-        self.pull_order = range(n)
+        # Since-versions as [count, version] runs in service order from
+        # pull_ptr, oldest first; -1 = never synced.
+        self.runs: Deque[List[int]] = deque([[n, -1]])
         self.pull_ptr = 0
-        self.bytes_received = array("q", [0]) * n
-        self.rows_received = array("q", [0]) * n
+        # Rows/bytes received per rank, as difference arrays (the extra
+        # slot lets a range that ends at rank n - 1 close without a test).
+        self.rows_diff = array("q", [0]) * (n + 1)
+        self.bytes_diff = array("q", [0]) * (n + 1)
         self.pulls = 0
         # Blocking-wave state (filled by start_wave / reporter posts):
         # one _PlaneGroup per plane in the cohort's mix.
@@ -167,6 +189,64 @@ class CohortAs:
         self.wave_started_at: Optional[float] = None
         self.converged_at: Optional[float] = None
         self.unconverged = n
+
+    def due(self, now: float) -> int:
+        """How many clients from ``pull_ptr`` on are due by ``now`` (at
+        most ``n``).  Deadlines are non-decreasing in service order, so
+        bisecting the offsets at ``now`` minus whole intervals lands
+        within rounding of the end of the due prefix; exact deadlines
+        then step over the last few ulps."""
+        n, ptr = self.n, self.pull_ptr
+        offsets, interval = self.offsets, self.pull_interval
+        laps, start = divmod(ptr, n)
+        cut = now - laps * interval
+        end = bisect_right(offsets, cut, start)
+        due = end - start
+        if end == n:  # the due range may wrap to ranks served once more
+            due += bisect_right(offsets, cut - interval, 0, start)
+
+        def deadline(pos: int) -> float:
+            # The offset plus one interval per pull served, added in turn.
+            laps, rank = divmod(ptr + pos, n)
+            return reduce(add, repeat(interval, laps), offsets[rank])
+
+        while due < n and deadline(due) <= now:
+            due += 1
+        while due and deadline(due - 1) > now:
+            due -= 1
+        return due
+
+    # Per-client views, built on read; only tests and goldens use them.
+
+    @property
+    def versions(self) -> array:
+        """Shard version each client last applied, by rank."""
+        in_order = array("q")
+        for count, version in self.runs:
+            in_order.extend(array("q", [version]) * count)
+        split = self.n - self.pull_ptr % self.n
+        return in_order[split:] + in_order[:split]
+
+    @property
+    def next_pull_at(self) -> array:
+        """Each client's next pull time, by rank."""
+        laps, start = divmod(self.pull_ptr, self.n)
+        interval = self.pull_interval
+        at = list(self.offsets)
+        for _ in range(laps):
+            at = [x + interval for x in at]
+        at[:start] = [x + interval for x in at[:start]]
+        return array("d", at)
+
+    @property
+    def rows_received(self) -> array:
+        """Delta-sync rows each client received, by rank."""
+        return array("q", accumulate(self.rows_diff[:-1]))
+
+    @property
+    def bytes_received(self) -> array:
+        """Delta-sync bytes each client received, by rank."""
+        return array("q", accumulate(self.bytes_diff[:-1]))
 
     # Aggregate views over the plane groups, in mix order — the shape
     # the pre-plane record arrays had (and what the golden fingerprint
@@ -376,6 +456,10 @@ class FleetMetrics:
 class ClientCohort:
     """A population of lightweight clients spread over per-AS shards."""
 
+    #: The per-AS population type; a subclass that keeps other per-client
+    #: state swaps in its own.
+    _shard_type = CohortAs
+
     def __init__(
         self,
         server: ServerDB,
@@ -385,7 +469,6 @@ class ClientCohort:
         reporter_fraction: float = 0.01,
         pull_interval: float = 600.0,
         tick: Optional[float] = None,
-        sweep_mode: str = "grouped",
         planes: Optional[Sequence] = None,
     ):
         if clients_per_as < 1:
@@ -394,14 +477,13 @@ class ClientCohort:
             raise ValueError(
                 f"reporter_fraction must be in (0,1]: {reporter_fraction!r}"
             )
-        if sweep_mode not in ("grouped", "spec"):
-            raise ValueError(f"unknown sweep_mode: {sweep_mode!r}")
-        self.sweep_mode = sweep_mode
-        self._service_pulls = (
-            self._service_pulls_grouped
-            if sweep_mode == "grouped"
-            else self._service_pulls_spec
-        )
+        # A zero tick would stall the engine at one instant forever.
+        if not pull_interval > 0.0:
+            raise ValueError(f"pull_interval must be > 0: {pull_interval!r}")
+        if tick is None:
+            tick = pull_interval / 20.0
+        if not tick > 0.0:
+            raise ValueError(f"tick must be > 0: {tick!r}")
         self.server = server
         self.seed = seed
         # The measurement-plane mix: MeasurementPlane instances or spec
@@ -432,14 +514,14 @@ class ClientCohort:
         # Service granularity: how often each AS's population is swept
         # for due pulls/reports.  Coarser ticks batch more clients per
         # sweep (and per shared SyncBatch); finer ticks tighten the
-        # convergence measurement.
-        self.tick = tick if tick is not None else pull_interval / 20.0
+        # convergence measurement.  Defaults to pull_interval / 20.
+        self.tick = tick
         self.reporter_fraction = reporter_fraction
         # One seeded stream per AS, derived from the AS identity — the AS
         # space can then be partitioned across worker processes without
         # changing any AS's draws (worker-count invariance).
         self.shards: List[CohortAs] = [
-            CohortAs(
+            self._shard_type(
                 asn,
                 clients_per_as,
                 pull_interval,
@@ -603,59 +685,59 @@ class ClientCohort:
             # converged (the overall target; per-plane targets above).
             st.target_version = server.version_for_as(st.asn)
 
-    def _service_pulls_spec(self, st: CohortAs, now: float) -> None:
-        """Serve every client whose periodic pull came due, one at a time.
+    def _service_pulls(self, st: CohortAs, now: float) -> None:
+        """Serve every client whose periodic pull came due, run by run.
 
-        Clients due in the same sweep that share a since-version also
-        share one server-built :class:`SyncBatch` — the columnar format
-        makes the share free (immutable parallel tuples).
-
-        This per-client loop is the *executable spec* for the grouped
-        sweep below: hypothesis property tests drive both through random
-        wave/pull schedules and demand bit-identical metrics and
-        per-client arrays.  It intentionally keeps the O(population)
-        shape (per-client batch lookups, wire-size property calls) the
-        fleet layer shipped with before hot-path round 4.
+        The due clients are the first ``st.due(now)`` of ``st.runs``.
+        A run's clients share a since-version, so they share one batch
+        (built once per distinct since-version this sweep) and the same
+        rows, bytes and new version: a run costs O(1) however many
+        clients it holds.  Served clients rejoin the back of the queue.
         """
+        served = st.due(now)
+        if not served:
+            return
         server, metrics = self.server, self.metrics
-        order, next_pull = st.pull_order, st.next_pull_at
-        versions = st.versions
-        batch_cache: Dict[int, object] = {}
         n = st.n
-        served = 0
-        while served < n:
-            i = order[st.pull_ptr % n]
-            if next_pull[i] > now:
-                break
-            since = versions[i]
+        runs = st.runs
+        target = st.target_version
+        asn = st.asn
+        batch_cache: Dict[int, object] = {}
+        lo = st.pull_ptr % n
+        left = served
+        while left:
+            run = runs[0]
+            count, since = run
+            if count > left:
+                run[0] = count - left
+                count = left
+            else:
+                runs.popleft()
+            left -= count
             batch = batch_cache.get(since)
             if batch is None:
                 batch = server.sync_batch_for_as(
-                    st.asn, now,
+                    asn, now,
                     since_version=None if since < 0 else since,
                 )
                 batch_cache[since] = batch
                 metrics.batches_built += 1
-            versions[i] = batch.version
+            version = batch.version
             rows = batch.transferred
             if rows:
-                st.rows_received[i] += rows
-                st.bytes_received[i] += batch.wire_bytes
-                metrics.sync_rows += rows
-                metrics.sync_bytes += batch.wire_bytes
+                wire = batch.wire_bytes
+                _add_cyclic(st.rows_diff, lo, count, n, rows)
+                _add_cyclic(st.bytes_diff, lo, count, n, wire)
+                metrics.sync_rows += rows * count
+                metrics.sync_bytes += wire * count
             else:
-                metrics.sync_bytes += SYNC_HEADER_BYTES  # empty delta
-            next_pull[i] += self.pull_interval
-            st.pulls += 1
-            metrics.pulls_served += 1
-            st.pull_ptr += 1
-            served += 1
+                metrics.sync_bytes += SYNC_HEADER_BYTES * count
             if (
-                st.target_version is not None
+                target is not None
                 and st.unconverged
-                and since < st.target_version <= batch.version
+                and since < target <= version
             ):
-                st.unconverged -= 1
+                st.unconverged -= count
                 if st.unconverged == 0 and st.wave_started_at is not None:
                     st.converged_at = now
             for group in st.groups:
@@ -663,124 +745,25 @@ class ClientCohort:
                 if (
                     gt is not None
                     and group.unconverged
-                    and since < gt <= batch.version
+                    and since < gt <= version
                 ):
-                    group.unconverged -= 1
-
-    def _service_pulls_grouped(self, st: CohortAs, now: float) -> None:
-        """Group-applied sweep: the spec above in O(distinct versions).
-
-        Because offsets are rank-sorted, the clients due this sweep are
-        one contiguous cyclic rank range starting at ``pull_ptr``.
-        Every client in a run of equal since-versions receives the same
-        batch, the same row/byte increments, and the same resulting
-        version — so each run is applied with slice assignment and one
-        counted aggregate increment per metric, and server-side work
-        (batch build, wire-size accounting, convergence comparison)
-        happens once per run instead of once per client.  Batches are
-        still deduplicated per distinct since-version across the whole
-        sweep, so ``batches_built`` matches the spec exactly even if a
-        wrap-around splits a version run in two.
-        """
-        next_pull = st.next_pull_at
-        n = st.n
-        ptr = st.pull_ptr
-        start = ptr % n
-        # Phase 1 — bookkeeping scan: count consecutive due ranks.
-        served = 0
-        r = start
-        while served < n:
-            if next_pull[r] > now:
-                break
-            served += 1
-            r += 1
-            if r == n:
-                r = 0
-        if not served:
-            return
-        server, metrics = self.server, self.metrics
-        versions = st.versions
-        interval = self.pull_interval
-        target = st.target_version
-        asn = st.asn
-        batch_cache: Dict[int, object] = {}
-        # Phase 2 — per (since-version → group) application over the due
-        # range, split at the cyclic wrap.
-        end = start + served
-        segments = (
-            ((start, end),) if end <= n else ((start, n), (0, end - n))
-        )
-        for seg_lo, seg_hi in segments:
-            lo = seg_lo
-            while lo < seg_hi:
-                since = versions[lo]
-                hi = lo + 1
-                while hi < seg_hi and versions[hi] == since:
-                    hi += 1
-                batch = batch_cache.get(since)
-                if batch is None:
-                    batch = server.sync_batch_for_as(
-                        asn, now,
-                        since_version=None if since < 0 else since,
-                    )
-                    batch_cache[since] = batch
-                    metrics.batches_built += 1
-                count = hi - lo
-                version = batch.version
-                rows = batch.transferred
-                if count == 1:
-                    versions[lo] = version
-                    next_pull[lo] += interval
-                    if rows:
-                        wire = batch.wire_bytes
-                        st.rows_received[lo] += rows
-                        st.bytes_received[lo] += wire
-                        metrics.sync_rows += rows
-                        metrics.sync_bytes += wire
-                    else:
-                        metrics.sync_bytes += SYNC_HEADER_BYTES
-                else:
-                    versions[lo:hi] = array("q", [version]) * count
-                    next_pull[lo:hi] = array(
-                        "d", [x + interval for x in next_pull[lo:hi]]
-                    )
-                    if rows:
-                        wire = batch.wire_bytes
-                        st.rows_received[lo:hi] = array(
-                            "q", [x + rows for x in st.rows_received[lo:hi]]
-                        )
-                        st.bytes_received[lo:hi] = array(
-                            "q", [x + wire for x in st.bytes_received[lo:hi]]
-                        )
-                        metrics.sync_rows += rows * count
-                        metrics.sync_bytes += wire * count
-                    else:
-                        metrics.sync_bytes += SYNC_HEADER_BYTES * count
-                if (
-                    target is not None
-                    and st.unconverged
-                    and since < target <= version
-                ):
-                    st.unconverged -= count
-                    if st.unconverged == 0 and st.wave_started_at is not None:
-                        st.converged_at = now
-                for group in st.groups:
-                    gt = group.target_version
-                    if (
-                        gt is not None
-                        and group.unconverged
-                        and since < gt <= version
-                    ):
-                        group.unconverged -= count
-                lo = hi
+                    group.unconverged -= count
+            # Merging into the back run is safe even when that run is
+            # still due this sweep: ``left`` never reaches past the
+            # clients ahead of the ones pushed here.
+            if runs and runs[-1][1] == version:
+                runs[-1][0] += count
+            else:
+                runs.append([count, version])
+            lo = (lo + count) % n
         st.pulls += served
         metrics.pulls_served += served
-        st.pull_ptr = ptr + served
+        st.pull_ptr += served
 
     def service(self, now: float) -> None:
         """One sweep over every AS: due reports, then due pulls, then
         end-of-tick per-plane convergence bookkeeping (tick-granular, so
-        it cannot differ between sweep modes)."""
+        it does not depend on the order clients were served in)."""
         for st in self.shards:
             groups = st.groups
             if groups:
@@ -862,7 +845,6 @@ def run_fleet_storm(
     wave_at: float = 300.0,
     horizon: Optional[float] = None,
     asn_base: int = 40000,
-    sweep_mode: str = "grouped",
     planes: Optional[Sequence] = None,
     wave_stagger: float = 0.0,
     server: Optional[ServerDB] = None,
@@ -889,7 +871,6 @@ def run_fleet_storm(
         seed=seed,
         reporter_fraction=reporter_fraction,
         pull_interval=pull_interval,
-        sweep_mode=sweep_mode,
         planes=planes,
     )
 

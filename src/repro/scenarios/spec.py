@@ -465,6 +465,12 @@ class CohortSpec:
             sharded=_as_bool(pop("sharded", False), where),
         )
         done()
+        if spec.clients_per_as < 1:
+            raise SpecError(f"{where}.clients_per_as: must be >= 1")
+        if not 0.0 < spec.reporter_fraction <= 1.0:
+            raise SpecError(f"{where}.reporter_fraction: must be in (0, 1]")
+        if not spec.pull_interval > 0.0:
+            raise SpecError(f"{where}.pull_interval: must be > 0")
         if spec.wave_stagger < 0.0:
             raise SpecError(f"{where}.wave_stagger: must be >= 0")
         return spec

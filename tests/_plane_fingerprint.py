@@ -12,8 +12,10 @@ The fingerprint exercises the fleet storm end to end — per-client record
 arrays (versions, pull schedules as exact float reprs, byte/row costs),
 reporter identities and detection times, server-side global_DB rows,
 per-key voting statistics, serve counters, and the metrics summary — for
-both sweep modes, so any drift in RNG draw order, registration order,
-report batching, or convergence accounting shows up as a diff.
+the production sweep (``"grouped"``) and the per-client reference loop
+in ``tests/_reference_fleet.py`` (``"spec"``), so any drift in RNG draw
+order, registration order, report batching, or convergence accounting
+shows up as a diff.
 
 Floats travel as ``repr`` strings so JSON round-trips keep full
 precision (bit-identical means bit-identical).  The session-level
@@ -44,22 +46,21 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-def storm_fingerprint(sweep_mode: str, seed: int = 7) -> Dict[str, Any]:
-    """One small fleet storm, captured down to every record array."""
-    from repro.core.fleet import ClientCohort
+def storm_fingerprint(cohort_type, seed: int = 7) -> Dict[str, Any]:
+    """One small fleet storm on ``cohort_type``, captured down to every
+    record array."""
     from repro.core.globaldb import ServerDB
     from repro.simnet.engine import Environment
 
     server = ServerDB(entry_ttl=None)
     env = Environment()
-    cohort = ClientCohort(
+    cohort = cohort_type(
         server,
         asns=[41000 + i for i in range(4)],
         clients_per_as=60,
         seed=seed,
         reporter_fraction=0.05,
         pull_interval=600.0,
-        sweep_mode=sweep_mode,
     )
 
     def driver():
@@ -125,9 +126,12 @@ def storm_fingerprint(sweep_mode: str, seed: int = 7) -> Dict[str, Any]:
 
 
 def all_fingerprints() -> Dict[str, Any]:
+    from repro.core.fleet import ClientCohort
+    from tests._reference_fleet import ReferenceClientCohort
+
     return {
-        "grouped": storm_fingerprint("grouped"),
-        "spec": storm_fingerprint("spec"),
+        "grouped": storm_fingerprint(ClientCohort),
+        "spec": storm_fingerprint(ReferenceClientCohort),
     }
 
 

@@ -16,13 +16,14 @@ from repro.core.fleet import (
 )
 from repro.core.globaldb import ServerDB
 from repro.simnet.engine import Environment
+from tests._reference_fleet import run_reference_storm
+
+SMALL = dict(seed=7, n_ases=4, clients_per_as=60, urls_per_as=5,
+             reporter_fraction=0.05)
 
 
 def small_storm(**overrides):
-    kwargs = dict(seed=7, n_ases=4, clients_per_as=60, urls_per_as=5,
-                  reporter_fraction=0.05)
-    kwargs.update(overrides)
-    return run_fleet_storm(**kwargs)
+    return run_fleet_storm(**{**SMALL, **overrides})
 
 
 class TestFleetStorm:
@@ -86,16 +87,11 @@ class TestFleetStorm:
         )
         assert any(v > 0 for v in metrics.pending_by_as.values())
 
-    def test_sweep_modes_agree_and_validate(self):
+    def test_sweep_matches_reference_loop(self):
         grouped = small_storm()
-        spec = small_storm(sweep_mode="spec")
+        spec = run_reference_storm(**SMALL)
         assert grouped.summary() == spec.summary()
         assert grouped.convergence_by_as == spec.convergence_by_as
-        with pytest.raises(ValueError):
-            ClientCohort(
-                ServerDB(entry_ttl=None), asns=[1], clients_per_as=5,
-                seed=0, sweep_mode="bogus",
-            )
 
     def test_no_wave_no_convergence_entry(self):
         server = ServerDB(entry_ttl=None)
@@ -215,3 +211,24 @@ class TestFleetMetrics:
                 server, asns=[1], clients_per_as=5, seed=0,
                 reporter_fraction=0.0,
             )
+
+    @pytest.mark.parametrize("bad", [
+        {"pull_interval": 0.0},
+        {"pull_interval": -600.0},
+        {"tick": 0.0},
+        {"tick": -1.0},
+    ])
+    def test_cohort_rejects_nonpositive_interval_and_tick(self, bad):
+        # A zero pull_interval makes the default tick 0, which would
+        # spin the service loop at one instant forever.
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            ClientCohort(
+                ServerDB(entry_ttl=None), asns=[1], clients_per_as=5,
+                seed=0, **bad,
+            )
+
+    def test_storm_with_zero_pull_interval_raises_instead_of_hanging(self):
+        with pytest.raises(ValueError, match="pull_interval"):
+            run_fleet_storm(seed=0, n_ases=1, clients_per_as=5,
+                            pull_interval=0.0)

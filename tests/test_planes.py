@@ -4,11 +4,12 @@ Four layers under test (ISSUE 10):
 
 - the golden fingerprint: the plane-backed fleet reporter path is
   bit-identical to the pre-refactor pipeline for the single-C-Saw-plane
-  case, in both sweep modes (``tests/data/plane_golden.json``);
+  case, for the sweep and its per-client reference
+  (``tests/data/plane_golden.json``);
 - the plane abstraction itself: profiles, the registry, reporter
   sampling, per-plane wave items;
 - mixed-plane storms: provenance counters, per-plane convergence,
-  grouped/spec sweep equivalence, sharding-style metric merges;
+  sweep/reference equivalence, sharding-style metric merges;
 - per-plane voting: the dormant ledger is the pre-plane ledger, active
   per-plane histograms partition the aggregate, and the weighted
   criterion degenerates to today's unweighted one.
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests._plane_fingerprint import all_fingerprints, load_golden
+from tests._reference_fleet import run_reference_storm
 from repro.core.fleet import run_fleet_storm
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
@@ -40,7 +42,7 @@ MIX = (
 )
 
 
-def mixed_storm(sweep_mode="grouped", seed=11, server=None, **overrides):
+def mixed_storm(seed=11, server=None, run=run_fleet_storm, **overrides):
     kwargs = dict(
         seed=seed,
         n_ases=4,
@@ -49,19 +51,18 @@ def mixed_storm(sweep_mode="grouped", seed=11, server=None, **overrides):
         pull_interval=600.0,
         wave_at=300.0,
         asn_base=52000,
-        sweep_mode=sweep_mode,
         planes=[dict(spec) for spec in MIX],
         server=server,
     )
     kwargs.update(overrides)
-    return run_fleet_storm(**kwargs)
+    return run(**kwargs)
 
 
 class TestGoldenFingerprint:
     """The single-plane path through the plane abstraction reproduces
     the pre-refactor pipeline bit for bit (floats compared as reprs)."""
 
-    def test_both_sweep_modes_match_pre_refactor_golden(self):
+    def test_sweep_and_reference_match_pre_refactor_golden(self):
         assert all_fingerprints() == load_golden()
 
     def test_explicit_default_plane_matches_golden_too(self):
@@ -199,8 +200,8 @@ class TestMixedPlaneStorm:
         }
 
     def test_grouped_and_spec_sweeps_agree_on_mixed_storms(self):
-        grouped = mixed_storm("grouped")
-        spec = mixed_storm("spec")
+        grouped = mixed_storm()
+        spec = mixed_storm(run=run_reference_storm)
         assert grouped.summary() == spec.summary()
         assert grouped.reports_by_plane == spec.reports_by_plane
         assert grouped.convergence_by_plane == spec.convergence_by_plane

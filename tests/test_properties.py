@@ -355,80 +355,142 @@ class TestSyncWireFormatProperties:
 
 
 class TestGroupedSweepProperties:
-    """The group-applied fleet pull sweep is an optimization of the
-    retained per-client spec loop — hypothesis drives both through
-    random cohort shapes and wave/pull schedules and demands the same
-    :class:`FleetMetrics`, the same per-client record arrays, and the
-    same server-side serve counters (acceptance for hot-path round 4).
+    """The version-run fleet pull sweep against the per-client reference
+    loop in ``tests/_reference_fleet.py``: hypothesis drives both through
+    random cohort shapes, plane mixes, rolled waves, TTL evictions and
+    wave/pull schedules and demands the same :class:`FleetMetrics`
+    (including the per-plane views), the same per-client record arrays,
+    and the same server-side serve counters.  After every sweep the
+    production layout must also hold the invariants the sweep relies on
+    (DESIGN.md §15).
     """
 
     @staticmethod
-    def _storm(sweep_mode, seed, n_ases, clients, urls, frac, interval,
-               tick_div, wave_at, horizon_intervals):
-        from repro.core.fleet import ClientCohort
+    def _check_layout(cohort):
+        for shard in cohort.shards:
+            counts = [count for count, _ in shard.runs]
+            versions = [version for _, version in shard.runs]
+            assert sum(counts) == shard.n
+            assert versions == sorted(versions)
+            deadlines = shard.next_pull_at
+            start = shard.pull_ptr % shard.n
+            in_order = deadlines[start:] + deadlines[:start]
+            assert all(a <= b for a, b in zip(in_order, in_order[1:]))
 
-        server = ServerDB(entry_ttl=None)
-        env = Environment()
-        cohort = ClientCohort(
-            server,
-            asns=[41000 + i for i in range(n_ases)],
-            clients_per_as=clients,
+    @staticmethod
+    def _storm(cohort_type, seed, n_ases, clients, urls, frac, interval,
+               tick_div, wave_frac, horizon_intervals, mix, stagger_frac,
+               ttl_frac, after_sweep=None):
+        from tests._reference_fleet import run_storm
+
+        planes = None
+        if mix:
+            planes = [
+                {"kind": "csaw", "fraction": frac},
+                {"kind": "encore", "fraction": frac, "miss_rate": 0.25},
+            ]
+        wave_at = None if wave_frac is None else wave_frac * interval
+        tick = interval / tick_div
+        return run_storm(
+            cohort_type,
             seed=seed,
+            n_ases=n_ases,
+            clients_per_as=clients,
             reporter_fraction=frac,
+            urls_per_as=urls,
             pull_interval=interval,
-            tick=interval / tick_div,
-            sweep_mode=sweep_mode,
+            wave_at=wave_at,
+            horizon=(wave_at or 0.0) + horizon_intervals * interval + tick,
+            asn_base=41000,
+            planes=planes,
+            wave_stagger=stagger_frac * interval,
+            server=ServerDB(
+                entry_ttl=None if ttl_frac is None else ttl_frac * interval
+            ),
+            tick=tick,
+            after_sweep=after_sweep,
         )
 
-        def driver():
-            yield env.timeout(wave_at)
-            cohort.start_wave(env.now, urls_per_as=urls)
-
-        env.process(driver())
-        stop_at = wave_at + horizon_intervals * interval + cohort.tick
-        env.process(cohort.run(env, stop_at))
-        env.run()
-        cohort.finalize()
-        return cohort
+    @staticmethod
+    def _assert_same(got, want, path="metrics"):
+        """Equal, except that NaN matches NaN (unconverged aggregates)."""
+        if isinstance(want, dict):
+            assert got.keys() == want.keys(), path
+            for key in want:
+                TestGroupedSweepProperties._assert_same(
+                    got[key], want[key], f"{path}.{key}"
+                )
+        elif isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got), path
+        else:
+            assert got == want, path
 
     @given(
         seed=st.integers(min_value=0, max_value=2**20),
         n_ases=st.integers(min_value=1, max_value=3),
-        clients=st.integers(min_value=1, max_value=25),
+        clients=st.integers(min_value=1, max_value=60),
         urls=st.integers(min_value=1, max_value=6),
         frac=st.floats(min_value=0.05, max_value=1.0),
         interval=st.floats(min_value=60.0, max_value=900.0),
-        tick_div=st.integers(min_value=3, max_value=40),
-        wave_frac=st.floats(min_value=0.0, max_value=2.0),
-        horizon_intervals=st.floats(min_value=0.25, max_value=2.5),
+        # Whole divisors keep sweeps on interval boundaries; fractional
+        # ones make the due range wrap past the last rank mid-sweep, and
+        # below 1 more than the whole population comes due per sweep.
+        tick_div=(
+            st.integers(min_value=1, max_value=40)
+            | st.floats(min_value=0.5, max_value=40.0)
+        ),
+        wave_frac=st.none() | st.floats(min_value=0.0, max_value=2.0),
+        horizon_intervals=st.floats(min_value=0.25, max_value=6.0),
+        mix=st.booleans(),
+        stagger_frac=st.just(0.0) | st.floats(min_value=0.0, max_value=2.0),
+        ttl_frac=st.none() | st.floats(min_value=0.2, max_value=3.0),
     )
-    @settings(max_examples=40, deadline=None)
+    # Runs that wrap past the last rank while rows change (TTL
+    # evictions, a rolled wave, two planes).
+    @example(
+        seed=27, n_ases=3, clients=32, urls=2, frac=0.3, interval=450.0,
+        tick_div=6.5, wave_frac=1.5, horizon_intervals=6.0, mix=True,
+        stagger_frac=1.0, ttl_frac=1.0,
+    )
+    # A single client: every sweep serves all or nothing.
+    @example(
+        seed=3, n_ases=1, clients=1, urls=2, frac=1.0, interval=600.0,
+        tick_div=1, wave_frac=0.5, horizon_intervals=6.0, mix=True,
+        stagger_frac=0.5, ttl_frac=0.5,
+    )
+    # No wave: no shard ever exists, so every batch has version 0.
+    @example(
+        seed=5, n_ases=2, clients=20, urls=3, frac=0.1, interval=300.0,
+        tick_div=7, wave_frac=None, horizon_intervals=4.0, mix=False,
+        stagger_frac=0.0, ttl_frac=None,
+    )
+    @settings(max_examples=100, deadline=None)
     def test_grouped_sweep_bit_identical_to_spec(
         self, seed, n_ases, clients, urls, frac, interval, tick_div,
-        wave_frac, horizon_intervals,
+        wave_frac, horizon_intervals, mix, stagger_frac, ttl_frac,
     ):
+        from repro.core.fleet import ClientCohort
+        from tests._reference_fleet import ReferenceClientCohort
+
         args = (seed, n_ases, clients, urls, frac, interval, tick_div,
-                wave_frac * interval, horizon_intervals)
-        spec = self._storm("spec", *args)
-        grouped = self._storm("grouped", *args)
-        g_summary, s_summary = grouped.metrics.summary(), spec.metrics.summary()
-        assert g_summary.keys() == s_summary.keys()
-        for name in s_summary:
-            g_val, s_val = g_summary[name], s_summary[name]
-            if isinstance(s_val, float) and math.isnan(s_val):
-                # Unconverged cohorts report NaN aggregates on both sides.
-                assert math.isnan(g_val), name
-            else:
-                assert g_val == s_val, name
-        assert grouped.metrics.convergence_by_as == \
-            spec.metrics.convergence_by_as
-        assert grouped.metrics.pending_by_as == spec.metrics.pending_by_as
+                wave_frac, horizon_intervals, mix, stagger_frac, ttl_frac)
+        spec = self._storm(ReferenceClientCohort, *args)
+        grouped = self._storm(
+            ClientCohort, *args, after_sweep=self._check_layout
+        )
+        g_metrics, s_metrics = grouped.metrics, spec.metrics
+        self._assert_same(g_metrics.summary(), s_metrics.summary())
+        self._assert_same(g_metrics.plane_summary(), s_metrics.plane_summary())
+        assert g_metrics.convergence_by_as == s_metrics.convergence_by_as
+        assert g_metrics.pending_by_as == s_metrics.pending_by_as
+        assert g_metrics.convergence_by_plane == s_metrics.convergence_by_plane
+        assert g_metrics.curve_by_plane == s_metrics.curve_by_plane
         # Server-side serve/build accounting must agree too.
         assert grouped.server.full_syncs_served == spec.server.full_syncs_served
         assert grouped.server.delta_syncs_served == \
             spec.server.delta_syncs_served
         # Per-client record arrays: same layout, same values, bit for bit
-        # (the float pull schedule advances by the identical additions).
+        # (the implied pull schedule repeats the reference's additions).
         for ga, sa in zip(grouped.shards, spec.shards):
             assert ga.versions == sa.versions
             assert ga.next_pull_at == sa.next_pull_at
@@ -438,6 +500,45 @@ class TestGroupedSweepProperties:
             assert (ga.pulls, ga.pull_ptr) == (sa.pulls, sa.pull_ptr)
             assert ga.unconverged == sa.unconverged
             assert ga.converged_at == sa.converged_at
+            if wave_frac is None:
+                assert set(ga.versions) <= {-1, 0}
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**20),
+        clients=st.integers(min_value=1, max_value=40),
+        interval=st.floats(min_value=0.1, max_value=5000.0),
+        laps=st.integers(min_value=0, max_value=2000),
+        start=st.integers(min_value=0, max_value=39),
+        pos=st.integers(min_value=0, max_value=39),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_due_count_matches_exact_deadline_scan(
+        self, seed, clients, interval, laps, start, pos, nudge,
+    ):
+        """``CohortAs.due`` against a scan of exact deadlines, with
+        ``now`` on (or one ulp either side of) some client's deadline —
+        where many laps of rounding put the bisect estimate off."""
+        import random
+
+        from repro.core.fleet import CohortAs
+
+        shard = CohortAs(1, clients, interval, random.Random(seed))
+        shard.pull_ptr = laps * clients + start % clients
+
+        def deadline(p):
+            turns, rank = divmod(shard.pull_ptr + p, clients)
+            at = shard.offsets[rank]
+            for _ in range(turns):
+                at += interval
+            return at
+
+        deadlines = [deadline(p) for p in range(clients)]
+        assert deadlines == sorted(deadlines)
+        now = deadlines[pos % clients]
+        if nudge:
+            now = math.nextafter(now, nudge * math.inf)
+        assert shard.due(now) == sum(1 for at in deadlines if at <= now)
 
 
 class TestRunBatchedWriteProperties:

@@ -125,6 +125,15 @@ class TestSpecValidation:
                 expect={"fleet": {"all_converge": True}},
             ))
 
+    @pytest.mark.parametrize("key, value", [
+        ("pull_interval", 0),
+        ("clients_per_as", 0),
+        ("reporter_fraction", 0.0),
+    ])
+    def test_degenerate_cohort_value_names_the_key(self, key, value):
+        with pytest.raises(SpecError, match=rf"cohort\.{key}"):
+            ScenarioSpec.from_dict(minimal(cohort={key: value}))
+
     def test_reputation_expectation_checks_group_names(self):
         with pytest.raises(SpecError, match="ghost"):
             ScenarioSpec.from_dict({
