@@ -8,7 +8,7 @@ install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest tests/
 
 # Determinism & purity linter (DESIGN.md §7); fails on any violation.
 lint:
@@ -20,7 +20,7 @@ analyze:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m repro.devtools.analyze src
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 report: bench
 	$(PYTHON) -m repro.cli report > EXPERIMENT_REPORT.md

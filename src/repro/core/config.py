@@ -71,11 +71,6 @@ class CSawConfig:
     trace_mode: str = "full"
     trace_sample_rate: float = 0.05
     trace_ring_size: int = 64
-    # Delta-sync wire format for blocked-list pulls: "columnar" moves
-    # parallel per-field tuples and rebuilds entries client-side in one
-    # pass; "rows" moves per-row GlobalEntry objects (the executable
-    # spec — both produce bit-identical client state).
-    sync_wire_format: str = "columnar"
 
     @classmethod
     def developing_region(cls, **overrides) -> "CSawConfig":
@@ -117,7 +112,3 @@ class CSawConfig:
             )
         if self.trace_ring_size < 1:
             raise ValueError("trace_ring_size must be >= 1")
-        if self.sync_wire_format not in ("columnar", "rows"):
-            raise ValueError(
-                f"unknown sync wire format: {self.sync_wire_format!r}"
-            )

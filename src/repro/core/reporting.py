@@ -250,26 +250,14 @@ class ReportingService:
         now = self.world.env.now
         asn = self.local_db.asn
         since = self.global_view.since_version(asn)
-        if self.config.sync_wire_format == "columnar":
-            batch = self.server.sync_batch_for_as(
-                asn,
-                now,
-                since_version=since,
-                min_reporters=self.min_reporters,
-                min_votes=self.min_votes,
-            )
-            self.global_view.apply_batch(batch, now)
-            received = len(batch.urls)
-        else:
-            batch = self.server.sync_for_as(
-                asn,
-                now,
-                since_version=since,
-                min_reporters=self.min_reporters,
-                min_votes=self.min_votes,
-            )
-            self.global_view.apply_sync(batch, now)
-            received = len(batch.entries)
+        batch = self.server.sync_batch_for_as(
+            asn,
+            now,
+            since_version=since,
+            min_reporters=self.min_reporters,
+            min_votes=self.min_votes,
+        )
+        self.global_view.apply_batch(batch, now)
         self.downloads += 1
         if batch.full:
             self.full_syncs += 1
@@ -277,7 +265,7 @@ class ReportingService:
             self.delta_syncs += 1
         self.sync_rows_received += batch.transferred
         self.sync_bytes_received += batch.wire_bytes
-        return received
+        return len(batch.urls)
 
     def run_periodic(self, ctx: FlowContext, until: float) -> Generator:
         """Background process: report + download loops until ``until``."""

@@ -13,6 +13,12 @@ files (:meth:`ScenarioSpec.from_toml`).  Every shipped pack under
 ``scenarios/packs/`` is one such file; ICLab-style, a new censorship
 setting is a data file, not a 200-line builder function.
 
+Decoding is driven by the dataclass fields: a field reads the key of its
+own name (or ``metadata["key"]``), a field without a default is
+required, an empty table means "this section with its defaults", and
+values are type-checked strictly.  Range and cross-reference checks live
+in ``__post_init__``, so specs built with constructors get them too.
+
 TOML parsing prefers :mod:`tomllib` (Python ≥ 3.11) and falls back to a
 small subset parser so the 3.9/3.10 CI matrix needs no third-party
 dependency.  The subset covers what packs use: ``[table]``,
@@ -20,12 +26,12 @@ dependency.  The subset covers what packs use: ``[table]``,
 booleans, and homogeneous arrays.
 """
 
-from __future__ import annotations
-
 import dataclasses
+import functools
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Tuple
+import typing
+from dataclasses import MISSING, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "SpecError",
@@ -56,59 +62,130 @@ __all__ = [
 
 class SpecError(ValueError):
     """A scenario spec that cannot mean anything: bad key, bad value,
-    dangling reference.  The message always names the offending path."""
+    dangling reference.  The message always names the offending path.
+
+    ``key`` is that path (``sites[0].size_bytes``).  A check in a spec
+    class's ``__post_init__`` names only its own field; the decoder
+    prefixes the section it was decoding.
+    """
+
+    def __init__(self, problem: str, key: str = "") -> None:
+        super().__init__(f"{key}: {problem}" if key else problem)
+        self.problem = problem
+        self.key = key
 
 
-# -- dict -> dataclass plumbing ------------------------------------------------
+def _check(ok: bool, key: str, problem: str) -> None:
+    if not ok:
+        raise SpecError(problem, key)
 
 
-def _take(data: Dict[str, Any], where: str):
-    """Bind a section dict; returns (pop, done) accessors that track
-    unknown keys so typos fail loudly instead of silently defaulting."""
-    remaining = dict(data)
-
-    def pop(key: str, default: Any = None) -> Any:
-        return remaining.pop(key, default)
-
-    def done() -> None:
-        if remaining:
-            raise SpecError(f"{where}: unknown key(s) {sorted(remaining)}")
-
-    return pop, done
+# -- dict -> dataclass decoding ------------------------------------------------
 
 
-def _str_tuple(value: Any, where: str) -> Tuple[str, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        raise SpecError(f"{where}: expected a list of strings, got {value!r}")
-    return tuple(str(v) for v in value)
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where and key else where or key
 
 
-def _int_tuple(value: Any, where: str) -> Tuple[int, ...]:
-    if value is None:
-        return ()
-    return tuple(int(v) for v in value)
+# Exact types, because a TOML bool is an int: int and float fields reject
+# bools, a float field accepts an int, and nothing is coerced to a string.
+_SCALARS: Dict[type, Tuple[str, Tuple[type, ...]]] = {
+    str: ("a string", (str,)),
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+}
 
 
-def _as_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+def _converter(tp: Any, required: bool = False) -> Callable[[Any, str], Any]:
+    """``convert(value, where)`` for one field type; a mismatch raises
+    :class:`SpecError` naming ``where``."""
+    if tp is Any:
+        return lambda value, where: value
+    if tp in _SCALARS:
+        what, accepted = _SCALARS[tp]
+        nonempty = required and tp is str
+
+        def scalar(value: Any, where: str) -> Any:
+            if type(value) not in accepted:
+                raise SpecError(f"expected {what}, got {value!r}", where)
+            if nonempty and not value:
+                raise SpecError("must be a non-empty string", where)
+            return tp(value)
+
+        return scalar
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_decode, tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:  # Optional[X]: TOML has no null, so decode as X
+        return _converter(args[0])
+    if origin is tuple:  # Tuple[X, ...]
+        item = _converter(args[0])
+
+        def sequence(value: Any, where: str) -> Tuple[Any, ...]:
+            if not isinstance(value, list):
+                raise SpecError(f"expected a list, got {value!r}", where)
+            return tuple([item(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+        return sequence
+    if origin is dict:  # Dict[str, X]
+        item = _converter(args[1])
+
+        def table(value: Any, where: str) -> Dict[str, Any]:
+            if not isinstance(value, dict):
+                raise SpecError(f"expected a table, got {type(value).__name__}", where)
+            return {k: item(v, f"{where}.{k}") for k, v in value.items()}
+
+        return table
+    raise TypeError(f"no spec decoder for type {tp!r}")
 
 
-def _as_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise SpecError(f"{where}: expected a boolean, got {value!r}")
-    return value
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> Tuple[Dict[str, Tuple[str, Callable]], Tuple[str, ...]]:
+    """``key -> (field name, converter)`` for spec class ``cls``, and its
+    required keys; built on first use and cached per class."""
+    by_key, required = {}, []
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        needed = f.default is MISSING and f.default_factory is MISSING
+        by_key[key] = (f.name, _converter(f.type, needed))
+        if needed:
+            required.append(key)
+    return by_key, tuple(required)
 
 
-def _sections(value: Any, where: str) -> List[Dict[str, Any]]:
-    if value is None:
-        return []
-    if not isinstance(value, list) or any(not isinstance(v, dict) for v in value):
-        raise SpecError(f"{where}: expected a list of tables")
-    return value
+def _decode(cls: type, data: Any, where: str) -> Any:
+    """Build the spec class ``cls`` from the table ``data`` at path
+    ``where`` ("" for the scenario itself)."""
+    label = where or "scenario"
+    if not isinstance(data, dict):
+        raise SpecError(f"expected a table, got {type(data).__name__}", label)
+    by_key, required = _schema(cls)
+    if not data.keys() <= by_key.keys():
+        unknown = sorted(data.keys() - by_key.keys())
+        raise SpecError(f"unknown key(s) {unknown}", label)
+    for key in required:
+        if key not in data:
+            raise SpecError("required key is missing", _join(where, key))
+    prefix = f"{where}." if where else ""
+    kwargs = {}
+    for key, value in data.items():
+        name, convert = by_key[key]
+        kwargs[name] = convert(value, prefix + key)
+    try:
+        return cls(**kwargs)
+    except SpecError as err:
+        raise SpecError(err.problem, _join(where, err.key)) from None
+
+
+@functools.lru_cache(maxsize=None)
+def _config_converters() -> Dict[str, Callable[[Any, str], Any]]:
+    """``CSawConfig`` field -> converter.  That module's annotations are
+    strings, so they are resolved once, here."""
+    from ..core.config import CSawConfig
+
+    hints = typing.get_type_hints(CSawConfig)
+    return {f.name: _converter(hints[f.name]) for f in dataclasses.fields(CSawConfig)}
 
 
 # -- world vocabulary ----------------------------------------------------------
@@ -127,27 +204,6 @@ class SiteSpec:
     bandwidth_bps: float = 0.0  # 0 -> the Web layer's default
     geo_blocked: Tuple[str, ...] = ()  # server-side §8 filtering regions
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "SiteSpec":
-        pop, done = _take(data, where)
-        hostname = pop("hostname")
-        if not hostname:
-            raise SpecError(f"{where}: 'hostname' is required")
-        spec = cls(
-            hostname=str(hostname),
-            location=str(pop("location", cls.location)),
-            size_bytes=int(pop("size_bytes", cls.size_bytes)),
-            category=str(pop("category", cls.category)),
-            supports_https=_as_bool(pop("supports_https", cls.supports_https), where),
-            supports_fronting=_as_bool(
-                pop("supports_fronting", cls.supports_fronting), where
-            ),
-            bandwidth_bps=_as_float(pop("bandwidth_bps", 0.0), where),
-            geo_blocked=_str_tuple(pop("geo_blocked"), f"{where}.geo_blocked"),
-        )
-        done()
-        return spec
-
 
 @dataclass(frozen=True)
 class BlockpageSpec:
@@ -158,20 +214,6 @@ class BlockpageSpec:
     # "" -> the stock DEFAULT_BLOCKPAGE_HTML; anything else rebrands it
     # (the Pakistan world serves an "ISP-B"-branded page from ISP-B).
     brand: str = ""
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "BlockpageSpec":
-        pop, done = _take(data, where)
-        hostname = pop("hostname")
-        if not hostname:
-            raise SpecError(f"{where}: 'hostname' is required")
-        spec = cls(
-            hostname=str(hostname),
-            location=str(pop("location", cls.location)),
-            brand=str(pop("brand", "")),
-        )
-        done()
-        return spec
 
 
 @dataclass(frozen=True)
@@ -195,36 +237,17 @@ class RuleSpec:
     redirect_ip: str = ""
     label: str = ""
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "RuleSpec":
-        pop, done = _take(data, where)
-        spec = cls(
-            mechanisms=_str_tuple(pop("mechanisms"), f"{where}.mechanisms"),
-            domains=_str_tuple(pop("domains"), f"{where}.domains"),
-            keywords=_str_tuple(pop("keywords"), f"{where}.keywords"),
-            url_prefixes=_str_tuple(pop("url_prefixes"), f"{where}.url_prefixes"),
-            ips=_str_tuple(pop("ips"), f"{where}.ips"),
-            ips_of=_str_tuple(pop("ips_of"), f"{where}.ips_of"),
-            keywords_ip_of=_str_tuple(
-                pop("keywords_ip_of"), f"{where}.keywords_ip_of"
-            ),
-            blockpage=str(pop("blockpage", "")),
-            redirect_ip=str(pop("redirect_ip", "")),
-            label=str(pop("label", "")),
-        )
-        done()
-        if not spec.mechanisms:
-            raise SpecError(f"{where}: 'mechanisms' must list at least one mechanism")
+    def __post_init__(self) -> None:
+        _check(bool(self.mechanisms), "mechanisms", "must list at least one mechanism")
         if not (
-            spec.domains
-            or spec.keywords
-            or spec.url_prefixes
-            or spec.ips
-            or spec.ips_of
-            or spec.keywords_ip_of
+            self.domains
+            or self.keywords
+            or self.url_prefixes
+            or self.ips
+            or self.ips_of
+            or self.keywords_ip_of
         ):
-            raise SpecError(f"{where}: matcher needs at least one criterion")
-        return spec
+            raise SpecError("matcher needs at least one criterion")
 
 
 @dataclass(frozen=True)
@@ -235,42 +258,17 @@ class PolicySpec:
     name: str
     rules: Tuple[RuleSpec, ...] = ()
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "PolicySpec":
-        pop, done = _take(data, where)
-        name = pop("name")
-        if not name:
-            raise SpecError(f"{where}: 'name' is required")
-        rules = tuple(
-            RuleSpec.from_dict(r, f"{where}.rules[{i}]")
-            for i, r in enumerate(_sections(pop("rules"), f"{where}.rules"))
-        )
-        done()
-        return cls(name=str(name), rules=rules)
-
 
 @dataclass(frozen=True)
 class AsSpec:
     asn: int
-    name: str = ""
+    name: str = ""  # "" -> "AS{asn}"
     country: str = "pakistan"
     policy: str = ""  # ref into [[policies]]; "" -> uncensored
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "AsSpec":
-        pop, done = _take(data, where)
-        asn = pop("asn")
-        if asn is None:
-            raise SpecError(f"{where}: 'asn' is required")
-        asn = int(asn)
-        spec = cls(
-            asn=asn,
-            name=str(pop("name", "")) or f"AS{asn}",
-            country=str(pop("country", cls.country)),
-            policy=str(pop("policy", "")),
-        )
-        done()
-        return spec
+    def __post_init__(self) -> None:
+        if not self.name:
+            object.__setattr__(self, "name", f"AS{self.asn}")
 
 
 @dataclass(frozen=True)
@@ -282,19 +280,6 @@ class InfraSpec:
     lantern_proxies: int = 0
     proxy_fleet: bool = False  # the ten Table-2 static proxies
     front_hostname: str = ""  # CDN front for domain-fronting transports
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "InfraSpec":
-        pop, done = _take(data, where)
-        spec = cls(
-            public_resolver=_as_bool(pop("public_resolver", True), where),
-            tor_relays=int(pop("tor_relays", 0)),
-            lantern_proxies=int(pop("lantern_proxies", 0)),
-            proxy_fleet=_as_bool(pop("proxy_fleet", False), where),
-            front_hostname=str(pop("front_hostname", "")),
-        )
-        done()
-        return spec
 
 
 # -- people and behaviour ------------------------------------------------------
@@ -309,25 +294,8 @@ class PopulationSpec:
     ases: Tuple[int, ...] = ()  # empty -> every AS in the spec
     transports: Tuple[str, ...] = ("public-dns", "https", "tor", "lantern")
     location: str = "pakistan"
-    config: Dict[str, Any] = field(default_factory=dict)  # CSawConfig overrides
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "PopulationSpec":
-        pop, done = _take(data, where)
-        config = pop("config", {})
-        if not isinstance(config, dict):
-            raise SpecError(f"{where}.config: expected a table")
-        spec = cls(
-            name_format=str(pop("name_format", cls.name_format)),
-            per_as=int(pop("per_as", cls.per_as)),
-            ases=_int_tuple(pop("ases"), f"{where}.ases"),
-            transports=_str_tuple(pop("transports", list(cls.transports)),
-                                  f"{where}.transports"),
-            location=str(pop("location", cls.location)),
-            config=dict(config),
-        )
-        done()
-        return spec
+    # CSawConfig overrides; ScenarioSpec.validate() checks them.
+    config: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -343,20 +311,9 @@ class WorkloadSpec:
     # mirroring the legacy wave driver so same-seed runs are identical.
     stream_prefix: str = "wave"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "WorkloadSpec":
-        pop, done = _take(data, where)
-        spec = cls(
-            kind=str(pop("kind", cls.kind)),
-            urls=_str_tuple(pop("urls"), f"{where}.urls"),
-            interval=_as_float(pop("interval", cls.interval), where),
-            start_jitter=_as_float(pop("start_jitter", cls.start_jitter), where),
-            stream_prefix=str(pop("stream_prefix", cls.stream_prefix)),
-        )
-        done()
-        if spec.kind not in ("browse", "none"):
-            raise SpecError(f"{where}.kind: unknown workload kind {spec.kind!r}")
-        return spec
+    def __post_init__(self) -> None:
+        if self.kind not in ("browse", "none"):
+            raise SpecError(f"unknown workload kind {self.kind!r}", "kind")
 
 
 @dataclass(frozen=True)
@@ -371,28 +328,6 @@ class EventSpec:
     redirect_ip: str = "10.66.66.66"
     blockpage: str = ""  # "" -> first declared blockpage
     label: str = ""  # "" -> the domain
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "EventSpec":
-        pop, done = _take(data, where)
-        time = pop("time")
-        asn = pop("asn")
-        domain = pop("domain")
-        if time is None or asn is None or not domain:
-            raise SpecError(f"{where}: 'time', 'asn' and 'domain' are required")
-        spec = cls(
-            time=_as_float(time, f"{where}.time"),
-            asn=int(asn),
-            domain=str(domain),
-            mechanisms=_str_tuple(
-                pop("mechanisms", list(cls.mechanisms)), f"{where}.mechanisms"
-            ),
-            redirect_ip=str(pop("redirect_ip", cls.redirect_ip)),
-            blockpage=str(pop("blockpage", "")),
-            label=str(pop("label", "")),
-        )
-        done()
-        return spec
 
 
 @dataclass(frozen=True)
@@ -411,25 +346,9 @@ class RollingSpec:
     blockpage: str = ""
     stream: str = "staggered-rollout"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "RollingSpec":
-        pop, done = _take(data, where)
-        spec = cls(
-            domains=_str_tuple(pop("domains"), f"{where}.domains"),
-            asns=_int_tuple(pop("asns"), f"{where}.asns"),
-            start=_as_float(pop("start", 0.0), where),
-            lag=_as_float(pop("lag", cls.lag), where),
-            mechanisms=_str_tuple(
-                pop("mechanisms", list(cls.mechanisms)), f"{where}.mechanisms"
-            ),
-            redirect_ip=str(pop("redirect_ip", cls.redirect_ip)),
-            blockpage=str(pop("blockpage", "")),
-            stream=str(pop("stream", cls.stream)),
-        )
-        done()
-        if not spec.domains or not spec.asns:
-            raise SpecError(f"{where}: 'domains' and 'asns' must be non-empty")
-        return spec
+    def __post_init__(self) -> None:
+        _check(bool(self.domains), "domains", "must be non-empty")
+        _check(bool(self.asns), "asns", "must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -447,33 +366,15 @@ class CohortSpec:
     asn_base: int = 40000
     sharded: bool = False
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "CohortSpec":
-        pop, done = _take(data, where)
-        spec = cls(
-            n_ases=int(pop("n_ases", cls.n_ases)),
-            clients_per_as=int(pop("clients_per_as", cls.clients_per_as)),
-            reporter_fraction=_as_float(
-                pop("reporter_fraction", cls.reporter_fraction), where
-            ),
-            urls_per_as=int(pop("urls_per_as", cls.urls_per_as)),
-            pull_interval=_as_float(pop("pull_interval", cls.pull_interval), where),
-            wave_at=_as_float(pop("wave_at", cls.wave_at), where),
-            wave_stagger=_as_float(pop("wave_stagger", 0.0), where),
-            horizon=_as_float(pop("horizon", 0.0), where),
-            asn_base=int(pop("asn_base", cls.asn_base)),
-            sharded=_as_bool(pop("sharded", False), where),
+    def __post_init__(self) -> None:
+        _check(self.clients_per_as >= 1, "clients_per_as", "must be >= 1")
+        _check(
+            0.0 < self.reporter_fraction <= 1.0,
+            "reporter_fraction",
+            "must be in (0, 1]",
         )
-        done()
-        if spec.clients_per_as < 1:
-            raise SpecError(f"{where}.clients_per_as: must be >= 1")
-        if not 0.0 < spec.reporter_fraction <= 1.0:
-            raise SpecError(f"{where}.reporter_fraction: must be in (0, 1]")
-        if not spec.pull_interval > 0.0:
-            raise SpecError(f"{where}.pull_interval: must be > 0")
-        if spec.wave_stagger < 0.0:
-            raise SpecError(f"{where}.wave_stagger: must be >= 0")
-        return spec
+        _check(self.pull_interval > 0.0, "pull_interval", "must be > 0")
+        _check(self.wave_stagger >= 0.0, "wave_stagger", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -489,9 +390,9 @@ class PlaneSpec:
     ``corpus_sites`` (problist scheduling and list-generation recall).
     """
 
-    name: str
     kind: str
-    fraction: float
+    name: str = ""  # "" -> the kind
+    fraction: float = 0.01
     weight: float = 1.0
     miss_rate: float = 0.2
     probe_interval: float = 600.0
@@ -499,52 +400,26 @@ class PlaneSpec:
     list_size: int = 50
     corpus_sites: int = 120
 
-    KINDS = ("csaw", "encore", "problist")
+    def __post_init__(self) -> None:
+        # The registry is the source of truth for what can be built (lazy
+        # import: only a declared mix pulls in the planes package).
+        from ..planes import PLANE_KINDS
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "PlaneSpec":
-        pop, done = _take(data, where)
-        kind = pop("kind")
-        if kind not in cls.KINDS:
-            raise SpecError(
-                f"{where}.kind: {kind!r} not in {'|'.join(cls.KINDS)}"
-            )
-        spec = cls(
-            name=str(pop("name", kind)),
-            kind=str(kind),
-            fraction=_as_float(pop("fraction", 0.01), where),
-            weight=_as_float(pop("weight", 1.0), where),
-            miss_rate=_as_float(pop("miss_rate", cls.miss_rate), where),
-            probe_interval=_as_float(
-                pop("probe_interval", cls.probe_interval), where
-            ),
-            coverage=_as_float(pop("coverage", cls.coverage), where),
-            list_size=int(pop("list_size", cls.list_size)),
-            corpus_sites=int(pop("corpus_sites", cls.corpus_sites)),
-        )
-        done()
-        if not 0.0 < spec.fraction <= 1.0:
-            raise SpecError(f"{where}.fraction: must be in (0, 1]")
-        if not 0.0 <= spec.weight <= 1.0:
-            raise SpecError(f"{where}.weight: must be in [0, 1]")
-        if not 0.0 <= spec.miss_rate < 1.0:
-            raise SpecError(f"{where}.miss_rate: must be in [0, 1)")
-        if not 0.0 < spec.coverage <= 1.0:
-            raise SpecError(f"{where}.coverage: must be in (0, 1]")
-        return spec
+        if self.kind not in PLANE_KINDS:
+            known = "|".join(sorted(PLANE_KINDS))
+            raise SpecError(f"{self.kind!r} not in registry ({known})", "kind")
+        if not self.name:
+            object.__setattr__(self, "name", self.kind)
+        _check(0.0 < self.fraction <= 1.0, "fraction", "must be in (0, 1]")
+        _check(0.0 <= self.weight <= 1.0, "weight", "must be in [0, 1]")
+        _check(0.0 <= self.miss_rate < 1.0, "miss_rate", "must be in [0, 1)")
+        _check(0.0 < self.coverage <= 1.0, "coverage", "must be in (0, 1]")
 
     def as_dict(self) -> Dict[str, Any]:
         """The mapping the planes registry's ``build_plane`` consumes."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "fraction": self.fraction,
-            "miss_rate": self.miss_rate,
-            "probe_interval": self.probe_interval,
-            "coverage": self.coverage,
-            "list_size": self.list_size,
-            "corpus_sites": self.corpus_sites,
-        }
+        spec = dataclasses.asdict(self)
+        del spec["weight"]
+        return spec
 
 
 @dataclass(frozen=True)
@@ -560,30 +435,18 @@ class AttackGroupSpec:
 
     name: str
     role: str
-    clients: int
-    urls_each: int
+    clients: int = 1
+    urls_each: int = 1
     pool_size: int = 0
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "AttackGroupSpec":
-        pop, done = _take(data, where)
-        name = pop("name")
-        role = pop("role")
-        if not name or role not in ("honest", "flood", "clique"):
-            raise SpecError(
-                f"{where}: needs 'name' and role in honest|flood|clique"
-            )
-        spec = cls(
-            name=str(name),
-            role=str(role),
-            clients=int(pop("clients", 1)),
-            urls_each=int(pop("urls_each", 1)),
-            pool_size=int(pop("pool_size", 0)),
+    def __post_init__(self) -> None:
+        if self.role not in ("honest", "flood", "clique"):
+            raise SpecError(f"{self.role!r} not in honest|flood|clique", "role")
+        _check(
+            self.role != "honest" or self.pool_size >= self.urls_each,
+            "pool_size",
+            "an honest group's pool_size must be >= urls_each",
         )
-        done()
-        if spec.role == "honest" and spec.pool_size < spec.urls_each:
-            raise SpecError(f"{where}: honest pool_size must be >= urls_each")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -598,29 +461,8 @@ class AttackSpec:
     clique_similarity: float = 0.9
     enforce: bool = True  # revoke flagged reporters after analysis
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "AttackSpec":
-        pop, done = _take(data, where)
-        groups = tuple(
-            AttackGroupSpec.from_dict(g, f"{where}.groups[{i}]")
-            for i, g in enumerate(_sections(pop("groups"), f"{where}.groups"))
-        )
-        spec = cls(
-            groups=groups,
-            asn=int(pop("asn", cls.asn)),
-            min_volume=int(pop("min_volume", cls.min_volume)),
-            max_corroboration=_as_float(
-                pop("max_corroboration", cls.max_corroboration), where
-            ),
-            clique_similarity=_as_float(
-                pop("clique_similarity", cls.clique_similarity), where
-            ),
-            enforce=_as_bool(pop("enforce", True), where),
-        )
-        done()
-        if not spec.groups:
-            raise SpecError(f"{where}: at least one group is required")
-        return spec
+    def __post_init__(self) -> None:
+        _check(bool(self.groups), "groups", "at least one group is required")
 
 
 @dataclass(frozen=True)
@@ -633,19 +475,9 @@ class ExecutionSpec:
 
     MODES = ("auto", "clients", "probe", "cohort", "attack")
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "ExecutionSpec":
-        pop, done = _take(data, where)
-        spec = cls(
-            mode=str(pop("mode", "auto")),
-            duration=_as_float(pop("duration", cls.duration), where),
-        )
-        done()
-        if spec.mode not in cls.MODES:
-            raise SpecError(
-                f"{where}.mode: {spec.mode!r} not in {'|'.join(cls.MODES)}"
-            )
-        return spec
+    def __post_init__(self) -> None:
+        if self.mode not in self.MODES:
+            raise SpecError(f"{self.mode!r} not in {'|'.join(self.MODES)}", "mode")
 
 
 # -- expectations --------------------------------------------------------------
@@ -661,28 +493,9 @@ class VerdictExpect:
     stages: Tuple[str, ...] = ()  # empty -> status-only check
     suspected_blockpage: Optional[bool] = None
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "VerdictExpect":
-        pop, done = _take(data, where)
-        url, asn, status = pop("url"), pop("asn"), pop("status")
-        if not url or asn is None or not status:
-            raise SpecError(f"{where}: 'url', 'asn' and 'status' are required")
-        suspected = pop("suspected_blockpage", None)
-        if suspected is not None:
-            suspected = _as_bool(suspected, f"{where}.suspected_blockpage")
-        spec = cls(
-            url=str(url),
-            asn=int(asn),
-            status=str(status),
-            stages=_str_tuple(pop("stages"), f"{where}.stages"),
-            suspected_blockpage=suspected,
-        )
-        done()
-        if spec.status not in ("blocked", "not-blocked"):
-            raise SpecError(
-                f"{where}.status: {spec.status!r} not in blocked|not-blocked"
-            )
-        return spec
+    def __post_init__(self) -> None:
+        if self.status not in ("blocked", "not-blocked"):
+            raise SpecError(f"{self.status!r} not in blocked|not-blocked", "status")
 
 
 @dataclass(frozen=True)
@@ -697,16 +510,10 @@ class ClassificationExpect:
 
     CLASSES = ("censorship", "geoblocking", "open")
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "ClassificationExpect":
-        pop, done = _take(data, where)
-        url, verdict = pop("url"), pop("verdict")
-        done()
-        if not url or verdict not in cls.CLASSES:
-            raise SpecError(
-                f"{where}: needs 'url' and verdict in {'|'.join(cls.CLASSES)}"
-            )
-        return cls(url=str(url), verdict=str(verdict))
+    def __post_init__(self) -> None:
+        if self.verdict not in self.CLASSES:
+            classes = "|".join(self.CLASSES)
+            raise SpecError(f"{self.verdict!r} not in {classes}", "verdict")
 
 
 @dataclass(frozen=True)
@@ -720,38 +527,12 @@ class DetectionExpect:
     within: float = 0.0  # 0 -> any time after onset
     symptom: str = ""  # "" -> any symptom label
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "DetectionExpect":
-        pop, done = _take(data, where)
-        domain, asn = pop("domain"), pop("asn")
-        if not domain or asn is None:
-            raise SpecError(f"{where}: 'domain' and 'asn' are required")
-        spec = cls(
-            domain=str(domain),
-            asn=int(asn),
-            within=_as_float(pop("within", 0.0), where),
-            symptom=str(pop("symptom", "")),
-        )
-        done()
-        return spec
-
 
 @dataclass(frozen=True)
 class FleetExpect:
     all_converge: bool = True
     max_convergence: float = 0.0  # 0 -> unchecked
     min_reports: int = 0
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "FleetExpect":
-        pop, done = _take(data, where)
-        spec = cls(
-            all_converge=_as_bool(pop("all_converge", True), where),
-            max_convergence=_as_float(pop("max_convergence", 0.0), where),
-            min_reports=int(pop("min_reports", 0)),
-        )
-        done()
-        return spec
 
 
 @dataclass(frozen=True)
@@ -764,21 +545,6 @@ class PlaneExpect:
     max_reports: int = 0  # 0 -> unchecked
     all_converge: bool = False
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "PlaneExpect":
-        pop, done = _take(data, where)
-        name = pop("name")
-        if not name:
-            raise SpecError(f"{where}: 'name' is required")
-        spec = cls(
-            name=str(name),
-            min_reports=int(pop("min_reports", 1)),
-            max_reports=int(pop("max_reports", 0)),
-            all_converge=_as_bool(pop("all_converge", False), where),
-        )
-        done()
-        return spec
-
 
 @dataclass(frozen=True)
 class ReputationExpect:
@@ -787,69 +553,24 @@ class ReputationExpect:
     fabricated_removed: bool = True  # flood/clique URLs evicted post-enforce
     honest_survive: bool = True  # honest URLs still present post-enforce
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "ReputationExpect":
-        pop, done = _take(data, where)
-        spec = cls(
-            flagged_groups=_str_tuple(
-                pop("flagged_groups"), f"{where}.flagged_groups"
-            ),
-            clean_groups=_str_tuple(pop("clean_groups"), f"{where}.clean_groups"),
-            fabricated_removed=_as_bool(pop("fabricated_removed", True), where),
-            honest_survive=_as_bool(pop("honest_survive", True), where),
-        )
-        done()
-        return spec
-
 
 @dataclass(frozen=True)
 class ExpectSpec:
-    verdicts: Tuple[VerdictExpect, ...] = ()
-    classifications: Tuple[ClassificationExpect, ...] = ()
-    detections: Tuple[DetectionExpect, ...] = ()
+    # The repeated sections read their singular TOML keys
+    # ([[expect.verdict]], [[expect.plane]], ...).
+    verdicts: Tuple[VerdictExpect, ...] = field(
+        default=(), metadata={"key": "verdict"}
+    )
+    classifications: Tuple[ClassificationExpect, ...] = field(
+        default=(), metadata={"key": "classification"}
+    )
+    detections: Tuple[DetectionExpect, ...] = field(
+        default=(), metadata={"key": "detection"}
+    )
     min_observations: int = 0
     fleet: Optional[FleetExpect] = None
     reputation: Optional[ReputationExpect] = None
-    planes: Tuple[PlaneExpect, ...] = ()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], where: str) -> "ExpectSpec":
-        pop, done = _take(data, where)
-        fleet = pop("fleet")
-        reputation = pop("reputation")
-        spec = cls(
-            verdicts=tuple(
-                VerdictExpect.from_dict(v, f"{where}.verdict[{i}]")
-                for i, v in enumerate(_sections(pop("verdict"), f"{where}.verdict"))
-            ),
-            classifications=tuple(
-                ClassificationExpect.from_dict(c, f"{where}.classification[{i}]")
-                for i, c in enumerate(
-                    _sections(pop("classification"), f"{where}.classification")
-                )
-            ),
-            detections=tuple(
-                DetectionExpect.from_dict(d, f"{where}.detection[{i}]")
-                for i, d in enumerate(
-                    _sections(pop("detection"), f"{where}.detection")
-                )
-            ),
-            min_observations=int(pop("min_observations", 0)),
-            fleet=FleetExpect.from_dict(fleet, f"{where}.fleet") if fleet else None,
-            reputation=(
-                ReputationExpect.from_dict(reputation, f"{where}.reputation")
-                if reputation
-                else None
-            ),
-            planes=tuple(
-                PlaneExpect.from_dict(p, f"{where}.plane[{i}]")
-                for i, p in enumerate(
-                    _sections(pop("plane"), f"{where}.plane")
-                )
-            ),
-        )
-        done()
-        return spec
+    planes: Tuple[PlaneExpect, ...] = field(default=(), metadata={"key": "plane"})
 
     @property
     def empty(self) -> bool:
@@ -890,76 +611,12 @@ class ScenarioSpec:
     expect: ExpectSpec = field(default_factory=ExpectSpec)
     urls: Dict[str, str] = field(default_factory=dict)  # label -> url sugar
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        if not isinstance(data, dict):
-            raise SpecError(f"scenario: expected a table, got {type(data).__name__}")
-        pop, done = _take(data, "scenario")
-        name = pop("name")
-        if not name:
-            raise SpecError("scenario: 'name' is required")
-        infra = pop("infra")
-        workload = pop("workload")
-        rolling = pop("rolling")
-        cohort = pop("cohort")
-        attack = pop("attack")
-        execution = pop("execution")
-        expect = pop("expect")
-        urls = pop("urls", {})
-        if not isinstance(urls, dict):
-            raise SpecError("scenario.urls: expected a table of label = url")
-        spec = cls(
-            name=str(name),
-            description=str(pop("description", "")),
-            seed=int(pop("seed", 1)),
-            sites=tuple(
-                SiteSpec.from_dict(s, f"sites[{i}]")
-                for i, s in enumerate(_sections(pop("sites"), "sites"))
-            ),
-            blockpages=tuple(
-                BlockpageSpec.from_dict(b, f"blockpages[{i}]")
-                for i, b in enumerate(_sections(pop("blockpages"), "blockpages"))
-            ),
-            policies=tuple(
-                PolicySpec.from_dict(p, f"policies[{i}]")
-                for i, p in enumerate(_sections(pop("policies"), "policies"))
-            ),
-            ases=tuple(
-                AsSpec.from_dict(a, f"ases[{i}]")
-                for i, a in enumerate(_sections(pop("ases"), "ases"))
-            ),
-            infra=InfraSpec.from_dict(infra, "infra") if infra else InfraSpec(),
-            populations=tuple(
-                PopulationSpec.from_dict(p, f"populations[{i}]")
-                for i, p in enumerate(_sections(pop("populations"), "populations"))
-            ),
-            workload=(
-                WorkloadSpec.from_dict(workload, "workload")
-                if workload
-                else WorkloadSpec()
-            ),
-            events=tuple(
-                EventSpec.from_dict(e, f"events[{i}]")
-                for i, e in enumerate(_sections(pop("events"), "events"))
-            ),
-            rolling=RollingSpec.from_dict(rolling, "rolling") if rolling else None,
-            cohort=CohortSpec.from_dict(cohort, "cohort") if cohort else None,
-            planes=tuple(
-                PlaneSpec.from_dict(p, f"planes[{i}]")
-                for i, p in enumerate(_sections(pop("planes"), "planes"))
-            ),
-            attack=AttackSpec.from_dict(attack, "attack") if attack else None,
-            execution=(
-                ExecutionSpec.from_dict(execution, "execution")
-                if execution
-                else ExecutionSpec()
-            ),
-            expect=ExpectSpec.from_dict(expect, "expect") if expect else ExpectSpec(),
-            urls={str(k): str(v) for k, v in urls.items()},
-        )
-        done()
-        spec.validate()
-        return spec
+        return _decode(cls, data, "")
 
     @classmethod
     def from_toml(cls, path: str) -> "ScenarioSpec":
@@ -1019,7 +676,7 @@ class ScenarioSpec:
             for asn in pop_spec.ases:
                 if asn not in asns:
                     raise SpecError(f"populations[{i}]: unknown asn {asn}")
-            self._check_config_keys(pop_spec.config, f"populations[{i}].config")
+            self._check_config(pop_spec.config, f"populations[{i}].config")
         mode = self.resolved_mode()
         world_checks = bool(
             self.expect.verdicts
@@ -1044,18 +701,6 @@ class ScenarioSpec:
             plane_names = [p.name for p in self.planes]
             if len(set(plane_names)) != len(plane_names):
                 raise SpecError(f"planes: duplicate plane names {plane_names}")
-            # The registry is the source of truth for what can actually
-            # be built — catch kind drift at validation time, not run
-            # time (lazy import: spec parsing must not pull the planes
-            # package unless a mix is declared).
-            from ..planes import PLANE_KINDS
-
-            for i, plane in enumerate(self.planes):
-                if plane.kind not in PLANE_KINDS:
-                    raise SpecError(
-                        f"planes[{i}]: kind {plane.kind!r} not in registry "
-                        f"({sorted(PLANE_KINDS)})"
-                    )
         if self.expect.planes:
             declared = (
                 {p.name for p in self.planes} if self.planes else {"csaw"}
@@ -1087,13 +732,21 @@ class ScenarioSpec:
                         )
 
     @staticmethod
-    def _check_config_keys(config: Dict[str, Any], where: str) -> None:
+    def _check_config(config: Dict[str, Any], where: str) -> None:
+        """Type-check ``CSawConfig`` overrides, then build the config once
+        so its own range checks fail here rather than at compile time."""
         from ..core.config import CSawConfig
 
-        known = {f.name for f in dataclass_fields(CSawConfig)}
-        unknown = sorted(set(config) - known)
+        converters = _config_converters()
+        unknown = sorted(config.keys() - converters.keys())
         if unknown:
-            raise SpecError(f"{where}: unknown CSawConfig field(s) {unknown}")
+            raise SpecError(f"unknown CSawConfig field(s) {unknown}", where)
+        for key, value in config.items():
+            converters[key](value, f"{where}.{key}")
+        try:
+            CSawConfig(**config)
+        except ValueError as err:
+            raise SpecError(str(err), where) from None
 
 
 # -- TOML loading --------------------------------------------------------------

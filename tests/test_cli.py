@@ -87,6 +87,20 @@ class TestScenarioCommands:
         assert "no-such-pack" in err
         assert "vantage-disagreement" in err  # names the shipped packs
 
+    def test_run_malformed_pack_exits_2_naming_the_key(self, capsys, tmp_path):
+        spec = tmp_path / "bad.toml"
+        spec.write_text(
+            """
+name = "bad"
+
+[[sites]]
+hostname = "open.example.com"
+size_bytes = "abc"
+"""
+        )
+        assert main(["scenario", "run", str(spec)]) == 2
+        assert "sites[0].size_bytes" in capsys.readouterr().err
+
     def test_run_failing_expectations_exits_nonzero(self, capsys, tmp_path):
         spec = tmp_path / "wrong.toml"
         spec.write_text(

@@ -495,6 +495,15 @@ min_reports = 1
         spec = self.load(self.toml_for(), tmp_path)
         assert ScenarioCompiler.compile_planes(spec) is None
 
+    def test_unknown_kind_names_the_key(self, tmp_path):
+        from repro.scenarios import SpecError
+
+        with pytest.raises(SpecError, match=r"^planes\[0\]\.kind: 'laser'"):
+            self.load(
+                self.toml_for(planes_block='[[planes]]\nkind = "laser"\n'),
+                tmp_path,
+            )
+
     def test_duplicate_plane_names_rejected(self, tmp_path):
         from repro.scenarios import SpecError
 

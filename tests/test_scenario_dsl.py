@@ -4,10 +4,14 @@ spec-backed legacy wrappers must rebuild the pre-redesign worlds
 bit-for-bit under the same seed (``tests/data/scenario_golden.json``
 was captured from the imperative builders before the refactor)."""
 
+import copy
 import dataclasses
+import functools
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests._scenario_fingerprint import (
     case_study_fingerprint,
@@ -24,7 +28,13 @@ from repro.scenarios import (
     pakistan_spec,
     shipped_packs,
 )
-from repro.scenarios.spec import _parse_toml_subset, load_toml_file
+from repro.scenarios.spec import (
+    AsSpec,
+    CohortSpec,
+    FleetExpect,
+    _parse_toml_subset,
+    load_toml_file,
+)
 
 
 MINIMAL = {
@@ -151,6 +161,224 @@ class TestSpecValidation:
         reseeded = spec.with_seed(99)
         assert reseeded.seed == 99
         assert dataclasses.replace(reseeded, seed=spec.seed) == spec
+
+    def test_constructed_specs_get_the_decoder_checks(self):
+        with pytest.raises(SpecError, match=r"^pull_interval: must be > 0"):
+            CohortSpec(pull_interval=0.0)
+        with pytest.raises(SpecError, match="unknown policy 'ghost'"):
+            ScenarioSpec(name="built", ases=(AsSpec(1, policy="ghost"),))
+        assert AsSpec(7).name == "AS7"
+
+
+# -- the field-driven decoder --------------------------------------------------
+
+
+WORLD = {
+    "name": "world",
+    "sites": [{"hostname": "open.example.com"}],
+    "blockpages": [{"hostname": "block.example"}],
+    "policies": [{"name": "p"}],
+    "ases": [{"asn": 64900, "policy": "p"}],
+    "events": [{"time": 10.0, "asn": 64900, "domain": "open.example.com"}],
+    "expect": {
+        "verdict": [{
+            "url": "http://open.example.com/",
+            "asn": 64900,
+            "status": "not-blocked",
+        }],
+        "classification": [
+            {"url": "http://open.example.com/", "verdict": "open"},
+        ],
+        "detection": [{"domain": "open.example.com", "asn": 64900}],
+    },
+}
+FLEET = {
+    "name": "fleet",
+    "cohort": {},
+    "planes": [{"kind": "csaw"}],
+    "expect": {"plane": [{"name": "csaw"}]},
+}
+ATTACK = {
+    "name": "attack",
+    "attack": {"groups": [{"name": "flood", "role": "flood"}]},
+}
+
+# (base spec, steps to a required string field)
+REQUIRED_STRINGS = [
+    (WORLD, ("name",)),
+    (WORLD, ("sites", 0, "hostname")),
+    (WORLD, ("blockpages", 0, "hostname")),
+    (WORLD, ("policies", 0, "name")),
+    (WORLD, ("events", 0, "domain")),
+    (WORLD, ("expect", "verdict", 0, "url")),
+    (WORLD, ("expect", "verdict", 0, "status")),
+    (WORLD, ("expect", "classification", 0, "url")),
+    (WORLD, ("expect", "classification", 0, "verdict")),
+    (WORLD, ("expect", "detection", 0, "domain")),
+    (FLEET, ("planes", 0, "kind")),
+    (FLEET, ("expect", "plane", 0, "name")),
+    (ATTACK, ("attack", "groups", 0, "name")),
+    (ATTACK, ("attack", "groups", 0, "role")),
+]
+
+
+def key_path(steps):
+    """The decoder's name for a location: ``expect.verdict[0].url``."""
+    path = ""
+    for step in steps:
+        if isinstance(step, int):
+            path += f"[{step}]"
+        else:
+            path += f".{step}" if path else step
+    return path
+
+
+def parent_of(data, steps):
+    for step in steps[:-1]:
+        data = data[step]
+    return data
+
+
+def mutation_targets(value, decoded, steps=()):
+    """Every place one mutation can break a spec dict, as (kind, steps):
+    ``replace`` a leaf, list or table; add an ``unknown`` key to a table;
+    ``delete`` a required key.  ``decoded`` is the spec value the dict
+    decoded to, whose fields say which keys are required."""
+    if isinstance(value, dict):
+        if steps:
+            yield "replace", steps
+        if steps != ("urls",):  # the free-form label map takes any key
+            yield "unknown", steps
+        if not dataclasses.is_dataclass(decoded):
+            for key, item in value.items():
+                yield from mutation_targets(item, item, steps + (key,))
+            return
+        for spec_field in dataclasses.fields(decoded):
+            key = spec_field.metadata.get("key", spec_field.name)
+            if key not in value:
+                continue
+            if (spec_field.default is dataclasses.MISSING
+                    and spec_field.default_factory is dataclasses.MISSING):
+                yield "delete", steps + (key,)
+            yield from mutation_targets(
+                value[key], getattr(decoded, spec_field.name), steps + (key,)
+            )
+    else:
+        yield "replace", steps
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from mutation_targets(item, decoded[i], steps + (i,))
+
+
+@functools.lru_cache(maxsize=None)
+def pack_mutation_targets():
+    targets = []
+    for _, path in shipped_packs():
+        data = load_toml_file(path)
+        decoded = ScenarioSpec.from_dict(copy.deepcopy(data))
+        targets.extend(
+            (path, kind, steps) for kind, steps in mutation_targets(data, decoded)
+        )
+    return targets
+
+
+def rejected_values(value):
+    """Values the field that holds ``value`` must reject."""
+    if isinstance(value, bool):
+        return [1, "yes"]
+    if isinstance(value, (int, float)):
+        return ["12", True]
+    if isinstance(value, str):
+        return [3, [value]]
+    if isinstance(value, list):
+        return [7, "x"]
+    return [7, "x", True]  # a table
+
+
+class TestDecoderContract:
+    @pytest.mark.parametrize("base", [WORLD, FLEET, ATTACK])
+    def test_bases_decode(self, base):
+        ScenarioSpec.from_dict(copy.deepcopy(base))
+
+    @pytest.mark.parametrize("mutation", ["missing", "empty"])
+    @pytest.mark.parametrize(
+        "base, steps", REQUIRED_STRINGS,
+        ids=[key_path(steps) for _, steps in REQUIRED_STRINGS],
+    )
+    def test_required_string_names_its_key(self, base, steps, mutation):
+        data = copy.deepcopy(base)
+        if mutation == "missing":
+            del parent_of(data, steps)[steps[-1]]
+        else:
+            parent_of(data, steps)[steps[-1]] = ""
+        with pytest.raises(SpecError) as err:
+            ScenarioSpec.from_dict(data)
+        assert str(err.value).startswith(f"{key_path(steps)}: ")
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"sites": [{"hostname": "x.example", "size_bytes": "abc"}]},
+         "sites[0].size_bytes"),
+        ({"sites": [{"hostname": "x.example", "size_bytes": [1]}]},
+         "sites[0].size_bytes"),
+        ({"sites": [{"hostname": "x.example", "size_bytes": True}]},
+         "sites[0].size_bytes"),
+        ({"sites": [{"hostname": "x.example", "size_bytes": 2.7}]},
+         "sites[0].size_bytes"),
+        ({"sites": [{"hostname": ["a", "b"]}]}, "sites[0].hostname"),
+        ({"ases": [{"asn": "AS1"}]}, "ases[0].asn"),
+        ({"populations": [{"ases": ["x"]}]}, "populations[0].ases[0]"),
+        ({"populations": [{"ases": 5}]}, "populations[0].ases"),
+        ({"infra": 5}, "infra"),
+        ({"urls": {"home": 5}}, "urls.home"),
+        ({"populations": [{"config": {"probe_probability": "high"}}]},
+         "populations[0].config.probe_probability"),
+        ({"populations": [{"config": {"probe_probability": 2.0}}]},
+         "populations[0].config"),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_wrong_typed_value_names_its_path(self, overrides, path):
+        with pytest.raises(SpecError) as err:
+            ScenarioSpec.from_dict(minimal(**overrides))
+        assert str(err.value).startswith(f"{path}: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pack_mutation_fails_naming_its_path(self, data):
+        path, kind, steps = data.draw(st.sampled_from(pack_mutation_targets()))
+        pack = load_toml_file(path)
+        if kind == "unknown":
+            (parent_of(pack, steps)[steps[-1]] if steps else pack)["zz_unknown"] = 1
+            expected = f"{key_path(steps) or 'scenario'}: unknown"
+        elif kind == "delete":
+            del parent_of(pack, steps)[steps[-1]]
+            expected = f"{key_path(steps)}: "
+        else:
+            parent = parent_of(pack, steps)
+            parent[steps[-1]] = data.draw(
+                st.sampled_from(rejected_values(parent[steps[-1]]))
+            )
+            expected = f"{key_path(steps)}: "
+        with pytest.raises(SpecError) as err:
+            ScenarioSpec.from_dict(pack)
+        assert str(err.value).startswith(expected), str(err.value)
+        if kind == "unknown":
+            assert "zz_unknown" in str(err.value)
+
+    def test_empty_cohort_table_is_the_default_cohort(self):
+        data = _parse_toml_subset(
+            'name = "c"\n[execution]\nmode = "cohort"\n[cohort]\n'
+        )
+        assert ScenarioSpec.from_dict(data).cohort == CohortSpec()
+
+    def test_empty_fleet_expectation_keeps_its_default_check(self):
+        data = _parse_toml_subset('name = "c"\n[cohort]\n[expect.fleet]\n')
+        fleet = ScenarioSpec.from_dict(data).expect.fleet
+        assert fleet == FleetExpect() and fleet.all_converge
+
+    def test_empty_rolling_table_names_the_missing_key(self):
+        data = minimal()
+        data["rolling"] = {}
+        with pytest.raises(SpecError, match=r"^rolling\.domains: "):
+            ScenarioSpec.from_dict(data)
 
 
 # -- TOML subset parser --------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.scenarios.spec import load_toml_file
 
 PACKS = dict(shipped_packs())
 EXPECTED_PACKS = {
+    "hybrid-planes",
     "low-penetration-country",
     "rolling-wave",
     "sybil-flood",
@@ -22,8 +23,8 @@ EXPECTED_PACKS = {
 }
 
 
-def test_the_four_packs_ship():
-    assert EXPECTED_PACKS <= set(PACKS)
+def test_the_five_packs_ship():
+    assert set(PACKS) == EXPECTED_PACKS
 
 
 @pytest.mark.parametrize("name", sorted(PACKS))
