@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint analyze bench report examples all clean
+.PHONY: install test analyze bench report examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -10,12 +10,9 @@ install:
 test:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest tests/
 
-# Determinism & purity linter (DESIGN.md §7); fails on any violation.
-lint:
-	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m repro.devtools.lint src
-
-# Whole-program determinism analyzer (DESIGN.md §12): call graph +
-# worker reachability + CSA rules, enforced at an empty baseline.
+# Determinism analyzer (DESIGN.md §7): per-file CSL rules plus call
+# graph, worker reachability and CSA rules in one pass, enforced at an
+# empty baseline; fails on any finding.
 analyze:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m repro.devtools.analyze src
 
@@ -32,7 +29,7 @@ examples:
 		$(PYTHON) $$script || exit 1; \
 	done
 
-all: lint analyze test bench report
+all: analyze test bench report
 
 clean:
 	rm -rf benchmarks/results .pytest_cache .hypothesis

@@ -466,7 +466,7 @@ class ServerDB:
             # Exact float compare is intentional: this is stored-value
             # identity (the heap row's key vs the entry's current field),
             # not arithmetic on two independently-computed times.
-            if entry is None or entry.posted_at != posted_at:  # csaw-lint: disable=CSL006
+            if entry is None or entry.posted_at != posted_at:  # csaw-analyze: disable=CSL006
                 continue  # refreshed since this heap row, or already gone
             del shard.entries[url]
             shard.mark_changed((url,))

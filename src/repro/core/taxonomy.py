@@ -10,7 +10,7 @@ across ``core/detection.py``, ``core/measurement.py``, and
 - :class:`BlockType` → failure class (which stage a recorded symptom
   implicates, used when choosing a circumvention approach).
 
-csaw-lint rule CSL008 forbids inline exception→BlockType maps anywhere
+csaw-analyze rule CSL008 forbids inline exception→BlockType maps anywhere
 else, so new failure modes must be registered here — where the
 exhaustiveness assertions below will catch a half-finished mapping.
 

@@ -1,44 +1,12 @@
 """Developer tooling that keeps the simulation stack honest.
 
-The headline tool is :mod:`repro.devtools.lint` (``csaw-lint``): an
-AST-based linter that turns the repo's determinism and purity
+The tool is ``csaw-analyze`` (:mod:`repro.devtools.analyze`): one AST
+pass over the tree that turns the repo's determinism and purity
 conventions — named RNG streams, no wall-clock in simulated time,
-ordered iteration wherever order can escape into reports — into
-machine-checked invariants.  See DESIGN.md §7 for the rule catalogue
-and the paper invariant each rule protects.
-
-Submodules are imported lazily so ``python -m repro.devtools.lint``
-does not re-import the entry module through the package.
+ordered iteration wherever order can escape into reports, no shared
+state reaching process-pool workers — into machine-checked invariants.
+Per-file rules live in :mod:`.rules`, whole-program rules in
+:mod:`.analyze.rules`, and both register in :mod:`.framework`.  See
+DESIGN.md §7 for the rule catalogue and the paper invariant each rule
+protects.
 """
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .framework import LintContext, Rule, Violation, all_rules, register
-    from .lint import LintConfig, lint_paths, lint_source, main
-
-__all__ = [
-    "LintConfig",
-    "LintContext",
-    "Rule",
-    "Violation",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "main",
-    "register",
-]
-
-_FRAMEWORK = {"LintContext", "Rule", "Violation", "all_rules", "register"}
-
-
-def __getattr__(name: str):
-    if name in _FRAMEWORK:
-        from . import framework
-
-        return getattr(framework, name)
-    if name in __all__:
-        from . import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

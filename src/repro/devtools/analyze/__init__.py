@@ -1,33 +1,10 @@
-"""csaw-analyze: whole-program static analyzer for the C-Saw stack.
+"""csaw-analyze: the determinism analyzer for the C-Saw stack.
 
-Complements the per-file ``csaw-lint`` with interprocedural checks:
-a project index (:mod:`.index`), a conservative call graph with a
-worker-reachability closure (:mod:`.callgraph`), and the CSA rule
-catalogue (:mod:`.rules`).  Entry points: the ``csaw-analyze`` console
-script and ``python -m repro.devtools.analyze`` (:mod:`.main`).
+One pass builds a project index (:mod:`.index`) that both rule
+families read: the per-file CSL rules (:mod:`repro.devtools.rules`) run
+on each indexed module, and the whole-program CSA rules (:mod:`.rules`)
+run on the index and a conservative call graph with a
+worker-reachability closure (:mod:`.callgraph`).  Entry points: the
+``csaw-analyze`` console script and ``python -m repro.devtools.analyze``
+(:mod:`.main`).
 """
-
-from __future__ import annotations
-
-_LAZY = {
-    "AnalyzeConfig": "main",
-    "Project": "rules",
-    "ProjectIndex": "index",
-    "CallGraph": "callgraph",
-    "all_analysis_rules": "rules",
-    "analyze_paths": "main",
-    "build_call_graph": "callgraph",
-    "build_project": "main",
-    "main": "main",
-}
-
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from importlib import import_module
-
-        module = import_module(f".{_LAZY[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .index import FunctionInfo, ModuleInfo, ProjectIndex, _attr_chain
+from ..framework import attr_chain
+from .index import FunctionInfo, ModuleInfo, ProjectIndex
 
 __all__ = ["CallGraph", "build_call_graph"]
 
@@ -93,27 +94,6 @@ class CallGraph:
                 reached[callee] = origin
                 queue.append(callee)
         self.worker_reachable = reached
-
-    def shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
-        """BFS path src → dst over call edges (None when unreachable)."""
-        if src == dst:
-            return [src]
-        prev: Dict[str, str] = {src: src}
-        queue = [src]
-        while queue:
-            current = queue.pop(0)
-            for callee in sorted(self.edges.get(current, {})):
-                if callee in prev:
-                    continue
-                prev[callee] = current
-                if callee == dst:
-                    path = [callee]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(callee)
-        return None
 
     def to_json(self) -> Dict[str, object]:
         """Stable-order summary for ``csaw-analyze graph``."""
@@ -203,7 +183,7 @@ def _resolve_callable_arg(
     index: ProjectIndex, module: ModuleInfo, node: ast.AST
 ) -> Optional[str]:
     """Qualname of a function/class passed as a callable argument."""
-    chain = _attr_chain(node)
+    chain = attr_chain(node)
     if chain is None:
         return None
     resolved = index.resolve(module, chain)
@@ -244,7 +224,7 @@ def _collect_edges(
     for node in ast.walk(info.node):
         if not isinstance(node, ast.Call):
             continue
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         callee_name = chain[-1] if chain else None
         resolved: Optional[str] = None
         if chain is not None:

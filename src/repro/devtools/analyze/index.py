@@ -1,15 +1,17 @@
 """Whole-program project index for ``csaw-analyze``.
 
 One pass parses every module of the analyzed tree and produces the
-symbol-level facts the interprocedural rules and the call graph are
-built from:
+facts every rule is built from — the per-file rules read each module's
+tree and import tables, the interprocedural rules and the call graph
+read its symbols:
 
 - :class:`ModuleInfo` — dotted module name (derived from the path under
   the project root, with a leading ``src/`` stripped), the parsed AST,
   and the module's import table with *relative imports resolved* against
   the package, so ``from ..runner import run_trials`` in
   ``repro.core.fleet`` maps the local name ``run_trials`` to
-  ``repro.runner.run_trials``;
+  ``repro.runner.run_trials``, plus the raw ``import m`` aliases and
+  ``from m import x`` bindings the ambient-sink detector reads;
 - :class:`FunctionInfo` — every module-level function and every method
   (nested ``def``\\ s and lambdas are *folded into* their enclosing
   function: their calls and writes are attributed to it, which is the
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import iter_python_files
+from ..framework import attr_chain
 
 __all__ = [
     "ClassInfo",
@@ -190,6 +193,12 @@ class ModuleInfo:
     functions: Dict[str, str] = field(default_factory=dict)  # name -> qualname
     classes: Dict[str, str] = field(default_factory=dict)  # name -> qualname
     globals: Dict[str, str] = field(default_factory=dict)  # name -> qualname
+    #: ``import m [as a]``: module name -> local names bound to it
+    module_aliases: Dict[str, Set[str]] = field(default_factory=dict)
+    #: ``from m import x [as y]``: module -> local name -> import node
+    from_imports: Dict[str, Dict[str, ast.ImportFrom]] = field(
+        default_factory=dict
+    )
 
 
 class ProjectIndex:
@@ -203,7 +212,9 @@ class ProjectIndex:
         self.module_globals: Dict[str, GlobalInfo] = {}
         #: method name -> sorted list of method qualnames (class map)
         self.methods_by_name: Dict[str, List[str]] = {}
-        self.parse_errors: List[Tuple[str, str]] = []
+        #: (relpath, error) per file that does not parse; the error's
+        #: ``filename`` is the path as given
+        self.parse_errors: List[Tuple[str, SyntaxError]] = []
 
     # -- construction ----------------------------------------------------------
 
@@ -211,24 +222,20 @@ class ProjectIndex:
     def build(cls, paths: Sequence[str], root: str) -> "ProjectIndex":
         index = cls(root=os.path.abspath(root))
         for path in iter_python_files(paths):
-            index.add_file(path)
-        index._finalize()
+            with open(path, "r", encoding="utf-8") as fh:
+                index.add_source(fh.read(), path)
+        index.finalize()
         return index
 
-    def add_file(self, path: str) -> Optional[ModuleInfo]:
-        abspath = os.path.abspath(path)
-        relpath = os.path.relpath(abspath, self.root).replace(os.sep, "/")
-        with open(abspath, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        return self.add_source(source, abspath, relpath)
-
-    def add_source(
-        self, source: str, path: str, relpath: str
-    ) -> Optional[ModuleInfo]:
+    def add_source(self, source: str, path: str) -> Optional[ModuleInfo]:
+        """Parse and index one module; ``path`` is kept as given."""
+        relpath = os.path.relpath(os.path.abspath(path), self.root).replace(
+            os.sep, "/"
+        )
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            self.parse_errors.append((relpath, str(exc)))
+            self.parse_errors.append((relpath, exc))
             return None
         name = module_name_for(relpath)
         module = ModuleInfo(
@@ -245,7 +252,7 @@ class ProjectIndex:
         self.modules[name] = module
         return module
 
-    def _finalize(self) -> None:
+    def finalize(self) -> None:
         by_name: Dict[str, List[str]] = {}
         for info in self.functions.values():
             if info.class_name is not None:
@@ -271,12 +278,18 @@ class ProjectIndex:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
+                    module.module_aliases.setdefault(alias.name, set()).add(
+                        alias.asname or alias.name
+                    )
                     if alias.asname:
                         module.imports[alias.asname] = alias.name
                     else:
                         root = alias.name.split(".", 1)[0]
                         module.imports.setdefault(root, root)
             elif isinstance(node, ast.ImportFrom):
+                bound = module.from_imports.setdefault(node.module or "", {})
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node
                 if node.level:
                     target = self._resolve_relative(module, node)
                 else:
@@ -344,7 +357,7 @@ class ProjectIndex:
             module=module.name,
             lineno=node.lineno,
             bases=tuple(
-                chain[-1] for chain in map(_attr_chain, node.bases) if chain
+                chain[-1] for chain in map(attr_chain, node.bases) if chain
             ),
         )
         for stmt in node.body:
@@ -473,27 +486,3 @@ class ProjectIndex:
         if cls is not None and len(rest) == 1:
             return cls.methods.get(rest[0], qualname)
         return qualname
-
-    # -- typed lookups ---------------------------------------------------------
-
-    def function(self, qualname: Optional[str]) -> Optional[FunctionInfo]:
-        return self.functions.get(qualname) if qualname else None
-
-    def class_info(self, qualname: Optional[str]) -> Optional[ClassInfo]:
-        return self.classes.get(qualname) if qualname else None
-
-    def global_info(self, qualname: Optional[str]) -> Optional[GlobalInfo]:
-        return self.module_globals.get(qualname) if qualname else None
-
-
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None

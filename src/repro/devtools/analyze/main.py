@@ -1,24 +1,37 @@
-"""csaw-analyze: whole-program determinism analyzer for the C-Saw stack.
+"""csaw-analyze: the determinism analyzer for the C-Saw stack.
 
 Usage::
 
-    csaw-analyze src                     # interprocedural checks
+    csaw-analyze src                     # every CSL and CSA rule
     csaw-analyze graph src               # dump call graph + worker set
     python -m repro.devtools.analyze src
 
-Where ``csaw-lint`` proves per-file invariants, this tool parses the
-whole tree once into a project index, builds a conservative call graph
+One pass parses the whole tree into a project index; the per-file CSL
+rules run on each indexed module, then a conservative call graph
 (direct calls, method calls by attribute name, callables handed to the
-trial runner / executors), computes the worker-reachable closure, and
-runs the CSA rules over it.
+trial runner / executors) and its worker-reachable closure feed the
+whole-program CSA rules.  One suppression, baseline and report step
+covers both families.
 
-Configuration lives in ``[tool.csawanalyze]`` in ``pyproject.toml``
-with the exact shape of ``[tool.csawlint]`` (``select``, ``baseline``,
-``allow``/``scope`` sub-tables, free-form ``options`` — notably
-``worker-dispatchers``, extra first-positional-callable dispatcher
-names).  Inline ``# csaw-analyze: disable=CSA101`` comments suppress a
-line without hiding it from csaw-lint.  Exit status is 0 iff no
-unsuppressed, non-baselined findings remain.
+Configuration lives in ``[tool.csawanalyze]`` in ``pyproject.toml``:
+
+- ``select``: rule codes to run (default: all registered rules);
+- ``baseline``: path of a committed baseline file (grandfathered
+  findings; see ``--write-baseline``);
+- ``[tool.csawanalyze.allow]``: per-rule lists of fnmatch globs *added*
+  to the rule's built-in allowlist (files exempt from the rule);
+- ``[tool.csawanalyze.scope]``: per-rule glob lists *replacing* the
+  rule's built-in scope (files the rule applies to);
+- ``[tool.csawanalyze.options]``: free-form rule options —
+  ``time-identifiers`` (CSL006), ``worker-dispatchers`` (extra
+  first-positional-callable dispatcher names), ``spec-modules``
+  (CSA104).
+
+Inline, ``# csaw-analyze: disable=CSL003`` (or a bare ``disable`` for
+all codes) suppresses findings on that line — or on the next line when
+the comment stands alone.  Exit status is 0 iff no unsuppressed,
+non-baselined findings remain, 1 when some do, and 2 for a bad path or
+config value.
 """
 
 from __future__ import annotations
@@ -27,42 +40,35 @@ import argparse
 import json
 import os
 import sys
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from .. import config as _config
-from ..config import ToolConfig, iter_python_files, load_tool_config
-from ..framework import Violation, is_suppressed, suppressed_lines
+from ..config import ConfigError, ToolConfig, load_tool_config
+from ..framework import (
+    LintContext,
+    ProjectRule,
+    Rule,
+    Violation,
+    all_rules,
+    effective_rules,
+    is_suppressed,
+    suppressed_lines,
+)
 from .callgraph import build_call_graph
 from .index import ProjectIndex
-from .rules import AnalysisRule, Project, all_analysis_rules
+from .rules import Project
 
 __all__ = [
-    "AnalyzeConfig",
     "Project",
     "analyze_paths",
+    "analyze_project",
+    "analyze_source",
     "build_project",
-    "load_config",
     "main",
 ]
 
-#: Inline-suppression marker (csaw-lint uses ``csaw-lint``).
-MARKER = "csaw-analyze"
 
-AnalyzeConfig = ToolConfig
-
-
-def load_config(config_path: Optional[str], anchor: str) -> AnalyzeConfig:
-    """Load ``[tool.csawanalyze]`` from an explicit path or project root."""
-    return load_tool_config("csawanalyze", config_path, anchor)
-
-
-def build_project(
-    paths: Sequence[str], config: Optional[AnalyzeConfig] = None
-) -> Project:
-    """Parse + index the tree and build the call graph, once."""
-    config = config or AnalyzeConfig()
-    index = ProjectIndex.build(paths, config.root)
+def _project(index: ProjectIndex, config: ToolConfig) -> Project:
     extra = config.options.get("worker-dispatchers", ())
     if isinstance(extra, str):
         extra = (extra,)
@@ -70,59 +76,81 @@ def build_project(
     return Project(index=index, graph=graph, config=config)
 
 
-def _effective_rules(config: AnalyzeConfig) -> List[AnalysisRule]:
-    selected: List[AnalysisRule] = []
-    for code, rule_cls in all_analysis_rules().items():
-        if config.select and code not in config.select:
-            continue
-        rule = rule_cls()
-        if code in config.scope:
-            rule.scope = tuple(config.scope[code])
-        if code in config.allow:
-            rule.allow = tuple(rule.allow) + tuple(config.allow[code])
-        selected.append(rule)
-    return selected
+def build_project(
+    paths: Sequence[str], config: Optional[ToolConfig] = None
+) -> Project:
+    """Parse + index the tree and build the call graph, once."""
+    config = config or ToolConfig()
+    return _project(ProjectIndex.build(paths, config.root), config)
 
 
 def analyze_project(
-    project: Project, rules: Optional[Sequence[AnalysisRule]] = None
+    project: Project, rules: Optional[Sequence[Rule]] = None
 ) -> List[Violation]:
-    """Run the CSA rules; apply inline suppressions per finding file."""
+    """Run the rules over the indexed tree; apply inline suppressions."""
     if rules is None:
-        rules = _effective_rules(project.config)
+        rules = effective_rules(project.config)
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     violations: List[Violation] = []
+    for module in project.index.modules.values():
+        ctx = LintContext(module=module, options=project.config.options)
+        for rule in file_rules:
+            if rule.applies_to(module.relpath):
+                violations.extend(rule.check(ctx))
     for rule in rules:
-        violations.extend(rule.check(project))
-    for relpath, error in project.index.parse_errors:
-        violations.append(
+        if isinstance(rule, ProjectRule):
+            violations.extend(rule.check(project))
+    # Only files with findings are tokenized for suppressions, once each.
+    sources = {m.path: m.source for m in project.index.modules.values()}
+    suppressions: Dict[str, Dict[int, FrozenSet[str]]] = {}
+    kept: List[Violation] = []
+    for violation in violations:
+        if violation.path not in suppressions:
+            suppressions[violation.path] = suppressed_lines(
+                sources[violation.path]
+            )
+        if not is_suppressed(violation, suppressions[violation.path]):
+            kept.append(violation)
+    for _, error in project.index.parse_errors:
+        kept.append(
             Violation(
-                code="CSA999",
-                message=f"syntax error: {error}",
-                path=os.path.join(project.config.root, relpath),
-                line=1,
-                col=1,
+                code="CSL999",
+                message=f"syntax error: {error.msg}",
+                path=error.filename or "",
+                line=error.lineno or 1,
+                col=(error.offset or 0) + 1,
             )
         )
-    suppressions: Dict[str, Dict[int, frozenset]] = {}
-    for module in project.index.modules.values():
-        suppressions[module.path] = suppressed_lines(module.source, MARKER)
-    kept = [
-        violation
-        for violation in violations
-        if not is_suppressed(violation, suppressions.get(violation.path, {}))
-    ]
     kept.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return kept
 
 
 def analyze_paths(
-    paths: Sequence[str], config: Optional[AnalyzeConfig] = None
+    paths: Sequence[str], config: Optional[ToolConfig] = None
 ) -> List[Violation]:
-    config = config or AnalyzeConfig()
     return analyze_project(build_project(paths, config))
 
 
+def analyze_source(
+    source: str, path: str, config: Optional[ToolConfig] = None
+) -> List[Violation]:
+    """Analyze one in-memory module; ``path`` drives scope/allow matching."""
+    config = config or ToolConfig()
+    index = ProjectIndex(root=os.path.abspath(config.root))
+    index.add_source(source, path)
+    index.finalize()
+    return analyze_project(_project(index, config))
+
+
 # -- CLI -----------------------------------------------------------------------
+
+
+def _load_config(paths: Sequence[str], config_path: Optional[str]) -> ToolConfig:
+    """The config for a run, after checking every path exists."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise ConfigError(f"no such file or directory: {path}")
+    return load_tool_config(config_path, paths[0])
 
 
 def _graph_main(argv: Sequence[str]) -> int:
@@ -138,7 +166,11 @@ def _graph_main(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
     paths = list(args.paths) or ["src"]
-    config = load_config(args.config, paths[0])
+    try:
+        config = _load_config(paths, args.config)
+    except ConfigError as exc:
+        print(f"csaw-analyze: error: {exc}", file=sys.stderr)
+        return 2
     project = build_project(paths, config)
     payload = project.graph.to_json()
     payload["parse_errors"] = sorted(
@@ -160,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="csaw-analyze",
-        description="Whole-program determinism analyzer (call graph + "
+        description="Determinism analyzer (per-file rules + call graph and "
         "worker reachability) for the C-Saw simulation stack.",
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or dirs")
@@ -183,29 +215,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
-    parser.add_argument(
-        "--timing", action="store_true", help="report analysis wall time"
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for code, rule_cls in all_analysis_rules().items():
+        for code, rule_cls in all_rules().items():
             doc = (rule_cls.__doc__ or "").strip().splitlines()[0]
             print(f"{code}  {rule_cls.name:<30} {doc}")
         return 0
 
     paths = list(args.paths) or ["src"]
-    config = load_config(args.config, paths[0])
-    if args.select:
-        config.select = tuple(
-            code.strip() for code in args.select.split(",") if code.strip()
-        )
+    try:
+        config = _load_config(paths, args.config)
+        if args.select:
+            config.select = tuple(
+                code.strip() for code in args.select.split(",") if code.strip()
+            )
+        rules = effective_rules(config)
+    except ConfigError as exc:
+        print(f"csaw-analyze: error: {exc}", file=sys.stderr)
+        return 2
 
-    # Real tool wall time (--timing), not simulated time.
-    started = time.perf_counter()  # csaw-lint: disable=CSL002
     project = build_project(paths, config)
-    violations = analyze_project(project)
-    elapsed = time.perf_counter() - started  # csaw-lint: disable=CSL002
+    violations = analyze_project(project, rules)
 
     if args.write_baseline:
         _config.write_baseline(violations, args.write_baseline, config.root)
@@ -246,8 +277,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         if grandfathered:
             summary += f", {grandfathered} grandfathered by baseline"
-        if args.timing:
-            summary += f" [{elapsed:.2f}s]"
         print(summary, file=sys.stderr)
     return 1 if fresh else 0
 

@@ -1,7 +1,7 @@
-"""The csaw-analyze rule catalogue (CSA101–CSA105).
+"""The whole-program rule catalogue (CSA101–CSA105).
 
-Where csaw-lint's CSL rules prove invariants one file at a time, these
-rules run over the whole-program :class:`~.index.ProjectIndex` and
+Where the CSL rules prove invariants one module at a time, these rules
+run over the whole-program :class:`~.index.ProjectIndex` and
 :class:`~.callgraph.CallGraph` and catch the class of determinism bug
 that lives *between* modules: shared state reaching a process-pool
 worker through three layers of helpers, two packages registering the
@@ -10,8 +10,8 @@ a function whose set-ness is only visible in another module.
 
 Every rule is conservative in the same direction as the call graph:
 over-approximate reachability, under-approximate safety.  A finding is
-silenced with ``# csaw-analyze: disable=CSA10X`` (same inline grammar
-as csaw-lint, different marker) or per-file ``allow`` globs under
+silenced with ``# csaw-analyze: disable=CSA10X`` (the one inline
+grammar for every code) or per-file ``allow`` globs under
 ``[tool.csawanalyze]``; the committed baseline is empty, so anything
 new fails CI.
 """
@@ -23,17 +23,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..config import ToolConfig
-from ..framework import Rule, Violation
-from ..rules import WallClockRule, _from_imports, _module_aliases
+from ..framework import ProjectRule, Violation, attr_chain, register
+from ..rules import AMBIENT_MODULES, SetTracker, WallClockRule, ambient_sink
 from .callgraph import CallGraph, _local_names
-from .index import ModuleInfo, ProjectIndex, _attr_chain
+from .index import ModuleInfo, ProjectIndex
 
-__all__ = [
-    "AnalysisRule",
-    "Project",
-    "all_analysis_rules",
-    "register_analysis",
-]
+__all__ = ["Project"]
 
 
 @dataclass
@@ -43,45 +38,6 @@ class Project:
     index: ProjectIndex
     graph: CallGraph
     config: ToolConfig
-
-
-class AnalysisRule(Rule):
-    """Base for whole-program rules: ``check`` sees the project, not a file."""
-
-    code: str = "CSA100"
-
-    def check(self, project: Project) -> Iterator[Violation]:  # type: ignore[override]
-        raise NotImplementedError
-
-    def finding(
-        self,
-        module: ModuleInfo,
-        node: ast.AST,
-        message: Optional[str] = None,
-    ) -> Violation:
-        return Violation(
-            code=self.code,
-            message=message if message is not None else self.message,
-            path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            severity=self.severity,
-        )
-
-
-_ANALYSIS_REGISTRY: Dict[str, type] = {}
-
-
-def register_analysis(rule_cls: type) -> type:
-    code = rule_cls.code
-    if code in _ANALYSIS_REGISTRY and _ANALYSIS_REGISTRY[code] is not rule_cls:
-        raise ValueError(f"duplicate analysis rule code {code}")
-    _ANALYSIS_REGISTRY[code] = rule_cls
-    return rule_cls
-
-
-def all_analysis_rules() -> Dict[str, type]:
-    return {code: _ANALYSIS_REGISTRY[code] for code in sorted(_ANALYSIS_REGISTRY)}
 
 
 #: method names that mutate their receiver in place
@@ -113,8 +69,8 @@ def _fmt_path(path: Sequence[str]) -> str:
 # -- CSA101: worker-reachable writes to module-level mutable state -------------
 
 
-@register_analysis
-class WorkerSharedStateRule(AnalysisRule):
+@register
+class WorkerSharedStateRule(ProjectRule):
     """Module-level mutable state written by worker-reachable code.
 
     :func:`repro.runner.run_trials` ships trial callables to
@@ -168,7 +124,7 @@ def _iter_global_writes(
     def resolve_state(value: ast.AST) -> Optional[str]:
         """Qualname of the module global / mutable class attr a chain
         denotes, or None for locals and unknowns."""
-        chain = _attr_chain(value)
+        chain = attr_chain(value)
         if chain is None or chain[0] in locals_:
             return None
         resolved = index.resolve(module, chain)
@@ -201,7 +157,7 @@ def _iter_global_writes(
                     if state is not None:
                         yield node, state, "item assignment"
                 elif isinstance(target, ast.Attribute):
-                    chain = _attr_chain(target)
+                    chain = attr_chain(target)
                     if chain is None or chain[0] in locals_:
                         continue
                     resolved = index.resolve(module, chain[:-1])
@@ -236,8 +192,8 @@ def _iter_global_writes(
 # -- CSA102: RngRegistry stream-name registry ----------------------------------
 
 
-@register_analysis
-class RngStreamRegistryRule(AnalysisRule):
+@register
+class RngStreamRegistryRule(ProjectRule):
     """Cross-module audit of the named-RNG-stream registry.
 
     Three hazards around ``RngRegistry.stream(name)``:
@@ -309,7 +265,6 @@ class RngStreamRegistryRule(AnalysisRule):
 
     def _constant_seeds(self, project: Project) -> Iterator[Violation]:
         index, graph = project.index, project.graph
-        alias_cache: Dict[str, Set[str]] = {}
         for qualname in sorted(graph.worker_reachable):
             fn = index.functions.get(qualname)
             if fn is None:
@@ -317,15 +272,11 @@ class RngStreamRegistryRule(AnalysisRule):
             module = index.modules[fn.module]
             if not self.applies_to(module.relpath):
                 continue
-            random_aliases = alias_cache.get(fn.module)
-            if random_aliases is None:
-                random_aliases = alias_cache[fn.module] = _module_aliases(
-                    module.tree, "random"
-                )
+            random_aliases = module.module_aliases.get("random", ())
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Call):
                     continue
-                chain = _attr_chain(node.func)
+                chain = attr_chain(node.func)
                 if chain is None:
                     continue
                 is_registry = chain[-1] == "RngRegistry"
@@ -400,8 +351,8 @@ def _stream_name_key(arg: ast.AST) -> Tuple[Optional[str], bool]:
 # -- CSA103: ambient-state escape through helper layers ------------------------
 
 
-@register_analysis
-class AmbientEscapeRule(AnalysisRule):
+@register
+class AmbientEscapeRule(ProjectRule):
     """Transitive reach into CSL001/CSL002-banned sinks.
 
     The per-file rules flag a ``random.random()`` or ``time.time()``
@@ -409,36 +360,33 @@ class AmbientEscapeRule(AnalysisRule):
     in another module that calls the sink.  This rule propagates sink
     taint backwards over the call graph and flags every function that
     reaches an ambient-randomness or wall-clock sink through at least
-    one call edge.  Files in ``allow`` (the trial runner, which times
-    real execution, and the CLI, which records pack runtimes) are
-    *sanctioned sources*: sinks there neither taint callers nor get
-    reported — mirroring the csaw-lint CSL002 allowlist.
+    one call edge.  Files on CSL002's effective allowlist (the trial
+    runner, which times real execution, the CLI, which records pack
+    runtimes, and the benchmarks) are *sanctioned sources*: sinks there
+    neither taint callers nor get reported.
     """
 
     code = "CSA103"
     name = "no-ambient-escape"
     message = "transitively reaches an ambient-randomness/wall-clock sink"
-    allow = (
-        "src/repro/runner/core.py",
-        "src/repro/cli.py",
-        "benchmarks/*",
-    )
 
     def check(self, project: Project) -> Iterator[Violation]:
         index, graph = project.index, project.graph
+        sanctioned = WallClockRule.configured(project.config)
+
+        def covered(module: ModuleInfo) -> bool:
+            return self.applies_to(module.relpath) and not sanctioned.allowed(
+                module.relpath
+            )
+
         sink_desc: Dict[str, str] = {}
-        envs: Dict[str, "_SinkEnv"] = {}
         for qualname in sorted(index.functions):
             fn = index.functions[qualname]
             module = index.modules[fn.module]
-            if not self.applies_to(module.relpath):
-                continue  # sanctioned source: no taint from here
-            env = envs.get(fn.module)
-            if env is None:
-                env = envs[fn.module] = _SinkEnv(module)
-            desc = _direct_sink(fn.node, env)
-            if desc is not None:
-                sink_desc[qualname] = desc
+            if covered(module):
+                desc = _direct_sink(fn.node, module)
+                if desc is not None:
+                    sink_desc[qualname] = desc
         # Backward taint over the call graph; next_hop reconstructs a
         # concrete escape path for the message.
         tainted: Dict[str, str] = dict(sink_desc)
@@ -455,10 +403,10 @@ class AmbientEscapeRule(AnalysisRule):
                 queue.append(caller)
         for qualname in sorted(tainted):
             if qualname in sink_desc:
-                continue  # the direct site is csaw-lint's finding
+                continue  # the direct site is CSL001/CSL002's finding
             fn = index.functions[qualname]
             module = index.modules[fn.module]
-            if not self.applies_to(module.relpath):
+            if not covered(module):
                 continue
             hop = next_hop[qualname]
             path = [qualname]
@@ -477,67 +425,30 @@ class AmbientEscapeRule(AnalysisRule):
             )
 
 
-class _SinkEnv:
-    """Per-module alias tables for sink detection (computed once)."""
-
-    def __init__(self, module: ModuleInfo):
-        self.random_aliases = _module_aliases(module.tree, "random")
-        self.time_aliases = _module_aliases(module.tree, "time")
-        self.dt_aliases = _module_aliases(module.tree, "datetime")
-        self.time_from = {
-            name
-            for name in _from_imports(module.tree, "time")
-            if name in WallClockRule._TIME_FUNCS
-        }
-        self.random_from = {
-            name
-            for name in _from_imports(module.tree, "random")
-            if name != "Random"
-        }
-        self.any_names = (
-            self.random_aliases
-            | self.time_aliases
-            | self.dt_aliases
-            | self.time_from
-            | self.random_from
-        )
-
-
-def _direct_sink(fn_node: ast.AST, env: _SinkEnv) -> Optional[str]:
-    """Description of an ambient sink the function contains, or None."""
-    if not env.any_names:
+def _direct_sink(fn_node: ast.AST, module: ModuleInfo) -> Optional[str]:
+    """Description of the first ambient sink a function calls, or None."""
+    if not any(
+        name in module.module_aliases or name in module.from_imports
+        for name in AMBIENT_MODULES
+    ):
         return None
     for node in ast.walk(fn_node):
         if not isinstance(node, ast.Call):
             continue
-        chain = _attr_chain(node.func)
-        if chain is None or chain[0] not in env.any_names:
-            continue
-        root, leaf = chain[0], chain[-1]
-        if len(chain) == 1:
-            if root in env.time_from:
-                return f"wall-clock sink time.{root}()"
-            if root in env.random_from:
-                return f"ambient-randomness sink random.{root}()"
-        elif root in env.random_aliases and leaf != "Random":
-            return f"ambient-randomness sink random.{leaf}()"
-        elif root in env.time_aliases and leaf in WallClockRule._TIME_FUNCS:
-            return f"wall-clock sink time.{leaf}()"
-        elif (
-            leaf in WallClockRule._DATETIME_FUNCS
-            and len(chain) == 3
-            and root in env.dt_aliases
-            and chain[1] in {"datetime", "date"}
-        ):
-            return f"wall-clock sink {'.'.join(chain)}()"
+        chain = attr_chain(node.func)
+        sink = None if chain is None else ambient_sink(module, chain)
+        if sink is not None:
+            kind, callee = sink
+            what = "ambient-randomness" if kind == "random" else "wall-clock"
+            return f"{what} sink {callee}()"
     return None
 
 
 # -- CSA104: frozen-spec mutation ----------------------------------------------
 
 
-@register_analysis
-class FrozenSpecMutationRule(AnalysisRule):
+@register
+class FrozenSpecMutationRule(ProjectRule):
     """Attribute writes on ScenarioSpec-subtree parameters.
 
     The scenario DSL's soundness rests on specs being values: the
@@ -593,7 +504,7 @@ def _iter_param_mutations(
     fn_node: ast.AST, roots: Set[str]
 ) -> Iterator[Tuple[ast.AST, str]]:
     def rooted(value: ast.AST) -> bool:
-        chain = _attr_chain(value)
+        chain = attr_chain(value)
         return chain is not None and len(chain) >= 2 and chain[0] in roots
 
     for node in ast.walk(fn_node):
@@ -625,11 +536,11 @@ def _iter_param_mutations(
 # -- CSA105: unordered results escaping public functions -----------------------
 
 
-@register_analysis
-class UnorderedPublicResultRule(AnalysisRule):
+@register
+class UnorderedPublicResultRule(ProjectRule):
     """Set iteration order materialized into public return values.
 
-    csaw-lint CSL003 tracks set-ness *within one file*; it cannot know
+    CSL003 tracks set-ness *within one file*; it cannot know
     that ``helpers.candidates()`` three modules away returns a set.
     This rule computes the returns-a-set property interprocedurally
     (annotations + returned expressions, to a fixpoint over the call
@@ -667,19 +578,11 @@ class UnorderedPublicResultRule(AnalysisRule):
 
 _SET_ANNOTATIONS = {"Set", "set", "frozenset", "FrozenSet", "AbstractSet",
                     "MutableSet"}
-_SET_ALGEBRA_METHODS = {
-    "union",
-    "intersection",
-    "difference",
-    "symmetric_difference",
-    "copy",
-}
 _ORDER_MATERIALIZERS = {"list", "tuple"}
 
 
-class _SetTracker:
-    """Per-function sequential scan tracking which local names hold sets
-    and whether the set-ness came from a project function call."""
+class _CallSetTracker(SetTracker):
+    """CSL003's set tracking plus set-ness sourced from project calls."""
 
     def __init__(
         self,
@@ -687,14 +590,13 @@ class _SetTracker:
         index: ProjectIndex,
         returns_set: Set[str],
     ):
+        super().__init__()
         self.module = module
         self.index = index
         self.returns_set = returns_set
-        #: local name -> via_call
-        self.setnames: Dict[str, bool] = {}
 
-    def resolve_call_source(self, node: ast.Call) -> Optional[str]:
-        chain = _attr_chain(node.func)
+    def call_source(self, call: ast.Call) -> Optional[str]:
+        chain = attr_chain(call.func)
         if chain is None:
             return None
         resolved = self.index.resolve(self.module, chain)
@@ -708,84 +610,15 @@ class _SetTracker:
                 return methods[0]
         return None
 
-    def set_likeness(self, node: ast.AST) -> Tuple[bool, Optional[str]]:
-        """(is a set, call source qualname when call-sourced)."""
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True, None
-        if isinstance(node, ast.Name):
-            if node.id in self.setnames:
-                return True, self.setnames[node.id] or None
-            return False, None
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in {"set", "frozenset"}:
-                return True, None
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _SET_ALGEBRA_METHODS
-            ):
-                return self.set_likeness(func.value)
-            source = self.resolve_call_source(node)
-            if source is not None:
-                return True, source
-            return False, None
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            left = self.set_likeness(node.left)
-            right = self.set_likeness(node.right)
-            if left[0] or right[0]:
-                return True, left[1] or right[1]
-        return False, None
+    def returns(self, fn_node: ast.AST) -> Iterator[ast.expr]:
+        """Returned expressions, each with the tracking state at its return.
 
-    def bind(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            return
-        is_set, source = self.set_likeness(value)
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if is_set:
-                    self.setnames[target.id] = source or ""
-                else:
-                    self.setnames.pop(target.id, None)
-
-
-def _scan_returns(
-    fn_node: ast.AST,
-    tracker: _SetTracker,
-) -> Iterator[Tuple[ast.Return, "_SetTracker"]]:
-    """Yield return statements with binding state up to that point.
-
-    Statement-ordered walk; function/class bodies nested inside are
-    skipped (their returns are their own), compound-statement bodies
-    share the enclosing binding state (the CSL003 approximation).
-    """
-
-    def scan(stmts: Sequence[ast.stmt]) -> Iterator[Tuple[ast.Return, _SetTracker]]:
-        for stmt in stmts:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
+        Nested function/class bodies are skipped (their returns are
+        their own).
+        """
+        for stmt in self.walk(fn_node.body):  # type: ignore[attr-defined]
             if isinstance(stmt, ast.Return) and stmt.value is not None:
-                yield stmt, tracker
-            tracker.bind(stmt)
-            for field_name, value in ast.iter_fields(stmt):
-                if field_name in ("body", "orelse", "finalbody") and isinstance(
-                    value, list
-                ):
-                    yield from scan(value)
-                elif field_name == "handlers":
-                    for handler in value:
-                        yield from scan(handler.body)
-
-    yield from scan(fn_node.body)  # type: ignore[attr-defined]
+                yield stmt.value
 
 
 def _function_returns_set(
@@ -794,11 +627,8 @@ def _function_returns_set(
     index: ProjectIndex,
     returns_set: Set[str],
 ) -> bool:
-    tracker = _SetTracker(module, index, returns_set)
-    for ret, state in _scan_returns(fn_node, tracker):
-        if state.set_likeness(ret.value)[0]:  # type: ignore[arg-type]
-            return True
-    return False
+    tracker = _CallSetTracker(module, index, returns_set)
+    return any(tracker.is_set(value) for value in tracker.returns(fn_node))
 
 
 def _returns_set_fixpoint(index: ProjectIndex) -> Set[str]:
@@ -829,10 +659,8 @@ def _iter_ordered_escapes(
     index: ProjectIndex,
     returns_set: Set[str],
 ) -> Iterator[Tuple[ast.AST, str]]:
-    tracker = _SetTracker(module, index, returns_set)
-    for ret, state in _scan_returns(fn_node, tracker):
-        value = ret.value
-        assert value is not None
+    tracker = _CallSetTracker(module, index, returns_set)
+    for value in tracker.returns(fn_node):
         for node in ast.walk(value):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -841,13 +669,13 @@ def _iter_ordered_escapes(
                     and func.id in _ORDER_MATERIALIZERS
                 ) or (isinstance(func, ast.Attribute) and func.attr == "join")
                 if is_materializer and node.args:
-                    is_set, source = state.set_likeness(node.args[0])
+                    is_set, source = tracker.set_likeness(node.args[0])
                     if is_set and source:
                         yield node, source
             elif isinstance(
                 node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)
             ):
                 for gen in node.generators:
-                    is_set, source = state.set_likeness(gen.iter)
+                    is_set, source = tracker.set_likeness(gen.iter)
                     if is_set and source:
                         yield node, source

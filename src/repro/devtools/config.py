@@ -1,13 +1,8 @@
-"""Shared configuration & baseline machinery for the devtools CLIs.
-
-``csaw-lint`` (per-file AST rules, ``[tool.csawlint]``) and
-``csaw-analyze`` (whole-program rules, ``[tool.csawanalyze]``) read the
-same config shape from ``pyproject.toml`` and enforce findings against
-the same committed-baseline format, so the mechanics live here once:
+"""Configuration & baseline machinery for ``csaw-analyze``.
 
 - :class:`ToolConfig` — root, rule selection, per-rule ``allow``/
   ``scope`` glob tables, free-form options, baseline path;
-- :func:`load_tool_config` — load a ``[tool.<section>]`` table (via
+- :func:`load_tool_config` — load the ``[tool.csawanalyze]`` table (via
   :mod:`tomllib` when available, else a tiny built-in TOML subset
   parser — the same fallback strategy as the scenario spec loader);
 - :func:`iter_python_files` — deterministic file discovery;
@@ -28,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .framework import Violation
 
 __all__ = [
+    "ConfigError",
     "ToolConfig",
     "apply_baseline",
     "baseline_key",
@@ -41,9 +37,13 @@ __all__ = [
 ]
 
 
+class ConfigError(ValueError):
+    """A config value or command-line argument that cannot be honoured."""
+
+
 @dataclass
 class ToolConfig:
-    """One devtool's effective configuration (lint or analyze)."""
+    """The analyzer's effective configuration."""
 
     root: str = "."
     select: Tuple[str, ...] = ()  # empty = all registered
@@ -58,8 +58,7 @@ def parse_minimal_toml(text: str) -> Dict[str, Dict[str, object]]:
 
     Understands ``[dotted.section]`` headers and ``key = value`` lines
     where value is a string, bool, int, or (possibly multi-line) array
-    of strings — exactly what the ``[tool.csawlint]`` /
-    ``[tool.csawanalyze]`` tables use.  Unparseable values are kept as
+    of strings — exactly what the ``[tool.csawanalyze]`` tables use.  Unparseable values are kept as
     raw strings and ignored by the config loader.
     """
     sections: Dict[str, Dict[str, object]] = {}
@@ -139,10 +138,8 @@ def find_project_root(start: str) -> str:
         path = parent
 
 
-def load_tool_config(
-    section_name: str, config_path: Optional[str], anchor: str
-) -> ToolConfig:
-    """Load ``[tool.<section_name>]`` from an explicit path or the root."""
+def load_tool_config(config_path: Optional[str], anchor: str) -> ToolConfig:
+    """Load ``[tool.csawanalyze]`` from an explicit path or the root."""
     if config_path is None:
         root = find_project_root(anchor)
         config_path = os.path.join(root, "pyproject.toml")
@@ -152,7 +149,7 @@ def load_tool_config(
         root = os.path.dirname(os.path.abspath(config_path)) or "."
     table = load_toml(config_path)
     section = table.get("tool", {})
-    section = section.get(section_name, {}) if isinstance(section, dict) else {}
+    section = section.get("csawanalyze", {}) if isinstance(section, dict) else {}
     if not isinstance(section, dict):
         section = {}
 
@@ -165,10 +162,17 @@ def load_tool_config(
             if isinstance(patterns, (list, tuple))
         }
 
+    select = section.get("select", [])
+    if not isinstance(select, list) or not all(
+        isinstance(code, str) for code in select
+    ):
+        raise ConfigError(
+            f"select must be a list of rule codes, got {select!r}"
+        )
     options = section.get("options", {})
     return ToolConfig(
         root=root,
-        select=tuple(section.get("select", ())),
+        select=tuple(select),
         allow=globs(section.get("allow")),
         scope=globs(section.get("scope")),
         options=dict(options) if isinstance(options, dict) else {},

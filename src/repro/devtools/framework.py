@@ -1,7 +1,14 @@
-"""Rule framework for ``csaw-lint``.
+"""Rule framework for ``csaw-analyze``.
 
-A *rule* is a small AST analysis with a stable code (``CSL001`` ...), a
-severity, and optional path scoping:
+A *rule* is an AST analysis with a stable code, a severity, and
+optional path scoping.  Two kinds share one registry:
+
+- :class:`Rule` — a per-file rule (``CSL0xx``); ``check`` sees one
+  indexed module through a :class:`LintContext`;
+- :class:`ProjectRule` — a whole-program rule (``CSA1xx``); ``check``
+  sees the project index and call graph.
+
+Path scoping, for both kinds:
 
 - ``scope``: fnmatch globs the file must match for the rule to apply at
   all (empty = everywhere).  Used for rules that only make sense inside
@@ -10,8 +17,8 @@ severity, and optional path scoping:
   rule allowlists ``runner/core.py``, which legitimately times trials).
 
 Both lists can be extended or overridden per rule from the
-``[tool.csawlint]`` table in ``pyproject.toml``; inline
-``# csaw-lint: disable=CSL00X`` comments suppress single lines.  The
+``[tool.csawanalyze]`` table in ``pyproject.toml``; inline
+``# csaw-analyze: disable=CODE`` comments suppress single lines.  The
 registry is a plain dict keyed by code so the CLI, the tests, and the
 docs all enumerate exactly the same rule set.
 """
@@ -22,18 +29,39 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+)
+
+from .config import ConfigError, ToolConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .analyze.index import ModuleInfo
+    from .analyze.rules import Project
 
 __all__ = [
     "LintContext",
+    "ProjectRule",
     "Rule",
     "Violation",
     "all_rules",
+    "attr_chain",
+    "effective_rules",
     "register",
     "suppressed_lines",
 ]
+
+#: Inline-suppression marker: ``# csaw-analyze: disable=CSL003``.
+MARKER = "csaw-analyze"
 
 
 @dataclass(frozen=True)
@@ -53,29 +81,23 @@ class Violation:
 
 @dataclass
 class LintContext:
-    """Everything a rule needs about one file."""
+    """Everything a per-file rule needs: one indexed module + options."""
 
-    path: str  # as given on the command line (display)
-    relpath: str  # posix path relative to the project root (matching)
-    tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-    options: Dict[str, object] = field(default_factory=dict)
+    module: "ModuleInfo"
+    options: Dict[str, object]
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.module.tree
 
     def violation(
         self, rule: "Rule", node: ast.AST, message: Optional[str] = None
     ) -> Violation:
-        return Violation(
-            code=rule.code,
-            message=message if message is not None else rule.message,
-            path=self.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            severity=rule.severity,
-        )
+        return rule.finding(self.module, node, message)
 
 
 class Rule:
-    """Base class; subclasses set the class attributes and ``check``."""
+    """Per-file rule base; subclasses set the class attributes and ``check``."""
 
     code: str = "CSL000"
     name: str = "base"
@@ -86,12 +108,44 @@ class Rule:
     #: fnmatch globs for exempt files
     allow: Tuple[str, ...] = ()
 
+    @classmethod
+    def configured(cls, config: ToolConfig) -> "Rule":
+        """An instance with the config's ``scope``/``allow`` globs applied."""
+        rule = cls()
+        if cls.code in config.scope:
+            rule.scope = tuple(config.scope[cls.code])
+        if cls.code in config.allow:
+            rule.allow = tuple(cls.allow) + tuple(config.allow[cls.code])
+        return rule
+
+    def allowed(self, relpath: str) -> bool:
+        return any(fnmatch(relpath, g) for g in self.allow)
+
     def applies_to(self, relpath: str) -> bool:
         if self.scope and not any(fnmatch(relpath, g) for g in self.scope):
             return False
-        return not any(fnmatch(relpath, g) for g in self.allow)
+        return not self.allowed(relpath)
+
+    def finding(
+        self, module: "ModuleInfo", node: ast.AST, message: Optional[str] = None
+    ) -> Violation:
+        return Violation(
+            code=self.code,
+            message=message if message is not None else self.message,
+            path=module.path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
+            severity=self.severity,
+        )
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
+        raise NotImplementedError
+
+
+class ProjectRule(Rule):
+    """Whole-program rule base: ``check`` sees the project, not a file."""
+
+    def check(self, project: "Project") -> Iterator[Violation]:  # type: ignore[override]
         raise NotImplementedError
 
 
@@ -112,45 +166,78 @@ def all_rules() -> Dict[str, Type[Rule]]:
     return {code: _REGISTRY[code] for code in sorted(_REGISTRY)}
 
 
+def effective_rules(config: ToolConfig) -> List[Rule]:
+    """The selected rules with config globs applied.
+
+    Raises :class:`ConfigError` when ``select`` or an ``allow``/``scope``
+    key names a code no rule registers — a typo would otherwise select
+    nothing (or exempt nothing) and pass silently.
+    """
+    registry = all_rules()
+    for key, codes in (
+        ("select", config.select),
+        ("allow", config.allow),
+        ("scope", config.scope),
+    ):
+        unknown = sorted(set(codes) - set(registry))
+        if unknown:
+            raise ConfigError(
+                f"{key} names no registered rule: {', '.join(unknown)}"
+            )
+    return [
+        rule_cls.configured(config)
+        for code, rule_cls in registry.items()
+        if not config.select or code in config.select
+    ]
+
+
+def attr_chain(node: ast.AST) -> Optional[List[str]]:
+    """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return parts
+    return None
+
+
 # -- inline suppressions -------------------------------------------------------
 
-_DISABLE_RES: Dict[str, "re.Pattern[str]"] = {}
 _ALL = frozenset({"*"})
+_CODE = r"[A-Z]{3}\d{3}"
+#: ``disable`` alone ends the comment (all codes), or ``disable=`` is
+#: followed by comma-separated codes (then free text).  Anything else —
+#: lower-case codes, ``disable = X``, ``disabled ...`` — suppresses nothing.
+_DISABLE_RE = re.compile(
+    re.escape(MARKER)
+    + rf":\s*disable(?:\s*$|=(?P<codes>{_CODE}(?:\s*,\s*{_CODE})*)(?!\w))"
+)
 
 
-def _disable_re(marker: str) -> "re.Pattern[str]":
-    pattern = _DISABLE_RES.get(marker)
-    if pattern is None:
-        pattern = re.compile(
-            re.escape(marker) + r":\s*disable(?:=(?P<codes>[A-Z0-9,\s]+))?"
-        )
-        _DISABLE_RES[marker] = pattern
-    return pattern
-
-
-def _parse_disable(comment: str, marker: str) -> Optional[FrozenSet[str]]:
-    match = _disable_re(marker).search(comment)
+def _parse_disable(comment: str) -> Optional[FrozenSet[str]]:
+    match = _DISABLE_RE.search(comment)
     if match is None:
         return None
     codes = match.group("codes")
-    if not codes:
+    if codes is None:
         return _ALL
-    return frozenset(c.strip() for c in codes.split(",") if c.strip())
+    return frozenset(c.strip() for c in codes.split(","))
 
 
-def suppressed_lines(
-    source: str, marker: str = "csaw-lint"
-) -> Dict[int, FrozenSet[str]]:
+def suppressed_lines(source: str) -> Dict[int, FrozenSet[str]]:
     """Map line number -> codes suppressed there (``{"*"}`` = all codes).
 
-    A trailing ``# csaw-lint: disable=CSL003`` suppresses its own line; a
-    comment on a line of its own also covers the next line, so multi-line
-    statements can be annotated above rather than mid-expression.  The
-    whole-program analyzer reuses the machinery with its own ``marker``
-    (``# csaw-analyze: disable=CSA101``), so a line can be exempted from
-    one tool without hiding it from the other.
+    A trailing ``# csaw-analyze: disable=CSL003`` suppresses its own
+    line; a comment on a line of its own also covers the next line, so
+    multi-line statements can be annotated above rather than
+    mid-expression.
     """
     suppressed: Dict[int, FrozenSet[str]] = {}
+    if MARKER not in source:
+        return suppressed
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
@@ -158,7 +245,7 @@ def suppressed_lines(
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
-        codes = _parse_disable(tok.string, marker)
+        codes = _parse_disable(tok.string)
         if codes is None:
             continue
         line = tok.start[0]
@@ -176,8 +263,3 @@ def is_suppressed(
     if not codes:
         return False
     return "*" in codes or violation.code in codes
-
-
-def iter_child_scopes(node: ast.AST) -> Iterable[ast.AST]:
-    """Direct children, for rules that manage their own scope recursion."""
-    return ast.iter_child_nodes(node)

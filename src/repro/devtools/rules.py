@@ -1,63 +1,127 @@
-"""The csaw-lint rule catalogue (CSL001–CSL009).
+"""The per-file rule catalogue (CSL001–CSL009).
 
 Each rule encodes one determinism/purity invariant the paper's numbers
 depend on (DESIGN.md §7 maps rules to figures).  All rules are
 AST-local and deliberately conservative: they prove what they can from
-one file and leave cross-module dataflow to the regression tests, so a
-finding is near-always a true positive and the lint can be enforced at
-zero rather than advisory.
+one module and leave cross-module dataflow to the whole-program CSA
+rules and the regression tests, so a finding is near-always a true
+positive and every rule can be enforced at zero rather than advisory.
+
+Two detectors here are shared with the CSA rules: :func:`ambient_sink`
+(the random/time/datetime sinks behind CSL001, CSL002 and CSA103) and
+:class:`SetTracker` (the statement-ordered set-ness tracking behind
+CSL003 and CSA105).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from .framework import LintContext, Rule, Violation, register
+from .framework import LintContext, Rule, Violation, attr_chain, register
 
-__all__ = ["register", "Rule"]
+if TYPE_CHECKING:  # pragma: no cover
+    from .analyze.index import ModuleInfo
 
-
-# -- shared helpers ------------------------------------------------------------
-
-
-def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
-    """Names bound to ``module`` by top-level or nested plain imports."""
-    aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module:
-                    aliases.add(alias.asname or alias.name)
-    return aliases
-
-
-def _from_imports(tree: ast.Module, module: str) -> Dict[str, ast.ImportFrom]:
-    """Map of names imported ``from module import name`` -> import node."""
-    names: Dict[str, ast.ImportFrom] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                names[alias.asname or alias.name] = node
-    return names
-
-
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
+__all__ = ["SetTracker", "ambient_sink"]
 
 
 def _is_none(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
+
+
+# -- ambient sinks (CSL001, CSL002, CSA103) ------------------------------------
+
+_TIME_FUNCS = {
+    "time",
+    "time_ns",
+    "perf_counter",
+    "perf_counter_ns",
+    "monotonic",
+    "monotonic_ns",
+    "process_time",
+    "process_time_ns",
+    "clock",
+}
+_DATETIME_FUNCS = {"now", "utcnow", "today"}
+_DATETIME_CLASSES = {"datetime", "date"}
+#: modules whose imports make a module worth scanning for sinks
+AMBIENT_MODULES = ("random", "time", "datetime")
+
+
+def ambient_sink(
+    module: "ModuleInfo", chain: Sequence[str]
+) -> Optional[Tuple[str, str]]:
+    """``(kind, callee)`` when a call chain reads ambient state, else None.
+
+    ``kind`` is ``"random"`` (an interpreter-global ``random.*`` draw),
+    ``"time"`` or ``"datetime"`` (a wall-clock read); ``callee`` names
+    the sink for messages.  One-name chains are calls of a
+    ``from random/time import ...`` binding; ``random.Random`` is the
+    seedable class, never a sink.  Built on the module's import tables,
+    which the index builds once per module.
+    """
+    root, leaf = chain[0], chain[-1]
+    if len(chain) == 1:
+        if root in _TIME_FUNCS and root in module.from_imports.get("time", ()):
+            return "time", f"time.{root}"
+        if root != "Random" and root in module.from_imports.get("random", ()):
+            return "random", f"random.{root}"
+        return None
+    aliases = module.module_aliases
+    if len(chain) == 2 and root in aliases.get("random", ()) and leaf != "Random":
+        return "random", f"random.{leaf}"
+    if root in aliases.get("time", ()) and leaf in _TIME_FUNCS:
+        return "time", f"time.{leaf}"
+    if leaf in _DATETIME_FUNCS and (
+        (
+            len(chain) == 2
+            and root in _DATETIME_CLASSES
+            and root in module.from_imports.get("datetime", ())
+        )
+        or (
+            len(chain) == 3
+            and root in aliases.get("datetime", ())
+            and chain[1] in _DATETIME_CLASSES
+        )
+    ):
+        return "datetime", ".".join(chain)
+    return None
+
+
+def _call_chains(tree: ast.AST) -> Iterator[Tuple[ast.Call, List[str]]]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            chain = attr_chain(node.func)
+            if chain is not None:
+                yield node, chain
+
+
+def _flag_from_imports(
+    rule: Rule,
+    ctx: LintContext,
+    module: str,
+    banned: Callable[[str], bool],
+    message: str,
+) -> Iterator[Violation]:
+    """One finding per ``from <module> import`` statement binding a
+    banned name (the sorted first such name goes in the message)."""
+    flagged: Set[int] = set()
+    for name, node in sorted(ctx.module.from_imports.get(module, {}).items()):
+        if banned(name) and id(node) not in flagged:
+            flagged.add(id(node))
+            yield ctx.violation(rule, node, message.format(name=name))
 
 
 # -- CSL001: ambient randomness ------------------------------------------------
@@ -80,43 +144,36 @@ class AmbientRandomnessRule(Rule):
         "RngRegistry stream passed in by the caller"
     )
 
-    _ALLOWED_ATTRS = {"Random"}
-
     def check(self, ctx: LintContext) -> Iterator[Violation]:
-        aliases = _module_aliases(ctx.tree, "random")
-        from_imports = _from_imports(ctx.tree, "random")
-        flagged_imports = set()
-        for name, node in sorted(from_imports.items()):
-            if name not in self._ALLOWED_ATTRS and id(node) not in flagged_imports:
-                flagged_imports.add(id(node))
+        yield from _flag_from_imports(
+            self,
+            ctx,
+            "random",
+            lambda name: name != "Random",
+            "from random import ...: import random.Random and seed it, "
+            "or accept an rng argument",
+        )
+        aliases = ctx.module.module_aliases.get("random")
+        if not aliases:
+            return
+        for node, chain in _call_chains(ctx.tree):
+            if len(chain) < 2:
+                continue  # a from-imported draw is flagged at its import
+            sink = ambient_sink(ctx.module, chain)
+            if sink is not None and sink[0] == "random":
+                yield ctx.violation(self, node)
+            elif (
+                chain[0] in aliases
+                and chain[1:] == ["Random"]
+                and not node.args
+                and not node.keywords
+            ):
                 yield ctx.violation(
                     self,
                     node,
-                    "from random import ...: import random.Random and seed "
-                    "it, or accept an rng argument",
+                    "random.Random() without a seed draws entropy from "
+                    "the OS; pass an explicit seed",
                 )
-        if not aliases:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in aliases
-            ):
-                continue
-            if func.attr == "Random":
-                if not node.args and not node.keywords:
-                    yield ctx.violation(
-                        self,
-                        node,
-                        "random.Random() without a seed draws entropy from "
-                        "the OS; pass an explicit seed",
-                    )
-            elif func.attr not in self._ALLOWED_ATTRS:
-                yield ctx.violation(self, node)
 
 
 # -- CSL002: wall-clock time ---------------------------------------------------
@@ -127,7 +184,8 @@ class WallClockRule(Rule):
     """Wall-clock reads inside simulation code break bit-determinism.
 
     Simulated time is ``env.now``; only the trial runner (which times
-    real execution) and the benchmarks may consult the host clock.
+    real execution) and the benchmarks may consult the host clock.  The
+    effective allowlist is also CSA103's set of sanctioned sources.
     """
 
     code = "CSL002"
@@ -135,54 +193,25 @@ class WallClockRule(Rule):
     message = "wall-clock read in simulation code: use env.now / simulated time"
     allow = ("src/repro/runner/core.py", "benchmarks/*")
 
-    _TIME_FUNCS = {
-        "time",
-        "time_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-        "clock",
-    }
-    _DATETIME_FUNCS = {"now", "utcnow", "today"}
-
     def check(self, ctx: LintContext) -> Iterator[Violation]:
-        time_aliases = _module_aliases(ctx.tree, "time")
-        dt_module_aliases = _module_aliases(ctx.tree, "datetime")
-        dt_classes = {
-            name
-            for name in _from_imports(ctx.tree, "datetime")
-            if name in {"datetime", "date"}
-        }
-        flagged_imports = set()
-        for name, node in sorted(_from_imports(ctx.tree, "time").items()):
-            if name in self._TIME_FUNCS and id(node) not in flagged_imports:
-                flagged_imports.add(id(node))
-                yield ctx.violation(
-                    self, node, f"from time import {name}: wall-clock source"
-                )
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+        yield from _flag_from_imports(
+            self,
+            ctx,
+            "time",
+            lambda name: name in _TIME_FUNCS,
+            "from time import {name}: wall-clock source",
+        )
+        for node, chain in _call_chains(ctx.tree):
+            if len(chain) < 2:
+                continue  # a from-imported clock is flagged at its import
+            sink = ambient_sink(ctx.module, chain)
+            if sink is None or sink[0] == "random":
                 continue
-            chain = _attr_chain(node.func)
-            if chain is None or len(chain) < 2:
-                continue
-            root, leaf = chain[0], chain[-1]
-            if root in time_aliases and leaf in self._TIME_FUNCS:
-                yield ctx.violation(self, node)
-            elif leaf in self._DATETIME_FUNCS and (
-                (len(chain) == 2 and root in dt_classes)
-                or (
-                    len(chain) == 3
-                    and root in dt_module_aliases
-                    and chain[1] in {"datetime", "date"}
-                )
-            ):
-                yield ctx.violation(
-                    self, node, f"{'.'.join(chain)}(): wall-clock read"
-                )
+            yield ctx.violation(
+                self,
+                node,
+                None if sink[0] == "time" else f"{sink[1]}(): wall-clock read",
+            )
 
 
 # -- CSL003: unordered iteration -----------------------------------------------
@@ -194,6 +223,88 @@ _SET_METHODS = {
     "symmetric_difference",
     "copy",
 }
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class SetTracker:
+    """Statement-ordered tracking of which local names hold sets.
+
+    A name holds a set after it is bound to a set literal/comprehension,
+    a ``set()``/``frozenset()`` call, set algebra over a set, or a name
+    that holds one; any other binding clears it.  :meth:`call_source`
+    is the hook for call-sourced set-ness (CSA105 resolves calls of
+    set-returning project functions); here no call returns a set.
+    """
+
+    def __init__(self) -> None:
+        #: name -> qualname of the call its set-ness came from (or None)
+        self.setnames: Dict[str, Optional[str]] = {}
+
+    def call_source(self, call: ast.Call) -> Optional[str]:
+        return None
+
+    def set_likeness(self, node: ast.AST) -> Tuple[bool, Optional[str]]:
+        """(is a set, call-source qualname when the set-ness is call-sourced)."""
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True, None
+        if isinstance(node, ast.Name):
+            return node.id in self.setnames, self.setnames.get(node.id)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in {"set", "frozenset"}:
+                return True, None
+            if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+                return self.set_likeness(func.value)
+            source = self.call_source(node)
+            return source is not None, source
+        if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+        ):
+            left = self.set_likeness(node.left)
+            right = self.set_likeness(node.right)
+            if left[0] or right[0]:
+                return True, left[1] or right[1]
+        return False, None
+
+    def is_set(self, node: ast.AST) -> bool:
+        return self.set_likeness(node)[0]
+
+    def bind(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            return
+        is_set, source = self.set_likeness(stmt.value)  # type: ignore[arg-type]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                if is_set:
+                    self.setnames[target.id] = source
+                else:
+                    self.setnames.pop(target.id, None)
+
+    def walk(self, stmts: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+        """Yield a scope's statements in order, each before its bindings.
+
+        Compound-statement bodies share the scope's tracking; nested
+        function/class statements are yielded but not entered (their
+        bodies are scopes of their own).
+        """
+        for stmt in stmts:
+            yield stmt
+            if isinstance(stmt, _SCOPES):
+                continue
+            self.bind(stmt)
+            for field_name, value in ast.iter_fields(stmt):
+                if field_name in ("body", "orelse", "finalbody"):
+                    if isinstance(value, list):
+                        yield from self.walk(value)
+                elif field_name == "handlers":
+                    for handler in value:
+                        yield from self.walk(handler.body)
+
+
 #: builtins whose result does not depend on argument iteration order
 _ORDER_FREE_REDUCERS = {
     "sum",
@@ -208,31 +319,6 @@ _ORDER_FREE_REDUCERS = {
 }
 #: builtins that materialize iteration order into an ordered value
 _ORDER_SINKS = {"list", "tuple", "enumerate", "iter", "next"}
-
-
-def _is_set_expr(node: ast.AST, setnames: Set[str]) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Name):
-        return node.id in setnames
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in {"set", "frozenset"}:
-            return True
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _SET_METHODS
-            and _is_set_expr(func.value, setnames)
-        ):
-            return True
-        return False
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return _is_set_expr(node.left, setnames) or _is_set_expr(
-            node.right, setnames
-        )
-    return False
 
 
 @register
@@ -259,58 +345,21 @@ class UnorderedIterationRule(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
-        out: List[Violation] = []
-        self._scan_block(ctx, ctx.tree.body, set(), out)
-        return iter(out)
+        return self._scan(ctx, ctx.tree.body)
 
-    # Scope handling: compound statements share the enclosing scope's
-    # set-name tracking; function/class bodies start fresh.
-    def _scan_block(
-        self,
-        ctx: LintContext,
-        stmts: Sequence[ast.stmt],
-        setnames: Set[str],
-        out: List[Violation],
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                self._scan_block(ctx, stmt.body, set(), out)
-                continue
-            self._check_stmt(ctx, stmt, setnames, out)
-            self._apply_binding(stmt, setnames)
-            for field_name, value in ast.iter_fields(stmt):
-                if field_name in ("body", "orelse", "finalbody"):
-                    if isinstance(value, list):
-                        self._scan_block(ctx, value, setnames, out)
-                elif field_name == "handlers":
-                    for handler in value:
-                        self._scan_block(ctx, handler.body, setnames, out)
-
-    def _apply_binding(self, stmt: ast.stmt, setnames: Set[str]) -> None:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    if _is_set_expr(stmt.value, setnames):
-                        setnames.add(target.id)
-                    else:
-                        setnames.discard(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            if stmt.value is not None and _is_set_expr(stmt.value, setnames):
-                setnames.add(stmt.target.id)
+    def _scan(
+        self, ctx: LintContext, body: Sequence[ast.stmt]
+    ) -> Iterator[Violation]:
+        tracker = SetTracker()
+        for stmt in tracker.walk(body):
+            if isinstance(stmt, _SCOPES):
+                yield from self._scan(ctx, stmt.body)
             else:
-                setnames.discard(stmt.target.id)
+                yield from self._check_stmt(ctx, stmt, tracker)
 
     def _check_stmt(
-        self,
-        ctx: LintContext,
-        stmt: ast.stmt,
-        setnames: Set[str],
-        out: List[Violation],
-    ) -> None:
+        self, ctx: LintContext, stmt: ast.stmt, tracker: SetTracker
+    ) -> Iterator[Violation]:
         exprs: List[ast.AST] = []
         for field_name, value in ast.iter_fields(stmt):
             if field_name in ("body", "orelse", "finalbody", "handlers"):
@@ -320,16 +369,16 @@ class UnorderedIterationRule(Rule):
             elif isinstance(value, list):
                 exprs.extend(v for v in value if isinstance(v, ast.AST))
         # A for-statement iterating a set directly.
-        if isinstance(stmt, (ast.For, ast.AsyncFor)) and _is_set_expr(
-            stmt.iter, setnames
+        if isinstance(stmt, (ast.For, ast.AsyncFor)) and tracker.is_set(
+            stmt.iter
         ):
-            out.append(ctx.violation(self, stmt.iter))
+            yield ctx.violation(self, stmt.iter)
         # Tuple-unpacking a set: `a, b = some_set`.
-        if isinstance(stmt, ast.Assign) and _is_set_expr(stmt.value, setnames):
+        if isinstance(stmt, ast.Assign) and tracker.is_set(stmt.value):
             if any(
                 isinstance(t, (ast.Tuple, ast.List)) for t in stmt.targets
             ):
-                out.append(ctx.violation(self, stmt.value))
+                yield ctx.violation(self, stmt.value)
         exempt = self._exempt_genexps(exprs)
         for expr in exprs:
             for node in ast.walk(expr):
@@ -340,8 +389,8 @@ class UnorderedIterationRule(Rule):
                     if isinstance(node, ast.SetComp) or id(node) in exempt:
                         continue
                     for gen in node.generators:
-                        if _is_set_expr(gen.iter, setnames):
-                            out.append(ctx.violation(self, gen.iter))
+                        if tracker.is_set(gen.iter):
+                            yield ctx.violation(self, gen.iter)
                 elif isinstance(node, ast.Call):
                     func = node.func
                     is_sink = (
@@ -351,14 +400,12 @@ class UnorderedIterationRule(Rule):
                     )
                     if is_sink:
                         for arg in node.args:
-                            if _is_set_expr(arg, setnames):
-                                out.append(
-                                    ctx.violation(
-                                        self,
-                                        arg,
-                                        "set order materialized into an "
-                                        "ordered value: sort it first",
-                                    )
+                            if tracker.is_set(arg):
+                                yield ctx.violation(
+                                    self,
+                                    arg,
+                                    "set order materialized into an "
+                                    "ordered value: sort it first",
                                 )
 
     def _exempt_genexps(self, exprs: Sequence[ast.AST]) -> Set[int]:
@@ -423,7 +470,7 @@ class RealIoRule(Rule):
         return root in self._IO_ROOTS or name in self._IO_MODULES
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
-        os_aliases = _module_aliases(ctx.tree, "os")
+        os_aliases = ctx.module.module_aliases.get("os", set())
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -513,7 +560,7 @@ class SlotsRequiredRule(Rule):
         if self._NAME_RE.search(node.name):
             return True
         for base in node.bases:
-            chain = _attr_chain(base)
+            chain = attr_chain(base)
             if chain and self._NAME_RE.search(chain[-1]):
                 return True
         return False
@@ -641,7 +688,7 @@ class MutableDefaultRule(Rule):
         ):
             return True
         if isinstance(node, ast.Call):
-            chain = _attr_chain(node.func)
+            chain = attr_chain(node.func)
             return bool(chain) and chain[-1] in self._MUTABLE_CALLS
         return False
 
@@ -731,12 +778,12 @@ class InlineBlockTypeMapRule(Rule):
         )
 
     def _names_failure(self, node: ast.AST) -> bool:
-        chain = _attr_chain(node)
+        chain = attr_chain(node)
         return bool(chain) and chain[-1] in self._FAILURE_NAMES
 
     @staticmethod
     def _names_block_type(node: ast.AST) -> bool:
-        chain = _attr_chain(node)
+        chain = attr_chain(node)
         return bool(chain) and len(chain) >= 2 and "BlockType" in chain[:-1]
 
 
@@ -775,6 +822,6 @@ class SpecBackedScenarioRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attr_chain(node.func)
+            chain = attr_chain(node.func)
             if chain and chain[-1] in self._BUILDERS:
                 yield ctx.violation(self, node)

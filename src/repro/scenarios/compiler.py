@@ -1,7 +1,7 @@
 """ScenarioCompiler: spec tree -> live simulation objects.
 
 The compiler is the *only* place that calls ``World(...)`` /
-``CensorPolicy(...)`` for scenario work (csaw-lint CSL009 enforces the
+``CensorPolicy(...)`` for scenario work (csaw-analyze CSL009 enforces the
 boundary).  It builds in one canonical order — resolver, sites,
 block pages, policies, ASes, circumvention infrastructure, global DB,
 populations — which is safe because every RNG draw comes from a

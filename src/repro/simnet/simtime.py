@@ -4,7 +4,7 @@ Simulated timestamps are sums of float latencies, so exact ``==`` on
 them depends on summation order: any refactor that reassociates a sum
 (batching, the three-lane scheduler, vectorized latency draws) can flip
 an exact comparison without changing the simulation's semantics.
-csaw-lint rule CSL006 bans ``==``/``!=`` on time-like values and points
+csaw-analyze rule CSL006 bans ``==``/``!=`` on time-like values and points
 here instead.
 """
 

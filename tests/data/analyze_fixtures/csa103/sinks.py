@@ -1,5 +1,5 @@
-"""CSA103 fixture: the direct sink itself (csaw-lint's finding, not
-CSA103's — the analyzer only reports the *escape* through callers)."""
+"""CSA103 fixture: the direct sink itself (CSL002's finding, not
+CSA103's — CSA103 only reports the *escape* through callers)."""
 
 import time
 

@@ -1,12 +1,14 @@
-"""Tests for csaw-analyze, the whole-program determinism analyzer.
+"""Tests for csaw-analyze's whole-program side.
 
 Covers the project index, the conservative call graph (worker-dispatcher
 edges, attribute-name method resolution, cycle tolerance), every CSA
 rule against its fixture package under ``tests/data/analyze_fixtures/``
-(positive, negative, suppression), the baseline round-trip, the
-``graph`` subcommand, CLI behavior — and the two repo-level contracts:
-the shipped tree is analyzer-clean at the committed empty baseline, and
-a planted module-global write in a worker helper is caught.
+(positive, negative, suppression), the one suppression marker across
+both rule families, the baseline round-trip, the ``graph`` subcommand,
+CLI behavior and its rejection of bad paths and config — and the two
+repo-level contracts: the shipped tree is analyzer-clean at the
+committed empty baseline, and planted bugs of both rule families are
+caught in one run.
 """
 
 import json
@@ -20,14 +22,14 @@ import pytest
 from repro.devtools.analyze.callgraph import build_call_graph
 from repro.devtools.analyze.index import ProjectIndex, module_name_for
 from repro.devtools.analyze.main import (
-    AnalyzeConfig,
     analyze_paths,
     analyze_project,
+    analyze_source,
     build_project,
-    load_config,
     main,
 )
 from repro.devtools import config as devconfig
+from repro.devtools.config import ToolConfig, load_tool_config
 from repro.devtools.framework import suppressed_lines
 
 REPO = Path(__file__).resolve().parent.parent
@@ -37,7 +39,7 @@ FIXTURES = Path(__file__).resolve().parent / "data" / "analyze_fixtures"
 def run_fixture(name, **kwargs):
     """Analyze one fixture package with its directory as project root."""
     root = str(FIXTURES / name)
-    config = AnalyzeConfig(root=root, **kwargs)
+    config = ToolConfig(root=root, **kwargs)
     return analyze_paths([root], config)
 
 
@@ -45,10 +47,8 @@ def build_index(sources):
     """Index in-memory modules keyed by project-relative path."""
     index = ProjectIndex(root="/proj")
     for relpath, source in sources.items():
-        index.add_source(
-            textwrap.dedent(source), "/proj/" + relpath, relpath
-        )
-    index._finalize()
+        index.add_source(textwrap.dedent(source), "/proj/" + relpath)
+    index.finalize()
     return index
 
 
@@ -62,7 +62,7 @@ def by_file(violations):
 @pytest.fixture(scope="module")
 def real_project():
     """The shipped tree, indexed once for all repo-level assertions."""
-    config = load_config(str(REPO / "pyproject.toml"), str(REPO / "src"))
+    config = load_tool_config(str(REPO / "pyproject.toml"), str(REPO / "src"))
     return build_project([str(REPO / "src")], config)
 
 
@@ -324,10 +324,32 @@ class TestCSA103:
 
     def test_direct_sink_site_is_lints_finding_not_ours(self):
         files = by_file(run_fixture("csa103"))
-        assert "sinks.py" not in files
+        assert [v.code for v in files["sinks.py"]] == ["CSL002"]
+
+    def test_sinks_are_the_per_file_rules_sinks(self):
+        """CSA103 follows every sink CSL002 flags, including a
+        ``datetime.now()`` read through ``from datetime import datetime``."""
+        src = textwrap.dedent(
+            """
+            from datetime import datetime
+
+            def stamp():
+                return datetime.now()
+
+            def caller():
+                return stamp()
+            """
+        )
+        found = analyze_source(
+            src, "/proj/src/repro/core/m.py", ToolConfig(root="/proj")
+        )
+        assert [(v.code, v.line) for v in found] == [("CSL002", 5), ("CSA103", 8)]
+        assert "wall-clock sink datetime.now()" in found[1].message
 
     def test_allow_glob_sanctions_a_file(self):
-        violations = run_fixture("csa103", allow={"CSA103": ["mid.py"]})
+        """CSL002's allowlist is CSA103's set of sanctioned sources: an
+        allowed sink neither gets flagged nor taints its callers."""
+        violations = run_fixture("csa103", allow={"CSL002": ["sinks.py"]})
         assert violations == []
 
 
@@ -391,19 +413,58 @@ class TestCSA105:
         assert "clean.py" not in files
 
 
-# -- suppression marker separation ---------------------------------------------
+# -- one suppression marker for both rule families ----------------------------
 
 
 class TestMarkers:
-    def test_analyze_marker_does_not_hide_from_lint(self):
-        src = "x = 1  # csaw-analyze: disable=CSA101\n"
-        assert suppressed_lines(src) == {}
-        assert 1 in suppressed_lines(src, marker="csaw-analyze")
+    def test_one_marker_covers_both_rule_families(self):
+        src = textwrap.dedent(
+            """
+            import time
+
+            def stamp():
+                return time.time()
+
+            def fresh(entry):
+                return entry.posted_at == stamp()
+            """
+        )
+        config = ToolConfig(root="/proj")
+        path = "/proj/src/repro/core/clock.py"
+        line = src.splitlines().index("    return entry.posted_at == stamp()") + 1
+        found = analyze_source(src, path, config)
+        assert sorted(v.code for v in found if v.line == line) == [
+            "CSA103",
+            "CSL006",
+        ]
+        marked = src.replace(
+            "== stamp()\n", "== stamp()  # csaw-analyze: disable=CSL006,CSA103\n"
+        )
+        assert [(v.code, v.line) for v in analyze_source(marked, path, config)] == [
+            ("CSL002", line - 3)
+        ]
 
     def test_lint_marker_does_not_hide_from_analyze(self):
-        src = "x = 1  # csaw-lint: disable=CSL003\n"
-        assert 1 in suppressed_lines(src)
-        assert suppressed_lines(src, marker="csaw-analyze") == {}
+        # The retired marker is inert: a stale comment leaves its findings.
+        src = textwrap.dedent(
+            """
+            import time
+
+            def stamp():
+                return time.time()  # csaw-lint: disable=CSL002
+
+            def fresh(entry):
+                return entry.posted_at == stamp()  # csaw-lint: disable=CSA103
+            """
+        )
+        config = ToolConfig(root="/proj")
+        path = "/proj/src/repro/core/clock.py"
+        assert suppressed_lines(src) == {}
+        assert sorted(v.code for v in analyze_source(src, path, config)) == [
+            "CSA103",
+            "CSL002",
+            "CSL006",
+        ]
 
 
 # -- baseline round-trip -------------------------------------------------------
@@ -412,7 +473,7 @@ class TestMarkers:
 class TestBaseline:
     def test_round_trip_grandfathers_existing_findings(self, tmp_path):
         root = str(FIXTURES / "csa101")
-        config = AnalyzeConfig(root=root)
+        config = ToolConfig(root=root)
         violations = analyze_paths([root], config)
         assert violations
         baseline_path = tmp_path / "baseline.json"
@@ -443,7 +504,7 @@ class TestRepoEnforcement:
         assert "repro.workloads.pilot._pilot_trial" in entrypoints
 
     def test_full_run_is_fast_enough(self):
-        config = load_config(str(REPO / "pyproject.toml"), str(REPO / "src"))
+        config = load_tool_config(str(REPO / "pyproject.toml"), str(REPO / "src"))
         started = time.perf_counter()
         project = build_project([str(REPO / "src")], config)
         analyze_project(project)
@@ -453,8 +514,11 @@ class TestRepoEnforcement:
     def test_planted_worker_global_write_is_caught(self, tmp_path):
         """Regression harness for the whole pipeline: copy the real tree,
         wrap the fleet worker entrypoint so it calls a planted helper
-        that bumps a module-global counter, and require CSA101 to catch
-        it via the ``run_fleet_storm_sharded`` worker path."""
+        that bumps a module-global counter, and plant a ``core/`` helper
+        that reads the host clock plus a simulation function calling it.
+        One run must catch all three: CSL002 at the clock read, CSA103
+        naming the escape path, and CSA101 via the
+        ``run_fleet_storm_sharded`` worker path."""
         srcdir = tmp_path / "src"
         shutil.copytree(
             REPO / "src" / "repro",
@@ -482,17 +546,38 @@ class TestRepoEnforcement:
             "    return part\n"
         )
         fleet.write_text(text)
-        config = AnalyzeConfig(root=str(tmp_path))
+        clock = srcdir / "repro" / "core" / "planted_clock.py"
+        clock.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
+        (srcdir / "repro" / "simnet" / "planted_step.py").write_text(
+            "from ..core.planted_clock import stamp\n\n\n"
+            "def advance(env):\n"
+            "    return env.now + stamp()\n"
+        )
+        config = ToolConfig(root=str(tmp_path))
         violations = analyze_paths([str(srcdir)], config)
+        rendered = [v.render() for v in violations]
         planted = [
             v
             for v in violations
             if v.code == "CSA101" and "_planted_probe" in v.message
         ]
-        assert planted, [v.render() for v in violations]
+        assert planted, rendered
         assert any("_PLANTED_COUNTS" in v.message for v in planted)
         assert any(
             "repro.core.fleet._fleet_partition" in v.message for v in planted
+        )
+        sink = [v for v in violations if v.path == str(clock)]
+        assert [(v.code, v.line) for v in sink] == [("CSL002", 5)], rendered
+        escape = [
+            v
+            for v in violations
+            if v.code == "CSA103" and v.path.endswith("planted_step.py")
+        ]
+        assert len(escape) == 1, rendered
+        assert "wall-clock sink time.time()" in escape[0].message
+        assert (
+            "repro.simnet.planted_step.advance -> "
+            "repro.core.planted_clock.stamp" in escape[0].message
         )
 
 
@@ -553,3 +638,30 @@ class TestCli:
         assert main([fixture, "--write-baseline", str(baseline)]) == 0
         assert main([fixture, "--baseline", str(baseline)]) == 0
         assert main([fixture]) == 1
+
+    def test_unknown_select_code_exits_2(self, capsys):
+        assert main([str(FIXTURES / "csa101"), "--select", "CSA11"]) == 2
+        assert "CSA11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, bad",
+        [
+            ('select = "CSL001"', "'CSL001'"),
+            ('select = ["CSL01"]', "CSL01"),
+            ('[tool.csawanalyze.allow]\nCSL02 = ["x.py"]', "CSL02"),
+            ('[tool.csawanalyze.scope]\nCSL04 = ["x.py"]', "CSL04"),
+        ],
+        ids=["select-not-a-list", "select", "allow", "scope"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, table, bad):
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.csawanalyze]\n" + table + "\n"
+        )
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        assert main([str(tmp_path / "ok.py")]) == 2
+        assert bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["srcc", "gone.py"])
+    def test_missing_path_exits_2(self, tmp_path, capsys, missing):
+        assert main([str(tmp_path / missing)]) == 2
+        assert missing in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""csaw-lint: paired trigger/clean fixtures per rule, plus the
-suppression, allowlist, scope-override, baseline, and CLI behaviours —
-and the enforcement test that keeps the real tree at zero findings."""
+"""csaw-analyze's per-file CSL rules: paired trigger/clean fixtures per
+rule, plus the suppression, allowlist, scope-override, baseline, and CLI
+behaviours — and the enforcement test that keeps the real tree at zero
+findings."""
 
 import json
 import os
@@ -9,17 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools import config as devconfig
+from repro.devtools.analyze.main import analyze_paths, analyze_source, main
+from repro.devtools.config import ToolConfig, load_tool_config
 from repro.devtools.framework import all_rules, suppressed_lines
-from repro.devtools.lint import (
-    LintConfig,
-    apply_baseline,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    load_config,
-    main,
-    write_baseline,
-)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -30,14 +24,14 @@ CORE = f"{ROOT}/src/repro/core/mod.py"
 ANALYSIS = f"{ROOT}/src/repro/analysis/mod.py"
 
 
-def lint(source, path=ANALYSIS, config=None):
+def analyze(source, path=ANALYSIS, config=None):
     source = textwrap.dedent(source)
-    config = config or LintConfig(root=ROOT)
-    return lint_source(source, path, config)
+    config = config or ToolConfig(root=ROOT)
+    return analyze_source(source, path, config)
 
 
 def codes(source, path=ANALYSIS, config=None):
-    return [v.code for v in lint(source, path, config)]
+    return [v.code for v in analyze(source, path, config)]
 
 
 # -- per-rule fixtures ---------------------------------------------------------
@@ -213,7 +207,7 @@ class TestCSL003UnorderedIteration:
         no longer carries it: the set-iteration shape trips in fleet.py
         like everywhere else (and the shipped fleet.py stays clean, per
         the whole-tree enforcement test)."""
-        config = load_config(str(REPO / "pyproject.toml"), str(REPO))
+        config = load_tool_config(str(REPO / "pyproject.toml"), str(REPO))
         assert "CSL003" not in config.allow
         src = """
         def sweep(due, versions, target):
@@ -232,7 +226,7 @@ class TestCSL003UnorderedIteration:
         the grouping shape must be CSL003-clean *without* relying on
         the ``core/fleet.py`` allowlist entry, so the fast path stays
         portable to unexempted modules."""
-        config = load_config(str(REPO / "pyproject.toml"), str(REPO))
+        config = load_tool_config(str(REPO / "pyproject.toml"), str(REPO))
         src = """
         def sweep(due, versions, build):
             groups = {}
@@ -362,7 +356,7 @@ class TestCSL006SimTimeEquality:
         assert codes(src) == []
 
     def test_config_extends_time_identifiers(self):
-        config = LintConfig(root=ROOT, options={"time-identifiers": ["epoch"]})
+        config = ToolConfig(root=ROOT, options={"time-identifiers": ["epoch"]})
         assert codes("hit = epoch == 3\n", config=config) == ["CSL006"]
         assert codes("hit = epoch == 3\n") == []
 
@@ -488,27 +482,45 @@ class TestCSL009SpecBackedScenarios:
 
 class TestInlineSuppression:
     def test_same_line_disable_single_code(self):
-        src = "import random\nx = random.random()  # csaw-lint: disable=CSL001\n"
+        src = "import random\nx = random.random()  # csaw-analyze: disable=CSL001\n"
         assert codes(src) == []
 
     def test_disable_all_codes(self):
-        src = "import random\nx = random.random()  # csaw-lint: disable\n"
+        src = "import random\nx = random.random()  # csaw-analyze: disable\n"
         assert codes(src) == []
 
     def test_wrong_code_does_not_suppress(self):
-        src = "import random\nx = random.random()  # csaw-lint: disable=CSL002\n"
+        src = "import random\nx = random.random()  # csaw-analyze: disable=CSL002\n"
         assert codes(src) == ["CSL001"]
 
     def test_standalone_comment_covers_next_line(self):
         src = (
             "import random\n"
-            "# csaw-lint: disable=CSL001\n"
+            "# csaw-analyze: disable=CSL001\n"
             "x = random.random()\n"
         )
         assert codes(src) == []
 
+    @pytest.mark.parametrize(
+        "comment",
+        [
+            "# csaw-analyze: disable=csl002",
+            "# csaw-analyze: disable = CSL001",
+            "# csaw-analyze: disabled until the rewrite lands",
+        ],
+        ids=["lower-case-code", "spaced-equals", "disabled-prose"],
+    )
+    def test_malformed_marker_suppresses_nothing(self, comment):
+        src = f"import random\nx = random.random()  {comment}\n"
+        assert suppressed_lines(src) == {}
+        assert codes(src) == ["CSL001"]
+
+    def test_reason_may_follow_the_codes(self):
+        supp = suppressed_lines("x = 1  # csaw-analyze: disable=CSL003 reason…\n")
+        assert supp == {1: {"CSL003"}}
+
     def test_parser_maps_lines(self):
-        supp = suppressed_lines("a = 1\n# csaw-lint: disable=CSL003,CSL006\nb = 2\n")
+        supp = suppressed_lines("a = 1\n# csaw-analyze: disable=CSL003,CSL006\nb = 2\n")
         assert supp[2] == {"CSL003", "CSL006"}
         assert supp[3] == {"CSL003", "CSL006"}
 
@@ -518,13 +530,13 @@ class TestInlineSuppression:
 
 class TestConfig:
     def test_allowlist_extends_rule(self):
-        config = LintConfig(root=ROOT, allow={"CSL001": ("src/repro/legacy/*",)})
+        config = ToolConfig(root=ROOT, allow={"CSL001": ("src/repro/legacy/*",)})
         src = "import random\nx = random.random()\n"
         assert codes(src, path=f"{ROOT}/src/repro/legacy/old.py", config=config) == []
         assert codes(src, path=ANALYSIS, config=config) == ["CSL001"]
 
     def test_scope_override_replaces_rule_scope(self):
-        config = LintConfig(root=ROOT, scope={"CSL004": ("src/repro/censor/*",)})
+        config = ToolConfig(root=ROOT, scope={"CSL004": ("src/repro/censor/*",)})
         src = "import socket\n"
         assert codes(src, path=SIMNET, config=config) == []
         assert codes(src, path=f"{ROOT}/src/repro/censor/mb.py", config=config) == [
@@ -532,7 +544,7 @@ class TestConfig:
         ]
 
     def test_select_restricts_rules(self):
-        config = LintConfig(root=ROOT, select=("CSL007",))
+        config = ToolConfig(root=ROOT, select=("CSL007",))
         src = "import random\ndef f(xs=[]):\n    return random.random()\n"
         assert codes(src, config=config) == ["CSL007"]
 
@@ -540,19 +552,19 @@ class TestConfig:
         (tmp_path / "pyproject.toml").write_text(
             textwrap.dedent(
                 """
-                [tool.csawlint]
+                [tool.csawanalyze]
                 select = ["CSL001", "CSL007"]
                 baseline = "lint-baseline.json"
 
-                [tool.csawlint.allow]
+                [tool.csawanalyze.allow]
                 CSL001 = ["src/gen/*"]
 
-                [tool.csawlint.options]
+                [tool.csawanalyze.options]
                 time-identifiers = ["epoch"]
                 """
             )
         )
-        config = load_config(None, str(tmp_path / "x.py"))
+        config = load_tool_config(None, str(tmp_path / "x.py"))
         assert config.root == str(tmp_path)
         assert config.select == ("CSL001", "CSL007")
         assert config.baseline == "lint-baseline.json"
@@ -560,7 +572,7 @@ class TestConfig:
         assert config.options["time-identifiers"] == ["epoch"]
 
     def test_repo_pyproject_parses(self):
-        config = load_config(str(REPO / "pyproject.toml"), str(REPO))
+        config = load_tool_config(str(REPO / "pyproject.toml"), str(REPO))
         assert "CSL002" in config.allow
 
 
@@ -577,36 +589,36 @@ class TestBaseline:
 
     def test_round_trip_grandfathers_existing(self, tmp_path):
         self._violating_file(tmp_path)
-        config = LintConfig(root=str(tmp_path))
-        violations = lint_paths([str(tmp_path / "src")], config)
+        config = ToolConfig(root=str(tmp_path))
+        violations = analyze_paths([str(tmp_path / "src")], config)
         assert [v.code for v in violations] == ["CSL007"]
 
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(violations, str(baseline_path), config)
-        baseline = load_baseline(str(baseline_path))
+        devconfig.write_baseline(violations, str(baseline_path), config.root)
+        baseline = devconfig.load_baseline(str(baseline_path))
         assert baseline == {"src/old.py:CSL007": 1}
 
-        fresh, grandfathered = apply_baseline(violations, baseline, config)
+        fresh, grandfathered = devconfig.apply_baseline(violations, baseline, config.root)
         assert fresh == [] and grandfathered == 1
 
     def test_new_violation_not_masked(self, tmp_path):
         path = self._violating_file(tmp_path)
-        config = LintConfig(root=str(tmp_path))
-        violations = lint_paths([str(tmp_path / "src")], config)
+        config = ToolConfig(root=str(tmp_path))
+        violations = analyze_paths([str(tmp_path / "src")], config)
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(violations, str(baseline_path), config)
+        devconfig.write_baseline(violations, str(baseline_path), config.root)
 
         path.write_text(path.read_text() + "def g(ys=[]):\n    return ys\n")
-        violations = lint_paths([str(tmp_path / "src")], config)
-        fresh, grandfathered = apply_baseline(
-            violations, load_baseline(str(baseline_path)), config
+        violations = analyze_paths([str(tmp_path / "src")], config)
+        fresh, grandfathered = devconfig.apply_baseline(
+            violations, devconfig.load_baseline(str(baseline_path)), config.root
         )
         assert grandfathered == 1
         assert [v.code for v in fresh] == ["CSL007"]
 
     def test_missing_baseline_is_empty(self):
-        assert load_baseline(None) == {}
-        assert load_baseline("/nonexistent/baseline.json") == {}
+        assert devconfig.load_baseline(None) == {}
+        assert devconfig.load_baseline("/nonexistent/baseline.json") == {}
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -662,14 +674,16 @@ class TestCli:
 
 
 class TestRepoEnforcement:
-    def test_all_nine_rules_registered(self):
-        assert sorted(all_rules()) == [f"CSL00{i}" for i in range(1, 10)]
+    def test_all_fourteen_rules_registered(self):
+        assert list(all_rules()) == [f"CSA10{i}" for i in range(1, 6)] + [
+            f"CSL00{i}" for i in range(1, 10)
+        ]
 
     def test_src_tree_is_lint_clean(self, capsys):
         rc = main([str(REPO / "src"), "--config", str(REPO / "pyproject.toml")])
         captured = capsys.readouterr()
-        assert rc == 0, f"csaw-lint found violations:\n{captured.out}"
+        assert rc == 0, f"csaw-analyze found violations:\n{captured.out}"
 
     def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(str(REPO / ".csawlint-baseline.json"))
+        baseline = devconfig.load_baseline(str(REPO / ".csawanalyze-baseline.json"))
         assert baseline == {}

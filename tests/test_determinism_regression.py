@@ -4,7 +4,7 @@ Set-iteration order bugs do NOT reproduce inside one process (a string
 hashes the same all process long), so the cross-run checks here execute
 the pipeline in subprocesses under *different* ``PYTHONHASHSEED`` values
 and diff the canonical JSON output.  This is the executable form of the
-invariant csaw-lint CSL003 enforces statically: the paper's s_{j,k}
+invariant csaw-analyze CSL003 enforces statically: the paper's s_{j,k}
 statistics and Table-7 rows are only meaningful if two runs of the same
 experiment seed agree bit-for-bit."""
 
