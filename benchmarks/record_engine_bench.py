@@ -300,9 +300,9 @@ def run_plane_mix_storm():
     ``fleet_report_storm`` and the same combined 1% reporter mass — the
     mix splits it 0.4/0.5/0.1 — so what's measured is the overhead of
     the plane *machinery*: per-plane RNG streams, per-reporter Encore
-    item draws, per-plane convergence curves, and the activated
-    per-plane voting histograms on the server (report volume would
-    otherwise dominate and the ratio would just measure reporter count).
+    item draws, per-plane convergence curves, and per-plane ledger tags
+    on the server (report volume would otherwise dominate and the ratio
+    would just measure reporter count).
     Guarded at <=1.5x the single-plane storm in ``bench_fleet_storm.py``."""
     from repro.core.fleet import run_fleet_storm
 

@@ -32,9 +32,12 @@ populations, few active reporters) both fit this shape.
 Pulls ride the *columnar* delta-sync wire format
 (:meth:`~repro.core.globaldb.ServerDB.sync_batch_for_as`): one batch is
 built per (AS, since-version) per service tick and shared by every
-client at that version.  Reports go through the ordinary
-``post_update`` path, so the voting ledger and shard change logs see
-real traffic.
+client at that version.  Reports go through the server's one write
+path, so the voting ledger and shard change logs see real traffic: the
+reporters of a shared-list plane due in one tick post their common list
+in one :meth:`~repro.core.globaldb.ServerDB.post_updates` call, which
+absorbs the group by count (DESIGN.md §16); a per-reporter plane
+(Encore) posts one ``post_update`` per reporter.
 
 Sweeps work on *version runs* (DESIGN.md §15): the clients due in a
 sweep are a prefix of ``runs``, found by bisecting the offsets, and
@@ -644,22 +647,46 @@ class ClientCohort:
     # -- per-tick service ------------------------------------------------------
 
     def _post_due_reports(self, st: CohortAs, now: float) -> None:
+        """Post every report due by ``now``, plane group by plane group.
+
+        A group's due reporters are a prefix of its ``report_order`` from
+        ``report_ptr``.  A shared-list plane's due reporters all upload
+        the same list at ``now``, so they go to the server as one
+        :meth:`~repro.core.globaldb.ServerDB.post_updates` call; a
+        per-reporter plane posts each reporter's own list.
+        """
         server = self.server
         metrics = self.metrics
         by_plane = metrics.reports_by_plane
         all_done = True
         for group in st.groups:
             order = group.report_order
-            shared = group.items  # one shared list per shard per wave
-            items_by_r = group.items_by_r
-            pending = group.pending
-            while group.report_ptr < len(order):
-                r = order[group.report_ptr]
-                if group.report_at[r] > now:
-                    break
-                items = shared if items_by_r is None else items_by_r[r]
-                if items or items_by_r is None:
-                    accepted = server.post_update(group.uuids[r], items, now)
+            report_at = group.report_at
+            start = end = group.report_ptr
+            while end < len(order) and report_at[order[end]] <= now:
+                end += 1
+            if end > start:
+                due = order[start:end]
+                uuids = group.uuids
+                items_by_r = group.items_by_r
+                if items_by_r is None:
+                    # One shared list per shard per wave.  Even an empty
+                    # one moves the report window.
+                    accepted = server.post_updates(
+                        [uuids[r] for r in due], group.items, now
+                    )
+                    posted = True
+                else:
+                    # A vantage that observed nothing (e.g. every
+                    # blockpage misclassified) makes no server call and
+                    # leaves the report window alone.
+                    posting = [r for r in due if items_by_r[r]]
+                    accepted = sum(
+                        server.post_update(uuids[r], items_by_r[r], now)
+                        for r in posting
+                    )
+                    posted = bool(posting)
+                if posted:
                     metrics.reports_absorbed += accepted
                     by_plane[group.name] = (
                         by_plane.get(group.name, 0) + accepted
@@ -667,11 +694,10 @@ class ClientCohort:
                     if self._first_report_at is None:
                         self._first_report_at = now
                     self._last_report_at = now
-                # else: a per-reporter plane whose vantage observed
-                # nothing (e.g. every blockpage misclassified) — no
-                # server call, no report-window update.
-                pending[r] = 0
-                group.report_ptr += 1
+                pending = group.pending
+                for r in due:
+                    pending[r] = 0
+                group.report_ptr = end
             if group.report_ptr == len(order):
                 if group.target_version is None:
                     # This plane's last reporter posted: the shard

@@ -18,6 +18,11 @@ snapshot on first pull or when the log has been truncated past the
 client's version.  TTL expiry is applied at write/pull time through a
 lazy-deletion heap (expired rows are *evicted* and logged as removals),
 never by filtering every row on read.
+
+Clients that upload one list at one time — a fleet's reporters of one
+AS due in the same tick — post it in one :meth:`ServerDB.post_updates`
+call, which does the shard and ledger work once per group;
+:meth:`ServerDB.post_update` is its one-client case.
 """
 
 from __future__ import annotations
@@ -197,10 +202,12 @@ class _AsShard:
     records ``(version, url)`` per change.  The log is bounded: when it
     outgrows a small multiple of the live table, old rows are forgotten
     and ``floor`` rises; diffs are only answerable for ``since_version >=
-    floor`` (older clients get a full snapshot).  Changes are recorded
+    floor`` (older clients get a full snapshot).  Log versions are
+    contiguous, so ``floor == version - len(log)``.  Changes are recorded
     in *runs* (:meth:`mark_changed`): a write marks every URL it changed
-    between two entry-count changes as one step, with the same versions,
-    log and floor as marking them one at a time.  ``expiry`` is a
+    between two entry-count changes as one step, and a group's block of
+    repeat uploads marks one run per shard, with the same versions, log
+    and floor as marking them one at a time.  ``expiry`` is a
     lazy-deletion min-heap of ``(posted_at, url)`` rows used for
     write-time TTL eviction: refreshed entries leave stale heap rows
     behind, skipped when popped because the entry's current ``posted_at``
@@ -229,27 +236,36 @@ class _AsShard:
         version each (a URL may repeat).
 
         The run is one step — the version advances by ``len(urls)``, the
-        log grows by one ``extend``, the batch cache is cleared once and
-        the log trimmed once.  The log limit depends on the entry count,
-        so this equals marking each URL alone only while that count holds
-        still: callers end a run before inserting or deleting an entry.
-        Within a run the limit is constant, and one trim to it keeps the
-        same suffix of the log, and the same ``floor``, as a trim after
-        every append.  An empty run changes nothing.
+        batch cache is cleared once and the log trimmed once.  The log
+        limit depends on the entry count, so this equals marking each URL
+        alone only while that count holds still: callers end a run before
+        inserting or deleting an entry.  Within a run the limit is
+        constant, and one trim to it keeps the same suffix of the log, and
+        the same ``floor``, as a trim after every append.  Log versions
+        are contiguous, so ``floor == version - len(log)`` always holds; a
+        run at least as long as the limit replaces the log with its own
+        last ``limit`` rows, so the cost follows the rows kept, not the
+        rows given.  An empty run changes nothing.
         """
-        if not urls:
+        count = len(urls)
+        if not count:
             return
         start = self.version
-        self.version = start + len(urls)
+        version = self.version = start + count
         if self.batch_cache:
             self.batch_cache.clear()
         log = self.log
-        log.extend(zip(range(start + 1, self.version + 1), urls))
-        excess = len(log) - max(256, 4 * len(self.entries))
-        if excess > 0:
-            for _ in range(excess - 1):
+        limit = max(256, 4 * len(self.entries))
+        if count >= limit:
+            log.clear()
+            log.extend(
+                zip(range(version - limit + 1, version + 1), urls[-limit:])
+            )
+        else:
+            log.extend(zip(range(start + 1, version + 1), urls))
+            for _ in range(len(log) - limit):
                 log.popleft()
-            self.floor = log.popleft()[0]
+        self.floor = version - len(log)
 
     def touched_since(self, since_version: int) -> Set[str]:
         """URLs changed after ``since_version`` (caller checked >= floor)."""
@@ -265,6 +281,14 @@ class ServerDB:
     """The measurement collection service (server_DB + global_DB)."""
 
     def __init__(self, entry_ttl: Optional[float] = 7 * 24 * 3600.0):
+        # A negative TTL would evict a row in the write that stores it
+        # (while its vouch still counts), and NaN would never expire.
+        if entry_ttl is not None and not (
+            isinstance(entry_ttl, (int, float)) and entry_ttl >= 0.0
+        ):
+            raise ValueError(
+                f"entry_ttl must be None or a non-negative number: {entry_ttl!r}"
+            )
         self.entry_ttl = entry_ttl
         self._uuid_counter = itertools.count(1)
         self._clients: Dict[str, float] = {}  # uuid -> registered_at
@@ -330,29 +354,75 @@ class ServerDB:
 
         Returns the number of accepted items.  The client's entire current
         vouch set is extended by these entries (votes are renormalized by
-        the ledger).
-
-        Each item is one change to its shard, but the changes are marked
-        in runs (:meth:`_AsShard.mark_changed`): a shard's changed URLs
-        collect in upload order and are marked together, ending a run
-        just before an insert moves the shard's entry count.  Versions,
-        log and floor come out as if every item were marked alone.
+        the ledger).  The one-client case of :meth:`post_updates`.
         """
-        if uuid not in self._clients:
-            raise RegistrationError(f"unknown client: {uuid!r}")
-        if not reports:
+        return self.post_updates((uuid,), reports, now)
+
+    def post_updates(
+        self, uuids: Sequence[str], reports: List[ReportItem], now: float
+    ) -> int:
+        """Accept one list of reports uploaded by each of ``uuids`` at
+        ``now``, in that order; returns the items accepted over all of
+        them.  Equal to :meth:`post_update` per UUID in turn.
+
+        Every UUID is checked before anything changes.  The first upload
+        applies the list item by item (:meth:`_apply_upload`); each item
+        is one change to its shard, but the changes are marked in runs
+        (:meth:`_AsShard.mark_changed`): a shard's changed URLs collect in
+        upload order and are marked together, ending a run just before
+        an insert moves the shard's entry count.  Versions, log and floor
+        come out as if every item were marked alone.
+
+        After that upload every listed entry already holds what another
+        upload of the list at ``now`` writes, except ``last_uuid``.  So a
+        *repeat* — a later UUID with no vouch set yet, not met earlier in
+        the group — is absorbed by count with its block of consecutive
+        repeats (:meth:`_absorb_repeats`).  Any other UUID takes the
+        one-client step where it stands (DESIGN.md §16).
+        """
+        clients = self._clients
+        for uuid in uuids:
+            if uuid not in clients:
+                raise RegistrationError(f"unknown client: {uuid!r}")
+        if not reports or not uuids:
             return 0
-        keys: List[Tuple[str, int]] = []
+        keys = [(normalize_url(item.url), item.asn) for item in reports]
+        self._apply_upload(uuids[0], reports, keys, now)
+        vouches = self.voting.vouches
+        seen = {uuids[0]}
+        block: List[str] = []
+        for uuid in uuids[1:]:
+            if uuid in seen or vouches(uuid):
+                if block:
+                    self._absorb_repeats(block, reports, keys, now)
+                    block = []
+                self._apply_upload(uuid, reports, keys, now)
+            else:
+                block.append(uuid)
+            seen.add(uuid)
+        if block:
+            self._absorb_repeats(block, reports, keys, now)
+        return len(reports) * len(uuids)
+
+    def _apply_upload(
+        self,
+        uuid: str,
+        reports: List[ReportItem],
+        keys: List[Tuple[str, int]],
+        now: float,
+    ) -> None:
+        """One client's upload, item by item (``keys`` are the items'
+        normalized ``(url, asn)``): refresh or insert each entry, mark
+        the runs, extend the client's vouch set, re-mark entries whose
+        vote statistics moved, and evict expired rows of every shard
+        touched."""
         # asn -> (shard, URLs changed since the shard's last run ended)
         runs: Dict[int, Tuple[_AsShard, List[str]]] = {}
         by_plane = self.reports_by_plane
         track_expiry = self.entry_ttl is not None
         heappush = heapq.heappush
-        for item in reports:
-            url = normalize_url(item.url)
-            asn = item.asn
+        for item, (url, asn) in zip(reports, keys):
             plane = item.plane
-            keys.append((url, asn))
             run = runs.get(asn)
             if run is None:
                 run = runs[asn] = (self._shard(asn), [])
@@ -391,14 +461,67 @@ class ServerDB:
             by_plane[plane] = by_plane.get(plane, 0) + 1
         for shard, pending in runs.values():
             shard.mark_changed(pending)
-        accepted = len(keys)
-        self.update_count += accepted
+        self.update_count += len(keys)
         affected = self.voting.add_client_reports(uuid, keys)
         self._mark_vote_changes(affected.difference(keys))
         # Write-time eviction: stale rows leave with this write.
         for shard, _ in runs.values():
             self._evict_expired(shard, now)
-        return accepted
+
+    def _absorb_repeats(
+        self,
+        block: List[str],
+        reports: List[ReportItem],
+        keys: List[Tuple[str, int]],
+        now: float,
+    ) -> None:
+        """Apply the list once per UUID of ``block`` — distinct UUIDs with
+        no vouch set, after the list was applied at ``now`` — by count.
+
+        Entries: only ``last_uuid`` moves; every other field already
+        holds what a repeat writes.  Shards: one run per shard, the
+        upload's per-shard URL order once per repeat (no entry is
+        inserted, so the log limit holds still), and the expiry rows the
+        per-UUID path pushes, in its order.  Ledger: one call adds the
+        block's first vouch sets by count; a first vouch dilutes no
+        earlier key, so nothing is re-marked.  Eviction is skipped: the
+        first upload evicted these shards at ``now``, and a row written
+        at ``now`` cannot expire at ``now`` (``entry_ttl >= 0``).
+        """
+        repeats = len(block)
+        last = block[-1]
+        shards = self._shards
+        track_expiry = self.entry_ttl is not None
+        heappush = heapq.heappush
+        for asn, urls in self._urls_by_shard(keys).items():
+            shard = shards[asn]
+            entries = shard.entries
+            for url in urls:
+                entries[url].last_uuid = last
+            shard.mark_changed(urls * repeats)
+            if track_expiry:
+                expiry = shard.expiry
+                for _ in range(repeats):
+                    for url in urls:
+                        heappush(expiry, (now, url))
+        self.update_count += len(keys) * repeats
+        by_plane = self.reports_by_plane
+        for item in reports:
+            by_plane[item.plane] += repeats
+        self.voting.add_first_vouches(block, keys)
+
+    @staticmethod
+    def _urls_by_shard(keys: Iterable[Tuple[str, int]]) -> Dict[int, List[str]]:
+        """Each AS's URLs among ``keys``, in key order (ASes in order of
+        first appearance)."""
+        runs: Dict[int, List[str]] = {}
+        for url, asn in keys:
+            run = runs.get(asn)
+            if run is None:
+                runs[asn] = [url]
+            else:
+                run.append(url)
+        return runs
 
     def post_dissent(self, uuid: str, url: str, asn: int, now: float) -> bool:
         """A client reports that a listed URL is *not* blocked for it.
@@ -437,15 +560,8 @@ class ServerDB:
         deleted here, so each shard's live keys, in ``keys`` order, are
         marked as one run.
         """
-        runs: Dict[int, List[str]] = {}
-        for url, asn in keys:
-            run = runs.get(asn)
-            if run is None:
-                runs[asn] = [url]
-            else:
-                run.append(url)
         shards = self._shards
-        for asn, urls in runs.items():
+        for asn, urls in self._urls_by_shard(keys).items():
             shard = shards.get(asn)
             if shard is not None:
                 entries = shard.entries

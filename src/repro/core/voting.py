@@ -17,9 +17,12 @@ fidelity (in-browser C-Saw, Encore-style probes, generated probe lists —
 see :mod:`repro.planes`).  The ledger optionally keys its d-histograms
 per plane so consumers can weight the criterion by plane fidelity
 (:meth:`VotingLedger.weighted_stats`).  Plane tracking is *dormant*
-until the first client is tagged with a non-default plane
-(:meth:`VotingLedger.set_client_plane`): the dormant hot path is the
-pre-plane code plus one boolean check, and a dormant ledger's
+until a per-plane statistic is first read after some client was tagged
+with a non-default plane (:meth:`VotingLedger.set_client_plane`): the
+per-plane histograms are then built once from current state and every
+later mutation mirrors into them.  The dormant hot path is the
+pre-plane code plus one boolean check, so a writer nobody asks for
+per-plane statistics never pays for them, and a dormant ledger's
 :meth:`stats` is bit-identical to a plane-free one (property-tested).
 When active, the per-plane histograms partition the aggregate one —
 merging them bucket-wise reproduces ``_vote_hist`` exactly.
@@ -40,7 +43,7 @@ exact agreement, mirroring the ``linear_on_*`` pattern in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["DEFAULT_PLANE", "VoteStats", "VotingLedger"]
 
@@ -92,11 +95,12 @@ class VotingLedger:
         self._by_key: Dict[Key, Set[str]] = {}
         # key -> {d: number of reporters currently spreading over d URLs}
         self._vote_hist: Dict[Key, Dict[int, int]] = {}
-        # Per-plane refinement of _vote_hist, maintained only once a
-        # non-default plane appears (dormant single-plane ledgers pay one
-        # boolean per mutation).  client -> plane holds non-default
-        # assignments only; key -> plane -> {d: count} partitions the
-        # aggregate histogram when active.
+        # Per-plane refinement of _vote_hist, built on the first
+        # per-plane read once a non-default plane exists and maintained
+        # from then on (dormant ledgers pay one boolean per mutation).
+        # client -> plane holds non-default assignments only; key ->
+        # plane -> {d: count} partitions the aggregate histogram when
+        # active.
         self._plane_of: Dict[str, str] = {}
         self._plane_hist: Dict[Key, Dict[str, Dict[int, int]]] = {}
         self._planes_active = False
@@ -149,10 +153,10 @@ class VotingLedger:
     def set_client_plane(self, client_id: str, plane: str = DEFAULT_PLANE) -> None:
         """Tag a client's reports with a measurement plane.
 
-        The first non-default assignment flips the ledger from dormant to
-        plane-tracking: the per-plane histograms are rebuilt once from
-        current state, and every later mutation mirrors into them.  May be
-        called before or after the client's first report.
+        May be called before or after the client's first report.  Once
+        the per-plane histograms exist (:meth:`_plane_histograms`), the
+        client's vote moves between planes in them; before that, the
+        assignment is all there is to record.
         """
         old = self._plane_of.get(client_id, DEFAULT_PLANE)
         if plane == old:
@@ -162,10 +166,7 @@ class VotingLedger:
         else:
             self._plane_of[client_id] = plane
         if not self._planes_active:
-            if plane == DEFAULT_PLANE:
-                return  # still dormant: nothing non-default anywhere
-            self._activate_planes()
-            return
+            return  # dormant: the histograms are built when first read
         keys = self._by_client.get(client_id)
         if keys:
             d = len(keys)
@@ -173,10 +174,23 @@ class VotingLedger:
                 self._plane_hist_sub(key, old, d)
                 self._plane_hist_add(key, plane, d)
 
+    def _plane_histograms(
+        self,
+    ) -> Optional[Dict[Key, Dict[str, Dict[int, int]]]]:
+        """The per-plane histograms, or None while every client is on the
+        default plane.  The first call after a non-default assignment
+        builds them (:meth:`_activate_planes`); every later mutation
+        keeps them up to date."""
+        if not self._planes_active:
+            if not self._plane_of:
+                return None
+            self._activate_planes()
+        return self._plane_hist
+
     def _activate_planes(self) -> None:
-        """Build the per-plane histograms from scratch (first non-default
-        plane assignment).  One pass over clients — the same bucket
-        contents incremental mirroring maintains from here on."""
+        """Build the per-plane histograms from scratch (first per-plane
+        read).  One pass over clients — the same bucket contents
+        incremental mirroring maintains from here on."""
         self._planes_active = True
         self._plane_hist.clear()
         plane_of = self._plane_of
@@ -209,44 +223,80 @@ class VotingLedger:
         merged = set(keys) if old_keys is None else old_keys | set(keys)
         return self._set_reports(client_id, merged)
 
+    def add_first_vouches(
+        self, client_ids: Sequence[str], keys: Sequence[Key]
+    ) -> None:
+        """Give each of ``client_ids`` the entries ``keys`` as its first
+        vouch set — equal to :meth:`add_client_reports` for each in turn.
+
+        The clients must be distinct and vouch for nothing yet.  Keys are
+        counted in upload order, and each vouch set is built from
+        ``keys`` as :meth:`add_client_reports` builds it, so it iterates
+        in the same order: revocations and dissents mark a client's keys
+        in its set's order.
+        """
+        self._count_first_vouches(client_ids, dict.fromkeys(keys))
+        by_client = self._by_client
+        for client_id in client_ids:
+            by_client[client_id] = set(keys)
+
+    def _count_first_vouches(
+        self, client_ids: Sequence[str], keys: Collection[Key]
+    ) -> None:
+        """Seed ownership and the d-histograms (the per-plane mirror too,
+        when active) for distinct clients that each vouch for the same d
+        distinct ``keys`` and for nothing before: ``hist[d] += k`` per
+        key, per-plane counts in the mirror, and one ``set.update`` of
+        the owners.  No old votes to retract or re-bucket, and a first
+        vouch dilutes no earlier key."""
+        d = len(keys)
+        count = len(client_ids)
+        by_key = self._by_key
+        hists = self._vote_hist
+        for key in keys:
+            owners = by_key.get(key)
+            if owners is None:
+                by_key[key] = set(client_ids)
+            else:
+                owners.update(client_ids)
+            hist = hists.get(key)
+            if hist is None:
+                hists[key] = {d: count}
+            else:
+                hist[d] = hist.get(d, 0) + count
+        if not self._planes_active:
+            return
+        plane_counts: Dict[str, int] = {}
+        plane_of = self._plane_of
+        for client_id in client_ids:
+            plane = plane_of.get(client_id, DEFAULT_PLANE)
+            plane_counts[plane] = plane_counts.get(plane, 0) + 1
+        plane_hists = self._plane_hist
+        for plane, n in plane_counts.items():
+            for key in keys:
+                by_plane = plane_hists.get(key)
+                if by_plane is None:
+                    plane_hists[key] = {plane: {d: n}}
+                    continue
+                hist = by_plane.get(plane)
+                if hist is None:
+                    by_plane[plane] = {d: n}
+                else:
+                    hist[d] = hist.get(d, 0) + n
+
+    def vouches(self, client_id: str) -> bool:
+        """Whether the client vouches for any entry (cheap, no copy)."""
+        return client_id in self._by_client
+
     def _set_reports(self, client_id: str, new_keys: Set[Key]) -> Set[Key]:
         old_keys = self._by_client.get(client_id, set())
         if new_keys == old_keys:
             return set()
         if not old_keys:
-            # First vouch set for this client (the server-side hot path:
-            # every cohort reporter lands here once per wave).  No old
-            # votes to retract or re-bucket — one pass seeds ownership
-            # and the d-histograms (the per-plane mirror too, when
-            # active), with the same bucket contents the general path
-            # below would produce.
-            d_new = len(new_keys)
-            by_key = self._by_key
-            hists = self._vote_hist
-            mirror = self._planes_active
-            plane = self._plane_of.get(client_id, DEFAULT_PLANE) if mirror else ""
-            plane_hists = self._plane_hist
-            for key in new_keys:
-                owners = by_key.get(key)
-                if owners is None:
-                    by_key[key] = {client_id}
-                else:
-                    owners.add(client_id)
-                hist = hists.get(key)
-                if hist is None:
-                    hists[key] = {d_new: 1}
-                else:
-                    hist[d_new] = hist.get(d_new, 0) + 1
-                if mirror:
-                    by_plane = plane_hists.get(key)
-                    if by_plane is None:
-                        plane_hists[key] = {plane: {d_new: 1}}
-                    else:
-                        hist = by_plane.get(plane)
-                        if hist is None:
-                            by_plane[plane] = {d_new: 1}
-                        else:
-                            hist[d_new] = hist.get(d_new, 0) + 1
+            # First vouch set for this client (the server-side hot path):
+            # the count form with a count of one.  The caller's set is
+            # stored as given, so it keeps its iteration order.
+            self._count_first_vouches((client_id,), new_keys)
             self._by_client[client_id] = new_keys
             return set(new_keys)
         d_old = len(old_keys)
@@ -328,12 +378,13 @@ class VotingLedger:
     def stats_for_plane(self, url: str, asn: int, plane: str) -> VoteStats:
         """s/n restricted to reporters of one measurement plane."""
         key = (url, asn)
-        if not self._planes_active:
-            # Dormant ledger: every reporter is on the default plane.
+        plane_hists = self._plane_histograms()
+        if plane_hists is None:
+            # Every reporter is on the default plane.
             if plane == DEFAULT_PLANE:
                 return self.stats(url, asn)
             return VoteStats(votes=0.0, reporters=0)
-        hist = self._plane_hist.get(key, {}).get(plane)
+        hist = plane_hists.get(key, {}).get(plane)
         if not hist:
             return VoteStats(votes=0.0, reporters=0)
         return VoteStats(votes=_hist_votes(hist), reporters=sum(hist.values()))
@@ -341,7 +392,8 @@ class VotingLedger:
     def plane_stats(self, url: str, asn: int) -> Dict[str, VoteStats]:
         """Per-plane s/n for one key — the provenance breakdown."""
         key = (url, asn)
-        if not self._planes_active:
+        plane_hists = self._plane_histograms()
+        if plane_hists is None:
             reporters = self._by_key.get(key)
             if not reporters:
                 return {}
@@ -350,7 +402,7 @@ class VotingLedger:
             plane: VoteStats(
                 votes=_hist_votes(hist), reporters=sum(hist.values())
             )
-            for plane, hist in sorted(self._plane_hist.get(key, {}).items())
+            for plane, hist in sorted(plane_hists.get(key, {}).items())
         }
 
     def weighted_stats(

@@ -1,12 +1,15 @@
-"""Per-client reference for the fleet cohort's pull sweep.
+"""Per-client reference for the fleet cohort's pull sweep and posts.
 
 :class:`ReferenceClientCohort` is :class:`~repro.core.fleet.ClientCohort`
-with the original one-client-at-a-time pull loop.  Its shards store the
-per-client record arrays that loop mutates — the shard version each
-client last applied, its next pull deadline, and the rows and bytes it
-received — where the production shard keeps stagger offsets, version
-runs and difference arrays.  This is the executable spec the
-version-run sweep must match bit for bit (``tests/test_properties.py``,
+with the original one-client-at-a-time pull loop and report loop.  Its
+shards store the per-client record arrays the pull loop mutates — the
+shard version each client last applied, its next pull deadline, and the
+rows and bytes it received — where the production shard keeps stagger
+offsets, version runs and difference arrays.  Its report loop posts
+each due reporter with its own ``post_update`` call, where production
+hands a shared-list plane's due reporters to one ``post_updates`` call.
+This is the executable spec the version-run sweep and the grouped posts
+must match bit for bit (``tests/test_properties.py``,
 ``TestGroupedSweepProperties``, and the ``"spec"`` entry of
 ``tests/data/plane_golden.json``); only tests and
 ``benchmarks/bench_fleet_storm.py`` use it.
@@ -40,9 +43,52 @@ class ReferenceCohortAs(CohortAs):
 
 
 class ReferenceClientCohort(ClientCohort):
-    """ClientCohort that serves due clients one at a time."""
+    """ClientCohort that serves due clients and posts due reporters one
+    at a time."""
 
     _shard_type = ReferenceCohortAs
+
+    def _post_due_reports(self, st: CohortAs, now: float) -> None:
+        server = self.server
+        metrics = self.metrics
+        by_plane = metrics.reports_by_plane
+        all_done = True
+        for group in st.groups:
+            order = group.report_order
+            shared = group.items  # one shared list per shard per wave
+            items_by_r = group.items_by_r
+            pending = group.pending
+            while group.report_ptr < len(order):
+                r = order[group.report_ptr]
+                if group.report_at[r] > now:
+                    break
+                items = shared if items_by_r is None else items_by_r[r]
+                if items or items_by_r is None:
+                    accepted = server.post_update(group.uuids[r], items, now)
+                    metrics.reports_absorbed += accepted
+                    by_plane[group.name] = (
+                        by_plane.get(group.name, 0) + accepted
+                    )
+                    if self._first_report_at is None:
+                        self._first_report_at = now
+                    self._last_report_at = now
+                # else: a per-reporter plane whose vantage observed
+                # nothing (e.g. every blockpage misclassified) — no
+                # server call, no report-window update.
+                pending[r] = 0
+                group.report_ptr += 1
+            if group.report_ptr == len(order):
+                if group.target_version is None:
+                    # This plane's last reporter posted: the shard
+                    # version now is the plane's own convergence target.
+                    group.target_version = server.version_for_as(st.asn)
+            else:
+                all_done = False
+        if all_done and st.target_version is None:
+            # Last reporter of the last plane posted: the shard version
+            # now is what the population must reach to be considered
+            # converged (the overall target; per-plane targets above).
+            st.target_version = server.version_for_as(st.asn)
 
     def _service_pulls(self, st: CohortAs, now: float) -> None:
         """Serve every client whose periodic pull came due, one at a time.

@@ -4,8 +4,10 @@
 every shard change marked on its own: ``post_update`` walks the upload
 and marks each item as it is applied, vote-driven re-marks go one key at
 a time, and its shards mark each URL of a run separately, re-reading the
-log limit after every append.  This is the executable spec the batched
-production path must match bit for bit (``tests/test_properties.py``,
+log limit after every append.  A group upload is one ``post_update`` per
+UUID, in order.  This is the executable spec the batched production
+path — ``post_update`` and the group call ``post_updates`` — must match
+bit for bit (``tests/test_properties.py``,
 ``TestRunBatchedWriteProperties``); nothing outside the tests uses it.
 """
 

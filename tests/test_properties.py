@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on kernel and core invariants."""
 
+import copy
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import UrlPrefixIndex
-from repro.core.globaldb import ReportItem, ServerDB
+from repro.core.globaldb import RegistrationError, ReportItem, ServerDB
 from repro.core.localdb import LocalDatabase
 from repro.core.records import BlockStatus, BlockType
 from repro.core.voting import VotingLedger
@@ -355,15 +356,27 @@ class TestSyncWireFormatProperties:
 
 
 class TestGroupedSweepProperties:
-    """The version-run fleet pull sweep against the per-client reference
-    loop in ``tests/_reference_fleet.py``: hypothesis drives both through
-    random cohort shapes, plane mixes, rolled waves, TTL evictions and
-    wave/pull schedules and demands the same :class:`FleetMetrics`
-    (including the per-plane views), the same per-client record arrays,
-    and the same server-side serve counters.  After every sweep the
-    production layout must also hold the invariants the sweep relies on
-    (DESIGN.md §15).
+    """The version-run fleet pull sweep and grouped report posts against
+    the per-client reference loops in ``tests/_reference_fleet.py``:
+    hypothesis drives both through random cohort shapes, plane mixes,
+    rolled waves, TTL evictions and wave/pull schedules and demands the
+    same :class:`FleetMetrics` (including the per-plane views and the
+    report window), the same per-client record arrays, the same
+    server-side serve counters, and the same server write-side state.
+    After every sweep the production layout must also hold the
+    invariants the sweep relies on (DESIGN.md §15).
     """
+
+    #: Plane mixes beside the single C-Saw plane.  The probe-list plane's
+    #: low coverage often leaves an AS's shared list empty, a post that
+    #: still moves the report window.
+    MIXES = {
+        "encore": ({"kind": "encore", "miss_rate": 0.25},),
+        "problist": (
+            {"kind": "encore", "miss_rate": 0.25},
+            {"kind": "problist", "coverage": 0.2},
+        ),
+    }
 
     @staticmethod
     def _check_layout(cohort):
@@ -384,10 +397,10 @@ class TestGroupedSweepProperties:
         from tests._reference_fleet import run_storm
 
         planes = None
-        if mix:
-            planes = [
-                {"kind": "csaw", "fraction": frac},
-                {"kind": "encore", "fraction": frac, "miss_rate": 0.25},
+        if mix is not None:
+            planes = [{"kind": "csaw", "fraction": frac}] + [
+                {**plane, "fraction": frac}
+                for plane in TestGroupedSweepProperties.MIXES[mix]
             ]
         wave_at = None if wave_frac is None else wave_frac * interval
         tick = interval / tick_div
@@ -441,7 +454,7 @@ class TestGroupedSweepProperties:
         ),
         wave_frac=st.none() | st.floats(min_value=0.0, max_value=2.0),
         horizon_intervals=st.floats(min_value=0.25, max_value=6.0),
-        mix=st.booleans(),
+        mix=st.sampled_from([None, "encore", "problist"]),
         stagger_frac=st.just(0.0) | st.floats(min_value=0.0, max_value=2.0),
         ttl_frac=st.none() | st.floats(min_value=0.2, max_value=3.0),
     )
@@ -449,20 +462,26 @@ class TestGroupedSweepProperties:
     # evictions, a rolled wave, two planes).
     @example(
         seed=27, n_ases=3, clients=32, urls=2, frac=0.3, interval=450.0,
-        tick_div=6.5, wave_frac=1.5, horizon_intervals=6.0, mix=True,
+        tick_div=6.5, wave_frac=1.5, horizon_intervals=6.0, mix="encore",
         stagger_frac=1.0, ttl_frac=1.0,
     )
     # A single client: every sweep serves all or nothing.
     @example(
         seed=3, n_ases=1, clients=1, urls=2, frac=1.0, interval=600.0,
-        tick_div=1, wave_frac=0.5, horizon_intervals=6.0, mix=True,
+        tick_div=1, wave_frac=0.5, horizon_intervals=6.0, mix="encore",
         stagger_frac=0.5, ttl_frac=0.5,
     )
     # No wave: no shard ever exists, so every batch has version 0.
     @example(
         seed=5, n_ases=2, clients=20, urls=3, frac=0.1, interval=300.0,
-        tick_div=7, wave_frac=None, horizon_intervals=4.0, mix=False,
+        tick_div=7, wave_frac=None, horizon_intervals=4.0, mix=None,
         stagger_frac=0.0, ttl_frac=None,
+    )
+    # Three planes, where a one-URL wave leaves most probe lists empty.
+    @example(
+        seed=11, n_ases=3, clients=40, urls=1, frac=0.5, interval=300.0,
+        tick_div=10, wave_frac=0.5, horizon_intervals=3.0, mix="problist",
+        stagger_frac=0.0, ttl_frac=0.5,
     )
     @settings(max_examples=100, deadline=None)
     def test_grouped_sweep_bit_identical_to_spec(
@@ -485,6 +504,11 @@ class TestGroupedSweepProperties:
         assert g_metrics.pending_by_as == s_metrics.pending_by_as
         assert g_metrics.convergence_by_plane == s_metrics.convergence_by_plane
         assert g_metrics.curve_by_plane == s_metrics.curve_by_plane
+        assert (g_metrics.first_report_at, g_metrics.last_report_at) == \
+            (s_metrics.first_report_at, s_metrics.last_report_at)
+        # Grouped posts leave the server as one-by-one posts do.
+        state = TestRunBatchedWriteProperties._state
+        assert state(grouped.server) == state(spec.server)
         # Server-side serve/build accounting must agree too.
         assert grouped.server.full_syncs_served == spec.server.full_syncs_served
         assert grouped.server.delta_syncs_served == \
@@ -544,10 +568,12 @@ class TestGroupedSweepProperties:
 class TestRunBatchedWriteProperties:
     """ServerDB's run-batched write path against the per-item reference
     in ``tests/_reference_globaldb.py``: hypothesis drives both through
-    the same uploads, dissents, revocations, pulls and TTL evictions and
-    demands identical shards (entries, versions, logs, floors, expiry
-    heaps), counters, ledger histograms, and pulls from every live
-    since-version."""
+    the same uploads, group uploads, dissents, revocations, pulls and TTL
+    evictions and demands identical shards (entries, versions, logs,
+    floors, expiry heaps), counters, ledger histograms, and pulls from
+    every live since-version.  A group upload is one ``post_updates``
+    call on the fast side and one ``post_update`` per UUID, in order, on
+    the reference."""
 
     PLANES = ("csaw", "encore", "problist")
     STAGE_SETS = (
@@ -567,32 +593,34 @@ class TestRunBatchedWriteProperties:
     _dt = st.sampled_from([0.0, 1.0, 2.5])
     _client = st.integers(min_value=0, max_value=3)
     _asn = st.integers(min_value=0, max_value=2)
+    _rows = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=11),  # url
+            _asn,
+            st.integers(min_value=0, max_value=2),  # stages
+            st.sampled_from([0.0, 0.5, 3.0]),  # measured lag
+        ),
+        max_size=8,
+    )
+    _bulk_count = st.integers(min_value=1, max_value=80)
     # Each op ends with the sim-time step taken before it.  Small uploads
     # span ASes and repeat URLs.  A bulk upload posts the first `count`
     # URLs of one fixed list to the first AS: short ones fill its log to
     # the 256-row limit, and a longer one refreshes the stored prefix
     # before inserting past 64 entries, so the limit rises mid-upload
-    # after rows were already trimmed.
+    # after rows were already trimmed.  A group posts one small or bulk
+    # list for 1-5 of eight clients, repeats allowed: clients that vouch
+    # already or repeat within the group take the one-client step, the
+    # others are absorbed as repeats.  Clients 0-3 also post alone;
+    # planes go round-robin, so a block can hold two fresh clients of a
+    # plane that already vouches for the list.
     ops = st.lists(
         st.one_of(
-            st.tuples(
-                st.just("post"),
-                _client,
-                st.lists(
-                    st.tuples(
-                        st.integers(min_value=0, max_value=11),  # url
-                        _asn,
-                        st.integers(min_value=0, max_value=2),  # stages
-                        st.sampled_from([0.0, 0.5, 3.0]),  # measured lag
-                    ),
-                    max_size=8,
-                ),
-                _dt,
-            ),
+            st.tuples(st.just("post"), _client, _rows, _dt),
             st.tuples(
                 st.just("bulk"),
                 _client,
-                st.integers(min_value=1, max_value=80),  # count
+                _bulk_count,
                 _dt,
             ),
             st.tuples(
@@ -604,6 +632,13 @@ class TestRunBatchedWriteProperties:
             ),
             st.tuples(st.just("revoke"), _client, _dt),
             st.tuples(st.just("pull"), _asn, _dt),
+            st.tuples(
+                st.just("group"),
+                st.lists(st.integers(min_value=0, max_value=7),
+                         min_size=1, max_size=5),
+                _rows | _bulk_count,
+                _dt,
+            ),
         ),
         min_size=4,
         max_size=24,
@@ -636,7 +671,7 @@ class TestRunBatchedWriteProperties:
             list(db.reports_by_plane.items()),
             list(db.clients_by_plane.items()),
             ledger._vote_hist,
-            ledger._plane_hist,
+            ledger._plane_histograms(),
             ledger._by_key,
             ledger._by_client,
         )
@@ -707,6 +742,79 @@ class TestRunBatchedWriteProperties:
             ("pull", 0, 2.5),
         ],
     )
+    # A group of five fresh clients: the four repeats' run (4 x 67 rows)
+    # is longer than the 256-row log limit; then a group of clients that
+    # all vouch already.
+    @example(
+        ttl=None,
+        planes=False,
+        operations=[
+            ("post", 0, [(0, 0, 0, 0.0), (1, 0, 1, 0.5)], 1.0),
+            ("group", [1, 2, 3, 4, 5], 64, 1.0),
+            ("group", [2, 2, 5], [(0, 0, 1, 0.5)], 1.0),
+            ("pull", 0, 0.0),
+        ],
+    )
+    # The log sits at its limit; the group's first upload inserts past
+    # 64 entries, so the limit rises inside the group, and the repeats
+    # run at the new limit.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[("bulk", 0, 60, 1.0)] * 5 + [
+            ("group", [1, 2, 3, 4, 5], 80, 1.0),
+            ("group", [0, 1, 4], 70, 0.0),
+            ("pull", 0, 1.0),
+        ],
+    )
+    # A group spanning two ASes, with a URL listed twice: a first
+    # upload, a client that vouches already (its earlier keys are
+    # re-marked), a block of one repeat, a client met earlier in the
+    # group, and a client whose only vouch was dissented away.
+    @example(
+        ttl=None,
+        planes=True,
+        operations=[
+            ("post", 0, [(0, 0, 0, 0.0), (1, 1, 1, 0.5)], 1.0),
+            ("post", 3, [(5, 1, 0, 0.0)], 0.0),
+            ("dissent", 3, 5, 1, 0.0),
+            ("group", [1, 0, 2, 1, 3],
+             [(0, 0, 1, 0.5), (1, 1, 0, 0.0), (2, 1, 2, 3.0), (0, 0, 2, 0.0)],
+             1.0),
+            ("dissent", 2, 1, 1, 0.0),
+            ("group", [2, 4], [(1, 1, 2, 0.0)], 0.0),
+            ("pull", 1, 1.0),
+        ],
+    )
+    # Two fresh C-Saw clients (3 and 6) in one block, on keys client 0
+    # (C-Saw) vouches for: the per-plane mirror adds them by count.
+    # Then client 2, a repeat with 16 keys, is revoked: its vouch set
+    # must iterate as a one-by-one upload's does, since revocation
+    # marks in that order.
+    @example(
+        ttl=None,
+        planes=True,
+        operations=[
+            ("post", 0, [(0, 0, 0, 0.0), (1, 1, 1, 0.0)], 1.0),
+            ("group", [1, 3, 6], [(0, 0, 1, 0.0), (1, 1, 0, 0.5)], 1.0),
+            ("group", [7, 2], 16, 1.0),
+            ("revoke", 2, 0.0),
+            ("pull", 0, 0.0),
+        ],
+    )
+    # TTL eviction due at a group's `now`: its first upload evicts a row
+    # and skips stale heap rows of relisted URLs before the repeats.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[
+            ("post", 0, [(3, 0, 0, 0.0), (0, 0, 1, 0.0)], 1.0),
+            ("post", 1, [(4, 1, 0, 0.0)], 2.5),
+            ("group", [2, 3], [(0, 0, 0, 0.0), (4, 1, 1, 0.5)], 2.5),
+            ("group", [4, 5, 1], [(0, 0, 2, 0.0), (5, 0, 0, 0.0)], 2.5),
+            ("pull", 0, 0.0),
+        ],
+    )
     @settings(max_examples=50, deadline=None)
     def test_batched_writes_match_per_item_reference(
         self, ttl, planes, operations
@@ -722,14 +830,22 @@ class TestRunBatchedWriteProperties:
             return results[1]
 
         plane_of = [
-            self.PLANES[i % 3] if planes else self.PLANES[0] for i in range(4)
+            self.PLANES[i % 3] if planes else self.PLANES[0] for i in range(8)
         ]
         uuids = [
             both(lambda db: db.register(now=float(i), plane=plane_of[i]))
-            for i in range(4)
+            for i in range(8)
         ]
 
         def items(client, rows, now):
+            """A small upload from rows, or a bulk one from a count."""
+            if isinstance(rows, int):
+                urls = [f"http://b{i}.example/" for i in range(rows)]
+                urls += urls[:3]  # refreshes within the same upload
+                rows = [(url, 0, 0, 0.0) for url in urls]
+            else:
+                rows = [(f"http://u{u}.example/", a, s, lag)
+                        for u, a, s, lag in rows]
             return [
                 ReportItem(
                     url=url,
@@ -745,23 +861,18 @@ class TestRunBatchedWriteProperties:
         for op in operations:
             kind = op[0]
             now += op[-1]
-            if kind == "post":
+            if kind in ("post", "bulk"):
                 _, client, rows, _ = op
-                reports = items(
-                    client,
-                    [(f"http://u{u}.example/", a, s, lag)
-                     for u, a, s, lag in rows],
-                    now,
-                )
+                reports = items(client, rows, now)
                 both(lambda db: db.post_update(uuids[client], reports, now))
-            elif kind == "bulk":
-                _, client, count, _ = op
-                urls = [f"http://b{i}.example/" for i in range(count)]
-                urls += urls[:3]  # refreshes within the same upload
-                reports = items(
-                    client, [(url, 0, 0, 0.0) for url in urls], now
+            elif kind == "group":
+                _, clients, rows, _ = op
+                reports = items(clients[0], rows, now)
+                group = [uuids[client] for client in clients]
+                one_by_one = sum(
+                    ref.post_update(uuid, reports, now) for uuid in group
                 )
-                both(lambda db: db.post_update(uuids[client], reports, now))
+                assert fast.post_updates(group, reports, now) == one_by_one
             elif kind == "dissent":
                 _, client, url, asn, _ = op
                 both(lambda db: db.post_dissent(
@@ -779,6 +890,10 @@ class TestRunBatchedWriteProperties:
                 asn = self.ASN0 + op[1]
                 both(lambda db: db.sync_batch_for_as(asn, now))
             self._assert_same(ref, fast)
+            # Contiguous log versions: what the run trim relies on.
+            for db in dbs:
+                for shard in db._shards.values():
+                    assert shard.floor == shard.version - len(shard.log)
         self._assert_ledger_matches_recompute(fast.voting)
         self._assert_same_pulls(ref, fast, now + 1.0)
 
@@ -815,3 +930,46 @@ class TestRunBatchedWriteProperties:
         assert len(shard.entries) == 90
         assert 256 < len(shard.log) <= 4 * 90 and shard.floor > 0
         self._assert_same_pulls(ref, fast, 10.0)
+
+    @pytest.mark.parametrize("entries", [0, 70])
+    def test_runs_around_the_log_limit_match_one_at_a_time(self, entries):
+        """Runs one short of, at and past the log limit, onto logs of
+        several lengths: one run leaves the version, log and floor that
+        marking its URLs one at a time does, and ``floor == version -
+        len(log)`` holds."""
+        from repro.core.globaldb import _AsShard
+        from tests._reference_globaldb import ReferenceShard
+
+        limit = max(256, 4 * entries)
+        for prior in (0, 1, limit - 1, limit):
+            for count in (1, limit - 1, limit, limit + 1, 2 * limit + 3):
+                shards = (ReferenceShard(), _AsShard())
+                for shard in shards:
+                    # Only the entry count matters to the log limit.
+                    shard.entries.update((f"e{i}", None) for i in range(entries))
+                    shard.mark_changed([f"p{i}" for i in range(prior)])
+                    shard.mark_changed([f"r{i}" for i in range(count)])
+                ref, fast = shards
+                assert (fast.version, list(fast.log), fast.floor) == \
+                    (ref.version, list(ref.log), ref.floor), (prior, count)
+                assert fast.floor == fast.version - len(fast.log)
+
+    def test_group_with_unknown_uuid_changes_nothing(self):
+        """Every UUID of a group is checked before anything is applied:
+        an unknown one raises with the known ones ahead of it unposted."""
+        db = ServerDB(entry_ttl=5.0)
+        first, second = db.register(now=0.0), db.register(now=0.0)
+        reports = [
+            ReportItem(url=f"http://u{i}.example/", asn=self.ASN0 + i % 2,
+                       stages=self.STAGE_SETS[i % 3], measured_at=1.0)
+            for i in range(4)
+        ]
+        db.post_update(first, reports[:2], now=1.0)
+        before = copy.deepcopy(self._state(db))
+        with pytest.raises(RegistrationError):
+            db.post_updates([second, "nope", first], reports, now=2.0)
+        with pytest.raises(RegistrationError):
+            db.post_updates(["nope"], [], now=2.0)
+        assert db.post_updates([], reports, now=2.0) == 0
+        assert db.post_updates([second, first], [], now=2.0) == 0
+        assert self._state(db) == before

@@ -165,6 +165,25 @@ class TestServerDB:
         assert server.blocked_for_as(17557, now=50.0)
         assert server.blocked_for_as(17557, now=200.0) == []
 
+    @pytest.mark.parametrize("ttl", [-1.0, float("nan")])
+    def test_negative_or_nan_entry_ttl_rejected(self, ttl):
+        # -1.0 would evict an entry in the write that stores it while
+        # its vouch still counts; NaN would never expire anything.
+        with pytest.raises(ValueError):
+            ServerDB(entry_ttl=ttl)
+
+    def test_zero_ttl_entry_outlives_writes_at_its_own_time(self):
+        server = ServerDB(entry_ttl=0.0)
+        first, second = server.register(now=0.0), server.register(now=0.0)
+        server.post_update(first, self.make_reports(["http://a.com/"]), now=1.0)
+        server.post_update(second, self.make_reports(["http://b.com/"]), now=1.0)
+        assert server.entry("http://a.com/", 17557) is not None
+        server.post_update(second, self.make_reports(["http://b.com/"]), now=1.5)
+        assert server.entry("http://a.com/", 17557) is None
+        assert [e.url for e in server.blocked_for_as(17557, now=1.5)] == [
+            "http://b.com/"
+        ]
+
     def test_revoke_drops_client_and_votes(self):
         server = ServerDB()
         uuid = server.register(now=0.0)
