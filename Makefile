@@ -26,7 +26,7 @@ report: bench
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script"; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) $$script || exit 1; \
 	done
 
 all: analyze test bench report

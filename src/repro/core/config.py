@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["CSawConfig"]
@@ -89,6 +90,12 @@ class CSawConfig:
         return cls(**defaults)
 
     def __post_init__(self) -> None:
+        # A zero interval paces the loop only by RPC latency, NaN stops
+        # it, and a negative one fails the kernel's first timeout.
+        for name in ("report_interval", "download_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0: {value!r}")
         if not 0.0 <= self.probe_probability <= 1.0:
             raise ValueError(f"p must be in [0,1]: {self.probe_probability!r}")
         if self.redundancy_mode not in ("parallel", "serial"):

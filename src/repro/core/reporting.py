@@ -11,20 +11,22 @@ Clients register once (CAPTCHA-gated), then periodically:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Union
 
 from ..circumvent.base import Transport, fetch_pipeline
 from ..simnet.flow import FlowContext
 from ..simnet.world import World
 from ..urlkit import base_url, normalize_url
 from .config import CSawConfig
-from .globaldb import GlobalEntry, ServerDB, SyncBatch, SyncResult
+from .globaldb import GlobalEntry, PackedRow, ServerDB, SyncBatch, SyncResult
 from .localdb import LocalDatabase
-from .records import decode_stages
 
 __all__ = ["GlobalView", "ReportingService", "ensure_collector"]
 
 COLLECTOR_HOSTNAME = "collector.csaw-metrics.io"
+
+#: Seconds of float rounding under which a periodic countdown is due.
+_DUE = 1e-9
 
 
 def ensure_collector(world: World) -> str:
@@ -42,10 +44,14 @@ class GlobalView:
 
     Tracks the server-side shard version it last saw (plus which AS that
     version belongs to), so the next pull can request only the diff.
+    A pulled row is stored packed and decoded on its first read
+    (:meth:`lookup`, :meth:`entries`): a client reads few of the rows it
+    pulls.  The decoded entry stays in place until a later pull
+    overwrites its URL, so repeated reads return the same object.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[str, GlobalEntry] = {}
+        self._entries: Dict[str, Union[GlobalEntry, PackedRow]] = {}
         self.last_synced: Optional[float] = None
         self.version: int = 0
         self.synced_asn: Optional[int] = None
@@ -80,57 +86,41 @@ class GlobalView:
     def apply_batch(self, batch: SyncBatch, now: float) -> None:
         """Fold one columnar :class:`SyncBatch` into the cached view.
 
-        One pass over the parallel columns, rebuilding entries in place
-        — bit-identical to :meth:`apply_sync` on the equivalent
-        :class:`SyncResult` (the property tests enforce it).
+        The batch's packed rows go in with one dict update and no
+        per-row object; read back, the view is bit-identical to
+        :meth:`apply_sync` on the equivalent :class:`SyncResult` (the
+        property tests enforce it).
         """
-        asn = batch.asn
-        columns = zip(
-            batch.urls,
-            batch.stage_codes,
-            batch.measured_at,
-            batch.posted_at,
-            batch.first_measured_at,
-            batch.reporter_uuids,
-        )
         if batch.full:
-            self._entries = {
-                url: GlobalEntry(
-                    url=url,
-                    asn=asn,
-                    stages=decode_stages(code),
-                    measured_at=measured,
-                    posted_at=posted,
-                    last_uuid=uuid,
-                    first_measured_at=first,
-                )
-                for url, code, measured, posted, first, uuid in columns
-            }
+            self._entries = dict(batch.packed_rows())
         else:
             entries = self._entries
             for url in batch.removed:
                 entries.pop(url, None)
-            for url, code, measured, posted, first, uuid in columns:
-                entries[url] = GlobalEntry(
-                    url=url,
-                    asn=asn,
-                    stages=decode_stages(code),
-                    measured_at=measured,
-                    posted_at=posted,
-                    last_uuid=uuid,
-                    first_measured_at=first,
-                )
+            entries.update(batch.packed_rows())
         self.version = batch.version
-        self.synced_asn = asn
+        self.synced_asn = batch.asn
         self.last_synced = now
+
+    def _read(self, url: str) -> GlobalEntry:
+        """The stored entry for ``url``, decoded in place on first read."""
+        found = self._entries[url]
+        if isinstance(found, tuple):
+            found = self._entries[url] = GlobalEntry.unpack(url, found)
+        return found
 
     def lookup(self, url: str) -> Optional[GlobalEntry]:
         """Exact match first, then the URL's base (aggregated entries)."""
         url = normalize_url(url)
-        found = self._entries.get(url)
-        if found is not None:
-            return found
-        return self._entries.get(base_url(url))
+        if url not in self._entries:
+            url = base_url(url)
+            if url not in self._entries:
+                return None
+        return self._read(url)
+
+    def entries(self) -> List[GlobalEntry]:
+        """Every entry, in view order."""
+        return [self._read(url) for url in list(self._entries)]
 
     def urls(self) -> List[str]:
         return list(self._entries)
@@ -268,11 +258,27 @@ class ReportingService:
         return len(batch.urls)
 
     def run_periodic(self, ctx: FlowContext, until: float) -> Generator:
-        """Background process: report + download loops until ``until``."""
+        """Background process: report + download loops until ``until``.
+
+        Each operation counts down its own interval over the loop's
+        sleeps and runs when its countdown reaches zero, then starts it
+        again; with equal intervals every wakeup posts, then pulls.  A
+        countdown within a nanosecond's rounding of zero is due, so
+        intervals that are multiples of one another stay in step.
+        """
         env = self.world.env
+        config = self.config
+        report_in = config.report_interval
+        download_in = config.download_interval
         while env.now < until:
-            delay = min(self.config.report_interval, self.config.download_interval)
+            delay = min(report_in, download_in)
             yield env.timeout(delay)
-            if self.uuid is not None:
-                yield from self.post_reports(ctx)
-            yield from self.download_blocked_list(ctx)
+            report_in -= delay
+            download_in -= delay
+            if report_in <= _DUE:
+                report_in = config.report_interval
+                if self.uuid is not None:
+                    yield from self.post_reports(ctx)
+            if download_in <= _DUE:
+                download_in = config.download_interval
+                yield from self.download_blocked_list(ctx)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..simnet.web import EmbeddedRef
@@ -68,12 +69,14 @@ class Corpus:
     sites: List[SiteSpec]
     cdn_hostnames: List[str]
     zipf_exponent: float = 0.9
-    _weights: Optional[List[float]] = field(default=None, repr=False)
+    # Running sums of the Zipf weights 1 / rank**s in site order, built
+    # once: ``choices(weights=...)`` would re-sum them on every draw.
+    _cum_weights: List[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._weights = [
+        self._cum_weights = list(accumulate(
             1.0 / (site.rank ** self.zipf_exponent) for site in self.sites
-        ]
+        ))
 
     def sites_in_category(self, category: str) -> List[SiteSpec]:
         return [s for s in self.sites if s.category == category]
@@ -83,7 +86,7 @@ class Corpus:
         return [s.hostname for s in self.sites if s.category in wanted]
 
     def sample_site(self, rng: random.Random) -> SiteSpec:
-        return rng.choices(self.sites, weights=self._weights)[0]
+        return rng.choices(self.sites, cum_weights=self._cum_weights)[0]
 
     def sample_page_url(self, rng: random.Random) -> str:
         site = self.sample_site(rng)

@@ -85,6 +85,12 @@ class TestConfigValidation:
             dict(max_redundant_requests=0),
             dict(explore_every_n=1),
             dict(ewma_alpha=0.0),
+            dict(report_interval=0.0),
+            dict(report_interval=-600.0),
+            dict(report_interval=float("nan")),
+            dict(download_interval=0.0),
+            dict(download_interval=-600.0),
+            dict(download_interval=float("nan")),
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

@@ -270,15 +270,23 @@ class TestLocalDbProperties:
 
 class TestSyncWireFormatProperties:
     """The columnar batch path is an optimization of the row path —
-    hypothesis drives both through the same random post/dissent/pull
-    interleavings and demands bit-identical client state after every
-    pull (acceptance for the delta-sync wire format)."""
+    hypothesis drives both through the same random post/dissent/revoke/
+    pull interleavings, with and without a TTL and under one pull
+    criterion per example, and demands bit-identical client state after
+    every pull: the full decoded view, and what ``lookup`` returns for
+    every URL the ops used and a deep path under each (acceptance for
+    the delta-sync wire format).  The batch path skips vote reads under
+    accept-all and decodes rows on read, so a live entry with no
+    reporter or a stale decoded entry fails here."""
+
+    #: Pull criteria: accept-all, a reporter quorum, a vote threshold.
+    CRITERIA = ({}, {"min_reporters": 2}, {"min_votes": 0.5})
 
     # (op, client index, url index, asn offset): op 0-2 posts, 3 dissents,
-    # 4 pulls on both views.
+    # 4 pulls on both views, 5 revokes the client and registers it anew.
     ops = st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=5),
             st.integers(min_value=0, max_value=3),
             st.integers(min_value=0, max_value=7),
             st.integers(min_value=0, max_value=1),
@@ -287,26 +295,69 @@ class TestSyncWireFormatProperties:
     )
 
     @staticmethod
-    def _state(view):
+    def _row(entry):
+        if entry is None:
+            return None
+        return (entry.url, entry.asn, tuple(entry.stages), entry.measured_at,
+                entry.posted_at, entry.first_measured_at, entry.last_uuid)
+
+    @classmethod
+    def _state(cls, view, urls):
         return (
             view.version,
             view.synced_asn,
-            [
-                (e.url, e.asn, tuple(e.stages), e.measured_at,
-                 e.posted_at, e.first_measured_at, e.last_uuid)
-                for e in view._entries.values()
-            ],
+            [cls._row(e) for e in view.entries()],
+            [cls._row(view.lookup(url)) for url in urls],
         )
 
-    @given(ops)
+    @given(
+        ttl=st.sampled_from([None, 5.0]),
+        criterion=st.sampled_from(CRITERIA),
+        operations=ops,
+    )
+    # After a full pull is read, one accept-all delta removes three of
+    # its rows: one by TTL, one by a dissent and one by a revocation,
+    # the last two each dropping their only reporter.  Then a refresh
+    # replaces a row already read.
+    @example(
+        ttl=5.0,
+        criterion={},
+        operations=[
+            (0, 0, 0, 0), (1, 1, 1, 0), (2, 2, 2, 0), (4, 0, 0, 0),
+            (5, 2, 0, 0), (3, 1, 1, 0), (4, 0, 0, 0), (1, 3, 3, 0),
+            (4, 0, 0, 0), (0, 3, 3, 0), (4, 0, 0, 0),
+        ],
+    )
     @settings(max_examples=60)
-    def test_batch_and_row_merges_identical(self, operations):
+    def test_batch_and_row_merges_identical(self, ttl, criterion, operations):
         from repro.core.reporting import GlobalView
 
-        server = ServerDB(entry_ttl=None)
+        server = ServerDB(entry_ttl=ttl)
         uuids = [server.register(now=float(i)) for i in range(4)]
         row_views = {1: GlobalView(), 2: GlobalView()}
         batch_views = {1: GlobalView(), 2: GlobalView()}
+        used = sorted({url_index for _, _, url_index, _ in operations})
+        urls = [
+            url
+            for index in used
+            for url in (f"http://u{index}.example/",
+                        f"http://u{index}.example/deep/page")
+        ]
+
+        def pull(asn, now):
+            rows, batches = row_views[asn], batch_views[asn]
+            result = server.sync_for_as(
+                asn, now, since_version=rows.since_version(asn), **criterion
+            )
+            rows.apply_sync(result, now)
+            batch = server.sync_batch_for_as(
+                asn, now, since_version=batches.since_version(asn),
+                **criterion
+            )
+            batches.apply_batch(batch, now)
+            assert batch.transferred == result.transferred
+            assert self._state(batches, urls) == self._state(rows, urls)
+
         now = 10.0
         for op, client_index, url_index, asn_offset in operations:
             now += 1.0
@@ -325,34 +376,15 @@ class TestSyncWireFormatProperties:
                 )
             elif op == 3:
                 server.post_dissent(uuids[client_index], url, asn, now=now)
+            elif op == 4:
+                pull(asn, now)
             else:
-                rows, batches = row_views[asn], batch_views[asn]
-                result = server.sync_for_as(
-                    asn, now, since_version=rows.since_version(asn)
-                )
-                rows.apply_sync(result, now)
-                batch = server.sync_batch_for_as(
-                    asn, now, since_version=batches.since_version(asn)
-                )
-                batch_views[asn].apply_batch(batch, now)
-                assert batch.transferred == result.transferred
+                server.revoke(uuids[client_index])
+                uuids[client_index] = server.register(now=now)
         now += 1.0
         for asn in (1, 2):
             # One final pull so both views see the terminal server state.
-            rows, batches = row_views[asn], batch_views[asn]
-            rows.apply_sync(
-                server.sync_for_as(
-                    asn, now, since_version=rows.since_version(asn)
-                ),
-                now,
-            )
-            batches.apply_batch(
-                server.sync_batch_for_as(
-                    asn, now, since_version=batches.since_version(asn)
-                ),
-                now,
-            )
-            assert self._state(batches) == self._state(rows)
+            pull(asn, now)
 
 
 class TestGroupedSweepProperties:

@@ -52,6 +52,38 @@ class TestGlobalView:
         assert view.lookup("http://foo.com/deep/page") is entry
         assert view.lookup("http://bar.com/") is None
 
+    def test_pulled_row_decodes_once_until_a_pull_overwrites_it(self):
+        from repro.core.globaldb import ReportItem
+
+        server = ServerDB(entry_ttl=None)
+        uuid = server.register(now=0.0)
+
+        def post(now, stage):
+            server.post_update(uuid, [ReportItem(
+                url="http://foo.com/", asn=1, stages=(stage,),
+                measured_at=now,
+            )], now=now)
+
+        def pull(now):
+            view.apply_batch(server.sync_batch_for_as(
+                1, now, since_version=view.since_version(1)
+            ), now)
+
+        view = GlobalView()
+        post(1.0, BlockType.BLOCK_PAGE)
+        pull(2.0)
+        first = view.lookup("http://foo.com/deep/page")
+        assert first is view.lookup("http://foo.com/")
+        assert view.entries() == [first] and view.entries()[0] is first
+        post(3.0, BlockType.DNS_TIMEOUT)
+        pull(4.0)
+        second = view.lookup("http://foo.com/")
+        assert second is not first
+        assert (second.posted_at, second.stages) == (
+            3.0, [BlockType.BLOCK_PAGE, BlockType.DNS_TIMEOUT]
+        )
+        assert first.posted_at == 1.0
+
     def test_replace_overwrites(self):
         view = GlobalView()
         view.replace([], now=2.0)
@@ -166,6 +198,39 @@ class TestReportLifecycle:
         world.env.run(until=world.env.now + 600)
         assert client.reporting.reports_posted >= 1
         assert client.reporting.downloads > downloads_before
+
+    @pytest.mark.parametrize(
+        "report_interval, download_interval, posts, pulls",
+        [(100.0, 300.0, 9, 3), (300.0, 100.0, 3, 9)],
+    )
+    def test_periodic_loop_keeps_each_interval(
+        self, scenario, report_interval, download_interval, posts, pulls
+    ):
+        """Each operation runs on its own interval: over 900 s the
+        shorter one runs every wakeup, the longer one every third."""
+        server = ServerDB()
+        config = CSawConfig(
+            report_interval=report_interval,
+            download_interval=download_interval,
+        )
+        client = make_client(scenario, "l6", server, config=config)
+        world = scenario.world
+        world.run_process(client.install())
+        reporting = client.reporting
+        post_times = []
+        post_reports = reporting.post_reports
+
+        def counted_post(ctx):
+            post_times.append(world.env.now)
+            return (yield from post_reports(ctx))
+
+        reporting.post_reports = counted_post
+        downloads_before = reporting.downloads
+        start = world.env.now
+        client.start_background(until=start + 900.0)
+        world.env.run(until=start + 1000.0)
+        assert len(post_times) == posts
+        assert reporting.downloads - downloads_before == pulls
 
     def test_collector_site_idempotent(self, scenario):
         url_a = ensure_collector(scenario.world)

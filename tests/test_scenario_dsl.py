@@ -129,6 +129,15 @@ class TestSpecValidation:
                 populations=[{"per_as": 1, "config": {"not_a_knob": 1}}],
             ))
 
+    def test_zero_client_sync_interval_names_the_path(self):
+        with pytest.raises(
+            SpecError, match=r"^populations\[0\]\.config: download_interval"
+        ):
+            ScenarioSpec.from_dict(minimal(
+                populations=[{"per_as": 1,
+                              "config": {"download_interval": 0.0}}],
+            ))
+
     def test_fleet_expectation_requires_cohort_mode(self):
         with pytest.raises(SpecError, match="cohort"):
             ScenarioSpec.from_dict(minimal(

@@ -32,6 +32,22 @@ class TestCorpus:
         )
         assert top > 400  # far more than the uniform 10 %
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_site_draws_match_weights_reference(self, seed):
+        """Drawing from the prebuilt cumulative weights is exact: the
+        same sites as ``choices(weights=...)`` draw for draw, and the
+        same RNG state after."""
+        corpus = build_corpus(n_sites=300, seed=seed)
+        weights = [
+            1 / site.rank ** corpus.zipf_exponent for site in corpus.sites
+        ]
+        fast, reference = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            assert corpus.sample_site(fast) is reference.choices(
+                corpus.sites, weights=weights
+            )[0]
+        assert fast.getstate() == reference.getstate()
+
     def test_materialize_creates_sites_and_cdns(self):
         corpus = build_corpus(n_sites=30, seed=5)
         world = World(seed=5)
