@@ -3,11 +3,10 @@
 Not a paper artefact — a regression guard for the substrate itself.  The
 pilot study pushes ~10^6 events through the kernel and consults censor
 policies on every protocol stage; if either slows down an order of
-magnitude, every experiment in this repo does too.
+magnitude, every experiment in this repo does too.  The kernel storms
+are the ones ``tests/test_engine.py`` runs under a profile hook to
+check that the event loop calls nothing outside the kernel.
 """
-
-import json
-import pathlib
 
 import pytest
 
@@ -15,44 +14,13 @@ from repro.censor.actions import DnsAction, DnsVerdict
 from repro.censor.policy import CensorPolicy, Matcher, Rule
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
-from repro.simnet.engine import Environment
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-
-def run_timer_storm(n_processes=200, ticks=50):
-    env = Environment()
-
-    def ticker(delay):
-        for _ in range(ticks):
-            yield env.timeout(delay)
-
-    for index in range(n_processes):
-        env.process(ticker(0.1 + index * 0.001))
-    env.run()
-    return env.now
+from tests.test_engine import run_spawn_join_storm, run_timer_storm
 
 
 def test_kernel_event_throughput(benchmark):
     """~10k timeout events per round."""
     result = benchmark(run_timer_storm)
     assert result > 0
-
-
-def run_spawn_join_storm(width=40, depth=3):
-    env = Environment()
-
-    def node(level):
-        if level == 0:
-            yield env.timeout(0.01)
-            return 1
-        children = [env.process(node(level - 1)) for _ in range(3)]
-        gathered = yield env.all_of(children)
-        return sum(gathered.values())
-
-    roots = [env.process(node(depth)) for _ in range(width)]
-    env.run()
-    return sum(root.value for root in roots)
 
 
 def test_kernel_spawn_join_throughput(benchmark):
@@ -138,17 +106,20 @@ def test_globaldb_delta_sync_throughput(benchmark):
     def pulls():
         transferred = 0
         for asn, version in versions.items():
-            result = server.sync_for_as(asn, now=3.0, since_version=version)
-            assert not result.full
-            transferred += result.transferred
+            batch = server.sync_batch_for_as(
+                asn, now=3.0, since_version=version
+            )
+            assert not batch.full
+            transferred += batch.transferred
         return transferred
 
     assert benchmark(pulls) == 0
 
 
-def run_session_request_storm(rounds=10):
+def run_session_request_storm(trace_mode, rounds=10):
     """The full request path: session dispatch, Figure-4 detection,
-    circumvention, redundancy, and per-stage trace emission."""
+    circumvention, redundancy, and (unless ``trace_mode`` is ``off``)
+    per-stage trace emission."""
     from repro.core import CSawClient
     from repro.core.config import CSawConfig
     from repro.workloads.scenarios import pakistan_case_study
@@ -160,7 +131,7 @@ def run_session_request_storm(rounds=10):
         "bench",
         [scenario.isp_a],
         transports=scenario.make_transports("bench"),
-        config=CSawConfig(probe_probability=0.0),
+        config=CSawConfig(probe_probability=0.0, trace_mode=trace_mode),
     )
     urls = [
         scenario.urls["small-unblocked"],
@@ -182,87 +153,19 @@ def run_session_request_storm(rounds=10):
     return responses
 
 
-def test_session_request_throughput(benchmark):
-    """End-to-end request path with tracing on — every served response
-    must carry a non-empty, monotonically stamped stage trace."""
-    responses = benchmark(run_session_request_storm)
+@pytest.mark.parametrize("trace_mode", ["full", "off"])
+def test_session_request_throughput(benchmark, trace_mode):
+    """End-to-end request path, timed with full tracing and with tracing
+    off side by side.  Under ``full`` every served response must carry a
+    non-empty, monotonically stamped stage trace; under ``off`` none
+    records anything."""
+    responses = benchmark(run_session_request_storm, trace_mode)
     assert responses
     for response in responses:
         trace = response.trace
+        if trace_mode == "off":
+            assert len(trace) == 0
+            continue
         assert trace is not None and len(trace) > 0
         stamps = [event.t for event in trace.events]
         assert stamps == sorted(stamps)
-
-
-# Workloads that never enter the session/measurement layer — the refactor
-# budget says the trace bus must be free when no session is running.
-ENGINE_FAST_PATH = ("kernel_timer_storm", "kernel_spawn_join_storm")
-
-
-def _recorded_seconds(label):
-    if not BENCH_JSON.exists():
-        pytest.skip(f"{BENCH_JSON.name} not present")
-    history = json.loads(BENCH_JSON.read_text())
-    if label not in history:
-        pytest.skip(f"label {label!r} not recorded in {BENCH_JSON.name}")
-    return history[label]["seconds"]
-
-
-class TestSessionLayerOverhead:
-    """Guard on the recorded interleaved A/B pair in BENCH_engine.json.
-
-    ``before-session`` (commit c0895d8) and ``after-session`` were
-    recorded as interleaved per-workload subprocess pairs — the only
-    comparison that holds on a drifting single-core box.  The budget:
-    the session layer adds <5% to the engine fast path.  The session
-    request storm itself is allowed to pay for tracing (its cost is
-    recorded and tracked, not capped here).
-    """
-
-    @pytest.mark.parametrize("workload", ENGINE_FAST_PATH)
-    def test_fast_path_within_budget(self, workload):
-        before = _recorded_seconds("before-session")
-        after = _recorded_seconds("after-session")
-        ratio = after[workload] / before[workload]
-        assert ratio < 1.05, (
-            f"{workload}: session layer added {(ratio - 1) * 100:.1f}% "
-            f"to the engine fast path (budget 5%)"
-        )
-
-    def test_session_storm_cost_is_recorded(self):
-        """The request-path cost must be tracked in both labels so the
-        trajectory stays visible across PRs."""
-        for label in ("before-session", "after-session"):
-            assert "session_request_storm" in _recorded_seconds(label)
-
-
-class TestTracingOffOverhead:
-    """``TraceMode.OFF`` must make the session layer's tracing free.
-
-    ``before-session-r2`` re-records the pre-tracing request storm
-    (commit c0895d8's code) interleaved with ``after-fleet``'s
-    ``session_request_storm_notrace`` — the original ``before-session``
-    number is from an earlier, faster epoch of this drifting box and is
-    not comparable to anything recorded now.  Budget: the disabled-trace
-    path (one predicate check per emission site) stays within 5% of the
-    pre-tracing cost.
-    """
-
-    def test_notrace_storm_within_budget(self):
-        before = _recorded_seconds("before-session-r2")
-        after = _recorded_seconds("after-fleet")
-        ratio = (
-            after["session_request_storm_notrace"]
-            / before["session_request_storm"]
-        )
-        assert ratio < 1.05, (
-            f"TraceMode.OFF request storm is {(ratio - 1) * 100:.1f}% over "
-            f"the pre-tracing cost (budget 5%)"
-        )
-
-    def test_full_trace_cost_stays_recorded(self):
-        """Full-mode tracing is allowed to cost — but the price must stay
-        visible next to the free path."""
-        after = _recorded_seconds("after-fleet")
-        assert "session_request_storm" in after
-        assert "session_request_storm_notrace" in after

@@ -946,6 +946,11 @@ def run_fleet_storm_sharded(
     """
     from ..runner import resolve_workers
 
+    if n_ases < 1:
+        # Nothing to partition: the single-process storm's empty metrics.
+        return run_fleet_storm(
+            seed=seed, n_ases=n_ases, asn_base=asn_base, **kwargs
+        )
     n_parts = min(resolve_workers(n_ases, workers), n_ases)
     bounds = [
         (part * n_ases) // n_parts for part in range(n_parts + 1)

@@ -531,9 +531,9 @@ class RealIoRule(Rule):
 class SlotsRequiredRule(Rule):
     """Event/record classes in ``simnet/`` must declare ``__slots__``.
 
-    The PR-1 kernel optimisation relies on slotted events (no per-event
+    The kernel's fast path relies on slotted events (no per-event
     ``__dict__``); a new subclass without ``__slots__`` silently
-    re-grows the dict and regresses BENCH_engine.json.
+    re-grows the dict and slows every event the kernel benches time.
     """
 
     code = "CSL005"

@@ -234,8 +234,10 @@ class Timeout(Event):
     _defused = False
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        # ``not >=`` rather than ``<``: NaN fails every comparison, so
+        # only this form rejects it (same bytecode count on the hot path).
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self.env = env
         self._waiters = False
         self._value = value
@@ -488,8 +490,8 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Fast path: build the Timeout and schedule it inline, skipping the
         # Event.__init__ call chain (hottest allocation site).
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         t = _new_timeout(Timeout)
         t.env = self
         t._waiters = False
@@ -635,8 +637,10 @@ class Environment:
         """
         if until is not None and not isinstance(until, Event):
             deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError("cannot run backwards in time")
+            if not deadline >= self._now:
+                raise SimulationError(
+                    f"cannot run backwards in time (until={until!r})"
+                )
             gc_was_enabled = _gc.isenabled()
             if gc_was_enabled:
                 _gc.disable()

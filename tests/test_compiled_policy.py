@@ -119,6 +119,25 @@ def test_pakistan_policies_compiled_matches_linear(isp):
         _assert_equivalent(policy, seed)
 
 
+def test_multirule_policy_compiled_matches_linear():
+    # 200 rules of one domain and one keyword each, so the battery's
+    # hits land at every depth of the first-match scan.
+    policy = CensorPolicy(name="multirule")
+    for i in range(200):
+        policy.add_rule(
+            Rule(
+                matcher=Matcher(
+                    domains={f"site{i}.example.com"},
+                    keywords={f"badword{i}"},
+                ),
+                dns=DnsVerdict(DnsAction.NXDOMAIN),
+                http=HttpVerdict(HttpAction.DROP),
+                label=f"rule{i}",
+            )
+        )
+    _assert_equivalent(policy)
+
+
 def test_first_match_wins_across_criteria():
     # Rule 0 matches by keyword, rule 1 by (more specific) domain; the
     # linear scan returns rule 0, and so must the index.

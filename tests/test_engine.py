@@ -1,13 +1,17 @@
 """Unit tests for the discrete-event kernel."""
 
+import sys
+
 import pytest
 
+from repro.simnet import engine
 from repro.simnet.engine import (
     AllOf,
     AnyOf,
     Environment,
     Interrupt,
     SimulationError,
+    Timeout,
 )
 
 
@@ -35,8 +39,11 @@ def test_timeout_value_passthrough():
 
 def test_negative_delay_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1)
+    for delay in (-1, float("nan")):
+        with pytest.raises(ValueError):
+            env.timeout(delay)
+        with pytest.raises(ValueError):
+            Timeout(env, delay)
 
 
 def test_process_return_value():
@@ -222,8 +229,9 @@ def test_run_until_time():
 def test_run_backwards_rejected():
     env = Environment()
     env.run(until=5)
-    with pytest.raises(SimulationError):
-        env.run(until=1)
+    for until in (1, float("nan")):
+        with pytest.raises(SimulationError):
+            env.run(until=until)
 
 
 def test_process_requires_generator():
@@ -275,3 +283,56 @@ def test_drained_queue_with_pending_event_errors():
     proc = env.process(waiter())
     with pytest.raises(SimulationError):
         env.run(until=proc)
+
+
+def run_timer_storm(n_processes=200, ticks=50):
+    """~10k timeout events: the kernel's scheduling fast path."""
+    env = Environment()
+
+    def ticker(delay):
+        for _ in range(ticks):
+            yield env.timeout(delay)
+
+    for index in range(n_processes):
+        env.process(ticker(0.1 + index * 0.001))
+    env.run()
+    return env.now
+
+
+def run_spawn_join_storm(width=40, depth=3):
+    """Process trees: spawn, barrier-join, value propagation."""
+    env = Environment()
+
+    def node(level):
+        if level == 0:
+            yield env.timeout(0.01)
+            return 1
+        children = [env.process(node(level - 1)) for _ in range(3)]
+        gathered = yield env.all_of(children)
+        return sum(gathered.values())
+
+    roots = [env.process(node(depth)) for _ in range(width)]
+    env.run()
+    return sum(root.value for root in roots)
+
+
+def test_kernel_storms_call_only_kernel_code():
+    """The kernel benches' storms enter no Python function outside
+    ``simnet/engine.py`` and this file: a trace hook, counter or lazy
+    import added to the event loop shows up here as a foreign module,
+    whatever it costs on the clock."""
+    modules = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            modules.add(frame.f_globals.get("__name__"))
+
+    sys.setprofile(profile)
+    try:
+        end = run_timer_storm()
+        leaves = run_spawn_join_storm()
+    finally:
+        sys.setprofile(None)
+    assert end > 0
+    assert leaves == 40 * 27  # 3^3 leaves per root
+    assert modules == {engine.__name__, __name__}

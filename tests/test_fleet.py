@@ -106,24 +106,38 @@ class TestFleetStorm:
         assert metrics.pulls_served > 0
 
 
+def _comparable(metrics):
+    """``summary()`` with NaN (no AS converged) made equal to itself."""
+    return {
+        key: None if value != value else value
+        for key, value in metrics.summary().items()
+    }
+
+
 class TestShardedFanout:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_invariant(self, workers):
-        single = run_fleet_storm_sharded(
-            seed=5, n_ases=6, clients_per_as=30, workers=1
-        )
-        sharded = run_fleet_storm_sharded(
-            seed=5, n_ases=6, clients_per_as=30, workers=workers
-        )
-        assert sharded.summary() == single.summary()
-        assert sharded.convergence_by_as == single.convergence_by_as
+        """Same seed, any worker count, run again: identical metrics."""
+        for kwargs in (
+            dict(seed=5, n_ases=6, clients_per_as=30),
+            dict(seed=11, n_ases=4, clients_per_as=40),
+        ):
+            single = run_fleet_storm_sharded(workers=1, **kwargs)
+            for count in (1, workers):
+                sharded = run_fleet_storm_sharded(workers=count, **kwargs)
+                assert sharded.summary() == single.summary()
+                assert sharded.convergence_by_as == single.convergence_by_as
 
     def test_sharded_matches_unsharded(self):
-        plain = run_fleet_storm(seed=5, n_ases=6, clients_per_as=30)
-        sharded = run_fleet_storm_sharded(
-            seed=5, n_ases=6, clients_per_as=30, workers=3
-        )
-        assert sharded.summary() == plain.summary()
+        for kwargs in (
+            dict(seed=5, n_ases=6, clients_per_as=30),
+            dict(seed=3, n_ases=8, clients_per_as=50),
+            dict(seed=5, n_ases=0, clients_per_as=30),
+        ):
+            plain = run_fleet_storm(**kwargs)
+            sharded = run_fleet_storm_sharded(workers=3, **kwargs)
+            assert _comparable(sharded) == _comparable(plain), kwargs
+            assert sharded.convergence_by_as == plain.convergence_by_as
 
     def test_more_workers_than_ases(self):
         merged = run_fleet_storm_sharded(

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import CSawClient, TraceMode
 from repro.core.config import CSawConfig
-from repro.core.trace import DISABLED_TRACE
+from repro.core.trace import DISABLED_TRACE, SessionTrace
 from repro.workloads.scenarios import pakistan_case_study
 
 MODES = ("off", "sampled", "ring", "full")
@@ -101,19 +101,37 @@ class TestModeInvariance:
             assert scrub(runs[mode]["stats"]) == baseline, mode
 
 
+def count_traces_built(monkeypatch):
+    """A list that grows by one per ``SessionTrace`` built from now on."""
+    built = []
+    init = SessionTrace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SessionTrace, "__init__", counting_init)
+    return built
+
+
 class TestModePayloads:
     """What each mode is allowed to record."""
 
-    def test_off_records_nothing(self):
+    def test_off_records_nothing(self, monkeypatch):
+        built = count_traces_built(monkeypatch)
         run = run_storm("off")
+        # Off allocates no trace at all, not merely an empty one.
+        assert built == []
         assert run["stats"]["plt_breakdown"] == {}
         assert run["module"].sessions_traced == 0
         for response in run["responses"]:
             assert response.trace is DISABLED_TRACE
             assert len(response.trace) == 0
 
-    def test_full_records_everything(self):
+    def test_full_records_everything(self, monkeypatch):
+        built = count_traces_built(monkeypatch)
         run = run_storm("full")
+        assert len(built) == len(run["responses"])
         assert run["module"].sessions_traced == len(run["responses"])
         assert run["stats"]["plt_breakdown"]
         for response in run["responses"]:
