@@ -11,11 +11,12 @@ staggered batched delta pulls, and convergence tracking, and reports
 - delta-sync bytes and rows per client,
 
 plus four live guards: the columnar batch path beats the per-client
-row path by >= 3x on the pull storm, the version-run sweep beats the
-per-client reference loop (``tests/_reference_fleet.py``) by >= 3x on
-the 100k storm, a three-plane mix costs at most 1.5x the single-plane
-storm, and the million-client storm stays within a budget relative to
-the 100k storm.  Correctness checks that time nothing live in tier-1
+row twin (``tests/_reference_globaldb.py``) by >= 3x on the pull storm,
+the version-run sweep beats the per-client reference loop
+(``tests/_reference_fleet.py``) by >= 3x on the 100k storm, a
+three-plane mix costs at most 1.5x the single-plane storm, and the
+million-client storm stays within a budget relative to the 100k storm.
+Correctness checks that time nothing live in tier-1
 (``tests/test_fleet.py``).
 
 Wall-clock timing here uses ``time.perf_counter`` directly — allowed
@@ -33,6 +34,7 @@ from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
 from repro.core.reporting import GlobalView
 from tests._reference_fleet import run_reference_storm
+from tests._reference_globaldb import apply_sync, sync_for_as
 
 _PULL_STORM_CACHE = {}
 
@@ -97,19 +99,18 @@ def run_fleet_pull_storm_batch(n_clients=2000, n_ases=10):
 
 
 def run_fleet_pull_storm_rows(n_clients=2000, n_ases=10):
-    """The same pull storm on the per-client row path: every client gets
-    its own ``SyncResult`` built and folds it into its own view — the
-    executable-spec shape ``ReportingService`` uses for a single client,
-    paid once per cohort member.  Kept timed so the batch path's speedup
-    stays visible."""
+    """The same pull storm on the per-client row twin: every client gets
+    its own ``SyncResult`` built and folds it into its own view — one
+    pull at a time, paid once per cohort member.  Kept timed so the
+    batch path's speedup stays visible."""
     server = _build_pull_storm_server()
     per_as = 100_000 // 50
     total = 0
     for index in range(n_clients):
         asn = 30000 + index % n_ases
-        result = server.sync_for_as(asn, now=10.0)
+        result = sync_for_as(server, asn, now=10.0)
         view = GlobalView()
-        view.apply_sync(result, now=10.0)
+        apply_sync(view, result, now=10.0)
         total += len(view)
     assert total == n_clients * per_as
     return total

@@ -1,7 +1,7 @@
 """Compiled form of a :class:`~repro.censor.policy.CensorPolicy`.
 
-The linear policy scans every rule on every DNS/TCP/TLS/HTTP observation —
-O(rules) per packet, multiplied across ~10^6 events per experiment.  A
+Scanning every rule on every DNS/TCP/TLS/HTTP observation costs O(rules)
+per packet, multiplied across ~10^6 events per experiment.  A
 :class:`CompiledPolicy` collapses the ordered rule list into per-stage hash
 structures so each stage costs O(#labels + #keyword-hits) instead:
 
@@ -20,9 +20,10 @@ structures so each stage costs O(#labels + #keyword-hits) instead:
 First-match-wins is preserved exactly: every structure stores *rule
 indexes*, each stage gathers the best (smallest) index over all criterion
 hits, and the verdict of that rule is returned — identical to scanning the
-rules in order and returning the first match (the property tests in
-``tests/test_compiled_policy.py`` assert byte-identical verdicts against the
-linear reference on the Pakistan case-study world).
+rules in order and returning the first match.  That scan is kept as the
+executable spec in ``tests/_reference_policy.py``, and
+``tests/test_compiled_policy.py`` asserts identical verdicts against it on
+the Pakistan case-study world and adversarial rule lists.
 
 Instances are immutable snapshots.  :meth:`CensorPolicy.compiled` rebuilds
 one transparently whenever ``add_rule`` / ``remove_rules`` bumps the
@@ -118,7 +119,7 @@ class CompiledPolicy:
                 for prefix in sorted(matcher.url_prefixes):
                     if "http://".startswith(prefix):
                         # A prefix of the scheme itself matches every URL
-                        # via the "http://" + url retry in the linear path.
+                        # via Matcher.matches_url's "http://" + url retry.
                         http_universal = min(http_universal, index)
                         continue
                     route_prefix(index, prefix)
@@ -173,7 +174,7 @@ class CompiledPolicy:
                     return index
         return _NO_MATCH
 
-    # -- stage hooks (mirror CensorPolicy.linear_on_*) ----------------------
+    # -- stage hooks (mirror the scans in tests/_reference_policy.py) -------
 
     def on_dns_query(self, qname: str) -> DnsVerdict:
         best = self._domain_hit(self._dns_domains, qname)

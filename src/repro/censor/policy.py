@@ -30,13 +30,6 @@ from .actions import (
 __all__ = ["Matcher", "Rule", "CensorPolicy"]
 
 
-def _domain_matches(qname: str, suffix: str) -> bool:
-    """True when ``qname`` equals ``suffix`` or is a subdomain of it."""
-    qname = qname.lower().rstrip(".")
-    suffix = suffix.lower().rstrip(".")
-    return qname == suffix or qname.endswith("." + suffix)
-
-
 def _label_suffixes(hostname: str):
     """All label-aligned suffixes of a hostname, longest first.
 
@@ -55,8 +48,10 @@ class Matcher:
     """Predicate over the identifiers visible at each interception stage.
 
     Empty criteria never match; a matcher must set at least one of them.
-    ``keywords`` match anywhere in the cleartext URL (HTTP stage only),
-    mirroring keyword filters that the IP-as-hostname trick evades.
+    ``domains`` are stored lowercased without a trailing dot, the form
+    :func:`_label_suffixes` gives every observed name.  ``keywords``
+    match anywhere in the cleartext URL (HTTP stage only), mirroring
+    keyword filters that the IP-as-hostname trick evades.
     """
 
     domains: Set[str] = field(default_factory=set)
@@ -65,7 +60,7 @@ class Matcher:
     ips: Set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        self.domains = {d.lower() for d in self.domains}
+        self.domains = {d.lower().rstrip(".") for d in self.domains}
         self.keywords = {k.lower() for k in self.keywords}
         self.url_prefixes = {p.lower() for p in self.url_prefixes}
         if not (self.domains or self.keywords or self.url_prefixes or self.ips):
@@ -117,10 +112,10 @@ class CensorPolicy:
     The stage hooks (``on_dns_query`` & co.) are served by a compiled
     per-stage hash index (:class:`~repro.censor.compiled.CompiledPolicy`)
     that is rebuilt transparently whenever ``add_rule``/``remove_rules``
-    changes the rule list.  The ``linear_on_*`` twins keep the original
-    rule-scan semantics as the executable specification; the property
-    tests assert the two paths return identical verdict objects.  Mutating
-    a :class:`Matcher`'s criterion sets in place after the rule was added
+    changes the rule list.  The first-match rule scan it must reproduce
+    lives in ``tests/_reference_policy.py``; the property tests assert
+    the two return identical verdict objects.  Mutating a
+    :class:`Matcher`'s criterion sets in place after the rule was added
     is NOT supported — go through ``add_rule``/``remove_rules``.
     """
 
@@ -164,38 +159,6 @@ class CensorPolicy:
 
     def on_tls_client_hello(self, sni: Optional[str], dst_ip: str) -> TlsVerdict:
         return self.compiled().on_tls_client_hello(sni, dst_ip)
-
-    # -- linear reference implementations -----------------------------------
-    # The pre-index semantics, kept as the executable spec the compiled
-    # index is property-tested against.
-
-    def linear_on_dns_query(self, qname: str) -> DnsVerdict:
-        for rule in self.rules:
-            if rule.dns is not PASS_DNS and rule.matcher.matches_qname(qname):
-                return rule.dns
-        return PASS_DNS
-
-    def linear_on_packet(self, dst_ip: str) -> IpVerdict:
-        for rule in self.rules:
-            if rule.ip is not PASS_IP and rule.matcher.matches_ip(dst_ip):
-                return rule.ip
-        return PASS_IP
-
-    def linear_on_http_request(self, host: str, path: str) -> HttpVerdict:
-        for rule in self.rules:
-            if rule.http is not PASS_HTTP and rule.matcher.matches_url(host, path):
-                return rule.http
-        return PASS_HTTP
-
-    def linear_on_tls_client_hello(
-        self, sni: Optional[str], dst_ip: str
-    ) -> TlsVerdict:
-        for rule in self.rules:
-            if rule.tls is PASS_TLS:
-                continue
-            if rule.matcher.matches_sni(sni) or rule.matcher.matches_ip(dst_ip):
-                return rule.tls
-        return PASS_TLS
 
     def __repr__(self) -> str:
         return f"CensorPolicy({self.name!r}, {len(self.rules)} rules)"

@@ -24,7 +24,6 @@ from .globaldb import (
     ReportItem,
     ServerDB,
     SyncBatch,
-    SyncResult,
 )
 from .localdb import LocalDatabase
 from .measurement import MeasurementModule, ServedResponse
@@ -68,7 +67,6 @@ __all__ = [
     "ReportItem",
     "ServerDB",
     "SyncBatch",
-    "SyncResult",
     "LocalDatabase",
     "MeasurementModule",
     "ServedResponse",

@@ -12,8 +12,8 @@ identities.
 Storage is sharded per AS: every query a client issues is scoped to its
 own AS (§5's pull protocol), so ``blocked_for_as`` touches only that AS's
 rows.  Each shard carries a monotone version counter and a bounded
-changed-URL log; :meth:`ServerDB.sync_for_as` serves an incremental diff
-against a client-supplied ``since_version``, falling back to a full
+changed-URL log; :meth:`ServerDB.sync_batch_for_as` serves an incremental
+diff against a client-supplied ``since_version``, falling back to a full
 snapshot on first pull or when the log has been truncated past the
 client's version.  TTL expiry is applied at write/pull time through a
 lazy-deletion heap (expired rows are *evicted* and logged as removals),
@@ -45,7 +45,6 @@ __all__ = [
     "GlobalEntry",
     "RegistrationError",
     "ServerDB",
-    "SyncResult",
     "SyncBatch",
     "PackedRow",
     "SYNC_HEADER_BYTES",
@@ -94,9 +93,9 @@ class GlobalEntry:
     posted_at: float  # T_p
     last_uuid: str  # reporter of the freshest update
     first_measured_at: float = 0.0  # when the blocking was first observed
-    # Plane of the freshest report.  Excluded from equality so columnar
-    # batches (which do not carry the tag on the wire) decode to entries
-    # equal to the row-path spec's.
+    # Plane of the freshest report.  Excluded from equality so a pulled
+    # row (the wire does not carry the tag) decodes to an entry equal to
+    # the server's own.
     last_plane: str = field(default=DEFAULT_PLANE, compare=False)
 
     @property
@@ -119,52 +118,18 @@ class GlobalEntry:
 
 
 @dataclass(frozen=True)
-class SyncResult:
-    """What one pull transfers: a full snapshot or an incremental diff.
-
-    ``entries`` holds every entry the client must (re)store; ``removed``
-    the URLs it must drop (always empty on a full sync — the client
-    replaces its view wholesale).  ``version`` is the shard version the
-    client should present as ``since_version`` on its next pull.
-    """
-
-    asn: int
-    version: int
-    full: bool
-    entries: List[GlobalEntry] = field(default_factory=list)
-    removed: List[str] = field(default_factory=list)
-
-    @property
-    def transferred(self) -> int:
-        """Rows on the wire — what delta sync is minimizing."""
-        return len(self.entries) + len(self.removed)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Estimated bytes on the wire (same cost model as SyncBatch)."""
-        total = SYNC_HEADER_BYTES
-        for entry in self.entries:
-            total += (
-                len(entry.url) + 1 + 24  # three packed floats
-                + 2  # stage code
-                + len(entry.last_uuid)
-            )
-        for url in self.removed:
-            total += len(url) + 1
-        return total
-
-
-@dataclass(frozen=True)
 class SyncBatch:
     """One pull in the columnar wire format: parallel per-field tuples.
 
-    Same information as :class:`SyncResult` — the row path remains the
-    executable spec and the two produce bit-identical client state —
-    but entries travel as parallel columns (url key, packed stage code,
-    timestamps, reporter id) instead of per-row objects.  One batch is
-    built in a single pass over the shard and can be shared by every
-    client of the AS at the same ``since_version``, which is what the
-    fleet cohort exploits.
+    ``urls`` lists every entry the client must (re)store, as parallel
+    columns (url key, packed stage code, timestamps, reporter id) rather
+    than per-row objects; ``removed`` lists the URLs it must drop
+    (always empty on a full pull — the client replaces its view
+    wholesale).  ``version`` is the shard version the client presents
+    as ``since_version`` on its next pull.  One batch is built in a
+    single pass over the shard and can be shared by every client of the
+    AS at the same ``since_version``, which is what the fleet cohort
+    exploits.
     """
 
     asn: int
@@ -206,10 +171,6 @@ class SyncBatch:
                 itertools.repeat(self.asn),
             ),
         )
-
-    def entries(self) -> List[GlobalEntry]:
-        """Materialize per-row objects (decode side of the spec tests)."""
-        return [GlobalEntry.unpack(url, row) for url, row in self.packed_rows()]
 
 
 class _AsShard:
@@ -656,72 +617,6 @@ class ServerDB:
             if stats(entry.url, asn).passes(min_reporters, min_votes)
         ]
 
-    def sync_for_as(
-        self,
-        asn: int,
-        now: float,
-        since_version: Optional[int] = None,
-        min_reporters: int = 1,
-        min_votes: float = 0.0,
-        plane_weights: Optional[Dict[str, float]] = None,
-    ) -> SyncResult:
-        """Serve one client pull, incrementally when possible.
-
-        ``since_version=None`` (first pull), a version below the shard's
-        log floor (log truncated), or a version from the future (stale
-        client state, e.g. a server restart) all fall back to a full
-        snapshot.  Otherwise only entries touched after ``since_version``
-        travel: re-evaluated against the confidence criterion (weighted
-        per plane when ``plane_weights`` is given), they land in
-        ``entries`` (still listed) or ``removed`` (evicted, dissented
-        away, or no longer passing the criterion).
-        """
-        shard = self._shards.get(asn)
-        if shard is None:
-            self.full_syncs_served += 1
-            return SyncResult(asn=asn, version=0, full=True)
-        self._evict_expired(shard, now)
-        stale = (
-            since_version is None
-            or since_version < shard.floor
-            or since_version > shard.version
-        )
-        if stale:
-            self.full_syncs_served += 1
-            return SyncResult(
-                asn=asn,
-                version=shard.version,
-                full=True,
-                entries=self.blocked_for_as(
-                    asn,
-                    now,
-                    min_reporters=min_reporters,
-                    min_votes=min_votes,
-                    plane_weights=plane_weights,
-                ),
-            )
-        self.delta_syncs_served += 1
-        if since_version == shard.version:
-            return SyncResult(asn=asn, version=shard.version, full=False)
-        changed: List[GlobalEntry] = []
-        removed: List[str] = []
-        stats = self._stats_fn(plane_weights)
-        for url in shard.touched_since(since_version):
-            entry = shard.entries.get(url)
-            if entry is not None and stats(url, asn).passes(
-                min_reporters, min_votes
-            ):
-                changed.append(entry)
-            else:
-                removed.append(url)
-        return SyncResult(
-            asn=asn,
-            version=shard.version,
-            full=False,
-            entries=changed,
-            removed=removed,
-        )
-
     def sync_batch_for_as(
         self,
         asn: int,
@@ -731,13 +626,16 @@ class ServerDB:
         min_votes: float = 0.0,
         plane_weights: Optional[Dict[str, float]] = None,
     ) -> SyncBatch:
-        """:meth:`sync_for_as` in the columnar wire format.
+        """Serve one client pull, incrementally when possible.
 
-        Serves the same full/delta decision and the same rows, but as
-        parallel per-field tuples built in columnar passes over the
-        shard — no intermediate per-row objects.  ``sync_for_as``
-        remains the executable spec; the property tests assert both
-        paths yield bit-identical client state.
+        ``since_version=None`` (first pull), a version below the shard's
+        log floor (log truncated), or a version from the future (stale
+        client state, e.g. a server restart) all fall back to a full
+        snapshot.  Otherwise only entries touched after ``since_version``
+        travel: re-evaluated against the confidence criterion (weighted
+        per plane when ``plane_weights`` is given), they land in
+        ``urls`` (still listed) or ``removed`` (evicted, dissented away,
+        or no longer passing the criterion).
 
         Built batches are cached on the shard keyed by ``(since,
         criterion)`` — the criterion including the sorted plane-weight
@@ -801,7 +699,9 @@ class ServerDB:
         statistics: every stored entry has a reporter (see
         :meth:`blocked_for_as`), so every live entry passes.  Columns are
         built by per-field passes over the selected rows — C-speed
-        comprehensions instead of six appends per row.
+        comprehensions instead of six appends per row.  The executable
+        spec is the row twin in ``tests/_reference_globaldb.py``, which
+        lists the same rows one entry object at a time.
         """
         stats = self._stats_fn(plane_weights)
         check_votes = (

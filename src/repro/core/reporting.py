@@ -18,7 +18,7 @@ from ..simnet.flow import FlowContext
 from ..simnet.world import World
 from ..urlkit import base_url, normalize_url
 from .config import CSawConfig
-from .globaldb import GlobalEntry, PackedRow, ServerDB, SyncBatch, SyncResult
+from .globaldb import GlobalEntry, PackedRow, ServerDB, SyncBatch
 from .localdb import LocalDatabase
 
 __all__ = ["GlobalView", "ReportingService", "ensure_collector"]
@@ -70,26 +70,13 @@ class GlobalView:
         when we have never synced this AS — e.g. right after mobility."""
         return self.version if self.synced_asn == asn else None
 
-    def apply_sync(self, result: SyncResult, now: float) -> None:
-        """Fold one :class:`SyncResult` into the cached view."""
-        if result.full:
-            self._entries = {entry.url: entry for entry in result.entries}
-        else:
-            for url in result.removed:
-                self._entries.pop(url, None)
-            for entry in result.entries:
-                self._entries[entry.url] = entry
-        self.version = result.version
-        self.synced_asn = result.asn
-        self.last_synced = now
-
     def apply_batch(self, batch: SyncBatch, now: float) -> None:
         """Fold one columnar :class:`SyncBatch` into the cached view.
 
         The batch's packed rows go in with one dict update and no
-        per-row object; read back, the view is bit-identical to
-        :meth:`apply_sync` on the equivalent :class:`SyncResult` (the
-        property tests enforce it).
+        per-row object.  Read back, the view is bit-identical to one
+        that stored the server's entry objects (the row twin in
+        ``tests/_reference_globaldb.py``; the property tests enforce it).
         """
         if batch.full:
             self._entries = dict(batch.packed_rows())

@@ -33,11 +33,11 @@ URLs.  When a client's report count moves from d_old to d_new, only that
 client's keys are touched (decrement the d_old bucket, increment d_new),
 so :meth:`VotingLedger.stats` is a dict read plus a sum over the handful
 of distinct d values — no scan over reporters.  Because the histogram
-holds integers, the incremental path and the from-scratch
-:meth:`recompute_stats` reference produce *bit-identical* floats (both
-sum ``count / d`` over the same sorted buckets); property tests assert
-exact agreement, mirroring the ``linear_on_*`` pattern in
-``censor/compiled.py``.
+holds integers, the incremental path and the from-scratch recompute in
+``tests/_reference_globaldb.py`` (which rebuilds each histogram by
+walking the key's reporters) produce *bit-identical* floats: both sum
+``count / d`` over the same sorted buckets, and the property tests
+assert exact agreement.
 """
 
 from __future__ import annotations
@@ -359,22 +359,6 @@ class VotingLedger:
             reporters=len(reporters),
         )
 
-    def recompute_stats(self, url: str, asn: int) -> VoteStats:
-        """From-scratch reference for :meth:`stats` (the executable spec).
-
-        Rebuilds the d-histogram by walking every reporter of the key;
-        kept O(reporters) on purpose so property tests can assert the
-        incremental path agrees exactly.
-        """
-        key = (url, asn)
-        reporters = self._by_key.get(key, set())
-        hist: Dict[int, int] = {}
-        for client_id in reporters:
-            d = len(self._by_client.get(client_id, ()))
-            if d:
-                hist[d] = hist.get(d, 0) + 1
-        return VoteStats(votes=_hist_votes(hist), reporters=len(reporters))
-
     def stats_for_plane(self, url: str, asn: int, plane: str) -> VoteStats:
         """s/n restricted to reporters of one measurement plane."""
         key = (url, asn)
@@ -423,23 +407,6 @@ class VotingLedger:
             votes += weight * stats.votes
             reporters += weight * stats.reporters
         return VoteStats(votes=votes, reporters=reporters)
-
-    def recompute_plane_stats(self, url: str, asn: int, plane: str) -> VoteStats:
-        """From-scratch reference for :meth:`stats_for_plane` (the
-        executable spec): walk the key's reporters, keep those assigned
-        to ``plane``, rebuild the histogram."""
-        key = (url, asn)
-        plane_of = self._plane_of
-        hist: Dict[int, int] = {}
-        reporters = 0
-        for client_id in self._by_key.get(key, set()):
-            if plane_of.get(client_id, DEFAULT_PLANE) != plane:
-                continue
-            reporters += 1
-            d = len(self._by_client.get(client_id, ()))
-            if d:
-                hist[d] = hist.get(d, 0) + 1
-        return VoteStats(votes=_hist_votes(hist), reporters=reporters)
 
     def reporters_for(self, url: str, asn: int) -> Set[str]:
         return set(self._by_key.get((url, asn), set()))

@@ -1,0 +1,385 @@
+"""The golden captures in ``tests/data/`` and the one kit that checks them.
+
+Each golden pins what a refactor promised to leave bit-identical,
+captured from the tree before it:
+
+- ``session_refactor_golden`` (commit c0895d8, the last before the
+  session layer): a fixed-seed request battery on the Pakistan case
+  study, both ISPs and every Table-5 mechanism, plus a small pilot
+  study.  Floats are rendered with ``float.hex()``.
+- ``scenario_golden`` (commit a39839e, the imperative scenario
+  builders): direct-path probes from every ISP to every URL, a C-Saw
+  client converging onto a fix with its full ``stats()``, and the
+  server rows it left, for the case study, the centralized country and
+  the blocking wave.
+- ``plane_golden`` (commit efd74f9, the pre-plane fleet pipeline): one
+  small fleet storm down to every record array, server row, vote tally
+  and serve counter, for the production sweep (``grouped``) and the
+  per-client loop in ``tests/_reference_fleet.py`` (``spec``).
+
+The last two render floats as ``repr`` strings (:func:`freeze`).
+:func:`check` fails naming the first differing path, e.g.
+``scenario_golden: case_study.flow.stats.plt_breakdown.http: '10.5' !=
+'10.0'``.  Regenerate a golden only when a change means to alter
+results, and say so in CHANGES.md::
+
+    PYTHONPATH=src python -m tests._golden NAME > tests/data/NAME.json
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import reprlib
+import sys
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.core import CSawClient, CSawConfig, ServerDB
+from repro.core.detection import measure_direct_path
+from repro.core.fleet import ClientCohort
+from repro.simnet.engine import Environment
+from repro.workloads.events import BlockingWave
+from repro.workloads.pilot import PilotConfig, PilotStudy
+from repro.workloads.scenarios import centralized_country, pakistan_case_study
+from tests._reference_fleet import ReferenceClientCohort
+
+
+def freeze(value: Any) -> Any:
+    """Floats -> repr strings, dicts -> key-sorted with string keys,
+    tuples -> lists, recursively (an exact JSON round trip)."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {
+            str(k): freeze(v)
+            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
+        }
+    if isinstance(value, (list, tuple)):
+        return [freeze(v) for v in value]
+    return value
+
+
+def load(name: str) -> Any:
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def check(name: str, captured: Any, at: str = "") -> None:
+    """Fail unless ``captured`` equals golden ``name`` (its subtree at
+    the dotted key path ``at``, when given), naming the first path where
+    they differ: a changed value, a missing or extra key, or a list of
+    another length."""
+    golden = load(name)
+    for key in at.split(".") if at else ():
+        golden = golden[key]
+    found = _first_difference(captured, golden, at)
+    if found is not None:
+        path, detail = found
+        raise AssertionError(f"{name}: {path or '(root)'}: {detail}")
+
+
+def _first_difference(got: Any, want: Any, path: str) -> Optional[Tuple[str, str]]:
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(set(got) | set(want), key=str):
+            where = f"{path}.{key}" if path else str(key)
+            if key not in got:
+                return where, f"missing (golden {reprlib.repr(want[key])})"
+            if key not in want:
+                return where, f"not in golden (got {reprlib.repr(got[key])})"
+            found = _first_difference(got[key], want[key], where)
+            if found is not None:
+                return found
+    elif isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            return path, f"length {len(got)} != {len(want)}"
+        for index, (item, wanted) in enumerate(zip(got, want)):
+            found = _first_difference(item, wanted, f"{path}[{index}]")
+            if found is not None:
+                return found
+    elif got != want:
+        return path, f"{got!r} != {want!r}"
+    return None
+
+
+def _serve(client, url):
+    """One request, joined with its bookkeeping."""
+    response = yield from client.request(url)
+    yield response.measurement_process
+    return response
+
+
+# -- session_refactor_golden --------------------------------------------------
+
+#: PilotReport fields of the pre-refactor vintage: fields added since
+#: must not invalidate the golden.
+PILOT_FIELDS = (
+    "users", "unique_blocked_urls", "unique_blocked_domains", "unique_ases",
+    "distinct_block_types", "urls_dns_blocked", "urls_tcp_timeout",
+    "urls_blockpage", "unique_updates", "cdn_domains_detected",
+    "full_syncs", "delta_syncs", "sync_rows_received",
+)
+
+_URL_KEYS = (
+    "small-unblocked", "youtube", "table5/dns-servfail",
+    "table5/dns-refused", "table5/tcp-ip", "table5/tcp-ip+dns",
+)
+
+
+def capture_session() -> Dict[str, Any]:
+    scenario = pakistan_case_study(seed=13, with_proxy_fleet=False)
+    world = scenario.world
+
+    def make(name, isp, config=None):
+        return CSawClient(
+            world, name, [isp], transports=scenario.make_transports(name),
+            config=config,
+        )
+
+    client_a = make("golden-a", scenario.isp_a)
+    client_b = make("golden-b", scenario.isp_b)
+    probing = make(
+        "golden-probe", scenario.isp_a, config=CSawConfig(probe_probability=1.0)
+    )
+    plan = [(client_a, scenario.urls[key]) for key in _URL_KEYS]
+    plan += [
+        # Blocked-flow repeat: the second access rides the local fix.
+        (client_a, scenario.urls["youtube"]),
+        (client_a, "http://no-such-site.example/"),
+        # ISP-B: DNS redirect + HTTP drop multi-stage, then SNI filtering.
+        (client_b, scenario.urls["youtube"]),
+        (client_b, "https://www.youtube.com/"),
+        (client_b, scenario.urls["youtube"]),
+        # Probabilistic direct probe on the blocked flow (p = 1).
+        (probing, scenario.urls["table5/tcp-ip"]),
+        (probing, scenario.urls["table5/tcp-ip"]),
+    ]
+    requests = []
+    for client, url in plan:
+        response = world.run_process(_serve(client, url))
+        detection = response.detection
+        requests.append({
+            "client": client.name,
+            "url": url,
+            "status": response.status.value,
+            "stages": [stage.value for stage in response.stages],
+            "path": response.path,
+            "ok": response.ok,
+            "corrected": response.corrected,
+            "probe_ran": response.probe_ran,
+            "plt": float(response.plt).hex(),
+            "effective_plt": float(response.effective_plt).hex(),
+            "detection_time": (
+                None if detection is None
+                else float(detection.detection_time).hex()
+            ),
+        })
+
+    study = PilotStudy(PilotConfig(
+        seed=11, n_users=6, n_sites=120, requests_per_user=10,
+        duration_days=8.0, n_ases=4,
+    ))
+    report = study.run()
+    return {
+        "requests": requests,
+        "scenario_clock": float(world.env.now).hex(),
+        "pilot": {name: getattr(report, name) for name in PILOT_FIELDS},
+        "pilot_clock": float(study.world.env.now).hex(),
+    }
+
+
+# -- scenario_golden ----------------------------------------------------------
+
+
+def _probe(world, isp, stream: str, url: str) -> List[Any]:
+    client, access = world.add_client(f"fp-{stream.replace('/', '-')}", [isp])
+    ctx = world.new_ctx(client, access, stream=f"fp/{stream}")
+    outcome = world.run_process(measure_direct_path(world, ctx, url))
+    return [
+        outcome.status.value,
+        [s.value for s in outcome.stages],
+        repr(outcome.detection_time),
+        repr(outcome.elapsed),
+        outcome.suspected_blockpage,
+    ]
+
+
+def _probes(world, isps, urls) -> List[Any]:
+    """``_probe`` from each ``(label, isp)`` to every URL, keys sorted."""
+    return [
+        [label, key] + _probe(world, isp, f"{label}/{key}", urls[key])
+        for label, isp in isps
+        for key in sorted(urls)
+    ]
+
+
+def case_study_fingerprint(seed: int = 3) -> Dict[str, Any]:
+    """Probes + one converging C-Saw client on the Pakistan world."""
+    scenario = pakistan_case_study(seed=seed, with_proxy_fleet=True)
+    world = scenario.world
+    probes = _probes(
+        world,
+        [("A", scenario.isp_a), ("B", scenario.isp_b),
+         ("clean", scenario.isp_clean)],
+        scenario.urls,
+    )
+    server = ServerDB(entry_ttl=None)
+    client = CSawClient(
+        world, "fp-user", [scenario.isp_b],
+        transports=scenario.make_transports(
+            "fp-user", include=["public-dns", "https", "domain-fronting"]
+        ),
+        server_db=server,
+    )
+    paths: List[Any] = []
+
+    def flow():
+        yield from client.install()
+        for _ in range(3):
+            response = yield from _serve(client, scenario.urls["youtube"])
+            paths.append([response.path, repr(response.plt), response.status.value])
+
+    world.run_process(flow())
+    rows = sorted(
+        [e.url, e.asn, [s.value for s in e.stages], repr(e.measured_at),
+         repr(e.first_measured_at)]
+        for e in server.all_entries()
+    )
+    return {
+        "probes": probes,
+        "flow": {"paths": paths, "stats": freeze(client.stats())},
+        "server": rows,
+    }
+
+
+def centralized_fingerprint(seed: int = 9, n_isps: int = 3) -> Dict[str, Any]:
+    scenario = centralized_country(seed=seed, n_isps=n_isps)
+    world = scenario.world
+    probes = _probes(
+        world, [(isp.asn, isp) for isp in scenario.isps], scenario.urls
+    )
+    paths = []
+    for isp in scenario.isps:
+        name = f"fp-user-{isp.asn}"
+        client = CSawClient(
+            world, name, [isp], transports=scenario.make_transports(name)
+        )
+
+        def flow(c=client):
+            for _ in range(3):
+                response = yield from _serve(c, scenario.urls["youtube"])
+            return response
+
+        served = world.run_process(flow())
+        paths.append([isp.asn, served.path, repr(served.plt)])
+    return {"probes": probes, "paths": paths}
+
+
+def wave_fingerprint(seed: int = 6, users_per_as: int = 3) -> Dict[str, Any]:
+    wave = BlockingWave(seed=seed, users_per_as=users_per_as)
+    observations = wave.run()
+    return {
+        "observations": [
+            [repr(o.detected_at), o.asn, o.service, o.symptom]
+            for o in observations
+        ],
+        "stats": [freeze(c.stats()) for c in wave.clients],
+        "entries": wave.server.entry_count,
+    }
+
+
+def capture_scenarios() -> Dict[str, Any]:
+    return {
+        "case_study": case_study_fingerprint(),
+        "centralized": centralized_fingerprint(),
+        "wave": wave_fingerprint(),
+    }
+
+
+# -- plane_golden -------------------------------------------------------------
+
+
+def golden_storm(cohort_type, seed: int = 7, **cohort_kwargs):
+    """The plane golden's fleet storm on ``cohort_type``: a wave at 300 s,
+    then two pull intervals.  Returns ``(cohort, server, metrics)``."""
+    server = ServerDB(entry_ttl=None)
+    env = Environment()
+    cohort = cohort_type(
+        server, asns=[41000 + i for i in range(4)], clients_per_as=60,
+        seed=seed, reporter_fraction=0.05, pull_interval=600.0,
+        **cohort_kwargs,
+    )
+
+    def driver():
+        yield env.timeout(300.0)
+        cohort.start_wave(env.now, urls_per_as=5)
+
+    env.process(driver())
+    env.process(cohort.run(env, 300.0 + 2.0 * 600.0 + cohort.tick))
+    env.run()
+    return cohort, server, cohort.finalize()
+
+
+def storm_fingerprint(cohort_type) -> Dict[str, Any]:
+    """:func:`golden_storm`, captured down to every record array."""
+    cohort, server, metrics = golden_storm(cohort_type)
+    shards = [
+        {
+            "asn": st.asn,
+            "versions": list(st.versions),
+            "next_pull_at": [repr(x) for x in st.next_pull_at],
+            "bytes_received": list(st.bytes_received),
+            "rows_received": list(st.rows_received),
+            "reporter_ix": sorted(st.reporter_ix),
+            "reporter_uuids": sorted(st.reporter_uuids),
+            "report_at": [repr(x) for x in st.report_at],
+            "pending": list(st.pending),
+            "target_version": st.target_version,
+            "converged_at": repr(st.converged_at),
+        }
+        for st in cohort.shards
+    ]
+    entries = server.all_entries()
+    stats = [server.voting.stats(e.url, e.asn) for e in entries]
+    return {
+        "summary": freeze(metrics.summary()),
+        "convergence_by_as": freeze(metrics.convergence_by_as),
+        "pending_by_as": freeze(metrics.pending_by_as),
+        "shards": shards,
+        "server_rows": sorted(
+            [e.url, e.asn, [s.value for s in e.stages], repr(e.measured_at),
+             repr(e.posted_at), repr(e.first_measured_at), e.last_uuid]
+            for e in entries
+        ),
+        "vote_stats": sorted(
+            [e.url, e.asn, repr(s.votes), s.reporters]
+            for e, s in zip(entries, stats)
+        ),
+        "serve_counters": [
+            server.full_syncs_served,
+            server.delta_syncs_served,
+            server.update_count,
+            server.client_count,
+        ],
+    }
+
+
+def capture_planes() -> Dict[str, Any]:
+    return {
+        "grouped": storm_fingerprint(ClientCohort),
+        "spec": storm_fingerprint(ReferenceClientCohort),
+    }
+
+
+CAPTURES = {
+    "session_refactor_golden": capture_session,
+    "scenario_golden": capture_scenarios,
+    "plane_golden": capture_planes,
+}
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in CAPTURES:
+        sys.exit(f"usage: python -m tests._golden {{{','.join(CAPTURES)}}}")
+    captured = CAPTURES[sys.argv[1]]()
+    sys.stdout.write(json.dumps(captured, indent=1, sort_keys=True) + "\n")

@@ -1,20 +1,28 @@
-"""Per-item reference for ServerDB's run-batched write path.
+"""Executable specs for the global_DB: writes, pulls and vote tallies.
 
-:class:`ReferenceServerDB` is :class:`~repro.core.globaldb.ServerDB` with
-every shard change marked on its own: ``post_update`` walks the upload
-and marks each item as it is applied, vote-driven re-marks go one key at
-a time, and its shards mark each URL of a run separately, re-reading the
-log limit after every append.  A group upload is one ``post_update`` per
-UUID, in order.  This is the executable spec the batched production
-path — ``post_update`` and the group call ``post_updates`` — must match
-bit for bit (``tests/test_properties.py``,
-``TestRunBatchedWriteProperties``); nothing outside the tests uses it.
+The production paths must match these bit for bit; only the tests and
+``benchmarks/bench_fleet_storm.py`` use them.
+
+- :class:`ReferenceServerDB` marks every shard change on its own:
+  ``post_update`` marks each item as it is applied, vote-driven re-marks
+  go one key at a time, and its shards re-read the log limit after every
+  append; a group upload is one ``post_update`` per UUID, in order.  The
+  run-batched ``post_update`` / ``post_updates`` must match it
+  (``tests/test_properties.py``, ``TestRunBatchedWriteProperties``).
+- :func:`sync_for_as` serves a pull as per-row entry objects and
+  :func:`apply_sync` folds them into a ``GlobalView``; the columnar
+  ``sync_batch_for_as`` + ``apply_batch`` must leave the same client
+  state (``TestSyncWireFormatProperties``).
+- :func:`recompute_stats` and :func:`recompute_plane_stats` rebuild a
+  key's d-histogram from its reporters; the ledger's incremental
+  ``stats`` and ``stats_for_plane`` must equal them exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.globaldb import (
     GlobalEntry,
@@ -23,6 +31,8 @@ from repro.core.globaldb import (
     ServerDB,
     _AsShard,
 )
+from repro.core.reporting import GlobalView
+from repro.core.voting import VoteStats, VotingLedger
 from repro.urlkit import normalize_url
 
 
@@ -102,3 +112,111 @@ class ReferenceServerDB(ServerDB):
             shard = self._shards.get(asn)
             if shard is not None and url in shard.entries:
                 shard.mark_changed((url,))
+
+
+# -- pulls --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SyncResult:
+    """One pull as per-row objects: ``entries`` to (re)store, ``removed``
+    URLs to drop (none on a full pull), ``version`` to present next."""
+
+    asn: int
+    version: int
+    full: bool
+    entries: List[GlobalEntry] = field(default_factory=list)
+    removed: List[str] = field(default_factory=list)
+
+    @property
+    def transferred(self) -> int:
+        return len(self.entries) + len(self.removed)
+
+
+def sync_for_as(
+    server: ServerDB,
+    asn: int,
+    now: float,
+    since_version: Optional[int] = None,
+    min_reporters: int = 1,
+    min_votes: float = 0.0,
+    plane_weights: Optional[Dict[str, float]] = None,
+) -> SyncResult:
+    """``server.sync_batch_for_as`` as per-row entries: the same full or
+    delta decision, serve counters and rows, with every touched entry
+    re-checked against the criterion and no batch cache."""
+    shard = server._shards.get(asn)
+    if shard is None:
+        server.full_syncs_served += 1
+        return SyncResult(asn=asn, version=0, full=True)
+    server._evict_expired(shard, now)
+    if (
+        since_version is None
+        or since_version < shard.floor
+        or since_version > shard.version
+    ):
+        server.full_syncs_served += 1
+        entries = server.blocked_for_as(
+            asn, now, min_reporters, min_votes, plane_weights
+        )
+        return SyncResult(asn, shard.version, True, entries)
+    server.delta_syncs_served += 1
+    stats = server._stats_fn(plane_weights)
+    changed: List[GlobalEntry] = []
+    removed: List[str] = []
+    for url in shard.touched_since(since_version):
+        entry = shard.entries.get(url)
+        if entry is not None and stats(url, asn).passes(min_reporters, min_votes):
+            changed.append(entry)
+        else:
+            removed.append(url)
+    return SyncResult(asn, shard.version, False, changed, removed)
+
+
+def apply_sync(view: GlobalView, result: SyncResult, now: float) -> None:
+    """Fold ``result`` into ``view`` as the server's entry objects."""
+    if result.full:
+        view._entries = {entry.url: entry for entry in result.entries}
+    else:
+        for url in result.removed:
+            view._entries.pop(url, None)
+        for entry in result.entries:
+            view._entries[entry.url] = entry
+    view.version = result.version
+    view.synced_asn = result.asn
+    view.last_synced = now
+
+
+# -- vote tallies -------------------------------------------------------------
+
+
+def _tally(ledger: VotingLedger, reporters: Iterable[str]) -> VoteStats:
+    """s/n of ``reporters``: one vote each, spread over the d keys it
+    vouches for, summed over sorted d as the ledger sums them."""
+    hist: Dict[int, int] = {}
+    count = 0
+    for client_id in reporters:
+        count += 1
+        d = len(ledger._by_client.get(client_id, ()))
+        if d:
+            hist[d] = hist.get(d, 0) + 1
+    votes = 0.0
+    for d in sorted(hist):
+        votes += hist[d] / d
+    return VoteStats(votes=votes, reporters=count)
+
+
+def recompute_stats(ledger: VotingLedger, url: str, asn: int) -> VoteStats:
+    """``ledger.stats`` from scratch, walking every reporter of the key."""
+    return _tally(ledger, ledger._by_key.get((url, asn), ()))
+
+
+def recompute_plane_stats(
+    ledger: VotingLedger, url: str, asn: int, plane: str
+) -> VoteStats:
+    """``ledger.stats_for_plane`` from scratch: the key's reporters on
+    ``plane`` only."""
+    reporters = ledger._by_key.get((url, asn), ())
+    return _tally(
+        ledger, [c for c in reporters if ledger.plane_of(c) == plane]
+    )

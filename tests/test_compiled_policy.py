@@ -2,8 +2,8 @@
 
 The compiled index is a pure performance layer: for every wire observation
 it must return the *same verdict object* (``is``-identical, since verdicts
-are shared singletons or per-rule instances) that the original first-match
-linear scan returns.  These tests drive both paths with a seeded battery of
+are shared singletons or per-rule instances) that the first-match linear
+scan in ``tests/_reference_policy.py`` returns.  These tests drive both paths with a seeded battery of
 inputs derived from the Pakistan case-study policies plus adversarial
 constructions (mixed case, scheme-prefix pathologies, rule-order ties).
 """
@@ -26,6 +26,7 @@ from repro.censor.actions import (
 )
 from repro.censor.policy import CensorPolicy, Matcher, Rule
 from repro.workloads.scenarios import pakistan_case_study
+from tests import _reference_policy as linear
 
 
 def _policy_vocab(policy):
@@ -100,15 +101,16 @@ def _input_battery(policy, seed):
 def _assert_equivalent(policy, seed=0):
     cases = _input_battery(policy, seed)
     for (qname,) in cases["dns"]:
-        assert policy.on_dns_query(qname) is policy.linear_on_dns_query(qname), qname
+        assert policy.on_dns_query(qname) is \
+            linear.on_dns_query(policy, qname), qname
     for (ip,) in cases["ip"]:
-        assert policy.on_packet(ip) is policy.linear_on_packet(ip), ip
+        assert policy.on_packet(ip) is linear.on_packet(policy, ip), ip
     for host, path in cases["http"]:
         assert policy.on_http_request(host, path) is \
-            policy.linear_on_http_request(host, path), (host, path)
+            linear.on_http_request(policy, host, path), (host, path)
     for sni, ip in cases["tls"]:
         assert policy.on_tls_client_hello(sni, ip) is \
-            policy.linear_on_tls_client_hello(sni, ip), (sni, ip)
+            linear.on_tls_client_hello(policy, sni, ip), (sni, ip)
 
 
 @pytest.mark.parametrize("isp", ["isp_a", "isp_b"])
@@ -157,6 +159,31 @@ def test_first_match_wins_across_criteria():
     _assert_equivalent(policy)
 
 
+def test_overlapping_rules_first_match_at_every_stage():
+    # Both rules match www.youtube.com (and 10.0.0.9) at every stage: the
+    # first rule's verdict wins at each one, not the more specific rule's.
+    first = Rule(
+        matcher=Matcher(domains={"youtube.com"}, ips={"10.0.0.9"}),
+        dns=DnsVerdict(DnsAction.NXDOMAIN),
+        ip=IpVerdict(IpAction.DROP),
+        http=HttpVerdict(HttpAction.DROP),
+        tls=TlsVerdict(TlsAction.DROP),
+    )
+    second = Rule(
+        matcher=Matcher(domains={"www.youtube.com"}, ips={"10.0.0.9"}),
+        dns=DnsVerdict(DnsAction.SERVFAIL),
+        ip=IpVerdict(IpAction.RST),
+        http=HttpVerdict(HttpAction.RST),
+        tls=TlsVerdict(TlsAction.RST),
+    )
+    policy = CensorPolicy(rules=[first, second])
+    assert policy.on_dns_query("www.youtube.com") is first.dns
+    assert policy.on_packet("10.0.0.9") is first.ip
+    assert policy.on_http_request("www.youtube.com", "/") is first.http
+    assert policy.on_tls_client_hello("www.youtube.com", "10.0.0.1") is first.tls
+    _assert_equivalent(policy)
+
+
 def test_scheme_prefix_pathologies():
     # The linear scan retries with "http://" + url, so a prefix that is
     # itself a prefix of "http://" matches *every* URL, and a full
@@ -194,8 +221,34 @@ def test_mixed_case_path_hits_keyword_rule():
     )
     verdict = policy.on_http_request("cdn.example.com", "/PoRn/clip.mp4")
     assert verdict.action is HttpAction.DROP
-    assert policy.linear_on_http_request("cdn.example.com", "/PoRn/clip.mp4") \
+    assert linear.on_http_request(policy, "cdn.example.com", "/PoRn/clip.mp4") \
         is verdict
+
+
+def test_rule_domain_with_trailing_dot_matches():
+    # A rule domain written fully qualified ("YouTube.com.") is stored as
+    # "youtube.com", the form every observed name is compared in.
+    policy = CensorPolicy(
+        rules=[
+            Rule(
+                matcher=Matcher(domains={"YouTube.com."}),
+                dns=DnsVerdict(DnsAction.NXDOMAIN),
+                http=HttpVerdict(HttpAction.DROP),
+                tls=TlsVerdict(TlsAction.DROP),
+            )
+        ]
+    )
+    rule = policy.rules[0]
+    for name, blocked in (
+        ("youtube.com", True), ("www.youtube.com.", True),
+        ("notyoutube.com", False),
+    ):
+        assert (policy.on_dns_query(name) is rule.dns) is blocked, name
+        assert (policy.on_http_request(name, "/") is rule.http) is blocked, name
+        assert (
+            policy.on_tls_client_hello(name, "203.0.113.9") is rule.tls
+        ) is blocked, name
+    _assert_equivalent(policy)
 
 
 def test_add_and_remove_rules_invalidate_compiled_index():

@@ -121,16 +121,12 @@ class TestSessionRefactorGolden:
     requests, byte-for-byte the same statuses, paths, PLTs (hex floats)
     and pilot aggregates.  If this fails, the session layer changed the
     engine's event-creation or RNG-draw order — see the regeneration
-    notes in ``tests/_session_golden.py``."""
+    notes in ``tests/_golden.py``."""
 
     def test_bit_identical_to_pre_refactor_snapshot(self):
-        from tests._session_golden import capture
+        from tests._golden import capture_session, check
 
-        golden = json.loads(
-            (REPO / "tests" / "data" / "session_refactor_golden.json")
-            .read_text()
-        )
-        assert capture() == golden
+        check("session_refactor_golden", capture_session())
 
 
 class TestOrderedAccumulators:

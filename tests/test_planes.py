@@ -21,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests._plane_fingerprint import all_fingerprints, load_golden
+from tests._golden import capture_planes, check, freeze, golden_storm
 from tests._reference_fleet import run_reference_storm
-from repro.core.fleet import run_fleet_storm
+from tests._reference_globaldb import recompute_plane_stats, recompute_stats
+from repro.core.fleet import ClientCohort, run_fleet_storm
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
 from repro.core.voting import DEFAULT_PLANE, VotingLedger
@@ -63,41 +64,19 @@ class TestGoldenFingerprint:
     the pre-refactor pipeline bit for bit (floats compared as reprs)."""
 
     def test_sweep_and_reference_match_pre_refactor_golden(self):
-        assert all_fingerprints() == load_golden()
+        check("plane_golden", capture_planes())
 
     def test_explicit_default_plane_matches_golden_too(self):
         """Passing the C-Saw plane explicitly (same fraction) is the
         same storm as passing no planes at all."""
-        from repro.core.fleet import ClientCohort
-        from repro.simnet.engine import Environment
 
         def run(planes):
-            server = ServerDB(entry_ttl=None)
-            env = Environment()
-            cohort = ClientCohort(
-                server,
-                asns=[41000 + i for i in range(4)],
-                clients_per_as=60,
-                seed=7,
-                reporter_fraction=0.05,
-                pull_interval=600.0,
-                planes=planes,
-            )
-
-            def driver():
-                yield env.timeout(300.0)
-                cohort.start_wave(env.now, urls_per_as=5)
-
-            env.process(driver())
-            env.process(cohort.run(env, 300.0 + 2.0 * 600.0 + cohort.tick))
-            env.run()
-            return cohort.finalize().summary()
+            _, _, metrics = golden_storm(ClientCohort, planes=planes)
+            return metrics.summary()
 
         explicit = run([CSawBrowserPlane(fraction=0.05)])
         assert explicit == run(None)
-        golden = load_golden()["grouped"]["summary"]
-        assert {k: repr(v) if isinstance(v, float) else v
-                for k, v in explicit.items()} == golden
+        check("plane_golden", freeze(explicit), at="grouped.summary")
 
 
 class TestPlaneAbstraction:
@@ -399,7 +378,7 @@ class TestPlaneLedgerProperties:
         self.apply(plain, ops, with_planes=False)
         for url in URLS:
             assert tracked.stats(url, 1) == plain.stats(url, 1)
-            assert tracked.recompute_stats(url, 1) == tracked.stats(url, 1)
+            assert recompute_stats(tracked, url, 1) == tracked.stats(url, 1)
 
     @given(ops=ledger_ops)
     @settings(max_examples=60, deadline=None)
@@ -427,7 +406,7 @@ class TestPlaneLedgerProperties:
         for url in URLS:
             for plane in PLANE_NAMES:
                 incremental = ledger.stats_for_plane(url, 1, plane)
-                reference = ledger.recompute_plane_stats(url, 1, plane)
+                reference = recompute_plane_stats(ledger, url, 1, plane)
                 assert incremental == reference, (url, plane)
 
 

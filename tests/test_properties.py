@@ -14,6 +14,9 @@ from repro.core.records import BlockStatus, BlockType
 from repro.core.voting import VotingLedger
 from repro.simnet.engine import Environment
 from repro.simnet.latency import LatencyModel
+from tests._reference_globaldb import (
+    apply_sync, recompute_plane_stats, recompute_stats, sync_for_as,
+)
 
 
 class TestEngineProperties:
@@ -269,7 +272,8 @@ class TestLocalDbProperties:
 
 
 class TestSyncWireFormatProperties:
-    """The columnar batch path is an optimization of the row path —
+    """The columnar batch path is an optimization of the row twin in
+    ``tests/_reference_globaldb.py`` (``sync_for_as`` + ``apply_sync``) —
     hypothesis drives both through the same random post/dissent/revoke/
     pull interleavings, with and without a TTL and under one pull
     criterion per example, and demands bit-identical client state after
@@ -346,10 +350,11 @@ class TestSyncWireFormatProperties:
 
         def pull(asn, now):
             rows, batches = row_views[asn], batch_views[asn]
-            result = server.sync_for_as(
-                asn, now, since_version=rows.since_version(asn), **criterion
+            result = sync_for_as(
+                server, asn, now, since_version=rows.since_version(asn),
+                **criterion
             )
-            rows.apply_sync(result, now)
+            apply_sync(rows, result, now)
             batch = server.sync_batch_for_as(
                 asn, now, since_version=batches.since_version(asn),
                 **criterion
@@ -734,8 +739,8 @@ class TestRunBatchedWriteProperties:
                 for criterion in criteria:
                     rows = [
                         self._sync_rows(
-                            db.sync_for_as(asn, now, since_version=since,
-                                           **criterion)
+                            sync_for_as(db, asn, now, since_version=since,
+                                        **criterion)
                         )
                         for db in (ref, fast)
                     ]
@@ -750,10 +755,10 @@ class TestRunBatchedWriteProperties:
     @classmethod
     def _assert_ledger_matches_recompute(cls, ledger):
         for url, asn in list(ledger._by_key):
-            assert ledger.stats(url, asn) == ledger.recompute_stats(url, asn)
+            assert ledger.stats(url, asn) == recompute_stats(ledger, url, asn)
             for plane in cls.PLANES:
                 assert ledger.stats_for_plane(url, asn, plane) == \
-                    ledger.recompute_plane_stats(url, asn, plane)
+                    recompute_plane_stats(ledger, url, asn, plane)
 
     @given(
         ttl=st.sampled_from([None, 5.0]),

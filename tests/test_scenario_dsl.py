@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests._scenario_fingerprint import (
+from tests._golden import (
     case_study_fingerprint,
     centralized_fingerprint,
-    load_golden,
+    check,
     wave_fingerprint,
 )
 from repro.scenarios import (
@@ -66,13 +66,13 @@ class TestGoldenEquivalence:
             yield
 
     def test_pakistan_case_study_bit_identical(self):
-        assert case_study_fingerprint() == load_golden()["case_study"]
+        check("scenario_golden", case_study_fingerprint(), at="case_study")
 
     def test_centralized_country_bit_identical(self):
-        assert centralized_fingerprint() == load_golden()["centralized"]
+        check("scenario_golden", centralized_fingerprint(), at="centralized")
 
     def test_blocking_wave_bit_identical(self):
-        assert wave_fingerprint() == load_golden()["wave"]
+        check("scenario_golden", wave_fingerprint(), at="wave")
 
 
 # -- spec validation -----------------------------------------------------------

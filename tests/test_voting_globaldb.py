@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.globaldb import RegistrationError, ReportItem, ServerDB
 from repro.core.records import BlockType
 from repro.core.voting import VotingLedger
+from tests._reference_globaldb import recompute_stats
 
 
 class TestVotingLedger:
@@ -273,9 +274,8 @@ class TestServerDB:
 
 
 class TestIncrementalVotingExactness:
-    """The incremental s_{j,k} must match the from-scratch recompute
-    *exactly* (bit-identical floats), mirroring the compiled-policy
-    linear_on_* reference pattern."""
+    """The incremental s_{j,k} must match the from-scratch recompute in
+    ``tests/_reference_globaldb.py`` *exactly* (bit-identical floats)."""
 
     URLS = [f"http://u{i}.example.com/" for i in range(5)]
     ASNS = [17557, 38193]
@@ -286,7 +286,7 @@ class TestIncrementalVotingExactness:
         for url in urls:
             for asn in asns:
                 incremental = ledger.stats(url, asn)
-                reference = ledger.recompute_stats(url, asn)
+                reference = recompute_stats(ledger, url, asn)
                 assert incremental == reference  # exact, not approx
 
     @given(
@@ -417,21 +417,18 @@ class TestDeltaSync:
         server.post_update(
             uuid, self.make_reports(["http://a.com/", "http://b.com/"]), now=1.0
         )
-        result = server.sync_for_as(self.ASN, now=2.0)
+        result = server.sync_batch_for_as(self.ASN, now=2.0)
         assert result.full
-        assert {e.url for e in result.entries} == {
-            "http://a.com/",
-            "http://b.com/",
-        }
-        assert result.removed == []
+        assert set(result.urls) == {"http://a.com/", "http://b.com/"}
+        assert result.removed == ()
         assert result.version == server.version_for_as(self.ASN)
         assert server.full_syncs_served == 1
 
     def test_unknown_as_pull_is_empty_full(self):
         server = ServerDB()
-        result = server.sync_for_as(999, now=1.0)
+        result = server.sync_batch_for_as(999, now=1.0)
         assert result.full
-        assert result.entries == [] and result.removed == []
+        assert result.urls == () and result.removed == ()
         assert result.version == 0
 
     def test_delta_transfers_only_changed_entries(self):
@@ -442,16 +439,16 @@ class TestDeltaSync:
             self.make_reports([f"http://u{i}.com/" for i in range(20)]),
             now=1.0,
         )
-        first = server.sync_for_as(self.ASN, now=2.0)
+        first = server.sync_batch_for_as(self.ASN, now=2.0)
         # A *different* client posts the new URL — had the same client
         # posted it, every prior entry's vote mass would dilute and all
         # 20 would legitimately re-travel.
         other = server.register(now=2.5)
         server.post_update(other, self.make_reports(["http://new.com/"]), now=3.0)
-        delta = server.sync_for_as(self.ASN, now=4.0, since_version=first.version)
+        delta = server.sync_batch_for_as(self.ASN, now=4.0, since_version=first.version)
         assert not delta.full
-        assert [e.url for e in delta.entries] == ["http://new.com/"]
-        assert delta.removed == []
+        assert delta.urls == ("http://new.com/",)
+        assert delta.removed == ()
         assert delta.transferred == 1
         assert server.delta_syncs_served == 1
 
@@ -459,8 +456,8 @@ class TestDeltaSync:
         server = ServerDB()
         uuid = server.register(now=0.0)
         server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
-        first = server.sync_for_as(self.ASN, now=2.0)
-        again = server.sync_for_as(
+        first = server.sync_batch_for_as(self.ASN, now=2.0)
+        again = server.sync_batch_for_as(
             self.ASN, now=3.0, since_version=first.version
         )
         assert not again.full
@@ -473,11 +470,11 @@ class TestDeltaSync:
         server = ServerDB()
         uuid = server.register(now=0.0)
         server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
-        result = server.sync_for_as(
+        result = server.sync_batch_for_as(
             self.ASN, now=2.0, since_version=server.version_for_as(self.ASN) + 10
         )
         assert result.full
-        assert [e.url for e in result.entries] == ["http://a.com/"]
+        assert result.urls == ("http://a.com/",)
 
     def test_log_truncation_forces_full_snapshot(self):
         server = ServerDB()
@@ -489,7 +486,7 @@ class TestDeltaSync:
             server.post_update(
                 uuid, self.make_reports(["http://a.com/"]), now=2.0 + i
             )
-        result = server.sync_for_as(
+        result = server.sync_batch_for_as(
             self.ASN, now=700.0, since_version=stale_version
         )
         assert result.full  # stale_version < shard.floor
@@ -498,15 +495,13 @@ class TestDeltaSync:
         server = ServerDB(entry_ttl=100.0)
         uuid = server.register(now=0.0)
         server.post_update(uuid, self.make_reports(["http://old.com/"]), now=1.0)
-        first = server.sync_for_as(self.ASN, now=2.0)
-        assert [e.url for e in first.entries] == ["http://old.com/"]
+        first = server.sync_batch_for_as(self.ASN, now=2.0)
+        assert first.urls == ("http://old.com/",)
         server.post_update(uuid, self.make_reports(["http://new.com/"]), now=500.0)
-        delta = server.sync_for_as(
-            self.ASN, now=500.0, since_version=first.version
-        )
+        delta = server.sync_batch_for_as(self.ASN, now=500.0, since_version=first.version)
         assert not delta.full
-        assert [e.url for e in delta.entries] == ["http://new.com/"]
-        assert delta.removed == ["http://old.com/"]
+        assert delta.urls == ("http://new.com/",)
+        assert delta.removed == ("http://old.com/",)
 
     def test_dissent_appears_in_removal_diff(self):
         server = ServerDB()
@@ -514,13 +509,13 @@ class TestDeltaSync:
         server.post_update(
             uuid, self.make_reports(["http://a.com/", "http://b.com/"]), now=1.0
         )
-        first = server.sync_for_as(self.ASN, now=2.0)
+        first = server.sync_batch_for_as(self.ASN, now=2.0)
         assert server.post_dissent(uuid, "http://a.com/", self.ASN, now=3.0)
-        delta = server.sync_for_as(self.ASN, now=4.0, since_version=first.version)
+        delta = server.sync_batch_for_as(self.ASN, now=4.0, since_version=first.version)
         assert not delta.full
-        assert delta.removed == ["http://a.com/"]
+        assert delta.removed == ("http://a.com/",)
         # b's stats moved too (d shrank), so it may legitimately re-travel.
-        assert all(e.url == "http://b.com/" for e in delta.entries)
+        assert all(url == "http://b.com/" for url in delta.urls)
 
     def test_vote_dilution_crosses_threshold_in_delta(self):
         """An entry can stop passing min_votes without ever being
@@ -529,8 +524,8 @@ class TestDeltaSync:
         server = ServerDB()
         uuid = server.register(now=0.0)
         server.post_update(uuid, self.make_reports(["http://x.com/"]), now=1.0)
-        first = server.sync_for_as(self.ASN, now=2.0, min_votes=0.6)
-        assert [e.url for e in first.entries] == ["http://x.com/"]
+        first = server.sync_batch_for_as(self.ASN, now=2.0, min_votes=0.6)
+        assert first.urls == ("http://x.com/",)
         # Same client reports four more URLs in a *different* AS: d goes
         # 1 -> 5, so x.com's vote mass drops to 0.2 < 0.6.
         server.post_update(
@@ -540,12 +535,12 @@ class TestDeltaSync:
             ),
             now=3.0,
         )
-        delta = server.sync_for_as(
+        delta = server.sync_batch_for_as(
             self.ASN, now=4.0, since_version=first.version, min_votes=0.6
         )
         assert not delta.full
-        assert delta.entries == []
-        assert delta.removed == ["http://x.com/"]
+        assert delta.urls == ()
+        assert delta.removed == ("http://x.com/",)
 
     def test_revoked_client_entries_in_removal_diff(self):
         """Revocation erases the client's vote mass from the incremental
@@ -559,20 +554,17 @@ class TestDeltaSync:
             now=1.0,
         )
         server.post_update(good, self.make_reports(["http://shared.com/"]), now=1.0)
-        first = server.sync_for_as(self.ASN, now=2.0)
-        assert {e.url for e in first.entries} == {
-            "http://solo.com/",
-            "http://shared.com/",
-        }
+        first = server.sync_batch_for_as(self.ASN, now=2.0)
+        assert set(first.urls) == {"http://solo.com/", "http://shared.com/"}
         server.revoke(bad)
         assert server.stats_for("http://solo.com/", self.ASN).reporters == 0
         shared = server.stats_for("http://shared.com/", self.ASN)
         assert shared.reporters == 1
         assert shared.votes == pytest.approx(1.0)
-        delta = server.sync_for_as(self.ASN, now=3.0, since_version=first.version)
+        delta = server.sync_batch_for_as(self.ASN, now=3.0, since_version=first.version)
         assert not delta.full
-        assert delta.removed == ["http://solo.com/"]
-        assert [e.url for e in delta.entries] == ["http://shared.com/"]
+        assert delta.removed == ("http://solo.com/",)
+        assert delta.urls == ("http://shared.com/",)
 
 
 class TestBatchCache:
