@@ -7,9 +7,9 @@
    relay that *improves* after a bad start is never rediscovered.
 3. Multihoming pinning (§4.4): without it, a URL blocked by only one of
    two providers oscillates between direct (sometimes broken) and relay.
-4. Voting (§5): a Sybil reporter floods the global DB; the confidence
-   filter (min reporters) keeps honest clients' views clean, at no cost
-   to true entries.
+4. Voting (§5): a Sybil clique floods the global DB through the fleet's
+   write path; the confidence filter (vote mass or reporter count)
+   keeps honest clients' views clean, at no cost to true entries.
 """
 
 import pytest
@@ -18,14 +18,8 @@ from conftest import run_once
 from repro.analysis import mean, render_table
 from repro.censor.actions import HttpAction, HttpVerdict
 from repro.censor.policy import Matcher, Rule
-from repro.core import (
-    BlockStatus,
-    CSawClient,
-    CSawConfig,
-    ReportItem,
-    ServerDB,
-)
-from repro.core.records import BlockType
+from repro.core import CSawClient, CSawConfig, ServerDB
+from repro.core.fleet import run_fleet_storm
 from repro.runner import TrialSpec, merge_values, run_trials
 from repro.workloads.scenarios import pakistan_case_study
 
@@ -230,35 +224,28 @@ def test_ablation_multihoming_pinning(benchmark, report):
 # --- 4. voting vs naive trust under a Sybil flood ------------------------------
 
 def run_voting_attack():
-    server = ServerDB()
-    honest = [server.register(now=float(i)) for i in range(8)]
-    # CAPTCHA rate-limits the attacker to a handful of identities.
-    sybils = [server.register(now=100.0 + i) for i in range(2)]
-
-    real_urls = [f"http://truly-blocked-{i}.example/" for i in range(10)]
-    for uuid in honest:
-        server.post_update(
-            uuid,
-            [
-                ReportItem(url=url, asn=1, stages=(BlockType.BLOCK_PAGE,),
-                           measured_at=1.0)
-                for url in real_urls
-            ],
-            now=2.0,
-        )
-    poison_urls = [f"http://innocent-{i}.example/" for i in range(200)]
-    for uuid in sybils:
-        server.post_update(
-            uuid,
-            [
-                ReportItem(url=url, asn=1, stages=(BlockType.BLOCK_PAGE,),
-                           measured_at=1.0)
-                for url in poison_urls
-            ],
-            now=3.0,
-        )
-
-    poison = set(poison_urls)
+    # One AS of 100 clients whose 10 wave URLs are really blocked: 8
+    # honest C-Saw reporters, and 2 Sybil identities (the CAPTCHA
+    # rate-limits the attacker to a handful) vouching as a clique for
+    # 200 fabricated URLs.  Both post through the fleet's write path.
+    server = ServerDB(entry_ttl=None)
+    asn = 1
+    metrics = run_fleet_storm(
+        n_ases=1, clients_per_as=100, urls_per_as=10, asn_base=asn,
+        server=server,
+        planes=[
+            {"kind": "csaw", "fraction": 0.08},
+            {"kind": "clique", "fraction": 0.02, "urls_each": 200},
+        ],
+    )
+    ledger = server.voting
+    poison = {
+        url
+        for uuid in ledger.clients()
+        if ledger.plane_of(uuid) == "clique"
+        for url, _ in ledger.reports_of(uuid)
+    }
+    now = metrics.last_report_at
 
     def split(entries):
         return (
@@ -267,15 +254,15 @@ def run_voting_attack():
         )
 
     return {
-        "naive": split(server.blocked_for_as(1, now=4.0)),
+        "naive": split(server.blocked_for_as(asn, now=now)),
         # Reporter count alone is defeated by two colluding identities...
         "min 3 reporters": split(
-            server.blocked_for_as(1, now=4.0, min_reporters=3)
+            server.blocked_for_as(asn, now=now, min_reporters=3)
         ),
         # ...while vote mass punishes them for spreading over 200 URLs
         # (each sybil contributes only 1/200 per entry).
         "min 0.05 votes": split(
-            server.blocked_for_as(1, now=4.0, min_votes=0.05)
+            server.blocked_for_as(asn, now=now, min_votes=0.05)
         ),
     }
 

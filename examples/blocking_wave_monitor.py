@@ -19,7 +19,7 @@ def main() -> None:
     for event in sorted(wave.events, key=lambda e: e.time):
         print(
             f"  t+{event.time / 3600:5.1f}h  AS {event.asn} starts blocking "
-            f"{event.domain} via {event.mechanism}"
+            f"{event.domain} via {' + '.join(event.mechanisms)}"
         )
 
     observations = wave.run()

@@ -1,8 +1,8 @@
 """Pluggable measurement planes feeding the global_DB (DESIGN.md §13).
 
-Public surface: the :class:`MeasurementPlane` protocol, the three
-shipped planes, and the kind registry the scenario compiler and spec
-validator resolve against.
+Public surface: the :class:`MeasurementPlane` protocol, the shipped
+planes (three measurement planes and the Sybil adversaries), and the
+kind registry the scenario compiler and spec validator resolve against.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from .base import DEFAULT_PLANE, MeasurementPlane, PlaneProfile
 from .csaw import CSawBrowserPlane
 from .encore import EncoreProbePlane
 from .problist import GeneratedProbeListPlane
+from .sybil import SybilPlane
 
 __all__ = [
     "DEFAULT_PLANE",
@@ -21,6 +22,7 @@ __all__ = [
     "CSawBrowserPlane",
     "EncoreProbePlane",
     "GeneratedProbeListPlane",
+    "SybilPlane",
     "PLANE_KINDS",
     "build_plane",
 ]
@@ -45,19 +47,29 @@ def _build_problist(spec: Mapping[str, Any]) -> GeneratedProbeListPlane:
         fraction=spec["fraction"],
         probe_interval=spec.get("probe_interval", 600.0),
         coverage=spec.get("coverage", 0.7),
-        list_size=spec.get("list_size", 50),
-        corpus_sites=spec.get("corpus_sites", 120),
         name=spec.get("name", "problist"),
     )
 
 
-#: kind -> factory taking a mapping of spec fields (PlaneSpec.as_dict()
+def _build_sybil(spec: Mapping[str, Any]) -> SybilPlane:
+    kind = spec["kind"]
+    return SybilPlane(
+        kind,
+        fraction=spec["fraction"],
+        urls_each=spec.get("urls_each", 1),
+        name=spec.get("name", kind),
+    )
+
+
+#: kind -> factory taking a mapping of spec fields (a PlaneSpec's fields
 #: or a plain dict); the scenario compiler and spec validation both
 #: resolve plane kinds here, so adding a plane is one registry entry.
 PLANE_KINDS: Dict[str, Callable[[Mapping[str, Any]], MeasurementPlane]] = {
     "csaw": _build_csaw,
     "encore": _build_encore,
     "problist": _build_problist,
+    "flood": _build_sybil,
+    "clique": _build_sybil,
 }
 
 

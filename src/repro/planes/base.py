@@ -50,7 +50,8 @@ class PlaneProfile:
 
     #: Provenance tag carried by every ReportItem this plane produces.
     name: str
-    #: Plane family: "csaw" | "encore" | "problist" (registry key).
+    #: Plane family: "csaw" | "encore" | "problist" | "flood" | "clique"
+    #: (registry key).
     kind: str
     #: Voting weight in [0, 1] a consumer should give this plane's
     #: reports — the per-plane-aware confidence criterion multiplies

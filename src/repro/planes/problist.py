@@ -1,21 +1,20 @@
 """Generated per-AS probe-list plane (Tang et al., PAPERS.md).
 
-Instead of waiting for users to stumble onto blocked pages, build a
-probe list per AS from the observed URL corpus (the censorship-prone
-categories of :func:`repro.workloads.corpus.build_corpus`) and schedule
-a small vantage population to walk it.  Fidelity is high for URLs *on*
-the list (the vantage runs a full measurement, same stage evidence as
-C-Saw), but coverage is partial: a wave URL absent from the generated
-list is invisible to this plane (``coverage`` models list-generation
-recall).  Detection is scan-scheduled, not browsing-driven — a vantage
-notices the block on its next pass over the list, so delays are uniform
-over the probe interval rather than a human-reaction window.
+Instead of waiting for users to stumble onto blocked pages, generate a
+probe list per AS and schedule a small vantage population to walk it.
+Fidelity is high for URLs *on* the list (the vantage runs a full
+measurement, same stage evidence as C-Saw), but coverage is partial: a
+wave URL absent from the generated list is invisible to this plane
+(``coverage`` models list-generation recall).  Detection is
+scan-scheduled, not browsing-driven — a vantage notices the block on
+its next pass over the list, so delays are uniform over the probe
+interval rather than a human-reaction window.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..core.fleet import WAVE_STAGES
 from ..core.globaldb import ReportItem
@@ -25,7 +24,7 @@ __all__ = ["GeneratedProbeListPlane"]
 
 
 class GeneratedProbeListPlane(MeasurementPlane):
-    """Scheduled vantages probing a corpus-derived per-AS URL list."""
+    """Scheduled vantages probing a generated per-AS URL list."""
 
     per_reporter_items = False
 
@@ -34,9 +33,6 @@ class GeneratedProbeListPlane(MeasurementPlane):
         fraction: float,
         probe_interval: float = 600.0,
         coverage: float = 0.7,
-        list_size: int = 50,
-        corpus_sites: int = 120,
-        corpus_seed: int = 0,
         name: str = "problist",
     ):
         super().__init__(fraction)
@@ -44,17 +40,13 @@ class GeneratedProbeListPlane(MeasurementPlane):
             raise ValueError(
                 f"GeneratedProbeListPlane: coverage must be in (0,1]: {coverage!r}"
             )
-        if probe_interval <= 0.0:
+        if not probe_interval > 0.0:
             raise ValueError(
                 f"GeneratedProbeListPlane: probe_interval must be > 0: "
                 f"{probe_interval!r}"
             )
         self.probe_interval = probe_interval
         self.coverage = coverage
-        self.list_size = list_size
-        self.corpus_sites = corpus_sites
-        self.corpus_seed = corpus_seed
-        self._standing: Optional[Tuple[str, ...]] = None
         self.profile = PlaneProfile(
             name=name,
             kind="problist",
@@ -63,27 +55,6 @@ class GeneratedProbeListPlane(MeasurementPlane):
             false_signal=1.0 - coverage,
             cost_per_report=512.0,
         )
-
-    def standing_list(self) -> Tuple[str, ...]:
-        """The corpus-derived standing probe list (censored categories).
-
-        Built lazily — the corpus is only paid for when a problist plane
-        actually runs — and deterministically from ``corpus_seed``, so
-        sharded fleet workers regenerate the identical list.
-        """
-        if self._standing is None:
-            from ..workloads.corpus import build_corpus
-
-            corpus = build_corpus(
-                n_sites=self.corpus_sites, seed=self.corpus_seed
-            )
-            domains = corpus.domains_in_categories(
-                ("porn", "political", "religious")
-            )
-            self._standing = tuple(
-                f"http://{domain}/" for domain in sorted(domains)
-            )[: self.list_size]
-        return self._standing
 
     def detection_delays(
         self,

@@ -11,7 +11,7 @@ bit-identical however the spec sections are arranged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from ..censor.blockpages import DEFAULT_BLOCKPAGE_HTML
@@ -151,7 +151,7 @@ class ScenarioCompiler:
             return None
         from ..planes import build_plane
 
-        return [build_plane(plane.as_dict()) for plane in spec.planes]
+        return [build_plane(asdict(plane)) for plane in spec.planes]
 
     def compile(self, spec: ScenarioSpec) -> CompiledScenario:
         spec.validate()

@@ -283,68 +283,55 @@ def evaluate(spec: ScenarioSpec, outcome) -> ExpectationReport:
             report.checks.append(
                 ExpectationCheck(
                     "reputation", "analysis", "reputation outcome",
-                    "no attack run", False,
+                    "no reputation pass", False,
                 )
             )
         else:
-            for group in want_rep.flagged_groups:
-                flagged, total = rep.flag_counts[group]
-                report.checks.append(
-                    ExpectationCheck(
-                        "reputation",
-                        f"group {group!r} flagged",
-                        f"all {total} reporters flagged",
-                        f"{flagged}/{total} flagged",
-                        flagged == total,
-                    )
-                )
-            for group in want_rep.clean_groups:
-                flagged, total = rep.flag_counts[group]
-                report.checks.append(
-                    ExpectationCheck(
-                        "reputation",
-                        f"group {group!r} clean",
-                        "no reporters flagged",
-                        f"{flagged}/{total} flagged",
-                        flagged == 0,
-                    )
-                )
-            if want_rep.fabricated_removed:
-                leftovers = {
-                    group: survived
-                    for group, survived in rep.surviving_urls.items()
-                    if rep.roles[group] != "honest" and survived
-                }
-                report.checks.append(
-                    ExpectationCheck(
-                        "reputation",
-                        "fabricated URLs evicted",
-                        "0 fabricated URLs survive enforcement",
-                        "none survive"
-                        if not leftovers
-                        else f"survivors: { {g: len(u) for g, u in leftovers.items()} }",
-                        not leftovers,
-                    )
-                )
-            if want_rep.honest_survive:
-                lost = {
-                    group: removed
-                    for group, removed in rep.removed_urls.items()
-                    if rep.roles[group] == "honest" and removed
-                }
-                report.checks.append(
-                    ExpectationCheck(
-                        "reputation",
-                        "honest URLs survive",
-                        "no honest URLs evicted",
-                        "all survive"
-                        if not lost
-                        else f"evicted: { {g: len(u) for g, u in lost.items()} }",
-                        not lost,
-                    )
-                )
+            _reputation_checks(report, want_rep, rep)
 
     return report
+
+
+def _reputation_checks(report: ExpectationReport, want, rep) -> None:
+    """Flagged planes wholly revoked, clean planes posted and untouched,
+    and the URLs each side vouched for evicted or kept to match."""
+    for plane in want.flagged_planes + want.clean_planes:
+        flagged, total = rep.flag_counts.get(plane, (0, 0))
+        if plane in want.flagged_planes:
+            verdict, expected = "flagged", f"all {total} reporters flagged"
+            ok = 0 < total == flagged
+        else:
+            verdict, expected = "clean", "reporters posted, none flagged"
+            ok = total > 0 and not flagged
+        report.checks.append(ExpectationCheck(
+            "reputation", f"plane {plane!r} {verdict}", expected,
+            f"{flagged}/{total} flagged", ok,
+        ))
+    # A URL an unflagged plane vouched for is real, whoever else did.
+    real = {
+        url
+        for plane, removed in rep.removed_urls.items()
+        if plane not in want.flagged_planes
+        for url in removed + rep.surviving_urls[plane]
+    }
+    survivors = sorted({
+        url
+        for plane in want.flagged_planes
+        for url in rep.surviving_urls.get(plane, ())
+    } - real)
+    lost = sorted({
+        url for plane in want.clean_planes for url in rep.removed_urls.get(plane, ())
+    })
+    report.checks.append(ExpectationCheck(
+        "reputation", "fabricated URLs evicted",
+        "no URL vouched for only by flagged planes survives",
+        f"{len(survivors)} survive: {survivors[:3]}", not survivors,
+    ))
+    report.checks.append(ExpectationCheck(
+        "reputation", "clean planes' URLs survive",
+        "no URL a clean plane vouched for is evicted",
+        f"{len(lost)} evicted: {lost[:3]}", not lost,
+    ))
 
 
 def _verdict_str(want) -> str:

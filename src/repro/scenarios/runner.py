@@ -1,15 +1,16 @@
 """ScenarioRunner: execute a compiled scenario and check expectations.
 
-Four execution modes, resolved from the spec:
+Three execution modes, resolved from the spec:
 
 - ``clients`` — full C-Saw populations browsing through the simulated
   Internet while timed blocking events land (the §7.5 wave shape);
 - ``probe`` — no workload, just direct-path measurements from every
   vantage the expectations name (Table-1-style verdict worlds);
 - ``cohort`` — fleet-scale mean-field cohorts via :mod:`repro.core.fleet`,
-  optionally sharded across processes via :mod:`repro.runner`;
-- ``attack`` — adversarial reporter populations driven straight at
-  ``ServerDB``/``VotingLedger`` and judged by the reputation analyzer.
+  optionally sharded across processes via :mod:`repro.runner`.  Sybil
+  adversaries are reporter planes of the cohort; when the spec declares
+  ``[expect.reputation]`` the reputation analyzer judges the storm's
+  server afterwards.
 
 The client driver reproduces the legacy :class:`BlockingWave` loop
 draw-for-draw (same stream names, same jitter, same think-time), which
@@ -20,7 +21,7 @@ same-seed output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.records import BlockType
 from .compiler import CompiledScenario, ScenarioCompiler
@@ -84,13 +85,16 @@ class ScenarioObservation:
 
 @dataclass
 class ReputationOutcome:
-    """What the reputation pass concluded about each attack group."""
+    """What the reputation pass concluded about each plane's reporters.
 
-    flagged: Tuple[str, ...]  # flagged reporter UUIDs, registration order
-    roles: Dict[str, str]  # group -> role
-    flag_counts: Dict[str, Tuple[int, int]]  # group -> (flagged, total)
-    removed_urls: Dict[str, List[str]]  # group -> URLs gone post-enforce
-    surviving_urls: Dict[str, List[str]]  # group -> URLs still present
+    Keys are plane names.  URL lists are sorted; a cohort's URLs name
+    their AS, so a URL stands for its (URL, AS) entry.
+    """
+
+    flagged: Tuple[str, ...]  # revoked reporter UUIDs, ledger order
+    flag_counts: Dict[str, Tuple[int, int]]  # plane -> (flagged, reporters)
+    removed_urls: Dict[str, List[str]]  # plane -> vouched URLs now gone
+    surviving_urls: Dict[str, List[str]]  # plane -> vouched URLs still listed
 
 
 @dataclass
@@ -163,8 +167,6 @@ class ScenarioRunner:
         mode = spec.resolved_mode()
         if mode == "cohort":
             outcome = self._run_cohort(spec)
-        elif mode == "attack":
-            outcome = self._run_attack(spec)
         else:
             outcome = self._run_world(spec, browse=(mode == "clients"))
         outcome.report = evaluate(spec, outcome)
@@ -247,6 +249,7 @@ class ScenarioRunner:
     # -- cohort mode ----------------------------------------------------------
 
     def _run_cohort(self, spec: ScenarioSpec) -> ScenarioOutcome:
+        from ..core import ServerDB
         from ..core.fleet import run_fleet_storm, run_fleet_storm_sharded
 
         cohort = spec.cohort
@@ -269,107 +272,40 @@ class ScenarioRunner:
             # per-plane counters and curves across disjoint AS slices.
             metrics = run_fleet_storm_sharded(workers=self.workers, **kwargs)
         else:
-            metrics = run_fleet_storm(**kwargs)
-        return ScenarioOutcome(spec=spec, mode="cohort", fleet=metrics)
+            server = ServerDB(entry_ttl=None)
+            metrics = run_fleet_storm(server=server, **kwargs)
+        outcome = ScenarioOutcome(spec=spec, mode="cohort", fleet=metrics)
+        if spec.expect.reputation is not None:  # validate(): never sharded
+            outcome.reputation = _reputation_pass(server)
+        return outcome
 
-    # -- attack mode ----------------------------------------------------------
 
-    def _run_attack(self, spec: ScenarioSpec) -> ScenarioOutcome:
-        from ..core import ServerDB
-        from ..core.globaldb import ReportItem
-        from ..core.reputation import ReputationAnalyzer
-        from ..simnet.rng import RngRegistry
+def _reputation_pass(server) -> ReputationOutcome:
+    """Record each plane's reporters and vouched entries, then flag and
+    revoke with the analyzer's default thresholds (§5)."""
+    from ..core.reputation import ReputationAnalyzer
 
-        attack = spec.attack
-        server = ServerDB(entry_ttl=None)
-        rngs = RngRegistry(seed=spec.seed)
-        now = 0.0
-
-        group_uuids: Dict[str, List[str]] = {}
-        group_urls: Dict[str, List[str]] = {}
-        roles: Dict[str, str] = {}
-        for group in attack.groups:
-            rng = rngs.stream(f"attack/{group.name}")
-            roles[group.name] = group.role
-            uuids: List[str] = []
-            urls_seen: Dict[str, None] = {}
-            if group.role == "honest":
-                pool = [
-                    f"http://{group.name}-pool-{i}.attack.example/"
-                    for i in range(group.pool_size)
-                ]
-            shared = [
-                f"http://{group.name}-shared-{k}.attack.example/"
-                for k in range(group.urls_each)
-            ]
-            for member in range(group.clients):
-                now += 1.0
-                uuid = server.register(now)
-                uuids.append(uuid)
-                if group.role == "honest":
-                    urls = rng.sample(pool, group.urls_each)
-                elif group.role == "flood":
-                    urls = [
-                        f"http://{group.name}-{member}-{k}.attack.example/"
-                        for k in range(group.urls_each)
-                    ]
-                else:  # clique: everyone vouches for the same set
-                    urls = shared
-                urls_seen.update(dict.fromkeys(urls))
-                now += 1.0
-                server.post_update(
-                    uuid,
-                    [
-                        ReportItem(
-                            url=url,
-                            asn=attack.asn,
-                            stages=(BlockType.BLOCK_PAGE,),
-                            measured_at=now,
-                        )
-                        for url in urls
-                    ],
-                    now,
-                )
-            group_uuids[group.name] = uuids
-            group_urls[group.name] = list(urls_seen)
-
-        analyzer = ReputationAnalyzer(server)
-        flagged = list(
-            analyzer.flag_suspects(
-                min_volume=attack.min_volume,
-                max_corroboration=attack.max_corroboration,
-                clique_similarity=attack.clique_similarity,
-            )
-        )
-        if attack.enforce:
-            for uuid in flagged:
-                server.revoke(uuid)
-
-        flagged_set = set(flagged)
-        flag_counts = {
-            name: (sum(1 for u in uuids if u in flagged_set), len(uuids))
-            for name, uuids in group_uuids.items()
-        }
-        removed: Dict[str, List[str]] = {}
-        surviving: Dict[str, List[str]] = {}
-        for name, urls in group_urls.items():
-            removed[name] = [
-                url for url in urls if server.entry(url, attack.asn) is None
-            ]
-            surviving[name] = [
-                url for url in urls if server.entry(url, attack.asn) is not None
-            ]
-        return ScenarioOutcome(
-            spec=spec,
-            mode="attack",
-            reputation=ReputationOutcome(
-                flagged=tuple(flagged),
-                roles=roles,
-                flag_counts=flag_counts,
-                removed_urls=removed,
-                surviving_urls=surviving,
-            ),
-        )
+    ledger = server.voting
+    reporters: Dict[str, List[str]] = {}
+    vouched: Dict[str, Set[Tuple[str, int]]] = {}
+    for uuid in ledger.clients():
+        plane = ledger.plane_of(uuid)
+        reporters.setdefault(plane, []).append(uuid)
+        vouched.setdefault(plane, set()).update(ledger.reports_of(uuid))
+    flagged = tuple(ReputationAnalyzer(server).enforce())
+    outcome = ReputationOutcome(
+        flagged=flagged, flag_counts={}, removed_urls={}, surviving_urls={}
+    )
+    for plane, uuids in reporters.items():
+        outcome.flag_counts[plane] = (len(set(uuids) & set(flagged)), len(uuids))
+        keys = sorted(vouched[plane])
+        outcome.removed_urls[plane] = [
+            url for url, asn in keys if server.entry(url, asn) is None
+        ]
+        outcome.surviving_urls[plane] = [
+            url for url, asn in keys if server.entry(url, asn) is not None
+        ]
+    return outcome
 
 
 def _classify(per_as: List[ProbeVerdict]) -> str:

@@ -46,8 +46,6 @@ __all__ = [
     "EventSpec",
     "RollingSpec",
     "CohortSpec",
-    "AttackGroupSpec",
-    "AttackSpec",
     "ExecutionSpec",
     "VerdictExpect",
     "ClassificationExpect",
@@ -367,38 +365,40 @@ class CohortSpec:
     sharded: bool = False
 
     def __post_init__(self) -> None:
+        _check(self.n_ases >= 0, "n_ases", "must be >= 0")
         _check(self.clients_per_as >= 1, "clients_per_as", "must be >= 1")
         _check(
             0.0 < self.reporter_fraction <= 1.0,
             "reporter_fraction",
             "must be in (0, 1]",
         )
+        _check(self.urls_per_as >= 0, "urls_per_as", "must be >= 0")
         _check(self.pull_interval > 0.0, "pull_interval", "must be > 0")
+        _check(self.wave_at >= 0.0, "wave_at", "must be >= 0")
         _check(self.wave_stagger >= 0.0, "wave_stagger", "must be >= 0")
+        _check(self.horizon >= 0.0, "horizon", "must be >= 0")
 
 
 @dataclass(frozen=True)
 class PlaneSpec:
-    """One measurement plane in a cohort's mix (``[[planes]]``).
+    """One reporter plane in a cohort's mix (``[[planes]]``).
 
     ``kind`` picks the implementation from the :mod:`repro.planes`
-    registry; ``fraction`` sizes the plane's reporter subpopulation;
-    ``weight`` is the plane's vote weight in the per-plane-aware
-    confidence criterion (1.0 = full trust).  The remaining knobs only
-    apply to the kinds that read them: ``miss_rate`` (encore blockpage
-    misclassification), ``probe_interval``/``coverage``/``list_size``/
-    ``corpus_sites`` (problist scheduling and list-generation recall).
+    registry; ``fraction`` sizes the plane's reporter subpopulation.
+    The remaining knobs only apply to the kinds that read them:
+    ``miss_rate`` (encore blockpage misclassification),
+    ``probe_interval``/``coverage`` (problist scheduling and
+    list-generation recall), ``urls_each`` (the URLs a flood or clique
+    reporter fabricates).
     """
 
     kind: str
     name: str = ""  # "" -> the kind
     fraction: float = 0.01
-    weight: float = 1.0
     miss_rate: float = 0.2
     probe_interval: float = 600.0
     coverage: float = 0.7
-    list_size: int = 50
-    corpus_sites: int = 120
+    urls_each: int = 1
 
     def __post_init__(self) -> None:
         # The registry is the source of truth for what can be built (lazy
@@ -411,69 +411,21 @@ class PlaneSpec:
         if not self.name:
             object.__setattr__(self, "name", self.kind)
         _check(0.0 < self.fraction <= 1.0, "fraction", "must be in (0, 1]")
-        _check(0.0 <= self.weight <= 1.0, "weight", "must be in [0, 1]")
         _check(0.0 <= self.miss_rate < 1.0, "miss_rate", "must be in [0, 1)")
+        _check(self.probe_interval > 0.0, "probe_interval", "must be > 0")
         _check(0.0 < self.coverage <= 1.0, "coverage", "must be in (0, 1]")
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The mapping the planes registry's ``build_plane`` consumes."""
-        spec = dataclasses.asdict(self)
-        del spec["weight"]
-        return spec
-
-
-@dataclass(frozen=True)
-class AttackGroupSpec:
-    """One reporter population in an attack scenario.
-
-    Roles: ``honest`` clients sample ``urls_each`` from a shared pool of
-    ``pool_size`` real URLs (organic corroboration); ``flood`` clients
-    each fabricate their own distinct URLs (high volume, zero
-    corroboration); ``clique`` clients all report one identical
-    fabricated set (Sybil ring: pairwise similarity 1.0).
-    """
-
-    name: str
-    role: str
-    clients: int = 1
-    urls_each: int = 1
-    pool_size: int = 0
-
-    def __post_init__(self) -> None:
-        if self.role not in ("honest", "flood", "clique"):
-            raise SpecError(f"{self.role!r} not in honest|flood|clique", "role")
-        _check(
-            self.role != "honest" or self.pool_size >= self.urls_each,
-            "pool_size",
-            "an honest group's pool_size must be >= urls_each",
-        )
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Adversarial reporting straight at ``ServerDB`` + the voting
-    ledger, judged by :class:`~repro.core.reputation.ReputationAnalyzer`."""
-
-    groups: Tuple[AttackGroupSpec, ...]
-    asn: int = 64999
-    min_volume: int = 30
-    max_corroboration: float = 0.2
-    clique_similarity: float = 0.9
-    enforce: bool = True  # revoke flagged reporters after analysis
-
-    def __post_init__(self) -> None:
-        _check(bool(self.groups), "groups", "at least one group is required")
+        _check(self.urls_each >= 1, "urls_each", "must be >= 1")
 
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How to run: mode auto|clients|probe|cohort|attack, plus the sim
-    horizon for client workloads."""
+    """How to run: mode auto|clients|probe|cohort, plus the sim horizon
+    for client workloads."""
 
     mode: str = "auto"
     duration: float = 36 * 3600.0
 
-    MODES = ("auto", "clients", "probe", "cohort", "attack")
+    MODES = ("auto", "clients", "probe", "cohort")
 
     def __post_init__(self) -> None:
         if self.mode not in self.MODES:
@@ -548,10 +500,13 @@ class PlaneExpect:
 
 @dataclass(frozen=True)
 class ReputationExpect:
-    flagged_groups: Tuple[str, ...] = ()
-    clean_groups: Tuple[str, ...] = ()
-    fabricated_removed: bool = True  # flood/clique URLs evicted post-enforce
-    honest_survive: bool = True  # honest URLs still present post-enforce
+    """The reputation pass after a cohort storm (``[expect.reputation]``):
+    every reporter of a flagged plane is revoked, and so is every URL
+    only flagged planes vouched for; each clean plane posted, and none
+    of its reporters or URLs is hit."""
+
+    flagged_planes: Tuple[str, ...] = ()
+    clean_planes: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -606,7 +561,6 @@ class ScenarioSpec:
     rolling: Optional[RollingSpec] = None
     cohort: Optional[CohortSpec] = None
     planes: Tuple[PlaneSpec, ...] = ()  # empty -> single default C-Saw plane
-    attack: Optional[AttackSpec] = None
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
     expect: ExpectSpec = field(default_factory=ExpectSpec)
     urls: Dict[str, str] = field(default_factory=dict)  # label -> url sugar
@@ -632,8 +586,6 @@ class ScenarioSpec:
         mode = self.execution.mode
         if mode != "auto":
             return mode
-        if self.attack is not None:
-            return "attack"
         if self.cohort is not None:
             return "cohort"
         if self.populations and self.workload.kind == "browse" and self.workload.urls:
@@ -684,52 +636,50 @@ class ScenarioSpec:
             or self.expect.detections
             or self.expect.min_observations
         )
-        if mode in ("cohort", "attack") and world_checks:
+        if mode == "cohort" and world_checks:
             raise SpecError(
-                f"expect: verdict/classification/detection checks need a "
-                f"world-backed mode, not {mode!r}"
+                "expect: verdict/classification/detection checks need a "
+                "world-backed mode, not 'cohort'"
             )
-        if self.expect.fleet is not None and mode != "cohort":
-            raise SpecError("expect.fleet: requires cohort mode")
-        if self.expect.reputation is not None and mode != "attack":
-            raise SpecError("expect.reputation: requires attack mode")
-        if self.planes and mode != "cohort":
-            raise SpecError("planes: a [[planes]] mix requires cohort mode")
-        if self.expect.planes and mode != "cohort":
-            raise SpecError("expect.plane: requires cohort mode")
-        if self.planes:
-            plane_names = [p.name for p in self.planes]
-            if len(set(plane_names)) != len(plane_names):
-                raise SpecError(f"planes: duplicate plane names {plane_names}")
-        if self.expect.planes:
-            declared = (
-                {p.name for p in self.planes} if self.planes else {"csaw"}
-            )
-            for i, expect in enumerate(self.expect.planes):
-                if expect.name not in declared:
-                    raise SpecError(
-                        f"expect.plane[{i}]: unknown plane {expect.name!r} "
-                        f"(declared: {sorted(declared)})"
-                    )
+        reputation = self.expect.reputation
+        for section, present in (
+            ("expect.fleet", self.expect.fleet is not None),
+            ("expect.reputation", reputation is not None),
+            ("planes", bool(self.planes)),
+            ("expect.plane", bool(self.expect.planes)),
+        ):
+            if present and mode != "cohort":
+                raise SpecError(f"{section}: requires cohort mode")
         if mode == "cohort" and self.cohort is None:
             raise SpecError("execution.mode = 'cohort' needs a [cohort] section")
-        if mode == "attack" and self.attack is None:
-            raise SpecError("execution.mode = 'attack' needs an [attack] section")
+        if reputation is not None and self.cohort.sharded:
+            raise SpecError(
+                "expect.reputation: the reputation pass needs one server, "
+                "so cohort.sharded must be false"
+            )
+        plane_names = [p.name for p in self.planes]
+        if len(set(plane_names)) != len(plane_names):
+            raise SpecError(f"planes: duplicate plane names {plane_names}")
+        named = [
+            (f"expect.plane[{i}]", want.name)
+            for i, want in enumerate(self.expect.planes)
+        ]
+        if reputation is not None:
+            named += [
+                ("expect.reputation", name)
+                for name in reputation.flagged_planes + reputation.clean_planes
+            ]
+        declared = set(plane_names) or {"csaw"}  # the default C-Saw plane
+        for where, name in named:
+            if name not in declared:
+                raise SpecError(
+                    f"{where}: unknown plane {name!r} "
+                    f"(declared: {sorted(declared)})"
+                )
         if self.expect.verdicts or self.expect.classifications:
             for i, verdict in enumerate(self.expect.verdicts):
                 if verdict.asn not in asns:
                     raise SpecError(f"expect.verdict[{i}]: unknown asn {verdict.asn}")
-        if self.attack is not None:
-            group_names = {g.name for g in self.attack.groups}
-            if self.expect.reputation is not None:
-                for name in (
-                    self.expect.reputation.flagged_groups
-                    + self.expect.reputation.clean_groups
-                ):
-                    if name not in group_names:
-                        raise SpecError(
-                            f"expect.reputation: unknown group {name!r}"
-                        )
 
     @staticmethod
     def _check_config(config: Dict[str, Any], where: str) -> None:

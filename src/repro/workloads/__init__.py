@@ -1,12 +1,7 @@
 """Workloads: synthetic corpus, canned scenarios, pilot study, events."""
 
 from .corpus import CATEGORY_MIX, Corpus, SiteSpec, build_corpus
-from .events import (
-    BlockingEvent,
-    BlockingWave,
-    WaveObservation,
-    run_blocking_wave,
-)
+from .events import BlockingWave, WaveObservation, run_blocking_wave
 from .oni import FIG2_CATEGORIES, ONI_AS_SPECS, OniSweep, run_oni_sweep
 from .pilot import (
     PilotConfig,
@@ -29,7 +24,6 @@ __all__ = [
     "Corpus",
     "SiteSpec",
     "build_corpus",
-    "BlockingEvent",
     "BlockingWave",
     "WaveObservation",
     "run_blocking_wave",

@@ -16,51 +16,16 @@ golden fingerprints in ``tests/data/scenario_golden.json`` prove it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core import CSawClient, ServerDB
 from ..scenarios.compiler import CompiledScenario, ScenarioCompiler
-from ..scenarios.library import INSTAGRAM, TWITTER, WAVE_ASNS, wave_spec
-from ..scenarios.runner import SYMPTOM_LABELS, drive_clients, symptom_for
-from ..scenarios.spec import EventSpec, SpecError
-from ..simnet.rng import RngRegistry
+from ..scenarios.library import WAVE_ASNS, wave_spec
+from ..scenarios.runner import drive_clients, symptom_for
+from ..scenarios.spec import EventSpec
 from ..simnet.world import World
 
-__all__ = ["BlockingEvent", "WaveObservation", "BlockingWave", "run_blocking_wave"]
-
-# Symptom labels in the paper's snapshot vocabulary (now shared with the
-# scenario runner; kept under the historical name for importers).
-_SYMPTOM_LABEL = SYMPTOM_LABELS
-
-# Legacy shorthand mechanisms -> scenario-DSL mechanism lists.
-_LEGACY_MECHANISMS = {
-    "http-drop": ("http-drop",),
-    "blockpage": ("blockpage-redirect",),
-    "dns": ("dns-redirect", "http-drop"),
-}
-
-
-@dataclass(frozen=True)
-class BlockingEvent:
-    """One censor action: an AS starts blocking a domain at a given time."""
-
-    time: float
-    asn: int
-    domain: str
-    mechanism: str  # "http-drop" | "blockpage" | "dns"
-
-    def to_spec(self) -> EventSpec:
-        mechanisms = _LEGACY_MECHANISMS.get(self.mechanism)
-        if mechanisms is None:
-            raise SpecError(f"unknown mechanism: {self.mechanism!r}")
-        return EventSpec(
-            time=self.time,
-            asn=self.asn,
-            domain=self.domain,
-            mechanisms=mechanisms,
-            redirect_ip="10.66.66.66",
-            label=self.domain,
-        )
+__all__ = ["WaveObservation", "BlockingWave", "run_blocking_wave"]
 
 
 @dataclass(frozen=True)
@@ -97,35 +62,26 @@ class BlockingWave:
         self.users_per_as = users_per_as
         self.browse_interval = browse_interval
         self.duration = duration
-        self.events: List[BlockingEvent] = []
+        self.events: List[EventSpec] = []
         self.world: Optional[World] = None
         self.server: Optional[ServerDB] = None
         self.clients: List[CSawClient] = []
         self._compiled: Optional[CompiledScenario] = None
 
-    def default_timeline(self) -> List[BlockingEvent]:
-        """The paper's snapshot: Twitter first (two ASes, different
-        mechanisms), Instagram the next morning via DNS in three ASes."""
-        h = 3600.0
-        return [
-            BlockingEvent(time=13.5 * h, asn=38193, domain=TWITTER, mechanism="http-drop"),
-            BlockingEvent(time=13.55 * h, asn=17557, domain=TWITTER, mechanism="blockpage"),
-            BlockingEvent(time=28.8 * h, asn=38193, domain=INSTAGRAM, mechanism="dns"),
-            BlockingEvent(time=33.1 * h, asn=59257, domain=INSTAGRAM, mechanism="dns"),
-            BlockingEvent(time=33.5 * h, asn=45773, domain=INSTAGRAM, mechanism="dns"),
-        ]
-
     # -- construction ---------------------------------------------------------
 
-    def build(self, events: Optional[List[BlockingEvent]] = None) -> "BlockingWave":
-        self.events = events if events is not None else self.default_timeline()
+    def build(self, events: Optional[Sequence[EventSpec]] = None) -> "BlockingWave":
+        """Compile the wave world with ``events`` as the censor timeline
+        (default: :func:`~repro.scenarios.library.default_wave_events`,
+        the paper's snapshot)."""
         spec = wave_spec(
             seed=self.seed,
             users_per_as=self.users_per_as,
             browse_interval=self.browse_interval,
             duration=self.duration,
-            events=[event.to_spec() for event in self.events],
+            events=events,
         )
+        self.events = list(spec.events)
         self._compiled = ScenarioCompiler().compile(spec)
         self.world = self._compiled.world
         self.server = self._compiled.server
@@ -159,40 +115,3 @@ class BlockingWave:
 
 def run_blocking_wave(seed: int = 5, **kwargs) -> List[WaveObservation]:
     return BlockingWave(seed=seed, **kwargs).run()
-
-
-def staggered_rollout(
-    domains: List[str],
-    asns: List[int],
-    start: float,
-    lag: float,
-    mechanism: str = "blockpage",
-    rng=None,
-) -> List[BlockingEvent]:
-    """A national directive enforced with per-ISP lag.
-
-    Real distributed censorship rolls out unevenly: the regulator issues
-    one order, each ISP applies it hours apart (the §7.5 snapshot shows
-    exactly this).  Returns one :class:`BlockingEvent` per (AS, domain),
-    each AS draws its lag as ``start + U[0, lag]``.  Pass a seeded
-    ``random.Random`` (or an ``RngRegistry`` stream) to tie the draws to
-    an experiment seed; the default is the registry's seed-0
-    ``"staggered-rollout"`` stream, so even the no-arg call is
-    reproducible and covered by CSL001.  (The declarative counterpart is
-    a ``[rolling]`` section in a scenario spec.)
-    """
-    if rng is None:
-        rng = RngRegistry(seed=0).stream("staggered-rollout")
-    events = []
-    for asn in asns:
-        offset = rng.uniform(0.0, lag)
-        for domain in domains:
-            events.append(
-                BlockingEvent(
-                    time=start + offset,
-                    asn=asn,
-                    domain=domain,
-                    mechanism=mechanism,
-                )
-            )
-    return events

@@ -26,13 +26,15 @@ REPO = Path(__file__).resolve().parents[1]
 
 # One canonical rendering of the crowdsourcing pipeline: a small pilot
 # (sim + reporting + sync), per-AS analytics, reputation enforcement
-# (revocation order mutates server change logs), and a staggered
-# rollout's deterministic default stream.
+# (revocation order mutates server change logs), a compiled [rolling]
+# directive's seed-derived lags, and the sybil-flood pack's reputation
+# pass over a cohort storm.
 _PIPELINE = r"""
+import dataclasses
 import json
 from repro.core.analytics import MeasurementAnalytics
 from repro.core.reputation import ReputationAnalyzer
-from repro.workloads.events import staggered_rollout
+from repro.scenarios import ScenarioCompiler, ScenarioRunner, ScenarioSpec, load_spec
 from repro.workloads.pilot import PilotConfig, PilotStudy
 
 study = PilotStudy(PilotConfig(
@@ -57,11 +59,20 @@ out["revoked"] = list(ReputationAnalyzer(study.server).enforce(
 out["post_revoke_entries"] = sorted(
     e.url for e in study.server.all_entries())
 
+rollout = ScenarioSpec.from_dict({
+    "name": "rollout",
+    "policies": [{"name": "p"}],
+    "ases": [{"asn": asn, "policy": "p"} for asn in (10, 11, 12)],
+    "rolling": {"domains": ["a.example", "b.example"], "asns": [10, 11, 12],
+                "start": 5.0, "lag": 3600.0, "mechanisms": ["http-drop"]},
+})
 out["rollout"] = [
     [e.time, e.asn, e.domain]
-    for e in staggered_rollout(["a.example", "b.example"], [10, 11, 12],
-                               start=5.0, lag=3600.0)
+    for e in ScenarioCompiler().compile(rollout).events
 ]
+out["sybil_reputation"] = dataclasses.asdict(
+    ScenarioRunner().run(load_spec("sybil-flood")).reputation
+)
 
 # The trace bus feeds these: per-stage PLT seconds aggregated over every
 # client.  hex() keeps the comparison bit-exact.
@@ -111,6 +122,7 @@ class TestCrossHashSeedDeterminism:
     def test_revocation_actually_exercised(self, outputs):
         payload = json.loads(outputs["0"])
         assert payload["revoked"], "enforce() flagged nobody; test is vacuous"
+        assert payload["sybil_reputation"]["flagged"]
 
 
 class TestSessionRefactorGolden:

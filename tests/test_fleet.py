@@ -129,15 +129,22 @@ class TestShardedFanout:
                 assert sharded.convergence_by_as == single.convergence_by_as
 
     def test_sharded_matches_unsharded(self):
+        adversaries = [
+            {"kind": "csaw", "fraction": 0.05},
+            {"kind": "flood", "fraction": 0.05, "urls_each": 3},
+            {"kind": "clique", "fraction": 0.05, "urls_each": 5},
+        ]
         for kwargs in (
             dict(seed=5, n_ases=6, clients_per_as=30),
             dict(seed=3, n_ases=8, clients_per_as=50),
             dict(seed=5, n_ases=0, clients_per_as=30),
+            dict(seed=4, n_ases=5, clients_per_as=40, planes=adversaries),
         ):
             plain = run_fleet_storm(**kwargs)
             sharded = run_fleet_storm_sharded(workers=3, **kwargs)
             assert _comparable(sharded) == _comparable(plain), kwargs
             assert sharded.convergence_by_as == plain.convergence_by_as
+            assert sharded.reports_by_plane == plain.reports_by_plane
 
     def test_more_workers_than_ases(self):
         merged = run_fleet_storm_sharded(

@@ -24,15 +24,16 @@ from hypothesis import strategies as st
 from tests._golden import capture_planes, check, freeze, golden_storm
 from tests._reference_fleet import run_reference_storm
 from tests._reference_globaldb import recompute_plane_stats, recompute_stats
-from repro.core.fleet import ClientCohort, run_fleet_storm
+from repro.core.fleet import WAVE_STAGES, ClientCohort, run_fleet_storm
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
-from repro.core.voting import DEFAULT_PLANE, VotingLedger
+from repro.core.voting import DEFAULT_PLANE, VoteStats, VotingLedger
 from repro.planes import (
     CSawBrowserPlane,
     EncoreProbePlane,
     GeneratedProbeListPlane,
     PLANE_KINDS,
+    SybilPlane,
     build_plane,
 )
 
@@ -130,12 +131,6 @@ class TestPlaneAbstraction:
         assert min(kept) < 3  # ... but individual probes miss
         assert all(item.plane == "encore" for item in shared)
 
-    def test_problist_standing_list_is_deterministic(self):
-        a = GeneratedProbeListPlane(fraction=0.1, list_size=10)
-        b = GeneratedProbeListPlane(fraction=0.1, list_size=10)
-        assert a.standing_list() == b.standing_list()
-        assert 0 < len(a.standing_list()) <= 10
-
     def test_problist_coverage_filters_wave_urls(self):
         plane = GeneratedProbeListPlane(fraction=0.1, coverage=0.5)
         urls = [f"http://u{i}.com/" for i in range(40)]
@@ -149,6 +144,69 @@ class TestPlaneAbstraction:
         mix = [CSawBrowserPlane(fraction=0.01), EncoreProbePlane(fraction=0.1)]
         weights = CSawBrowserPlane.vote_weights(mix)
         assert weights == {"csaw": 1.0, "encore": 0.5}
+
+
+class TestSybilPlanes:
+    """The §5 adversaries as reporter planes: what they fabricate, and
+    the vote mass the ledger grants it through the fleet's write path."""
+
+    WAVE = [f"http://wave-as7-{k}.example.com/" for k in range(3)]
+
+    def test_fabricated_items_look_like_csaw_reports(self):
+        for kind in ("flood", "clique"):
+            plane = build_plane({"kind": kind, "fraction": 0.1, "urls_each": 5})
+            assert plane.profile.registered  # passes the CAPTCHA
+            rng = random.Random(1)
+            items = plane.wave_items(self.WAVE, asn=7, onset=9.0, rng=rng)
+            if plane.per_reporter_items:
+                items = plane.reporter_items(items, rng)
+            assert len({item.url for item in items}) == 5
+            assert not {item.url for item in items} & set(self.WAVE)
+            assert {(i.asn, i.stages, i.measured_at, i.plane) for i in items} \
+                == {(7, WAVE_STAGES, 9.0, kind)}
+
+    def test_bad_kind_and_volume_rejected(self):
+        with pytest.raises(ValueError):
+            SybilPlane("ring", fraction=0.1)
+        with pytest.raises(ValueError):
+            SybilPlane("flood", fraction=0.1, urls_each=0)
+
+    @pytest.mark.parametrize("c, d", [(1, 3), (2, 200), (3, 7), (5, 40)])
+    def test_vote_mass_is_one_vote_split_over_d(self, c, d):
+        """Each identity's one vote is split over its d reports (§5): a
+        clique URL gets c/d votes from c reporters, a flood URL 1/d from
+        its one fabricator."""
+        server = ServerDB(entry_ttl=None)
+        metrics = run_fleet_storm(
+            seed=c * 1000 + d, n_ases=2, clients_per_as=100, urls_per_as=4,
+            asn_base=61000, server=server,
+            planes=[
+                {"kind": "csaw", "fraction": 0.05},
+                {"kind": "clique", "fraction": c / 100, "urls_each": d},
+                {"kind": "flood", "fraction": c / 100, "urls_each": d},
+            ],
+        )
+        assert metrics.reporters_by_plane == {"csaw": 10, "clique": 2 * c,
+                                              "flood": 2 * c}
+        assert metrics.pending_at_horizon == 0
+        ledger = server.voting
+        by_plane = {}
+        for uuid in ledger.clients():
+            by_plane.setdefault(ledger.plane_of(uuid), []).append(
+                ledger.reports_of(uuid)
+            )
+        assert all(len(keys) == d for keys in by_plane["clique"])
+        assert all(len(keys) == d for keys in by_plane["flood"])
+        clique = set().union(*by_plane["clique"])
+        assert len(clique) == 2 * d  # one shared list per AS
+        for url, asn in sorted(clique):
+            assert server.stats_for(url, asn) == VoteStats(votes=c / d,
+                                                           reporters=c)
+        flood = set().union(*by_plane["flood"])
+        assert len(flood) == 2 * c * d  # no two identities share a URL
+        for url, asn in sorted(flood):
+            assert server.stats_for(url, asn) == VoteStats(votes=1 / d,
+                                                           reporters=1)
 
 
 class TestMixedPlaneStorm:
@@ -451,7 +509,6 @@ fraction = 0.02
 kind = "encore"
 fraction = 0.05
 miss_rate = 0.1
-weight = 0.5
 """,
                 expect_block="""
 [[expect.plane]]
@@ -462,7 +519,6 @@ min_reports = 1
             tmp_path,
         )
         assert [p.name for p in spec.planes] == ["csaw", "encore"]
-        assert spec.planes[1].weight == 0.5
         planes = ScenarioCompiler.compile_planes(spec)
         assert isinstance(planes[0], CSawBrowserPlane)
         assert isinstance(planes[1], EncoreProbePlane)

@@ -406,12 +406,18 @@ class TestGroupedSweepProperties:
 
     #: Plane mixes beside the single C-Saw plane.  The probe-list plane's
     #: low coverage often leaves an AS's shared list empty, a post that
-    #: still moves the report window.
+    #: still moves the report window.  The adversaries post fabricated
+    #: lists: the clique's due reporters share one grouped write, the
+    #: flood's each post their own.
     MIXES = {
         "encore": ({"kind": "encore", "miss_rate": 0.25},),
         "problist": (
             {"kind": "encore", "miss_rate": 0.25},
             {"kind": "problist", "coverage": 0.2},
+        ),
+        "adversaries": (
+            {"kind": "flood", "urls_each": 3},
+            {"kind": "clique", "urls_each": 5},
         ),
     }
 
@@ -491,7 +497,7 @@ class TestGroupedSweepProperties:
         ),
         wave_frac=st.none() | st.floats(min_value=0.0, max_value=2.0),
         horizon_intervals=st.floats(min_value=0.25, max_value=6.0),
-        mix=st.sampled_from([None, "encore", "problist"]),
+        mix=st.sampled_from([None, "encore", "problist", "adversaries"]),
         stagger_frac=st.just(0.0) | st.floats(min_value=0.0, max_value=2.0),
         ttl_frac=st.none() | st.floats(min_value=0.2, max_value=3.0),
     )
@@ -513,6 +519,12 @@ class TestGroupedSweepProperties:
         seed=5, n_ases=2, clients=20, urls=3, frac=0.1, interval=300.0,
         tick_div=7, wave_frac=None, horizon_intervals=4.0, mix=None,
         stagger_frac=0.0, ttl_frac=None,
+    )
+    # Both adversaries beside C-Saw, with a rolled wave and TTL evictions.
+    @example(
+        seed=19, n_ases=2, clients=30, urls=2, frac=0.2, interval=300.0,
+        tick_div=8, wave_frac=0.5, horizon_intervals=3.0,
+        mix="adversaries", stagger_frac=0.5, ttl_frac=1.0,
     )
     # Three planes, where a one-URL wave leaves most probe lists empty.
     @example(

@@ -148,22 +148,52 @@ class TestSpecValidation:
         ("pull_interval", 0),
         ("clients_per_as", 0),
         ("reporter_fraction", 0.0),
+        ("n_ases", -1),
+        ("urls_per_as", -2),
+        ("wave_at", -1.0),
+        ("wave_at", float("nan")),
+        ("horizon", -5.0),
+        ("horizon", float("nan")),
     ])
     def test_degenerate_cohort_value_names_the_key(self, key, value):
         with pytest.raises(SpecError, match=rf"cohort\.{key}"):
             ScenarioSpec.from_dict(minimal(cohort={key: value}))
 
-    def test_reputation_expectation_checks_group_names(self):
-        with pytest.raises(SpecError, match="ghost"):
+    @pytest.mark.parametrize("kind, key, value", [
+        ("problist", "probe_interval", 0.0),
+        ("problist", "probe_interval", float("nan")),
+        ("flood", "urls_each", 0),
+    ])
+    def test_degenerate_plane_value_names_the_key(self, kind, key, value):
+        with pytest.raises(SpecError, match=rf"^planes\[0\]\.{key}: "):
             ScenarioSpec.from_dict({
-                "name": "attack",
-                "description": "bad group ref",
-                "attack": {"groups": [
-                    {"name": "flood", "role": "flood",
-                     "clients": 2, "urls_each": 3},
-                ]},
-                "expect": {"reputation": {"flagged_groups": ["ghost"]}},
+                "name": "mix",
+                "cohort": {},
+                "planes": [{"kind": kind, key: value}],
             })
+
+    def test_reputation_expectation_checks_plane_names(self):
+        with pytest.raises(SpecError, match="unknown plane 'ghost'"):
+            ScenarioSpec.from_dict({
+                "name": "sybil",
+                "description": "bad plane ref",
+                "cohort": {},
+                "planes": [{"kind": "flood", "urls_each": 3}],
+                "expect": {"reputation": {"flagged_planes": ["ghost"]}},
+            })
+
+    @pytest.mark.parametrize("data, message", [
+        ({"name": "x", "execution": {"mode": "attack"}},
+         r"^execution\.mode: 'attack' not in auto\|clients\|probe\|cohort$"),
+        ({"name": "x", "expect": {"reputation": {}}},
+         r"^expect\.reputation: requires cohort mode$"),
+        ({"name": "x", "cohort": {"sharded": True},
+          "expect": {"reputation": {}}},
+         r"^expect\.reputation: .* cohort\.sharded must be false$"),
+    ], ids=["attack-mode", "outside-cohort", "sharded"])
+    def test_reputation_pass_needs_an_unsharded_cohort(self, data, message):
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(data)
 
     def test_with_seed_rerolls_only_the_seed(self):
         spec = ScenarioSpec.from_dict(minimal())
@@ -207,10 +237,6 @@ FLEET = {
     "planes": [{"kind": "csaw"}],
     "expect": {"plane": [{"name": "csaw"}]},
 }
-ATTACK = {
-    "name": "attack",
-    "attack": {"groups": [{"name": "flood", "role": "flood"}]},
-}
 
 # (base spec, steps to a required string field)
 REQUIRED_STRINGS = [
@@ -226,8 +252,6 @@ REQUIRED_STRINGS = [
     (WORLD, ("expect", "detection", 0, "domain")),
     (FLEET, ("planes", 0, "kind")),
     (FLEET, ("expect", "plane", 0, "name")),
-    (ATTACK, ("attack", "groups", 0, "name")),
-    (ATTACK, ("attack", "groups", 0, "role")),
 ]
 
 
@@ -305,7 +329,7 @@ def rejected_values(value):
 
 
 class TestDecoderContract:
-    @pytest.mark.parametrize("base", [WORLD, FLEET, ATTACK])
+    @pytest.mark.parametrize("base", [WORLD, FLEET])
     def test_bases_decode(self, base):
         ScenarioSpec.from_dict(copy.deepcopy(base))
 

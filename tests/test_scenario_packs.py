@@ -56,11 +56,11 @@ def _sabotage(data):
         return "fleet convergence bound"
     if expect.get("reputation"):
         reputation = expect["reputation"]
-        reputation["flagged_groups"] = list(
-            reputation.get("flagged_groups", [])
-        ) + list(reputation.get("clean_groups", []))
-        reputation["clean_groups"] = []
-        return "reputation flags (honest group demanded flagged)"
+        reputation["flagged_planes"] = list(
+            reputation.get("flagged_planes", [])
+        ) + list(reputation.get("clean_planes", []))
+        reputation["clean_planes"] = []
+        return "reputation flags (honest plane demanded flagged)"
     raise AssertionError("pack declares no expectations to sabotage")
 
 
@@ -81,3 +81,13 @@ def test_wrong_expectation_fails_with_readable_diff(name):
     assert first.subject in diff
     rendered = report.render()
     assert "FAIL" in rendered and "PASS" not in rendered.splitlines()[0]
+
+
+def test_clean_plane_that_posted_nothing_fails():
+    # A horizon before the wave: nobody posts, so a clean plane vouched
+    # for nothing and must not pass "clean" or "URLs survive" unseen.
+    data = load_toml_file(PACKS["sybil-flood"])
+    data["cohort"]["horizon"] = 1.0
+    report = ScenarioRunner().run(ScenarioSpec.from_dict(data)).report
+    failed = {check.subject: check.observed for check in report.failures}
+    assert failed["plane 'honest' clean"] == "0/0 flagged"

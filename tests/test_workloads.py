@@ -194,14 +194,27 @@ class TestOniSweep:
 
 
 class TestStaggeredRollout:
+    """A national directive enforced with per-ISP lag: a ``[rolling]``
+    section compiled into per-AS events."""
+
+    @staticmethod
+    def compiled_events(domains, asns, start, lag, seed):
+        from repro.scenarios import ScenarioCompiler, ScenarioSpec
+
+        spec = ScenarioSpec.from_dict({
+            "name": "rollout",
+            "seed": seed,
+            "policies": [{"name": "p"}],
+            "ases": [{"asn": asn, "policy": "p"} for asn in asns],
+            "rolling": {"domains": domains, "asns": asns, "start": start,
+                        "lag": lag, "mechanisms": ["http-drop"]},
+        })
+        return ScenarioCompiler().compile(spec).events
+
     def test_events_cover_all_pairs(self):
-        import random
-
-        from repro.workloads.events import staggered_rollout
-
-        events = staggered_rollout(
+        events = self.compiled_events(
             ["a.example", "b.example"], [1, 2, 3], start=100.0, lag=3600.0,
-            rng=random.Random(4),
+            seed=4,
         )
         assert len(events) == 6
         assert {(e.asn, e.domain) for e in events} == {
@@ -209,34 +222,32 @@ class TestStaggeredRollout:
         }
 
     def test_per_as_lag_within_bounds_and_uneven(self):
-        import random
-
-        from repro.workloads.events import staggered_rollout
-
-        events = staggered_rollout(
-            ["a.example"], list(range(8)), start=0.0, lag=7200.0,
-            rng=random.Random(9),
+        events = self.compiled_events(
+            ["a.example"], list(range(1, 9)), start=0.0, lag=7200.0, seed=9,
         )
         times = sorted(e.time for e in events)
         assert all(0.0 <= t <= 7200.0 for t in times)
         assert len(set(times)) > 1  # genuinely staggered
 
     def test_rollout_drives_blocking_wave(self):
-        """A staggered directive replayed through the wave machinery: the
+        """A staggered directive replayed through the wave world: the
         global DB's first-detection times reflect the per-AS lag order."""
-        import random
+        import dataclasses
 
-        from repro.workloads.events import BlockingWave, staggered_rollout
+        from repro.scenarios import ScenarioRunner
+        from repro.scenarios.library import TWITTER, WAVE_ASNS, wave_spec
+        from repro.scenarios.spec import RollingSpec
 
-        wave = BlockingWave(seed=12, users_per_as=3, duration=30 * 3600.0)
-        events = staggered_rollout(
-            ["twitter.com"], list(wave.DEFAULT_ASNS), start=8 * 3600.0,
-            lag=6 * 3600.0, mechanism="blockpage", rng=random.Random(2),
+        spec = dataclasses.replace(
+            wave_spec(seed=12, users_per_as=3, duration=30 * 3600.0,
+                      events=()),
+            rolling=RollingSpec(domains=(TWITTER,), asns=WAVE_ASNS,
+                                start=8 * 3600.0, lag=6 * 3600.0),
         )
-        wave.build(events=events)
-        observations = wave.run()
-        assert len(observations) == len(wave.DEFAULT_ASNS)
-        onset = {e.asn: e.time for e in events}
+        outcome = ScenarioRunner().run(spec)
+        observations = outcome.observations
+        assert len(observations) == len(WAVE_ASNS)
+        onset = {e.asn: e.time for e in outcome.events}
         for obs in observations:
             assert obs.detected_at >= onset[obs.asn]
             assert obs.symptom == "HTTP_GET_BLOCKPAGE"
