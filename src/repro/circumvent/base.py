@@ -24,6 +24,7 @@ __all__ = [
     "FetchResult",
     "Transport",
     "classify_failure",
+    "drop_tracebacks",
     "fetch_pipeline",
 ]
 
@@ -40,9 +41,29 @@ def classify_failure(error: Exception) -> str:
     return failure_class(error)
 
 
+def drop_tracebacks(error: Optional[BaseException]) -> None:
+    """Clear the traceback of a folded ``error`` and of each exception on
+    its ``__context__`` chain.
+
+    A stored traceback pins every frame it passed through, and on Python
+    3.12 a finished generator frame reaches its caller's frame through
+    ``f_back``: the frame that folds the failure holds the result that
+    stores the error, a reference cycle per failed request.  Nothing reads
+    a stored error's traceback.  Stops at the first exception without one
+    (never raised, or already cleared), so a looped chain cannot spin.
+    """
+    while error is not None and error.__traceback__ is not None:
+        error.__traceback__ = None
+        error = error.__context__
+
+
 @dataclass
 class FetchResult:
-    """Outcome of one URL fetch attempt through one transport."""
+    """Outcome of one URL fetch attempt through one transport.
+
+    A failure is folded in as ``error`` with its traceback dropped (see
+    :func:`drop_tracebacks`).
+    """
 
     url: str
     transport: str
@@ -52,6 +73,9 @@ class FetchResult:
     error: Optional[Exception] = None
     failure_stage: Optional[str] = None
     redirects: List[HttpResponse] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        drop_tracebacks(self.error)
 
     @property
     def elapsed(self) -> float:

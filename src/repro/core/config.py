@@ -98,6 +98,14 @@ class CSawConfig:
                 raise ValueError(f"{name} must be finite and > 0: {value!r}")
         if not 0.0 <= self.probe_probability <= 1.0:
             raise ValueError(f"p must be in [0,1]: {self.probe_probability!r}")
+        # The `not x >= 0` form rejects NaN too: a NaN TTL never expires a
+        # record, and a NaN or negative stagger silently means none.
+        if not self.record_ttl > 0.0:
+            raise ValueError(f"record_ttl must be > 0: {self.record_ttl!r}")
+        if not self.redundant_delay >= 0.0:
+            raise ValueError(
+                f"redundant_delay must be >= 0: {self.redundant_delay!r}"
+            )
         if self.redundancy_mode not in ("parallel", "serial"):
             raise ValueError(f"unknown redundancy mode: {self.redundancy_mode!r}")
         if self.max_redundant_requests < 1:
@@ -108,7 +116,7 @@ class CSawConfig:
             raise ValueError(f"ewma_alpha must be in (0,1]: {self.ewma_alpha!r}")
         if self.min_reporters < 1:
             raise ValueError("min_reporters must be >= 1")
-        if self.min_votes < 0.0:
+        if not self.min_votes >= 0.0:
             raise ValueError(f"min_votes must be >= 0: {self.min_votes!r}")
         from .trace import TraceMode
 

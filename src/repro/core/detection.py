@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
+from ..circumvent.base import drop_tracebacks
 from ..simnet.dns import DnsError, resolve
 from ..simnet.flow import FlowContext
 from ..simnet.http import HttpResponse, HttpTimeout, http_exchange
@@ -60,7 +61,11 @@ __all__ = ["DetectionOutcome", "measure_direct_path"]
 
 @dataclass
 class DetectionOutcome:
-    """What the direct-path measurement concluded."""
+    """What the direct-path measurement concluded.
+
+    ``error`` is stored with its traceback dropped (see
+    :func:`~repro.circumvent.base.drop_tracebacks`).
+    """
 
     url: str
     status: BlockStatus
@@ -72,6 +77,9 @@ class DetectionOutcome:
     detection_time: float = 0.0  # time until the classification was made
     suspected_blockpage: bool = False  # phase-1 hit awaiting phase-2 confirm
     trace: Optional[SessionTrace] = None  # full per-stage event log
+
+    def __post_init__(self) -> None:
+        drop_tracebacks(self.error)
 
     @property
     def blocked(self) -> bool:

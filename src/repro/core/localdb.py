@@ -20,6 +20,13 @@ from .records import BlockStatus, BlockType, URLRecord
 __all__ = ["LocalDatabase"]
 
 
+def _checked_ttl(ttl: float) -> float:
+    # `not ttl > 0` rejects NaN too: a NaN TTL never expires a record.
+    if not ttl > 0:
+        raise ValueError(f"ttl must be positive: {ttl!r}")
+    return ttl
+
+
 class LocalDatabase:
     """Per-client store of blocking measurements."""
 
@@ -30,10 +37,8 @@ class LocalDatabase:
         aggregation: bool = True,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if ttl <= 0:
-            raise ValueError(f"ttl must be positive: {ttl!r}")
         self.asn = asn
-        self.ttl = ttl
+        self.ttl = _checked_ttl(ttl)
         self.aggregation = aggregation
         self._clock = clock or (lambda: 0.0)
         self._records: Dict[str, URLRecord] = {}
@@ -206,9 +211,10 @@ class LocalDatabase:
         records already stale at restore time simply expire on first
         lookup, like any other.
         """
+        ttl = _checked_ttl(float(snapshot["ttl"]))
         self.clear()
         self.asn = int(snapshot["asn"])
-        self.ttl = float(snapshot["ttl"])
+        self.ttl = ttl
         self.aggregation = bool(snapshot["aggregation"])
         for item in snapshot["records"]:
             record = URLRecord(

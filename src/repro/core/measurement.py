@@ -21,7 +21,8 @@ the flow the local_DB dictates:
 
 ``handle_request`` returns as soon as content is served; measurement
 bookkeeping continues in a background process (exposed as
-``ServedResponse.measurement_process`` so experiments can join on it).
+``ServedResponse.measurement_process`` so experiments can join on it;
+the process's value is ``None``).
 Every response carries the session's full stage trace
 (``ServedResponse.trace``); the module aggregates per-stage durations
 into ``stage_seconds`` — the PLT breakdown ``CSawClient.stats()`` and
@@ -56,7 +57,10 @@ class ServedResponse:
 
     Created at serve time; the background measurement process may update
     ``status``/``stages``/``corrected*`` afterwards — join on
-    ``measurement_process`` before reading them in experiments.
+    ``measurement_process`` before reading them in experiments.  That
+    process is a join handle only: its value is ``None``, not this
+    response, so a served request's objects form no reference cycle and
+    are freed by reference counting once the caller drops them.
     """
 
     url: str
@@ -85,6 +89,17 @@ class ServedResponse:
 from . import session as _session_module
 
 _session_module.ServedResponse = ServedResponse
+
+
+def _join_handle(session_run: Generator) -> Generator:
+    """Process body for a session worker: runs the session, returns nothing.
+
+    The worker is the response's ``measurement_process``; were its value
+    the response itself, every request would leave a response ↔ process
+    reference cycle, which ``Environment.run`` (collector paused) keeps
+    alive until the run ends.  Adds no engine event.
+    """
+    yield from session_run
 
 
 class MeasurementModule:
@@ -177,7 +192,7 @@ class MeasurementModule:
         session = MeasurementSession(
             self, ctx, url, duplicable=method == "GET"
         )
-        worker = env.process(session.run())
+        worker = env.process(_join_handle(session.run()))
         response = yield session.served_event
         response.measurement_process = worker
         return response

@@ -58,7 +58,10 @@ artefact), so it trades a little uniformity for throughput:
   :meth:`Environment.run` (and restored after).  Kernel objects are
   acyclic by construction, so reference counting reclaims them promptly
   either way; pausing avoids generation-0 scans triggered by the heavy
-  event/tuple allocation churn.
+  event/tuple allocation churn.  What processes build while it runs must
+  be acyclic too: a cycle lives until the first collection after
+  ``run()`` returns (``tests/test_request_garbage.py`` guards the
+  request paths).
 """
 
 from __future__ import annotations
@@ -664,7 +667,11 @@ class Environment:
         imm_append = imm.append
         # Pause the cyclic collector for the duration of the loop: kernel
         # allocations are acyclic (reclaimed by refcount), and the churn
-        # otherwise triggers constant generation-0 scans.
+        # otherwise triggers constant generation-0 scans.  Everything the
+        # processes build meanwhile must be acyclic too: a cycle is freed
+        # only by the first collection after run() returns, so one cycle
+        # per request keeps every request's objects for the whole run
+        # (tests/test_request_garbage.py guards the request paths).
         gc_was_enabled = _gc.isenabled()
         if gc_was_enabled:
             _gc.disable()

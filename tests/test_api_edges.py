@@ -6,6 +6,7 @@ from repro.core import BlockType, CSawConfig
 from repro.core.records import URLRecord, BlockStatus
 from repro.core.reporting import GlobalView
 from repro.core.globaldb import GlobalEntry
+from repro.core.localdb import LocalDatabase
 from repro.urlkit import parse_url
 
 
@@ -91,11 +92,25 @@ class TestConfigValidation:
             dict(download_interval=0.0),
             dict(download_interval=-600.0),
             dict(download_interval=float("nan")),
+            dict(record_ttl=0.0),
+            dict(record_ttl=-1.0),
+            dict(record_ttl=float("nan")),
+            dict(min_votes=float("nan")),
+            dict(redundant_delay=-1.0),
+            dict(redundant_delay=float("nan")),
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CSawConfig(**kwargs)
+
+    def test_infinite_record_ttl_allowed(self):
+        assert CSawConfig(record_ttl=float("inf")).record_ttl == float("inf")
+
+    def test_local_database_rejects_nan_ttl(self):
+        # NaN passed a `ttl <= 0` check, and its records never expired.
+        with pytest.raises(ValueError, match="ttl"):
+            LocalDatabase(ttl=float("nan"))
 
     def test_defaults_follow_paper(self):
         config = CSawConfig()

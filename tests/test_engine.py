@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
 import sys
 
 import pytest
@@ -283,6 +284,91 @@ def test_drained_queue_with_pending_event_errors():
     proc = env.process(waiter())
     with pytest.raises(SimulationError):
         env.run(until=proc)
+
+
+# -- the collector pause ------------------------------------------------------
+#
+# run() pauses the cyclic collector for its loop, so anything cyclic built
+# meanwhile lives until run() returns; each exit path must restore the
+# caller's collector state.
+
+
+def _exit_drained(env, body):
+    env.process(body())
+    env.run()
+
+
+def _exit_until_event(env, body):
+    env.run(until=env.process(body()))
+
+
+def _exit_until_time(env, body):
+    env.process(body())
+    env.run(until=5.0)
+
+
+def _exit_failure_drained(env, body):
+    env.process(body(fail=True))
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+
+
+def _exit_failure_until_event(env, body):
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=env.process(body(fail=True)))
+
+
+def _exit_failure_until_time(env, body):
+    env.process(body(fail=True))
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=5.0)
+
+
+def _exit_queue_drained_early(env, body):
+    env.process(body())
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=env.event())
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+@pytest.mark.parametrize(
+    "exit_path",
+    [
+        _exit_drained,
+        _exit_until_event,
+        _exit_until_time,
+        _exit_failure_drained,
+        _exit_failure_until_event,
+        _exit_failure_until_time,
+        _exit_queue_drained_early,
+    ],
+    ids=lambda fn: fn.__name__[len("_exit_"):],
+)
+def test_run_restores_collector_state(exit_path, caller_enabled):
+    env = Environment()
+    seen = []
+
+    def body(fail=False):
+        seen.append(gc.isenabled())
+        yield env.timeout(1.0)
+        if fail:
+            raise ValueError("boom")
+
+    was_enabled = gc.isenabled()
+    if caller_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        exit_path(env, body)
+        after = gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert seen == [False]  # paused while the loop ran
+    assert after is caller_enabled
 
 
 def run_timer_storm(n_processes=200, ticks=50):

@@ -59,6 +59,18 @@ class TestSnapshotRestore:
             BlockStatus.NOT_MEASURED
         )
 
+    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan")])
+    def test_restore_rejects_bad_ttl_and_keeps_state(self, ttl):
+        # A NaN TTL read back from a snapshot never expired a record.
+        clock = FakeClock()
+        db = self.make_db(clock)
+        snapshot = db.snapshot()
+        snapshot["ttl"] = ttl
+        with pytest.raises(ValueError, match="ttl"):
+            db.restore(snapshot)
+        assert db.ttl == 1000.0
+        assert db.lookup("http://blocked.example/")[0] is BlockStatus.BLOCKED
+
     def test_restore_replaces_existing_state(self):
         clock = FakeClock()
         db = LocalDatabase(clock=clock)

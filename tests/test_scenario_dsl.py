@@ -138,6 +138,15 @@ class TestSpecValidation:
                               "config": {"download_interval": 0.0}}],
             ))
 
+    def test_nan_record_ttl_names_the_config(self):
+        with pytest.raises(
+            SpecError, match=r"^populations\[0\]\.config: record_ttl"
+        ):
+            ScenarioSpec.from_dict(minimal(
+                populations=[{"per_as": 1,
+                              "config": {"record_ttl": float("nan")}}],
+            ))
+
     def test_fleet_expectation_requires_cohort_mode(self):
         with pytest.raises(SpecError, match="cohort"):
             ScenarioSpec.from_dict(minimal(
