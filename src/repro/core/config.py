@@ -114,8 +114,8 @@ class CSawConfig:
             raise ValueError("explore_every_n must be >= 2")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0,1]: {self.ewma_alpha!r}")
-        if self.min_reporters < 1:
-            raise ValueError("min_reporters must be >= 1")
+        if not self.min_reporters >= 1:
+            raise ValueError(f"min_reporters must be >= 1: {self.min_reporters!r}")
         if not self.min_votes >= 0.0:
             raise ValueError(f"min_votes must be >= 0: {self.min_votes!r}")
         from .trace import TraceMode

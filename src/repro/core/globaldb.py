@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -64,6 +65,17 @@ PackedRow = Tuple[int, float, float, float, str, int]
 
 class RegistrationError(Exception):
     """Registration rejected (failed CAPTCHA or unknown client)."""
+
+
+def _check_criterion(min_reporters: float, min_votes: float) -> None:
+    """Reject a NaN confidence criterion.  NaN fails every comparison,
+    so it would fail every entry in a per-entry check yet also skip the
+    accept-all shortcut's ``> 0`` tests: the list and batch pulls would
+    serve different entries."""
+    if math.isnan(min_reporters):
+        raise ValueError(f"min_reporters must not be NaN: {min_reporters!r}")
+    if math.isnan(min_votes):
+        raise ValueError(f"min_votes must not be NaN: {min_votes!r}")
 
 
 @dataclass(frozen=True)
@@ -365,7 +377,11 @@ class ServerDB:
                 raise RegistrationError(f"unknown client: {uuid!r}")
         if not reports or not uuids:
             return 0
-        keys = [(normalize_url(item.url), item.asn) for item in reports]
+        # A key some client vouches for already is stored as the ledger's
+        # one tuple for it, not as this upload's copy.
+        keys = self.voting.canonical_keys(
+            [(normalize_url(item.url), item.asn) for item in reports]
+        )
         self._apply_upload(uuids[0], reports, keys, now)
         vouches = self.voting.vouches
         seen = {uuids[0]}
@@ -602,8 +618,10 @@ class ServerDB:
         touched; with the default (accept-all) criterion the pull is a
         straight copy of the shard, since every stored entry has at
         least one reporter by construction (posts add a vouch
-        atomically, dissent/revocation drop orphaned entries).
+        atomically, dissent/revocation drop orphaned entries).  A NaN
+        ``min_reporters`` or ``min_votes`` raises ``ValueError``.
         """
+        _check_criterion(min_reporters, min_votes)
         shard = self._shards.get(asn)
         if shard is None:
             return []
@@ -642,8 +660,10 @@ class ServerDB:
         items when a weighted pull asked for them — and invalidated by
         any shard change, so serving a whole cohort between changes
         constructs each distinct batch once (the serve counters still
-        count every pull).
+        count every pull).  A NaN ``min_reporters`` or ``min_votes``
+        raises ``ValueError``, as in :meth:`blocked_for_as`.
         """
+        _check_criterion(min_reporters, min_votes)
         shard = self._shards.get(asn)
         if shard is None:
             self.full_syncs_served += 1

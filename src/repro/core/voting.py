@@ -88,11 +88,27 @@ def _hist_votes(hist: Dict[int, int]) -> float:
 
 
 class VotingLedger:
-    """Tracks which client vouches for which blocked (URL, AS) entries."""
+    """Tracks which client vouches for which blocked (URL, AS) entries.
+
+    Its state is stored once (DESIGN.md §20):
+
+    - A stored vouch set is never mutated.  A change stores a new set
+      (:meth:`_set_reports`) and :meth:`reports_of` returns a copy, so
+      the clients of one grouped upload can share one set object
+      (:meth:`add_first_vouches`) without one client's change reaching
+      another's.
+    - Each key that has owners has one canonical tuple.  It enters the
+      table with the key's first owner and leaves with its last, so the
+      table holds exactly the keys of ``_by_key``, as the very objects
+      ``_by_key`` holds.  A writer that maps its keys through
+      :meth:`canonical_keys` stores that one object in every vouch set.
+    """
 
     def __init__(self) -> None:
         self._by_client: Dict[str, Set[Key]] = {}
         self._by_key: Dict[Key, Set[str]] = {}
+        # key -> the one tuple stored for it, for keys that have owners.
+        self._canonical: Dict[Key, Key] = {}
         # key -> {d: number of reporters currently spreading over d URLs}
         self._vote_hist: Dict[Key, Dict[int, int]] = {}
         # Per-plane refinement of _vote_hist, built on the first
@@ -230,15 +246,18 @@ class VotingLedger:
         vouch set — equal to :meth:`add_client_reports` for each in turn.
 
         The clients must be distinct and vouch for nothing yet.  Keys are
-        counted in upload order, and each vouch set is built from
-        ``keys`` as :meth:`add_client_reports` builds it, so it iterates
-        in the same order: revocations and dissents mark a client's keys
-        in its set's order.
+        counted in upload order.  The vouch set is built once, from
+        ``keys`` as :meth:`add_client_reports` builds each one, so it
+        iterates in the same order (revocations and dissents mark a
+        client's keys in its set's order), and that one object is stored
+        for every client of the block: stored vouch sets are never
+        mutated, so sharing it is safe.
         """
+        vouch_set = set(keys)
         self._count_first_vouches(client_ids, dict.fromkeys(keys))
         by_client = self._by_client
         for client_id in client_ids:
-            by_client[client_id] = set(keys)
+            by_client[client_id] = vouch_set
 
     def _count_first_vouches(
         self, client_ids: Sequence[str], keys: Collection[Key]
@@ -247,16 +266,19 @@ class VotingLedger:
         when active) for distinct clients that each vouch for the same d
         distinct ``keys`` and for nothing before: ``hist[d] += k`` per
         key, per-plane counts in the mirror, and one ``set.update`` of
-        the owners.  No old votes to retract or re-bucket, and a first
-        vouch dilutes no earlier key."""
+        the owners.  A key with no owners yet enters ``_by_key`` and the
+        canonical table as the object given.  No old votes to retract or
+        re-bucket, and a first vouch dilutes no earlier key."""
         d = len(keys)
         count = len(client_ids)
         by_key = self._by_key
+        canonical = self._canonical
         hists = self._vote_hist
         for key in keys:
             owners = by_key.get(key)
             if owners is None:
                 by_key[key] = set(client_ids)
+                canonical[key] = key
             else:
                 owners.update(client_ids)
             hist = hists.get(key)
@@ -284,11 +306,22 @@ class VotingLedger:
                 else:
                     hist[d] = hist.get(d, 0) + n
 
+    def canonical_keys(self, keys: Sequence[Key]) -> List[Key]:
+        """``keys`` with each key that has owners replaced by the tuple
+        the ledger stores for it (equal, and hashing alike), so a writer
+        that passes the result on stores no second copy of a known key.
+        Keys without owners come back as given.  One dict read per key."""
+        get = self._canonical.get
+        return list(map(get, keys, keys))
+
     def vouches(self, client_id: str) -> bool:
         """Whether the client vouches for any entry (cheap, no copy)."""
         return client_id in self._by_client
 
     def _set_reports(self, client_id: str, new_keys: Set[Key]) -> Set[Key]:
+        """Store ``new_keys`` as the client's vouch set and move the
+        ownership and histograms with it.  The old set is only read and
+        then replaced, never edited: other clients may share it."""
         old_keys = self._by_client.get(client_id, set())
         if new_keys == old_keys:
             return set()
@@ -302,6 +335,7 @@ class VotingLedger:
         d_old = len(old_keys)
         d_new = len(new_keys)
         by_key = self._by_key
+        canonical = self._canonical
         hist_add = self._hist_add
         hist_sub = self._hist_sub
         mirror = self._planes_active
@@ -313,6 +347,7 @@ class VotingLedger:
                 owners.discard(client_id)
                 if not owners:
                     del by_key[key]
+                    del canonical[key]
             hist_sub(key, d_old)
             if mirror:
                 self._plane_hist_sub(key, plane, d_old)
@@ -329,6 +364,7 @@ class VotingLedger:
             owners = by_key.get(key)
             if owners is None:
                 by_key[key] = {client_id}
+                canonical[key] = key
             else:
                 owners.add(client_id)
             hist_add(key, d_new)
@@ -422,5 +458,6 @@ class VotingLedger:
         return list(self._by_client)
 
     def reports_of(self, client_id: str) -> Set[Key]:
-        """The (URL, AS) entries this client currently vouches for."""
+        """The (URL, AS) entries this client currently vouches for, as a
+        copy: the stored set may be shared and is never mutated."""
         return set(self._by_client.get(client_id, set()))

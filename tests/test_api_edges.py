@@ -98,6 +98,7 @@ class TestConfigValidation:
             dict(min_votes=float("nan")),
             dict(redundant_delay=-1.0),
             dict(redundant_delay=float("nan")),
+            dict(min_reporters=float("nan")),
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

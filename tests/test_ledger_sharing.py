@@ -1,0 +1,132 @@
+"""The voting ledger stores its state once (DESIGN.md §20).
+
+A grouped upload's fresh clients share one vouch set object, which no
+later change edits in place, and every (URL, AS) key that has owners is
+stored as one tuple: the ledger's canonical table holds exactly the
+owned keys, as the objects ``_by_key`` holds, and uploads through
+``ServerDB`` store those objects in every vouch set.
+"""
+
+from repro.core.globaldb import ReportItem, ServerDB
+from repro.core.records import BlockType
+
+ASN = 64500
+
+
+def _reports(urls, asn=ASN):
+    return [
+        ReportItem(url=url, asn=asn, stages=(BlockType.BLOCK_PAGE,),
+                   measured_at=1.0)
+        for url in urls
+    ]
+
+
+def assert_keys_stored_once(ledger):
+    """The canonical table holds exactly the owned keys, each as the
+    object ``_by_key`` and the histograms hold and every vouch set
+    holds."""
+    table = ledger._canonical
+    assert table.keys() == ledger._by_key.keys()
+    for key, stored in table.items():
+        assert stored is key
+    for key in ledger._by_key:
+        assert table[key] is key
+    for key in ledger._vote_hist:
+        assert table[key] is key
+    for vouch_set in ledger._by_client.values():
+        for key in vouch_set:
+            assert table[key] is key
+
+
+def test_grouped_upload_shares_one_vouch_set():
+    server = ServerDB(entry_ttl=None)
+    uuids = [server.register(now=0.0) for _ in range(6)]
+    urls = [f"http://u{i}.example/" for i in range(12)]
+    keys = [(url, ASN) for url in urls + urls[:3]]
+    server.post_updates(uuids, _reports(urls + urls[:3]), now=1.0)
+    ledger = server.voting
+    # The first UUID takes the one-client step; the other five are new
+    # clients absorbed as one block.
+    first, *block = [ledger._by_client[uuid] for uuid in uuids]
+    assert all(vouch_set is block[0] for vouch_set in block)
+    for vouch_set in (first, block[0]):
+        assert vouch_set == set(keys)
+        # csaw-analyze: disable=CSL003 the set order is what is compared
+        assert list(vouch_set) == list(set(keys))
+    assert_keys_stored_once(ledger)
+
+
+def test_a_change_to_one_client_leaves_the_shared_set_alone():
+    server = ServerDB(entry_ttl=None)
+    uuids = [server.register(now=0.0) for _ in range(5)]
+    urls = [f"http://u{i}.example/" for i in range(4)]
+    server.post_updates(uuids, _reports(urls), now=1.0)
+    ledger = server.voting
+    shared = ledger._by_client[uuids[1]]
+    before = list(shared)
+    server.post_dissent(uuids[1], urls[0], ASN, now=2.0)
+    server.post_update(uuids[2], _reports(["http://extra.example/"]), now=2.0)
+    server.revoke(uuids[3])
+    assert list(shared) == before
+    assert ledger._by_client[uuids[4]] is shared
+    assert len(ledger.reports_of(uuids[1])) == 3
+    assert len(ledger.reports_of(uuids[2])) == 5
+    assert not ledger.vouches(uuids[3])
+    assert ledger.stats(urls[0], ASN).reporters == 3
+    assert_keys_stored_once(ledger)
+
+
+def test_one_by_one_uploads_store_one_tuple_per_key():
+    server = ServerDB(entry_ttl=None)
+    shared_url = "http://shared.example/"
+    uuids = [server.register(now=0.0) for _ in range(20)]
+    for i, uuid in enumerate(uuids):
+        server.post_update(
+            uuid, _reports([shared_url, f"http://own{i}.example/"]),
+            now=1.0 + i,
+        )
+    ledger = server.voting
+    (stored,) = [key for key in ledger._by_key if key == (shared_url, ASN)]
+    for uuid in uuids:
+        (mine,) = [key for key in ledger._by_client[uuid] if key == stored]
+        assert mine is stored
+    assert_keys_stored_once(ledger)
+
+
+def test_key_table_holds_exactly_the_owned_keys():
+    server = ServerDB(entry_ttl=None)
+    a, b, c = (server.register(now=0.0) for _ in range(3))
+    urls = [f"http://u{i}.example/" for i in range(3)]
+    ledger = server.voting
+    server.post_updates([a, b, c], _reports(urls), now=1.0)
+    server.post_update(a, _reports(["http://alone.example/"], asn=ASN + 1),
+                       now=2.0)
+    assert_keys_stored_once(ledger)
+    assert len(ledger._canonical) == 4
+
+    server.post_dissent(b, urls[0], ASN, now=3.0)  # two owners left
+    server.post_dissent(a, "http://alone.example/", ASN + 1, now=3.0)
+    assert_keys_stored_once(ledger)
+    assert set(ledger._canonical) == {(url, ASN) for url in urls}
+
+    server.revoke(c)
+    server.post_dissent(a, urls[0], ASN, now=4.0)  # its last owner
+    assert_keys_stored_once(ledger)
+    assert set(ledger._canonical) == {(url, ASN) for url in urls[1:]}
+
+    # Churn: clients come, vouch and go; the table never outgrows the
+    # keys that have owners.
+    for round_ in range(50):
+        uuid = server.register(now=5.0 + round_)
+        server.post_update(
+            uuid, _reports([urls[1], f"http://churn{round_}.example/"]),
+            now=5.0 + round_,
+        )
+        assert len(ledger._canonical) == 3
+        server.revoke(uuid)
+        assert len(ledger._canonical) == 2
+    assert_keys_stored_once(ledger)
+
+    for uuid in (a, b):
+        server.revoke(uuid)
+    assert ledger._canonical == {} and ledger._by_key == {}

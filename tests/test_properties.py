@@ -17,6 +17,7 @@ from repro.simnet.latency import LatencyModel
 from tests._reference_globaldb import (
     apply_sync, recompute_plane_stats, recompute_stats, sync_for_as,
 )
+from tests.test_ledger_sharing import assert_keys_stored_once
 
 
 class TestEngineProperties:
@@ -619,10 +620,10 @@ class TestRunBatchedWriteProperties:
     in ``tests/_reference_globaldb.py``: hypothesis drives both through
     the same uploads, group uploads, dissents, revocations, pulls and TTL
     evictions and demands identical shards (entries, versions, logs,
-    floors, expiry heaps), counters, ledger histograms, and pulls from
-    every live since-version.  A group upload is one ``post_updates``
-    call on the fast side and one ``post_update`` per UUID, in order, on
-    the reference."""
+    floors, expiry heaps), counters, ledger histograms, vouch sets and
+    canonical key tables, and pulls from every live since-version.  A
+    group upload is one ``post_updates`` call on the fast side and one
+    ``post_update`` per UUID, in order, on the reference."""
 
     PLANES = ("csaw", "encore", "problist")
     STAGE_SETS = (
@@ -723,7 +724,19 @@ class TestRunBatchedWriteProperties:
             ledger._plane_histograms(),
             ledger._by_key,
             ledger._by_client,
+            cls._key_table(ledger),
         )
+
+    @staticmethod
+    def _key_table(ledger):
+        """The ledger's canonical key table, as sorted keys, after
+        checking that it holds one tuple per owned key: the very object
+        ``_by_key`` holds (DESIGN.md §20)."""
+        table = ledger._canonical
+        assert table.keys() == ledger._by_key.keys()
+        for key in ledger._by_key:
+            assert table[key] is key
+        return sorted(table)
 
     @classmethod
     def _sync_rows(cls, result):
@@ -939,6 +952,9 @@ class TestRunBatchedWriteProperties:
                 asn = self.ASN0 + op[1]
                 both(lambda db: db.sync_batch_for_as(asn, now))
             self._assert_same(ref, fast)
+            # The fast side maps every upload's keys through the table,
+            # so its vouch sets hold only the stored tuples.
+            assert_keys_stored_once(fast.voting)
             # Contiguous log versions: what the run trim relies on.
             for db in dbs:
                 for shard in db._shards.values():

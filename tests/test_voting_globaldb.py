@@ -185,6 +185,18 @@ class TestServerDB:
             "http://b.com/"
         ]
 
+    @pytest.mark.parametrize("criterion", ["min_reporters", "min_votes"])
+    @pytest.mark.parametrize("pull", ["blocked_for_as", "sync_batch_for_as"])
+    def test_nan_criterion_rejected_by_both_pulls(self, pull, criterion):
+        # NaN failed every entry on the per-entry path but skipped the
+        # accept-all shortcut, so the list pull served 0 entries and the
+        # batch pull 1.
+        server = ServerDB()
+        uuid = server.register(now=0.0)
+        server.post_update(uuid, self.make_reports(["http://a.com/"], asn=7), now=1.0)
+        with pytest.raises(ValueError, match=f"{criterion} .*nan"):
+            getattr(server, pull)(7, now=2.0, **{criterion: float("nan")})
+
     def test_revoke_drops_client_and_votes(self):
         server = ServerDB()
         uuid = server.register(now=0.0)
