@@ -113,13 +113,17 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
 def _cmd_pilot(args: argparse.Namespace) -> int:
     from .workloads.pilot import PilotConfig, run_pilot
 
-    config = PilotConfig(
-        seed=args.seed,
-        n_users=args.users,
-        n_sites=args.sites,
-        duration_days=args.days,
-        n_ases=args.ases,
-    )
+    try:
+        config = PilotConfig(
+            seed=args.seed,
+            n_users=args.users,
+            n_sites=args.sites,
+            duration_days=args.days,
+            n_ases=args.ases,
+        )
+    except ValueError as err:
+        print(f"csaw-sim pilot: {err}", file=sys.stderr)
+        return 2
     report = run_pilot(config)
     print(render_table(
         ["insight", "value"], report.rows(),
@@ -147,7 +151,11 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 def _cmd_oni(args: argparse.Namespace) -> int:
     from .workloads.oni import FIG2_CATEGORIES, OniSweep
 
-    sweep = OniSweep(seed=args.seed, domains_per_as=args.domains)
+    try:
+        sweep = OniSweep(seed=args.seed, domains_per_as=args.domains)
+    except ValueError as err:
+        print(f"csaw-sim oni: {err}", file=sys.stderr)
+        return 2
     measured = sweep.run()
     rows = []
     for asn, mix in measured.items():

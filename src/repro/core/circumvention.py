@@ -141,9 +141,6 @@ class CircumventionModule:
 
     # -- candidate sets --------------------------------------------------------
 
-    def local_fixes(self) -> List[Transport]:
-        return [t for t in self.transports.values() if t.is_local_fix]
-
     def relays(self) -> List[Transport]:
         return [
             t

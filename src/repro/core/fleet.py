@@ -137,9 +137,10 @@ class _PlaneGroup:
         self.report_ptr = 0
         self.pending = array("l")
         self.items: List[ReportItem] = []
-        # Per-reporter item lists (plane.per_reporter_items); None for
-        # shared-list planes — posts then use ``items`` directly.
-        self.items_by_r: Optional[List[List[ReportItem]]] = None
+        # Per-reporter item lists (plane.per_reporter_items), each
+        # emptied once its reporter posts; None for shared-list planes —
+        # posts then use ``items`` directly.
+        self.items_by_r: Optional[List[Sequence[ReportItem]]] = None
         self.target_version: Optional[int] = None
         self.unconverged = n_clients
         self.converged_at: Optional[float] = None
@@ -686,6 +687,10 @@ class ClientCohort:
                         for r in posting
                     )
                     posted = bool(posting)
+                    # Nothing reads a reporter's list after its post:
+                    # free it rather than hold it for the whole run.
+                    for r in due:
+                        items_by_r[r] = ()
                 if posted:
                     metrics.reports_absorbed += accepted
                     by_plane[group.name] = (

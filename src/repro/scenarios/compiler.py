@@ -1,23 +1,29 @@
 """ScenarioCompiler: spec tree -> live simulation objects.
 
-The compiler is the *only* place that calls ``World(...)`` /
-``CensorPolicy(...)`` for scenario work (csaw-analyze CSL009 enforces the
-boundary).  It builds in one canonical order — resolver, sites,
+The compiler builds in one canonical order — resolver, sites,
 block pages, policies, ASes, circumvention infrastructure, global DB,
 populations — which is safe because every RNG draw comes from a
 name-keyed stream, not from construction order; same-seed worlds are
 bit-identical however the spec sections are arranged.
+
+Its three construction pieces are the package's only ones, bar the CLI's
+``quickstart`` demo (DESIGN.md §21): :func:`blockpage_site` builds
+block-page servers, :func:`~repro.scenarios.mechanisms.build_rule` turns
+mechanism names into censor rules, and :func:`build_transports` is the
+per-client transport catalogue.  The pilot study, the ONI sweep and the
+case-study wrappers call them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..censor.blockpages import DEFAULT_BLOCKPAGE_HTML
 from ..censor.policy import CensorPolicy, Matcher, Rule
 from ..circumvent import (
     DomainFrontingTransport,
+    HoldOnTransport,
     HttpsTransport,
     IpAsHostnameTransport,
     LanternNetwork,
@@ -37,7 +43,13 @@ from ..simnet.world import World
 from .mechanisms import build_rule
 from .spec import EventSpec, RuleSpec, ScenarioSpec, SpecError
 
-__all__ = ["CompiledEvent", "CompiledScenario", "ScenarioCompiler", "blockpage_site"]
+__all__ = [
+    "CompiledEvent",
+    "CompiledScenario",
+    "ScenarioCompiler",
+    "blockpage_site",
+    "build_transports",
+]
 
 
 def blockpage_site(world: World, hostname: str, html: str, location: str) -> Host:
@@ -55,6 +67,55 @@ def blockpage_site(world: World, hostname: str, html: str, location: str) -> Hos
         catch_all=page_factory,
     )
     return site.host
+
+
+def build_transports(
+    client_name: str,
+    include: Optional[Sequence[str]] = None,
+    *,
+    tor: Optional[TorNetwork] = None,
+    lantern: Optional[LanternNetwork] = None,
+    front_hostname: str = "",
+    tor_rotation: float = 600.0,
+    tor_exit_location: Optional[str] = None,
+) -> List[Transport]:
+    """One client's transports from the catalogue, in ``include`` order
+    (every entry when ``None``).  Tor circuits and Lantern trust are
+    per-user state, so nothing here is shared between clients."""
+
+    def need(what, value):
+        if value is None:
+            raise SpecError(f"transport needs {what}: declare it under [infra]")
+        return value
+
+    catalogue = {
+        "public-dns": lambda: PublicDnsTransport(),
+        "hold-on": lambda: HoldOnTransport(),
+        "https": lambda: HttpsTransport(),
+        "ip-as-hostname": lambda: IpAsHostnameTransport(),
+        "domain-fronting": lambda: DomainFrontingTransport(
+            need("front_hostname", front_hostname or None)
+        ),
+        "tor": lambda: TorTransport(
+            need("tor_relays", tor).client(
+                f"tor/{client_name}",
+                rotation_period=tor_rotation,
+                exit_location=tor_exit_location,
+            )
+        ),
+        "lantern": lambda: LanternTransport(
+            need("lantern_proxies", lantern),
+            user_stream=f"lantern/{client_name}",
+        ),
+    }
+    names = list(catalogue) if include is None else include
+    unknown = [n for n in names if n not in catalogue]
+    if unknown:
+        raise SpecError(
+            f"unknown transport(s) {unknown} "
+            f"(known: {', '.join(sorted(catalogue))})"
+        )
+    return [catalogue[name]() for name in names]
 
 
 @dataclass(frozen=True)
@@ -83,54 +144,6 @@ class CompiledScenario:
     proxies: List[StaticProxyTransport]
     clients: List[CSawClient] = field(default_factory=list)
     events: List[CompiledEvent] = field(default_factory=list)
-
-    def make_transports(
-        self,
-        client_name: str,
-        include: Optional[List[str]] = None,
-        tor_rotation: float = 600.0,
-        tor_exit_location: Optional[str] = None,
-    ) -> List[Transport]:
-        """Per-client transport set; names match the legacy catalogue
-        (Tor circuits and Lantern trust are per-user, so nothing here is
-        shared between clients)."""
-        from ..circumvent.holdon import HoldOnTransport
-
-        def need(what, value):
-            if value is None:
-                raise SpecError(
-                    f"transport needs {what}: declare it under [infra]"
-                )
-            return value
-
-        catalogue = {
-            "public-dns": lambda: PublicDnsTransport(),
-            "hold-on": lambda: HoldOnTransport(),
-            "https": lambda: HttpsTransport(),
-            "ip-as-hostname": lambda: IpAsHostnameTransport(),
-            "domain-fronting": lambda: DomainFrontingTransport(
-                need("front_hostname", self.spec.infra.front_hostname or None)
-            ),
-            "tor": lambda: TorTransport(
-                need("tor_relays", self.tor).client(
-                    f"tor/{client_name}",
-                    rotation_period=tor_rotation,
-                    exit_location=tor_exit_location,
-                )
-            ),
-            "lantern": lambda: LanternTransport(
-                need("lantern_proxies", self.lantern),
-                user_stream=f"lantern/{client_name}",
-            ),
-        }
-        names = include if include is not None else list(catalogue)
-        unknown = [n for n in names if n not in catalogue]
-        if unknown:
-            raise SpecError(
-                f"unknown transport(s) {unknown} "
-                f"(known: {', '.join(sorted(catalogue))})"
-            )
-        return [catalogue[name]() for name in names]
 
 
 class ScenarioCompiler:
@@ -304,8 +317,12 @@ class ScenarioCompiler:
                             compiled.world,
                             name,
                             [isp],
-                            transports=compiled.make_transports(
-                                name, include=list(population.transports)
+                            transports=build_transports(
+                                name,
+                                population.transports,
+                                tor=compiled.tor,
+                                lantern=compiled.lantern,
+                                front_hostname=spec.infra.front_hostname,
                             ),
                             server_db=compiled.server,
                             config=config,

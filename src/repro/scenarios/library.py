@@ -7,6 +7,11 @@ and the §7.5 blocking wave.  The old entrypoints in
 wrappers that compile these specs; ``tests/test_scenario_dsl.py`` proves
 the compiled worlds bit-identical (same seed, same floats) to the
 pre-redesign builders via committed golden fingerprints.
+
+The Table-7 pilot and the Figure-2 ONI sweep are not specs here: they
+need a site corpus and per-AS mechanism mixes that no spec section
+declares.  They build with the compiler's pieces all the same (block
+pages, mechanism names, the transport catalogue; DESIGN.md §21).
 """
 
 from __future__ import annotations

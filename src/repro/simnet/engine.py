@@ -23,10 +23,12 @@ The kernel is the hot loop under every experiment (~10^6 events per paper
 artefact), so it trades a little uniformity for throughput:
 
 - all event classes use ``__slots__`` (including :class:`Environment`);
+  ``tests/test_engine.py`` fails on any :class:`Event` subclass in the
+  package that does not declare them;
 - waiters are stored in a compact ``_waiters`` slot: ``False`` (pending, no
-  waiters yet), a single :class:`Process` or callable (the overwhelmingly
-  common case — the one process that yielded the event), a list (2+
-  waiters), or ``None`` (processed).  Storing the *process object* rather
+  waiters yet), a single :class:`Process` (the overwhelmingly common case
+  — the one process that yielded the event) or condition callback, a list
+  (2+ waiters), or ``None`` (processed).  Storing the *process object* rather
   than a bound method avoids both an allocation per wait and a reference
   cycle per process (which kept the cyclic GC busy);
 - queue entries are ``(time, eid, kind, obj)`` 4-tuples.  ``kind`` lets
@@ -70,7 +72,7 @@ import gc as _gc
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush, \
     heappushpop as _heappushpop
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Generator, Iterable, List, Optional
 
 __all__ = [
     "Environment",
@@ -147,22 +149,6 @@ class Event:
         if self._value is _PENDING:
             raise SimulationError("event has not been triggered yet")
         return self._value
-
-    def add_waiter(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback(event)`` to run when the event is processed.
-
-        (The seed kernel exposed a ``callbacks`` list; the compact waiter
-        slot replaced it.)  Must not be called on a processed event.
-        """
-        waiters = self._waiters
-        if waiters is None:
-            raise SimulationError("event already processed")
-        if waiters is False:
-            self._waiters = callback
-        elif type(waiters) is list:
-            waiters.append(callback)
-        else:
-            self._waiters = [waiters, callback]
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event with ``value``."""
@@ -294,10 +280,6 @@ class Process(Event):
         env._eid = eid = env._eid + 1
         env._imm.append((env._now, eid, _KIND_START, self))
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield.
 
@@ -336,7 +318,6 @@ class Process(Event):
         # Cold-path twin of the fused resume in Environment.run — keep the
         # semantics in sync.
         env = self.env
-        env._active_process = self
         try:
             while True:
                 if event._ok:
@@ -460,8 +441,7 @@ class Environment:
     the queue drains, an event triggers, or a deadline passes.
     """
 
-    __slots__ = ("_now", "_imm", "_pending", "_queue", "_eid",
-                 "_active_process")
+    __slots__ = ("_now", "_imm", "_pending", "_queue", "_eid")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -473,17 +453,10 @@ class Environment:
         self._pending: Optional[tuple] = None
         self._queue: List[Any] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing (only meaningful from inside a
-        process generator; between resumes it retains the last process)."""
-        return self._active_process
 
     # -- event constructors -------------------------------------------------
 
@@ -541,19 +514,6 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._eid = eid = self._eid + 1
-        if delay == 0:
-            self._imm.append((self._now, eid, _KIND_EVENT, event))
-        else:
-            entry = (self._now + delay, eid, _KIND_EVENT, event)
-            previous = self._pending
-            if previous is None:
-                self._pending = entry
-            else:
-                _heappush(self._queue, previous)
-                self._pending = entry
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
@@ -734,7 +694,6 @@ class Environment:
                 # -- resume (fused) ----------------------------------------
                 if type(waiters) is Process:
                     p = waiters
-                    self._active_process = p
                     try:
                         if obj._ok:
                             next_event = p._send(obj._value)

@@ -202,9 +202,6 @@ class Network:
         """Authoritative answer for a hostname ([] when non-existent)."""
         return list(self.dns_records.get(hostname.lower(), []))
 
-    def set_geo_rtt(self, a: str, b: str, rtt_ms: float) -> None:
-        self._geo[(a, b)] = rtt_ms
-
     # -- lookup -----------------------------------------------------------
 
     def host_for_ip(self, ip: str) -> Optional[Host]:

@@ -143,10 +143,6 @@ class World:
             load=ClientLoadTracker(),
         )
 
-    def middlebox_for(self, asn: int) -> Optional[Middlebox]:
-        system = self.network.ases.get(asn)
-        return system.censor if system else None
-
     # -- running -------------------------------------------------------------
 
     def run_process(self, generator: Generator):

@@ -58,9 +58,6 @@ class SiteSpec:
     def base_url(self) -> str:
         return f"http://{self.hostname}/"
 
-    def page_urls(self) -> List[str]:
-        return [f"http://{self.hostname}{path}" for path in self.page_paths]
-
 
 @dataclass
 class Corpus:
@@ -87,11 +84,6 @@ class Corpus:
 
     def sample_site(self, rng: random.Random) -> SiteSpec:
         return rng.choices(self.sites, cum_weights=self._cum_weights)[0]
-
-    def sample_page_url(self, rng: random.Random) -> str:
-        site = self.sample_site(rng)
-        path = rng.choice(site.page_paths)
-        return f"http://{site.hostname}{path}"
 
     def materialize(self, world: World) -> None:
         """Create every site, page, and CDN node inside ``world``."""

@@ -19,19 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..censor.actions import (
-    DnsAction,
-    DnsVerdict,
-    HttpAction,
-    HttpVerdict,
-    IpAction,
-    IpVerdict,
-)
 from ..censor.blockpages import DEFAULT_BLOCKPAGE_HTML
-from ..censor.policy import CensorPolicy, Matcher, Rule
+from ..censor.policy import CensorPolicy, Matcher
 from ..core.detection import measure_direct_path
 from ..core.records import BlockType
-from ..simnet.web import WebPage
+from ..scenarios.compiler import blockpage_site
+from ..scenarios.mechanisms import build_rule
 from ..simnet.world import World
 
 __all__ = ["OniAsSpec", "ONI_AS_SPECS", "OniSweep", "run_oni_sweep", "FIG2_CATEGORIES"]
@@ -72,6 +65,16 @@ ONI_AS_SPECS: List[OniAsSpec] = [
     OniAsSpec(8449, "Yemen", (0.10, 0.15, 0.20, 0.05, 0.50)),
 ]
 
+# The mechanisms that produce each category (DNS Redir also drops the
+# HTTP request, so the forged address serves nothing).
+_CATEGORY_MECHANISMS = {
+    "No DNS": ("dns-timeout",),
+    "DNS Redir": ("dns-redirect", "http-drop"),
+    "No HTTP Resp": ("ip-drop",),
+    "RST": ("ip-rst",),
+    "Block Page w/o Redir": ("blockpage-iframe",),
+}
+
 # Map observed BlockTypes onto the figure's categories.
 _CATEGORY_OF = {
     BlockType.DNS_TIMEOUT: "No DNS",
@@ -91,6 +94,8 @@ class OniSweep:
     """Builds the eight-AS world and measures each from the inside."""
 
     def __init__(self, seed: int = 13, domains_per_as: int = 60):
+        if domains_per_as < 1:
+            raise ValueError(f"domains_per_as must be >= 1: {domains_per_as!r}")
         self.seed = seed
         self.domains_per_as = domains_per_as
         self.world = World(seed=seed)
@@ -103,39 +108,9 @@ class OniSweep:
         world.add_public_resolver()
         rng = world.rngs.stream("oni")
 
-        html = DEFAULT_BLOCKPAGE_HTML
-        blockpage = world.web.add_site(
-            "block.oni.example",
-            location="pakistan",
-            supports_https=False,
-            catch_all=lambda path: WebPage(
-                url=f"http://block.oni.example{path}",
-                size_bytes=max(900, len(html)),
-                html=html,
-                category="blockpage",
-            ),
+        blockpage = blockpage_site(
+            world, "block.oni.example", DEFAULT_BLOCKPAGE_HTML, "pakistan"
         )
-
-        category_rules = {
-            "No DNS": lambda m, ips: Rule(
-                matcher=m, dns=DnsVerdict(DnsAction.TIMEOUT)
-            ),
-            "DNS Redir": lambda m, ips: Rule(
-                matcher=m,
-                dns=DnsVerdict(DnsAction.REDIRECT, redirect_ip="10.77.77.77"),
-                http=HttpVerdict(HttpAction.DROP),
-            ),
-            "No HTTP Resp": lambda m, ips: Rule(
-                matcher=m, ip=IpVerdict(IpAction.DROP)
-            ),
-            "RST": lambda m, ips: Rule(matcher=m, ip=IpVerdict(IpAction.RST)),
-            "Block Page w/o Redir": lambda m, ips: Rule(
-                matcher=m,
-                http=HttpVerdict(
-                    HttpAction.BLOCKPAGE_IFRAME, blockpage_ip=blockpage.host.ip
-                ),
-            ),
-        }
 
         for spec in self._specs:
             domains = []
@@ -147,8 +122,14 @@ class OniSweep:
                 domains.append(hostname)
                 category = rng.choices(FIG2_CATEGORIES, weights=spec.mix)[0]
                 host_ip = world.network.hosts_by_name[hostname].ip
-                matcher = Matcher(domains={hostname}, ips={host_ip})
-                policy.add_rule(category_rules[category](matcher, {host_ip}))
+                policy.add_rule(
+                    build_rule(
+                        Matcher(domains={hostname}, ips={host_ip}),
+                        _CATEGORY_MECHANISMS[category],
+                        blockpage_ip=blockpage.ip,
+                        redirect_ip="10.77.77.77",
+                    )
+                )
             self._domains[spec.asn] = domains
             world.add_isp(spec.asn, f"AS{spec.asn}", country=spec.country,
                           policy=policy)

@@ -22,19 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..censor.actions import (
-    DnsAction,
-    DnsVerdict,
-    HttpAction,
-    HttpVerdict,
-    IpAction,
-    IpVerdict,
-)
 from ..censor.blockpages import DEFAULT_BLOCKPAGE_HTML
-from ..censor.policy import CensorPolicy, Matcher, Rule
+from ..censor.policy import CensorPolicy, Matcher
 from ..circumvent import LanternNetwork, TorNetwork
 from ..core import CSawClient, CSawConfig, ServerDB
-from ..simnet.web import WebPage
+from ..scenarios.compiler import blockpage_site, build_transports
+from ..scenarios.mechanisms import build_rule
 from ..simnet.world import World
 from ..urlkit import parse_url, registered_domain
 from .corpus import Corpus, build_corpus
@@ -75,6 +68,19 @@ class PilotConfig:
     page_load_fraction: float = 0.15  # full page loads (embedded objects)
     sync_interval: float = 24 * 3600.0
     cdn_blocking_ases: int = 2  # ISPs that also block a CDN hostname
+
+    def __post_init__(self) -> None:
+        # Users are spread over the ASes and browse the corpus, so both
+        # need at least one; the `not x > 0` form rejects a NaN duration,
+        # which would otherwise reach the kernel as a NaN delay.
+        if self.n_ases < 1:
+            raise ValueError(f"n_ases must be >= 1: {self.n_ases!r}")
+        if self.n_sites < 1:
+            raise ValueError(f"n_sites must be >= 1: {self.n_sites!r}")
+        if not self.duration_days > 0:
+            raise ValueError(
+                f"duration_days must be > 0: {self.duration_days!r}"
+            )
 
     @property
     def duration(self) -> float:
@@ -170,7 +176,10 @@ class PilotStudy:
         lantern = LanternNetwork.build(world, n_proxies=12)
 
         # One block-page server per censoring region style.
-        blockpage_host = self._blockpage_server()
+        blockpage_host = blockpage_site(
+            world, "block.pk-filter.example", DEFAULT_BLOCKPAGE_HTML,
+            "pakistan",
+        )
 
         ases = []
         for index in range(config.n_ases):
@@ -181,15 +190,16 @@ class PilotStudy:
         for index in range(config.n_users):
             isp = ases[index % len(ases)]
             name = f"pilot-user-{index}"
-            transports = [
-                t
-                for t in self._user_transports(name, tor, lantern)
-            ]
             client = CSawClient(
                 world,
                 name,
                 [isp],
-                transports=transports,
+                transports=build_transports(
+                    name,
+                    ("public-dns", "https", "ip-as-hostname", "tor", "lantern"),
+                    tor=tor,
+                    lantern=lantern,
+                ),
                 server_db=self.server,
                 config=CSawConfig(
                     probe_probability=0.1,
@@ -200,42 +210,6 @@ class PilotStudy:
             )
             self.clients.append(client)
         return self
-
-    def _user_transports(self, name, tor, lantern):
-        from ..circumvent import (
-            HttpsTransport,
-            IpAsHostnameTransport,
-            LanternTransport,
-            PublicDnsTransport,
-            TorTransport,
-        )
-
-        return [
-            PublicDnsTransport(),
-            HttpsTransport(),
-            IpAsHostnameTransport(),
-            TorTransport(tor.client(f"tor/{name}")),
-            LanternTransport(lantern, user_stream=f"lantern/{name}"),
-        ]
-
-    def _blockpage_server(self):
-        html = DEFAULT_BLOCKPAGE_HTML
-
-        def factory(path: str) -> WebPage:
-            return WebPage(
-                url=f"http://block.pk-filter.example{path}",
-                size_bytes=max(900, len(html)),
-                html=html,
-                category="blockpage",
-            )
-
-        site = self.world.web.add_site(
-            "block.pk-filter.example",
-            location="pakistan",
-            supports_https=False,
-            catch_all=factory,
-        )
-        return site.host
 
     def _build_policy(
         self, rng, asn: int, blockpage_ip: str, index: int
@@ -254,49 +228,24 @@ class PilotStudy:
                 self.cdn_blocked.append(cdn)
 
         policy = CensorPolicy(name=f"AS{asn}")
-        verdicts = {
-            "blockpage-redirect": dict(
-                http=HttpVerdict(
-                    HttpAction.BLOCKPAGE_REDIRECT, blockpage_ip=blockpage_ip
-                )
-            ),
-            "blockpage-iframe": dict(
-                http=HttpVerdict(
-                    HttpAction.BLOCKPAGE_IFRAME, blockpage_ip=blockpage_ip
-                )
-            ),
-            "dns-redirect": dict(
-                dns=DnsVerdict(DnsAction.REDIRECT, redirect_ip="10.66.66.66")
-            ),
-            "dns-nxdomain": dict(dns=DnsVerdict(DnsAction.NXDOMAIN)),
-            "dns-servfail": dict(dns=DnsVerdict(DnsAction.SERVFAIL)),
-            "dns-timeout": dict(dns=DnsVerdict(DnsAction.TIMEOUT)),
-            "http-drop": dict(http=HttpVerdict(HttpAction.DROP)),
-        }
+        hosts = self.world.network.hosts_by_name
         for mechanism, domains in by_mechanism.items():
             if not domains:
                 continue
-            if mechanism == "ip-drop":
-                ips = {
-                    self.world.network.hosts_by_name[d].ip
-                    for d in domains
-                    if d in self.world.network.hosts_by_name
-                }
-                policy.add_rule(
-                    Rule(
-                        matcher=Matcher(domains=set(domains), ips=ips),
-                        ip=IpVerdict(IpAction.DROP),
-                        label=mechanism,
-                    )
+            # An IP drop also matches the blocked hosts' addresses.
+            ips = (
+                {hosts[d].ip for d in domains if d in hosts}
+                if mechanism == "ip-drop" else set()
+            )
+            policy.add_rule(
+                build_rule(
+                    Matcher(domains=set(domains), ips=ips),
+                    (mechanism,),
+                    blockpage_ip=blockpage_ip,
+                    redirect_ip="10.66.66.66",
+                    label=mechanism,
                 )
-            else:
-                policy.add_rule(
-                    Rule(
-                        matcher=Matcher(domains=set(domains)),
-                        label=mechanism,
-                        **verdicts[mechanism],
-                    )
-                )
+            )
         return policy
 
     # -- driving -----------------------------------------------------------------

@@ -16,7 +16,9 @@ here are thin wrappers that compile
 :func:`~repro.scenarios.library.centralized_spec` and re-bundle the
 result into the historical dataclasses.  Same seed, same world,
 bit-for-bit (``tests/test_scenario_dsl.py`` holds the golden
-fingerprints) — only the construction path changed.
+fingerprints) — only the construction path changed.  Their clients'
+transports come from the compiler's one catalogue,
+:func:`~repro.scenarios.compiler.build_transports`.
 """
 
 from __future__ import annotations
@@ -25,18 +27,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..circumvent import (
-    DomainFrontingTransport,
-    HttpsTransport,
-    IpAsHostnameTransport,
     LanternNetwork,
     LanternTransport,
-    PublicDnsTransport,
     StaticProxyTransport,
     TorNetwork,
     TorTransport,
     Transport,
 )
-from ..scenarios.compiler import ScenarioCompiler
+from ..scenarios.compiler import ScenarioCompiler, build_transports
 from ..scenarios.library import (
     CLEAN_ASN,
     FRONT,
@@ -71,7 +69,6 @@ class CaseStudyScenario:
     tor: TorNetwork
     lantern: LanternNetwork
     proxy_transports: List[StaticProxyTransport]
-    front_hostname: str = FRONT
     urls: Dict[str, str] = field(default_factory=dict)
 
     def make_transports(
@@ -81,29 +78,16 @@ class CaseStudyScenario:
         tor_rotation: float = 600.0,
         tor_exit_location: Optional[str] = None,
     ) -> List[Transport]:
-        """Per-client transport set (Tor circuits and Lantern trust are
-        per-user state, so these cannot be shared between clients)."""
-        from ..circumvent.holdon import HoldOnTransport
-
-        catalogue = {
-            "public-dns": lambda: PublicDnsTransport(),
-            "hold-on": lambda: HoldOnTransport(),
-            "https": lambda: HttpsTransport(),
-            "ip-as-hostname": lambda: IpAsHostnameTransport(),
-            "domain-fronting": lambda: DomainFrontingTransport(self.front_hostname),
-            "tor": lambda: TorTransport(
-                self.tor.client(
-                    f"tor/{client_name}",
-                    rotation_period=tor_rotation,
-                    exit_location=tor_exit_location,
-                )
-            ),
-            "lantern": lambda: LanternTransport(
-                self.lantern, user_stream=f"lantern/{client_name}"
-            ),
-        }
-        names = include if include is not None else list(catalogue)
-        return [catalogue[name]() for name in names]
+        """Per-client transport set: the whole catalogue, or ``include``."""
+        return build_transports(
+            client_name,
+            include,
+            tor=self.tor,
+            lantern=self.lantern,
+            front_hostname=FRONT,
+            tor_rotation=tor_rotation,
+            tor_exit_location=tor_exit_location,
+        )
 
     def tor_transport(self, client_name: str, **kwargs) -> TorTransport:
         return self.make_transports(client_name, include=["tor"], **kwargs)[0]
@@ -156,12 +140,12 @@ class CentralizedScenario:
     urls: Dict[str, str] = field(default_factory=dict)
 
     def make_transports(self, client_name: str) -> List[Transport]:
-        return [
-            PublicDnsTransport(),
-            HttpsTransport(),
-            TorTransport(self.tor.client(f"tor/{client_name}")),
-            LanternTransport(self.lantern, user_stream=f"lantern/{client_name}"),
-        ]
+        return build_transports(
+            client_name,
+            ("public-dns", "https", "tor", "lantern"),
+            tor=self.tor,
+            lantern=self.lantern,
+        )
 
 
 def centralized_country(

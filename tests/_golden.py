@@ -16,8 +16,13 @@ captured from the tree before it:
   small fleet storm down to every record array, server row, vote tally
   and serve counter, for the production sweep (``grouped``) and the
   per-client loop in ``tests/_reference_fleet.py`` (``spec``).
+- ``construction_golden`` (commit 5675466, the last before the pilot and
+  the ONI sweep built their worlds through the scenario compiler's
+  pieces): every censoring AS's rules with their blocking verdicts,
+  the block-page host's IP, each pilot client's transports, and the
+  sweep's measured fractions.
 
-The last two render floats as ``repr`` strings (:func:`freeze`).
+The last three render floats as ``repr`` strings (:func:`freeze`).
 :func:`check` fails naming the first differing path, e.g.
 ``scenario_golden: case_study.flow.stats.plt_breakdown.http: '10.5' !=
 '10.0'``.  Regenerate a golden only when a change means to alter
@@ -34,11 +39,13 @@ import reprlib
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.censor.actions import PASS_DNS, PASS_HTTP, PASS_IP, PASS_TLS
 from repro.core import CSawClient, CSawConfig, ServerDB
 from repro.core.detection import measure_direct_path
 from repro.core.fleet import ClientCohort
 from repro.simnet.engine import Environment
 from repro.workloads.events import BlockingWave
+from repro.workloads.oni import OniSweep
 from repro.workloads.pilot import PilotConfig, PilotStudy
 from repro.workloads.scenarios import centralized_country, pakistan_case_study
 from tests._reference_fleet import ReferenceClientCohort
@@ -371,10 +378,74 @@ def capture_planes() -> Dict[str, Any]:
     }
 
 
+# -- construction_golden ------------------------------------------------------
+
+_PASS_VERDICTS = (
+    ("dns", PASS_DNS), ("ip", PASS_IP), ("http", PASS_HTTP), ("tls", PASS_TLS),
+)
+
+
+def _censor_rules(world) -> Dict[str, Any]:
+    """Each censoring AS's rules in order: label, sorted matcher domains
+    and IPs, and the ``repr`` of every stage verdict other than that
+    stage's pass verdict.  A stage left out passes, so a rule that gains
+    or loses a stage shows as an extra or missing key."""
+    return {
+        str(asn): [
+            [
+                rule.label,
+                sorted(rule.matcher.domains),
+                sorted(rule.matcher.ips),
+                {
+                    stage: repr(getattr(rule, stage))
+                    for stage, passing in _PASS_VERDICTS
+                    if getattr(rule, stage) != passing
+                },
+            ]
+            for rule in system.censor.policy.rules
+        ]
+        for asn, system in sorted(world.network.ases.items())
+        if system.censor is not None
+    }
+
+
+def pilot_construction() -> Dict[str, Any]:
+    study = PilotStudy(PilotConfig(
+        seed=3, n_users=20, n_ases=4, n_sites=300, duration_days=10,
+    )).build()
+    world = study.world
+    return {
+        "rules": _censor_rules(world),
+        "blockpage_ip": world.network.hosts_by_name["block.pk-filter.example"].ip,
+        "transports": [
+            [client.name] + [
+                f"{name} {type(transport).__name__}"
+                for name, transport in client.circumvention.transports.items()
+            ]
+            for client in study.clients
+        ],
+    }
+
+
+def oni_construction() -> Dict[str, Any]:
+    sweep = OniSweep(seed=17, domains_per_as=6).build()
+    world = sweep.world
+    return {
+        "rules": _censor_rules(world),
+        "blockpage_ip": world.network.hosts_by_name["block.oni.example"].ip,
+        "fractions": freeze(sweep.run()),
+    }
+
+
+def capture_construction() -> Dict[str, Any]:
+    return {"pilot": pilot_construction(), "oni": oni_construction()}
+
+
 CAPTURES = {
     "session_refactor_golden": capture_session,
     "scenario_golden": capture_scenarios,
     "plane_golden": capture_planes,
+    "construction_golden": capture_construction,
 }
 
 

@@ -49,6 +49,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "phase-1 recall" in out
 
+    @pytest.mark.parametrize("argv,field", [
+        (["pilot", "--users", "2", "--ases", "0"], "n_ases"),
+        (["pilot", "--users", "2", "--sites", "0"], "n_sites"),
+        (["pilot", "--users", "2", "--days", "-1"], "duration_days"),
+        (["pilot", "--users", "2", "--days", "nan"], "duration_days"),
+        (["oni", "--domains", "-3"], "domains_per_as"),
+    ])
+    def test_bad_size_exits_2_naming_the_field(self, capsys, argv, field):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and not captured.out
+
     def test_small_pilot_runs(self, capsys):
         assert main(
             ["pilot", "--users", "6", "--days", "8", "--sites", "120",

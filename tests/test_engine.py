@@ -1,15 +1,19 @@
 """Unit tests for the discrete-event kernel."""
 
 import gc
+import importlib
+import pkgutil
 import sys
 
 import pytest
 
+import repro
 from repro.simnet import engine
 from repro.simnet.engine import (
     AllOf,
     AnyOf,
     Environment,
+    Event,
     Interrupt,
     SimulationError,
     Timeout,
@@ -422,3 +426,24 @@ def test_kernel_storms_call_only_kernel_code():
     assert end > 0
     assert leaves == 40 * 27  # 3^3 leaves per root
     assert modules == {engine.__name__, __name__}
+
+
+def test_every_event_class_declares_slots():
+    """``Event`` and each subclass anywhere in the package declare
+    ``__slots__``: one that does not gives every instance a ``__dict__``
+    again, on the kernel's hottest allocations."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        # Importing the analyzer's ``__main__`` would run it.
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    classes, stack = [], [Event]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    missing = sorted(
+        f"{cls.__module__}.{cls.__qualname__}"
+        for cls in classes
+        if "__slots__" not in cls.__dict__
+    )
+    assert not missing, f"event classes without __slots__: {missing}"

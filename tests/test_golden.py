@@ -34,6 +34,8 @@ def _report(name, captured, at=""):
      "spec.shards[2].target_version", "spec.shards[2].next_pull_at"),
     ("session_refactor_golden", "requests[3].plt",
      "requests[3].detection_time", "requests"),
+    ("construction_golden", "oni.fractions.8511.RST",
+     "pilot.blockpage_ip", "pilot.transports"),
 ])
 def test_check_names_the_first_differing_path(name, leaf, key, items):
     golden = load(name)

@@ -236,6 +236,21 @@ class TestMixedPlaneStorm:
             plane: metrics.n_clients for plane in metrics.reporters_by_plane
         }
 
+    def test_each_reporters_list_is_freed_once_it_posts(self):
+        """A per-reporter plane's list is read once, when its reporter
+        posts; the sweep must not keep it for the rest of the run."""
+        cohort, _, metrics = golden_storm(
+            ClientCohort, planes=[EncoreProbePlane(fraction=0.1, miss_rate=0.25)]
+        )
+        assert metrics.reports_by_plane["encore"] > 0
+        posted = 0
+        for shard in cohort.shards:
+            for group in shard.groups:
+                for r in group.report_order[:group.report_ptr]:
+                    assert not group.items_by_r[r]
+                    posted += 1
+        assert posted == metrics.n_reporters
+
     def test_grouped_and_spec_sweeps_agree_on_mixed_storms(self):
         grouped = mixed_storm()
         spec = mixed_storm(run=run_reference_storm)

@@ -35,6 +35,7 @@ from repro.scenarios.spec import (
     _parse_toml_subset,
     load_toml_file,
 )
+from repro.workloads.scenarios import pakistan_case_study
 
 
 MINIMAL = {
@@ -73,6 +74,15 @@ class TestGoldenEquivalence:
 
     def test_blocking_wave_bit_identical(self):
         check("scenario_golden", wave_fingerprint(), at="wave")
+
+    def test_case_study_transports_come_from_the_one_catalogue(self):
+        scenario = pakistan_case_study(seed=1, with_proxy_fleet=False)
+        with pytest.raises(
+            SpecError,
+            match=r"unknown transport\(s\) \['bogus'\] \(known: domain-fronting, "
+            r"hold-on, https, ip-as-hostname, lantern, public-dns, tor\)",
+        ):
+            scenario.make_transports("x", include=["bogus"])
 
 
 # -- spec validation -----------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tests._golden import check, oni_construction, pilot_construction
 from repro.workloads.corpus import build_corpus
 from repro.workloads.events import BlockingWave
 from repro.workloads.oni import FIG2_CATEGORIES, OniSweep
@@ -191,6 +192,36 @@ class TestOniSweep:
 
         with pytest.raises(ValueError):
             OniAsSpec(1, "X", (0.5, 0.5, 0.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("domains_per_as", [0, -3])
+    def test_empty_domain_list_rejected(self, domains_per_as):
+        with pytest.raises(ValueError, match="domains_per_as"):
+            OniSweep(domains_per_as=domains_per_as)
+
+
+class TestPilotConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("n_ases", 0),
+        ("n_sites", 0),
+        ("duration_days", 0.0),
+        ("duration_days", -1.0),
+        ("duration_days", float("nan")),
+    ])
+    def test_bad_size_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PilotConfig(**{field: value})
+
+
+class TestConstructionGolden:
+    """The pilot and the ONI sweep still build the rules, block page,
+    transports and fractions they built before they used the scenario
+    compiler's pieces (``tests/data/construction_golden.json``)."""
+
+    def test_pilot_world_matches_golden(self):
+        check("construction_golden", pilot_construction(), at="pilot")
+
+    def test_oni_world_matches_golden(self):
+        check("construction_golden", oni_construction(), at="oni")
 
 
 class TestStaggeredRollout:
