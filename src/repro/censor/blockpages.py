@@ -104,6 +104,8 @@ def build_blockpage_corpus(
     rng: random.Random, n_isps: int = 47, overt_fraction: float = 0.8
 ) -> List[BlockpageSample]:
     """Block pages for ``n_isps`` ISPs, ~``overt_fraction`` overt."""
+    if n_isps < 1:
+        raise ValueError(f"n_isps must be >= 1: {n_isps!r}")
     samples = []
     n_overt = round(n_isps * overt_fraction)
     for index in range(n_isps):

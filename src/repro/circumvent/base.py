@@ -134,10 +134,9 @@ class Transport:
         ``attempt`` event when the fetch starts and a ``result`` event
         (duration + ok/failure stage) when it completes, onto the
         ``transport:<name>`` stage.  With ``trace=None`` — or a trace
-        whose recording is disabled (TraceMode off, or an unsampled
-        session) — it is exactly ``fetch``: emission never touches the
-        simulation schedule, and the disabled path skips the event
-        bookkeeping entirely.
+        whose recording is disabled (TraceMode off) — it is exactly
+        ``fetch``: emission never touches the simulation schedule, and
+        the disabled path skips the event bookkeeping entirely.
         """
         if trace is None or not trace.enabled:
             result = yield from self.fetch(world, ctx, url)

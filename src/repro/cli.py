@@ -174,7 +174,11 @@ def _cmd_blockpages(args: argparse.Namespace) -> int:
     from .core.blockpage import phase1_looks_like_blockpage
 
     rng = random.Random(args.seed)
-    blockpages = build_blockpage_corpus(rng, n_isps=args.isps)
+    try:
+        blockpages = build_blockpage_corpus(rng, n_isps=args.isps)
+    except ValueError as err:
+        print(f"csaw-sim blockpages: {err}", file=sys.stderr)
+        return 2
     normals = build_normal_corpus(rng, n_pages=200)
     caught = sum(1 for s in blockpages if phase1_looks_like_blockpage(s.html))
     false_pos = sum(1 for h in normals if phase1_looks_like_blockpage(h))

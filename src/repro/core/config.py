@@ -50,28 +50,10 @@ class CSawConfig:
     blockpage_ratio_threshold: float = 0.30
     # Moving-average weight for per-approach PLT tracking.
     ewma_alpha: float = 0.3
-    # Trace-bus recording mode: "full" records every session event,
-    # "ring" keeps only the last trace_ring_size events per session,
-    # "sampled" records a trace_sample_rate fraction of sessions (PLT
-    # aggregates scaled by 1/p), "off" disables recording entirely.
-    # Verdicts and served PLTs are bit-identical across all four modes
-    # — only the trace payload differs.
-    #
-    # "sampled" is the documented default for fleet-scale storms (100k+
-    # clients): full tracing costs ~1.19x on the request storm while a
-    # p = 0.05 sample keeps the trace payload at ~5% for the same
-    # verdicts.  Scale-up error: sampling N sessions i.i.d. at rate p
-    # makes every 1/p-scaled aggregate (session counts, PLT sums) an
-    # unbiased estimate with relative standard error
-    # sqrt((1 - p) / (p * N)) — at the 100k-client storm's ~5k sampled
-    # sessions that is ~1.4%, and ~0.44% for the 1M storm; per-bucket
-    # CDF tails thin out first, so widen trace_sample_rate (or use
-    # "full") when a tail percentile, not a mean, is the quantity under
-    # study.  Single-session runs keep "full": p has nothing to
-    # amortize there.
+    # Trace-bus recording mode: "full" records every session event, "off"
+    # records nothing.  Verdicts and served PLTs are bit-identical in both
+    # modes — only the trace payload differs.
     trace_mode: str = "full"
-    trace_sample_rate: float = 0.05
-    trace_ring_size: int = 64
 
     @classmethod
     def developing_region(cls, **overrides) -> "CSawConfig":
@@ -121,9 +103,3 @@ class CSawConfig:
         from .trace import TraceMode
 
         TraceMode.parse(self.trace_mode)  # raises on unknown modes
-        if not 0.0 < self.trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in (0,1]: {self.trace_sample_rate!r}"
-            )
-        if self.trace_ring_size < 1:
-            raise ValueError("trace_ring_size must be >= 1")

@@ -128,23 +128,9 @@ class MeasurementModule:
             ratio_threshold=self.config.blockpage_ratio_threshold
         )
         self.rng = world.rngs.stream(rng_stream)
-        # Trace-mode policy, resolved once so per-session setup is a few
-        # attribute loads.  Sampling draws come from a dedicated
-        # per-client stream (never shared with measurement decisions), so
-        # switching trace modes cannot perturb verdicts or schedules.
+        # Trace mode, resolved once so per-session setup is one identity
+        # test.
         self.trace_mode = TraceMode.parse(self.config.trace_mode)
-        self.trace_ring = (
-            self.config.trace_ring_size
-            if self.trace_mode is TraceMode.RING
-            else None
-        )
-        if self.trace_mode is TraceMode.SAMPLED:
-            self.trace_rng = world.rngs.stream(rng_stream + "/trace-sampling")
-            self.trace_scale = 1.0 / self.config.trace_sample_rate
-        else:
-            self.trace_rng = None
-            self.trace_scale = 1.0
-        self.sessions_traced = 0
         self.requests_handled = 0
         self.probes_launched = 0
         # Data-usage accounting (§8: redundancy costs data, a concern in
@@ -197,52 +183,17 @@ class MeasurementModule:
         response.measurement_process = worker
         return response
 
-    def new_session(
-        self,
-        url: str,
-        ctx: Optional[FlowContext] = None,
-        duplicable: bool = True,
-    ) -> MeasurementSession:
-        """Build a session without starting it — callers that need the
-        trace bus (subscribe/cancel/deadline hooks) before the first
-        event fires use this, then ``env.process(session.run())``."""
-        return MeasurementSession(
-            self, ctx or self.ctx, url, duplicable=duplicable
-        )
-
     def absorb_trace(self, trace: SessionTrace) -> None:
         """Fold one finished session's per-stage durations into the
-        module-level PLT breakdown.
-
-        In sampled mode each recorded session stands for ``1/p`` of the
-        population, so its durations are scaled by ``trace_scale`` —
-        ``stage_seconds`` stays an estimate of the *full* deployment's
-        breakdown no matter the mode.
-        """
+        module-level PLT breakdown."""
         if trace.enabled and len(trace):
-            scale = self.trace_scale
             for stage, seconds in trace.stage_durations().items():
                 self.stage_seconds[stage] = (
-                    self.stage_seconds.get(stage, 0.0) + seconds * scale
+                    self.stage_seconds.get(stage, 0.0) + seconds
                 )
-            self.sessions_traced += 1
         self.sessions_completed += 1
 
     # -- plumbing (shared by the session flows) --------------------------------
-
-    def _serve(self, served_event, response: ServedResponse) -> ServedResponse:
-        if not served_event.triggered:
-            served_event.succeed(response)
-        return response
-
-    def _with_load(self, ctx: FlowContext, gen: Generator) -> Generator:
-        """Run a fetch under the client load tracker (redundancy cost)."""
-        ctx.load.enter()
-        try:
-            result = yield from gen
-        finally:
-            ctx.load.exit()
-        return result
 
     def _count_bytes(self, path: str, size: int) -> None:
         self.bytes_by_path[path] = self.bytes_by_path.get(path, 0) + size
@@ -258,11 +209,11 @@ class MeasurementModule:
         transport: Transport,
         trace: Optional[SessionTrace] = None,
     ) -> Generator:
-        # Load tracking is inlined (not via _with_load) so the fetch
-        # pipeline sits one generator frame shallower — every simnet
-        # event resume walks the whole yield-from chain.  A disabled
-        # trace skips the traced_fetch wrapper frame too, for the same
-        # reason.
+        # Load tracking is inlined (not a wrapping generator) so the
+        # fetch pipeline sits one generator frame shallower — every
+        # simnet event resume walks the whole yield-from chain.  A
+        # disabled trace skips the traced_fetch wrapper frame too, for
+        # the same reason.
         ctx.load.enter()
         try:
             if trace is None or not trace.enabled:

@@ -16,20 +16,11 @@ layer it touches: the Figure-4 detection stages, each transport attempt,
 and the serve/correction decisions.  The served
 :class:`~repro.core.measurement.ServedResponse` carries the full trace.
 
-Hooks:
-
-- :meth:`subscribe` attaches an observer to the trace bus — called on
-  every stage transition, evidence event, and transport attempt;
-- :meth:`cancel` stops the unknown-flow redundancy wait at the next
-  transition (in-flight fetches are left to finish in the background);
-- :meth:`set_deadline` bounds that wait in sim-seconds.
-
 Determinism: the control flow is a line-for-line port of the old
 closures — engine events (``env.event``/``process``/``timeout``/
 ``any_of``) are created in the identical order, and the RNG is drawn at
 the identical points, so same-seed runs stay bit-identical (enforced by
-the golden in ``tests/data/session_refactor_golden.json``).  ``cancel``
-and ``set_deadline`` only perturb the schedule when actually used.
+the golden in ``tests/data/session_refactor_golden.json``).
 """
 
 from __future__ import annotations
@@ -67,7 +58,7 @@ class MeasurementSession:
     __slots__ = (
         "module", "world", "env", "ctx", "url", "duplicable",
         "served_event", "trace", "t0", "outcome", "circ_results",
-        "response", "circ_started", "cancelled", "_deadline_expires",
+        "response", "circ_started",
     )
 
     def __init__(self, module, ctx, url: str, duplicable: bool = True):
@@ -80,56 +71,23 @@ class MeasurementSession:
         # Created before the worker process is spawned (handle_request
         # yields it), matching the old event-creation order exactly.
         self.served_event = self.env.event()
-        # Close over env, not self: a self-capturing clock would make
-        # session → trace → clock → session a GC cycle per request.
-        # Trace mode policy (resolved once on the module): SAMPLED
-        # enables a p-fraction of sessions, drawn from a dedicated RNG
-        # stream so verdicts stay mode-independent; RING bounds storage
-        # to the most recent N events.
-        # Disabled sessions (OFF, or the unsampled majority in SAMPLED
-        # mode) share the inert DISABLED_TRACE singleton — no per-request
-        # trace or clock-closure allocation on the fast path.
-        if module.trace_mode is TraceMode.OFF or (
-            module.trace_rng is not None
-            and not (
-                module.trace_rng.random() < module.config.trace_sample_rate
-            )
-        ):
+        # Disabled sessions (OFF) share the inert DISABLED_TRACE
+        # singleton — no per-request trace or clock-closure allocation on
+        # the fast path.
+        if module.trace_mode is TraceMode.OFF:
             self.trace = DISABLED_TRACE
         else:
+            # Close over env, not self: a self-capturing clock would make
+            # session → trace → clock → session a GC cycle per request.
             env = self.env
             self.trace = SessionTrace(
-                lambda: env.now,
-                url=url,
-                actor="session",
-                ring=module.trace_ring,
+                lambda: env.now, url=url, actor="session"
             )
         self.t0: float = 0.0
         self.outcome: Optional[DetectionOutcome] = None
         self.circ_results: List[FetchResult] = []
         self.response = None
         self.circ_started = False
-        self.cancelled = False
-        self._deadline_expires: Optional[float] = None
-
-    # -- hooks -----------------------------------------------------------------
-
-    def subscribe(self, callback) -> None:
-        """Observe every trace event this session emits (the bus)."""
-        self.trace.subscribe(callback)
-
-    def cancel(self) -> None:
-        """Stop waiting on redundant fetches at the next transition."""
-        self.cancelled = True
-
-    def set_deadline(self, seconds: float) -> None:
-        """Bound the unknown-flow redundancy wait to ``seconds`` from now.
-
-        Off by default; setting it introduces extra timeout events into
-        the schedule, so deterministic experiments must set it on every
-        run or none.
-        """
-        self._deadline_expires = self.env.now + seconds
 
     # -- driver ----------------------------------------------------------------
 
@@ -273,25 +231,8 @@ class MeasurementSession:
         self.try_serve()
 
         while pending:
-            if self.cancelled:
-                trace.mark(STAGE_SESSION, "cancelled")
-                break
-            waits = list(pending)
-            deadline = None
-            if self._deadline_expires is not None:
-                remaining = self._deadline_expires - env.now
-                if remaining <= 0:
-                    trace.mark(STAGE_SESSION, "deadline expired")
-                    break
-                deadline = env.timeout(remaining)
-                waits.append(deadline)
-            fired = yield env.any_of(waits)
-            if deadline is not None and len(fired) == 1 and deadline in fired:
-                trace.mark(STAGE_SESSION, "deadline expired")
-                break
+            fired = yield env.any_of(list(pending))
             for event in fired:
-                if event is deadline:
-                    continue
                 pending.pop(event, None)
                 if event is direct_proc:
                     self.outcome = event.value

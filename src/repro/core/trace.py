@@ -20,26 +20,17 @@ across sessions or a clock wired to the wrong environment.
 Tracing has a *mode* (:class:`TraceMode`), selected per client via
 ``CSawConfig.trace_mode``:
 
-- ``full`` — every event of every session is recorded (the PR-4
-  behaviour, and the default);
-- ``ring`` — every session records, but only the most recent
-  ``trace_ring_size`` events are retained (bounded memory for
-  always-on tracing at fleet scale);
-- ``sampled`` — a fraction ``trace_sample_rate`` of sessions record
-  in full; the rest pay a single predicate check per would-be event.
-  Aggregated PLT statistics are scaled by ``1/p`` so they estimate
-  the full population;
+- ``full`` — every event of every session is recorded (the default);
 - ``off`` — no session records; every emission helper returns after
   one attribute test, no clock read, no allocation.
 
 A disabled trace is still a valid, safely inert object: ``len() == 0``,
-``stage_durations() == {}``, subscribers never fire.
+``stage_durations() == {}``.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional
 
 from .records import BlockType
@@ -80,8 +71,6 @@ class TraceMode(enum.Enum):
     """How much of the request path's trace bus is recorded."""
 
     OFF = "off"
-    SAMPLED = "sampled"
-    RING = "ring"
     FULL = "full"
 
     @classmethod
@@ -148,15 +137,10 @@ class TraceEvent:
 class SessionTrace:
     """Ordered, monotonically timestamped event log for one request.
 
-    ``clock`` is the sim-time source (``lambda: env.now``).  Subscribers
-    registered with :meth:`subscribe` see every event as it is emitted —
-    this is the bus upper layers (stats aggregation, per-stage hooks)
-    attach to; they are invoked in registration order and must not touch
-    the simulation.
+    ``clock`` is the sim-time source (``lambda: env.now``).
     """
 
-    __slots__ = ("url", "actor", "enabled", "_events", "_clock", "_last_t",
-                 "_subscribers")
+    __slots__ = ("url", "actor", "enabled", "_events", "_clock", "_last_t")
 
     def __init__(
         self,
@@ -164,28 +148,23 @@ class SessionTrace:
         url: Optional[str] = None,
         actor: Optional[str] = None,
         enabled: bool = True,
-        ring: Optional[int] = None,
     ):
         self.url = url
         self.actor = actor
-        # The whole off/unsampled story is this one flag: every emission
-        # helper tests it first and returns before touching the clock,
-        # so a disabled trace costs one attribute load + branch per
-        # would-be event — nothing else.
+        # The whole off story is this one flag: every emission helper
+        # tests it first and returns before touching the clock, so a
+        # disabled trace costs one attribute load + branch per would-be
+        # event — nothing else.
         self.enabled = enabled
         # Raw storage: 7-tuples in TraceEvent slot order, materialized
         # into TraceEvent objects on first read.  The request path emits
         # several events per request, and a per-emit object allocation
         # (plus its GC tracking — tuples of atoms get untracked, slotted
         # instances never do) is measurable against the <5% overhead
-        # budget the benchmark guard enforces.  With subscribers
-        # attached, events materialize eagerly so observers get the
-        # typed object.  ``ring`` bounds the storage to the most recent
-        # N events (always-on tracing at fleet scale).
-        self._events = deque(maxlen=ring) if ring else []
+        # budget the benchmark guard enforces.
+        self._events = []
         self._clock = clock
         self._last_t = float("-inf")
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
 
     # -- emission ------------------------------------------------------------
 
@@ -206,34 +185,10 @@ class SessionTrace:
         self._last_t = t
         if started is not None:
             duration = t - started
-        if self._subscribers:
-            event = TraceEvent(
-                stage, kind, t, duration, transport, block_type, detail
-            )
-            self._events.append(event)
-            for subscriber in self._subscribers:
-                subscriber(event)
-        else:
-            self._events.append(
-                (stage, kind, t, duration, transport, block_type, detail)
-            )
+        self._events.append(
+            (stage, kind, t, duration, transport, block_type, detail)
+        )
         return t
-
-    def emit(
-        self,
-        stage: str,
-        kind: str,
-        *,
-        duration: Optional[float] = None,
-        transport: Optional[str] = None,
-        block_type: Optional[BlockType] = None,
-        detail: Optional[str] = None,
-    ) -> Optional[TraceEvent]:
-        self._emit(stage, kind, duration, transport, block_type, detail)
-        if not self.enabled:
-            return None
-        self._materialize()
-        return self._events[-1]
 
     def begin(self, stage: str, *, detail: Optional[str] = None) -> float:
         """Open a stage span; returns the start stamp to pass to ``end``."""
@@ -273,18 +228,6 @@ class SessionTrace:
             stage, "result", None, transport, None, detail, started
         )
 
-    # -- the bus -------------------------------------------------------------
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Attach an observer called synchronously on every emit.
-
-        On a disabled trace this is a no-op: no event will ever fire, and
-        disabled sessions may share the :data:`DISABLED_TRACE` singleton,
-        which must stay free of per-session state.
-        """
-        if self.enabled:
-            self._subscribers.append(callback)
-
     # -- inspection ----------------------------------------------------------
 
     def _materialize(self) -> None:
@@ -295,14 +238,8 @@ class SessionTrace:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """The typed event log (materializes the raw storage in place).
-
-        Ring-mode storage (a bounded deque) is handed back as a list so
-        callers always get the same interface.
-        """
+        """The typed event log (materializes the raw storage in place)."""
         self._materialize()
-        if isinstance(self._events, deque):
-            return list(self._events)
         return self._events
 
     def __len__(self) -> int:
@@ -374,11 +311,10 @@ def _no_clock() -> float:  # pragma: no cover — a disabled trace never reads i
     raise AssertionError("disabled trace must never read the clock")
 
 
-#: Shared inert trace for sessions that record nothing (``TraceMode.OFF``
-#: and the unsampled majority under ``TraceMode.SAMPLED``).  Emission
-#: helpers return after one predicate check and :meth:`subscribe` is a
-#: no-op, so one instance can serve every disabled session — removing the
-#: per-request ``SessionTrace`` (and clock-closure) allocation that the
-#: OFF overhead budget cannot afford.  It carries no URL/actor: a
-#: disabled trace never holds data.
+#: Shared inert trace for sessions that record nothing (``TraceMode.OFF``).
+#: Emission helpers return after one predicate check, so one instance can
+#: serve every disabled session — removing the per-request
+#: ``SessionTrace`` (and clock-closure) allocation that the OFF overhead
+#: budget cannot afford.  It carries no URL/actor: a disabled trace never
+#: holds data.
 DISABLED_TRACE = SessionTrace(_no_clock, enabled=False)

@@ -3,8 +3,8 @@
 - :class:`ToolConfig` — root, rule selection, per-rule ``allow``/
   ``scope`` glob tables, free-form options, baseline path;
 - :func:`load_tool_config` — load the ``[tool.csawanalyze]`` table (via
-  :mod:`tomllib` when available, else a tiny built-in TOML subset
-  parser — the same fallback strategy as the scenario spec loader);
+  :mod:`tomllib` when available, else :mod:`.toml_subset` — the
+  same fallback as the scenario spec loader);
 - :func:`iter_python_files` — deterministic file discovery;
 - baseline read/write/apply — findings are grandfathered per
   ``(file, code)`` count, so a committed-empty baseline enforces every
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+from . import toml_subset
 
 if TYPE_CHECKING:  # pragma: no cover
     from .framework import Violation
@@ -32,7 +33,6 @@ __all__ = [
     "load_baseline",
     "load_tool_config",
     "load_toml",
-    "parse_minimal_toml",
     "write_baseline",
 ]
 
@@ -53,75 +53,37 @@ class ToolConfig:
     baseline: Optional[str] = None
 
 
-def parse_minimal_toml(text: str) -> Dict[str, Dict[str, object]]:
-    """Tiny TOML subset parser (fallback when :mod:`tomllib` is absent).
-
-    Understands ``[dotted.section]`` headers and ``key = value`` lines
-    where value is a string, bool, int, or (possibly multi-line) array
-    of strings — exactly what the ``[tool.csawanalyze]`` tables use.  Unparseable values are kept as
-    raw strings and ignored by the config loader.
-    """
-    sections: Dict[str, Dict[str, object]] = {}
-    current: Dict[str, object] = sections.setdefault("", {})
-    pending_key: Optional[str] = None
-    pending_chunks: List[str] = []
-
-    def parse_value(raw: str) -> object:
-        raw = raw.strip()
-        if raw.startswith("[") and raw.endswith("]"):
-            return re.findall(r'"((?:[^"\\]|\\.)*)"', raw)
-        if len(raw) >= 2 and raw[0] == raw[-1] == '"':
-            return raw[1:-1]
-        if raw in ("true", "false"):
-            return raw == "true"
-        try:
-            return int(raw)
-        except ValueError:
-            return raw
-
-    for line in text.splitlines():
-        stripped = line.strip()
-        if pending_key is not None:
-            pending_chunks.append(stripped)
-            if stripped.endswith("]"):
-                current[pending_key] = parse_value(" ".join(pending_chunks))
-                pending_key, pending_chunks = None, []
-            continue
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped.strip("[]").strip().strip('"')
-            current = sections.setdefault(name, {})
-            continue
-        if "=" in stripped:
-            key, _, raw = stripped.partition("=")
-            raw = raw.split(" #")[0].strip()
-            if raw.startswith("[") and not raw.endswith("]"):
-                pending_key, pending_chunks = key.strip(), [raw]
-                continue
-            current[key.strip()] = parse_value(raw)
-    return sections
-
-
 def load_toml(path: str) -> Dict[str, object]:
+    """Parse the ``pyproject.toml`` at ``path``.
+
+    Without :mod:`tomllib` (Python < 3.11) only its
+    ``[tool.csawanalyze…]`` tables are parsed, with
+    :func:`.toml_subset.parse`: the rest of a ``pyproject.toml``
+    uses inline tables and quoted dotted keys that the subset rejects,
+    and the analyzer reads nothing outside those tables.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        text = fh.read().decode("utf-8")
     try:
         import tomllib  # Python 3.11+
-
-        return tomllib.loads(data.decode("utf-8"))
     except ImportError:
-        flat = parse_minimal_toml(data.decode("utf-8"))
-        nested: Dict[str, object] = dict(flat.get("", {}))
-        for section, values in flat.items():
-            if not section:
-                continue
-            node = nested
-            for part in section.split("."):
-                node = node.setdefault(part, {})  # type: ignore[assignment]
-            if isinstance(node, dict):
-                node.update(values)
-        return nested
+        return toml_subset.parse(_analyzer_tables(text), path)
+    return tomllib.loads(text)
+
+
+def _analyzer_tables(text: str) -> str:
+    """``text`` with every line outside the ``[tool.csawanalyze…]``
+    tables blanked, so parse errors keep the file's line numbers (a
+    header starts its line; indented array rows never switch tables)."""
+    kept: List[str] = []
+    keep = False
+    for line in text.splitlines():
+        if line.startswith("["):
+            keep = line.startswith(
+                ("[tool.csawanalyze]", "[tool.csawanalyze.")
+            )
+        kept.append(line if keep else "")
+    return "\n".join(kept)
 
 
 def find_project_root(start: str) -> str:

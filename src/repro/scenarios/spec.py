@@ -19,19 +19,18 @@ required, an empty table means "this section with its defaults", and
 values are type-checked strictly.  Range and cross-reference checks live
 in ``__post_init__``, so specs built with constructors get them too.
 
-TOML parsing prefers :mod:`tomllib` (Python ≥ 3.11) and falls back to a
-small subset parser so the 3.9/3.10 CI matrix needs no third-party
-dependency.  The subset covers what packs use: ``[table]``,
-``[[array-of-tables]]``, nested dotted headers, strings, ints, floats,
-booleans, and homogeneous arrays.
+TOML parsing prefers :mod:`tomllib` (Python ≥ 3.11) and falls back to
+the subset parser in :mod:`repro.devtools.toml_subset` so the 3.9/3.10
+CI matrix needs no third-party dependency.
 """
 
 import dataclasses
 import functools
-import re
 import typing
 from dataclasses import MISSING, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
+
+from ..devtools import toml_subset
 
 __all__ = [
     "SpecError",
@@ -704,142 +703,16 @@ class ScenarioSpec:
 
 def load_toml_file(path: str) -> Dict[str, Any]:
     """Parse a TOML file into a plain dict (stdlib tomllib when present,
-    otherwise the subset parser below — CI runs Python 3.9)."""
+    otherwise :func:`repro.devtools.toml_subset.parse` — CI runs Python
+    3.9)."""
     try:
         import tomllib  # Python >= 3.11
     except ImportError:
         with open(path, encoding="utf-8") as handle:
-            return _parse_toml_subset(handle.read(), path)
+            text = handle.read()
+        try:
+            return toml_subset.parse(text, path)
+        except ValueError as err:
+            raise SpecError(str(err)) from None
     with open(path, "rb") as handle:
         return tomllib.load(handle)
-
-
-_BARE_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
-
-
-def _parse_toml_subset(text: str, path: str = "<toml>") -> Dict[str, Any]:
-    """The TOML subset scenario packs use; see the module docstring."""
-    root: Dict[str, Any] = {}
-    current = root
-    lines = text.split("\n")
-    index = 0
-    while index < len(lines):
-        line = _strip_comment(lines[index]).strip()
-        index += 1
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            parts = _header_parts(line[2:-2], path)
-            parent = _navigate(root, parts[:-1], path)
-            items = parent.setdefault(parts[-1], [])
-            if not isinstance(items, list):
-                raise SpecError(f"{path}: {line!r} conflicts with earlier value")
-            current = {}
-            items.append(current)
-        elif line.startswith("[") and line.endswith("]"):
-            parts = _header_parts(line[1:-1], path)
-            current = _navigate(root, parts, path)
-        else:
-            line_no = index  # 1-based: index was already advanced
-            if "=" not in line:
-                raise SpecError(
-                    f"{path}: cannot parse line {line_no}: {line!r}"
-                )
-            key, _, raw = line.partition("=")
-            key = key.strip().strip('"')
-            if not _BARE_KEY.match(key):
-                raise SpecError(f"{path}: unsupported key {key!r}")
-            raw = raw.strip()
-            # Multiline arrays: keep appending lines until brackets balance.
-            while raw.count("[") > raw.count("]"):
-                if index >= len(lines):
-                    raise SpecError(f"{path}: unterminated array for {key!r}")
-                raw += " " + _strip_comment(lines[index]).strip()
-                index += 1
-            try:
-                current[key] = _parse_value(raw.strip(), path)
-            except SpecError as err:
-                raise SpecError(f"{err} (line {line_no})") from None
-    return root
-
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    for pos, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:pos]
-    return line
-
-
-def _header_parts(header: str, path: str) -> List[str]:
-    parts = [part.strip().strip('"') for part in header.strip().split(".")]
-    if not all(_BARE_KEY.match(part) for part in parts):
-        raise SpecError(f"{path}: unsupported table header {header!r}")
-    return parts
-
-
-def _navigate(root: Dict[str, Any], parts: List[str], path: str) -> Dict[str, Any]:
-    node: Any = root
-    for part in parts:
-        if isinstance(node, list):
-            node = node[-1]
-        nxt = node.get(part)
-        if nxt is None:
-            nxt = node.setdefault(part, {})
-        node = nxt
-    if isinstance(node, list):
-        node = node[-1]
-    if not isinstance(node, dict):
-        raise SpecError(f"{path}: table path {'.'.join(parts)!r} is not a table")
-    return node
-
-
-_FLOAT = re.compile(r"^[+-]?(\d[\d_]*\.[\d_]*([eE][+-]?\d+)?|\d[\d_]*[eE][+-]?\d+)$")
-_INT = re.compile(r"^[+-]?\d[\d_]*$")
-
-
-def _parse_value(raw: str, path: str) -> Any:
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_value(part.strip(), path)
-            for part in _split_array(inner, path)
-        ]
-    if _INT.match(raw):
-        return int(raw.replace("_", ""))
-    if _FLOAT.match(raw):
-        return float(raw.replace("_", ""))
-    raise SpecError(f"{path}: cannot parse value {raw!r}")
-
-
-def _split_array(inner: str, path: str) -> List[str]:
-    parts: List[str] = []
-    depth = 0
-    in_string = False
-    start = 0
-    for pos, char in enumerate(inner):
-        if char == '"':
-            in_string = not in_string
-        elif in_string:
-            continue
-        elif char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        elif char == "," and depth == 0:
-            parts.append(inner[start:pos])
-            start = pos + 1
-    tail = inner[start:].strip()
-    if tail:
-        parts.append(inner[start:])
-    return parts

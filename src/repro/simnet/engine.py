@@ -49,13 +49,13 @@ artefact), so it trades a little uniformity for throughput:
 - :meth:`Environment.timeout` and :meth:`Environment.process` build their
   event objects and schedule them inline, skipping the ``__init__`` call
   chain;
-- :meth:`Environment.run` has one fused dispatch+resume loop: the
+- :meth:`Environment.run` is the one dispatch loop: the
   single-process-waiter case resumes the generator *inline* (no
   ``_resume`` call frame), and running until an event shares the same
-  loop via a cheap per-iteration check.  :meth:`Environment.step` and
-  :meth:`Process._resume` implement the same semantics as standalone
-  methods for the cold paths (deadlines, multi-waiter lists) and must
-  stay in sync with the fused loop;
+  loop via a cheap per-iteration check.  :meth:`Process._resume`
+  implements the same resume as a standalone method for the cold paths
+  (already-processed events, multi-waiter lists, interrupts) and must
+  stay in sync with the inline one;
 - the cyclic garbage collector is paused for the duration of
   :meth:`Environment.run` (and restored after).  Kernel objects are
   acyclic by construction, so reference counting reclaims them promptly
@@ -315,8 +315,8 @@ class Process(Event):
         self._resume(_Failure(exc))
 
     def _resume(self, event: Event) -> None:
-        # Cold-path twin of the fused resume in Environment.run — keep the
-        # semantics in sync.
+        # Cold-path twin of the inline resume in Environment.run — keep
+        # the semantics in sync.
         env = self.env
         try:
             while True:
@@ -438,7 +438,7 @@ class Environment:
     """Virtual clock plus event queue.
 
     Use :meth:`process` to launch generators, :meth:`run` to execute until
-    the queue drains, an event triggers, or a deadline passes.
+    the queue drains or an event triggers.
     """
 
     __slots__ = ("_now", "_imm", "_pending", "_queue", "_eid")
@@ -515,106 +515,19 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if the queue is empty."""
-        best = float("inf")
-        imm = self._imm
-        if imm:
-            best = imm[0][0]
-        pending = self._pending
-        if pending is not None and pending[0] < best:
-            best = pending[0]
-        queue = self._queue
-        if queue and queue[0][0] < best:
-            best = queue[0][0]
-        return best
-
-    def _pop(self) -> Optional[tuple]:
-        """Pop the globally next entry across the three lanes, or None."""
-        imm = self._imm
-        queue = self._queue
-        if imm:
-            entry = imm[0]
-            pending = self._pending
-            if pending is not None and pending < entry:
-                if queue and queue[0] < pending:
-                    return _heappop(queue)
-                self._pending = None
-                return pending
-            if queue and queue[0] < entry:
-                return _heappop(queue)
-            return imm.popleft()
-        pending = self._pending
-        if pending is not None:
-            self._pending = None
-            if queue:
-                return _heappushpop(queue, pending)
-            return pending
-        if queue:
-            return _heappop(queue)
-        return None
-
-    def _dispatch(self, obj: Event) -> None:
-        """Notify a triggered event's waiters (cold-path dispatch)."""
-        waiters = obj._waiters
-        obj._waiters = None
-        if waiters is not False:
-            if type(waiters) is Process:
-                waiters._resume(obj)
-            elif type(waiters) is list:
-                for waiter in waiters:
-                    if type(waiter) is Process:
-                        waiter._resume(obj)
-                    else:
-                        waiter(obj)
-            else:
-                waiters(obj)
-        if obj._ok is False and not obj._defused:
-            raise obj._value
-
-    def step(self) -> None:
-        """Process the single next queue entry.
-
-        Cold-path twin of the fused loop in :meth:`run` — keep in sync.
-        """
-        entry = self._pop()
-        if entry is None:
-            raise SimulationError("no scheduled events")
-        when, _eid, kind, obj = entry
-        self._now = when
-        if kind:
-            if kind == _KIND_START:
-                obj._resume(_INIT)
-            else:  # _KIND_INTERRUPT
-                process, exc = obj
-                process._deliver_interrupt(exc)
-            return
-        self._dispatch(obj)
-
-    def run(self, until: Any = None) -> Any:
+    def run(self, until: Optional[Event] = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (drain the queue), a number (run until that
-        virtual time), or an :class:`Event` (run until it triggers, returning
-        its value or raising its failure).
+        ``until`` may be ``None`` (drain the queue) or an :class:`Event`
+        (run until it triggers, returning its value or raising its
+        failure).  To run for a span of virtual time, pass
+        ``env.timeout(delay)``.
         """
         if until is not None and not isinstance(until, Event):
-            deadline = float(until)
-            if not deadline >= self._now:
-                raise SimulationError(
-                    f"cannot run backwards in time (until={until!r})"
-                )
-            gc_was_enabled = _gc.isenabled()
-            if gc_was_enabled:
-                _gc.disable()
-            try:
-                while self.peek() <= deadline:
-                    self.step()
-            finally:
-                if gc_was_enabled:
-                    _gc.enable()
-            self._now = deadline
-            return None
+            raise TypeError(
+                f"run(until=...) takes an Event or None, got {until!r};"
+                " pass env.timeout(delay) to run for a span of time"
+            )
         if until is not None and until._waiters is None:
             # Already processed before we started.
             if until._ok:
@@ -636,10 +549,10 @@ class Environment:
         if gc_was_enabled:
             _gc.disable()
         try:
-            # The fused dispatch+resume loop.  step()/_dispatch()/_resume()
-            # implement identical semantics for the cold paths.
+            # The fused dispatch+resume loop.  Process._resume implements
+            # the identical resume for the cold paths.
             while True:
-                # -- pop: three-lane merge (see _pop) -----------------------
+                # -- pop: the globally next entry across the three lanes ----
                 if imm:
                     entry = imm[0]
                     pending = self._pending

@@ -70,9 +70,12 @@ class PilotConfig:
     cdn_blocking_ases: int = 2  # ISPs that also block a CDN hostname
 
     def __post_init__(self) -> None:
-        # Users are spread over the ASes and browse the corpus, so both
-        # need at least one; the `not x > 0` form rejects a NaN duration,
-        # which would otherwise reach the kernel as a NaN delay.
+        # Users are spread over the ASes and browse the corpus, so all
+        # three need at least one (no users is an all-zero Table 7); the
+        # `not x > 0` form rejects a NaN duration, which would otherwise
+        # reach the kernel as a NaN delay.
+        if self.n_users < 1:
+            raise ValueError(f"n_users must be >= 1: {self.n_users!r}")
         if self.n_ases < 1:
             raise ValueError(f"n_ases must be >= 1: {self.n_ases!r}")
         if self.n_sites < 1:

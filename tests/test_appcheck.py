@@ -112,7 +112,7 @@ class TestChecker:
                                          record_ttl=100.0)
         world.run_process(checker.check(ctx, service))
         assert checker.status_of("chatapp") is not None
-        world.env.run(until=world.env.now + 200.0)
+        world.env.run(until=world.env.timeout(200.0))
         assert checker.status_of("chatapp") is None
 
     def test_unblocked_service_stays_direct(self, setup):

@@ -55,6 +55,12 @@ class TestCommands:
         (["pilot", "--users", "2", "--days", "-1"], "duration_days"),
         (["pilot", "--users", "2", "--days", "nan"], "duration_days"),
         (["oni", "--domains", "-3"], "domains_per_as"),
+        (["pilot", "--users", "0", "--sites", "50", "--days", "1",
+          "--ases", "1"], "n_users"),
+        (["pilot", "--users", "-2", "--sites", "50", "--days", "1",
+          "--ases", "1"], "n_users"),
+        (["blockpages", "--isps", "0"], "n_isps"),
+        (["blockpages", "--isps", "-3"], "n_isps"),
     ])
     def test_bad_size_exits_2_naming_the_field(self, capsys, argv, field):
         assert main(argv) == 2

@@ -5,6 +5,7 @@ findings."""
 
 import json
 import os
+import sys
 import textwrap
 from pathlib import Path
 
@@ -479,6 +480,21 @@ class TestConfig:
     def test_repo_pyproject_parses(self):
         config = load_tool_config(str(REPO / "pyproject.toml"), str(REPO))
         assert "CSL002" in config.allow
+
+    def test_repo_pyproject_loads_the_same_without_tomllib(self, monkeypatch):
+        pyproject = str(REPO / "pyproject.toml")
+        expected = load_tool_config(pyproject, str(REPO))
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        assert load_tool_config(pyproject, str(REPO)) == expected
+
+    def test_subset_reads_strings_as_tomllib_does(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "pyproject.toml"
+        path.write_text('[tool.csawanalyze]\nbaseline = "a #b"  # note\n')
+        assert load_tool_config(str(path), str(tmp_path)).baseline == "a #b"
+        path.write_text("[tool.csawanalyze]\nbaseline = foo\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_tool_config(str(path), str(tmp_path))
 
 
 # -- baseline mode -------------------------------------------------------------

@@ -226,17 +226,9 @@ def test_run_until_time():
             ticks.append(env.now)
 
     env.process(ticker())
-    env.run(until=10.5)
+    env.run(until=env.timeout(10.5))
     assert ticks == list(range(1, 11))
     assert env.now == 10.5
-
-
-def test_run_backwards_rejected():
-    env = Environment()
-    env.run(until=5)
-    for until in (1, float("nan")):
-        with pytest.raises(SimulationError):
-            env.run(until=until)
 
 
 def test_process_requires_generator():
@@ -308,7 +300,7 @@ def _exit_until_event(env, body):
 
 def _exit_until_time(env, body):
     env.process(body())
-    env.run(until=5.0)
+    env.run(until=env.timeout(5.0))
 
 
 def _exit_failure_drained(env, body):
@@ -325,7 +317,7 @@ def _exit_failure_until_event(env, body):
 def _exit_failure_until_time(env, body):
     env.process(body(fail=True))
     with pytest.raises(ValueError, match="boom"):
-        env.run(until=5.0)
+        env.run(until=env.timeout(5.0))
 
 
 def _exit_queue_drained_early(env, body):

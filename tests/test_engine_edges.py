@@ -141,17 +141,10 @@ class TestInterruptEdges:
 
 
 class TestEnvironmentEdges:
-    def test_peek_empty_queue(self):
-        assert Environment().peek() == float("inf")
-
-    def test_step_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
-
-    def test_run_until_number_advances_clock_exactly(self):
+    def test_run_until_number_rejected(self):
         env = Environment()
-        env.run(until=42.5)
-        assert env.now == 42.5
+        with pytest.raises(TypeError, match=r"env\.timeout\(delay\)"):
+            env.run(until=42.5)
 
     def test_event_value_before_trigger_raises(self):
         env = Environment()

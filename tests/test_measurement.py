@@ -188,7 +188,7 @@ class TestChurn:
         client = make_client(scenario, scenario.isp_a, "c1", config=config)
         request(scenario, client, scenario.urls["small-unblocked"])
         env = scenario.world.env
-        env.run(until=env.now + 100)  # let the record expire
+        env.run(until=env.timeout(100))  # let the record expire
         status, _ = client.local_db.lookup(scenario.urls["small-unblocked"])
         assert status is BlockStatus.NOT_MEASURED
 

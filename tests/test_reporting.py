@@ -195,7 +195,7 @@ class TestReportLifecycle:
         world.run_process(flow())
         downloads_before = client.reporting.downloads
         client.start_background(until=world.env.now + 500)
-        world.env.run(until=world.env.now + 600)
+        world.env.run(until=world.env.timeout(600))
         assert client.reporting.reports_posted >= 1
         assert client.reporting.downloads > downloads_before
 
@@ -228,7 +228,7 @@ class TestReportLifecycle:
         downloads_before = reporting.downloads
         start = world.env.now
         client.start_background(until=start + 900.0)
-        world.env.run(until=start + 1000.0)
+        world.env.run(until=world.env.timeout(1000.0))
         assert len(post_times) == posts
         assert reporting.downloads - downloads_before == pulls
 

@@ -83,8 +83,6 @@ def _csaw(mode):
             transports=scenario.make_transports(name),
             config=CSawConfig(
                 trace_mode=mode,
-                trace_sample_rate=0.5,
-                trace_ring_size=8,
                 record_ttl=RECORD_TTL,
                 probe_probability=1.0,
             ),
@@ -156,8 +154,6 @@ def _tor(scenario):
 
 FLAVOURS = {
     "csaw-full": _csaw("full"),
-    "csaw-ring": _csaw("ring"),
-    "csaw-sampled": _csaw("sampled"),
     "csaw-off": _csaw("off"),
     "direct-table5": _direct,
     "lantern": _lantern,

@@ -7,6 +7,7 @@ was captured from the imperative builders before the refactor)."""
 import copy
 import dataclasses
 import functools
+import sys
 import warnings
 
 import pytest
@@ -28,11 +29,11 @@ from repro.scenarios import (
     pakistan_spec,
     shipped_packs,
 )
+from repro.devtools import toml_subset
 from repro.scenarios.spec import (
     AsSpec,
     CohortSpec,
     FleetExpect,
-    _parse_toml_subset,
     load_toml_file,
 )
 from repro.workloads.scenarios import pakistan_case_study
@@ -134,10 +135,11 @@ class TestSpecValidation:
             ScenarioCompiler().compile(spec)
 
     def test_unknown_client_config_key_rejected(self):
-        with pytest.raises(SpecError, match="config"):
-            ScenarioSpec.from_dict(minimal(
-                populations=[{"per_as": 1, "config": {"not_a_knob": 1}}],
-            ))
+        for config in ({"not_a_knob": 1}, {"trace_sample_rate": 0.5}):
+            with pytest.raises(SpecError, match="config"):
+                ScenarioSpec.from_dict(minimal(
+                    populations=[{"per_as": 1, "config": config}],
+                ))
 
     def test_zero_client_sync_interval_names_the_path(self):
         with pytest.raises(
@@ -416,13 +418,13 @@ class TestDecoderContract:
             assert "zz_unknown" in str(err.value)
 
     def test_empty_cohort_table_is_the_default_cohort(self):
-        data = _parse_toml_subset(
+        data = toml_subset.parse(
             'name = "c"\n[execution]\nmode = "cohort"\n[cohort]\n'
         )
         assert ScenarioSpec.from_dict(data).cohort == CohortSpec()
 
     def test_empty_fleet_expectation_keeps_its_default_check(self):
-        data = _parse_toml_subset('name = "c"\n[cohort]\n[expect.fleet]\n')
+        data = toml_subset.parse('name = "c"\n[cohort]\n[expect.fleet]\n')
         fleet = ScenarioSpec.from_dict(data).expect.fleet
         assert fleet == FleetExpect() and fleet.all_converge
 
@@ -446,7 +448,7 @@ class TestTomlSubset:
         with open(path, "rb") as fh:
             reference = tomllib.load(fh)
         with open(path, "r", encoding="utf-8") as fh:
-            ours = _parse_toml_subset(fh.read(), path)
+            ours = toml_subset.parse(fh.read(), path)
         assert ours == reference
 
     def test_value_types(self, tmp_path):
@@ -463,7 +465,7 @@ class TestTomlSubset:
             "        3]\n"
             'comment = "kept # inside"  # stripped outside\n'
         )
-        data = _parse_toml_subset(path.read_text(), str(path))
+        data = toml_subset.parse(path.read_text(), str(path))
         assert data == {
             "name": "x", "n": 42, "big": 100000, "rate": 2.5e-3,
             "on": True, "off": False, "tags": ["a", "b"],
@@ -481,15 +483,18 @@ class TestTomlSubset:
             "[workload]\n"
             "interval = 10.0\n"
         )
-        data = _parse_toml_subset(text, "<test>")
+        data = toml_subset.parse(text, "<test>")
         assert [s["hostname"] for s in data["sites"]] == ["a.example", "b.example"]
         # dotted [section] after [[sites]] attaches to the *last* element
         assert data["sites"][1]["extra"] == {"flag": True}
         assert data["workload"] == {"interval": 10.0}
 
-    def test_unparseable_line_raises(self, tmp_path):
+    def test_unparseable_line_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "inline.toml"
+        path.write_text('a = 1\nb = {inline = "tables"}\n')
         with pytest.raises(SpecError, match="line 2"):
-            _parse_toml_subset('a = 1\nb = {inline = "tables"}\n', "<test>")
+            load_toml_file(str(path))
 
 
 # -- compiler ------------------------------------------------------------------

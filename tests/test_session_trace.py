@@ -1,6 +1,6 @@
 """The session layer's trace bus: every served response carries a full,
-monotonically timestamped stage trace; hooks (subscribe/cancel/deadline)
-work; the per-stage PLT breakdown aggregates upward."""
+monotonically timestamped stage trace, and the per-stage PLT breakdown
+aggregates upward."""
 
 import pytest
 
@@ -113,49 +113,6 @@ class TestServedResponseTraces:
         assert STAGE_SESSION in breakdown
         assert STAGE_LOCAL_DNS in breakdown
         assert all(seconds >= 0.0 for seconds in breakdown.values())
-
-
-class TestSessionHooks:
-    def _session(self, scenario, name, url):
-        client = make_client(scenario, scenario.isp_a, name)
-        return client, client.measurement.new_session(url)
-
-    def test_subscribe_sees_every_event(self, scenario):
-        url = scenario.urls["small-unblocked"]
-        client, session = self._session(scenario, "hk1", url)
-        seen = []
-        session.subscribe(seen.append)
-        scenario.world.run_process(session.run())
-        assert seen == list(session.trace)
-        assert seen[0].stage == STAGE_SESSION and seen[0].kind == "begin"
-
-    def test_cancel_stops_the_redundancy_wait(self, scenario):
-        url = scenario.urls["table5/tcp-ip"]  # direct path hangs
-        client, session = self._session(scenario, "hk2", url)
-        session.cancel()
-        world = scenario.world
-        t0 = world.env.now
-        response = world.run_process(session.run())
-        assert any(
-            e.kind == "mark" and e.detail == "cancelled" for e in session.trace
-        )
-        # Cancelled before any fetch resolved: nothing was measured.
-        assert response.status is BlockStatus.NOT_MEASURED
-        assert world.env.now == pytest.approx(t0)
-
-    def test_deadline_bounds_the_redundancy_wait(self, scenario):
-        url = scenario.urls["table5/tcp-ip"]  # direct path hangs
-        client, session = self._session(scenario, "hk3", url)
-        session.set_deadline(0.5)
-        world = scenario.world
-        t0 = world.env.now
-        response = world.run_process(session.run())
-        assert any(
-            e.kind == "mark" and e.detail == "deadline expired"
-            for e in session.trace
-        )
-        assert world.env.now <= t0 + 0.5 + 1e-9
-        assert response is session.response
 
 
 class TestTraceInvariants:

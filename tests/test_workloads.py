@@ -201,6 +201,8 @@ class TestOniSweep:
 
 class TestPilotConfig:
     @pytest.mark.parametrize("field,value", [
+        ("n_users", 0),
+        ("n_users", -2),
         ("n_ases", 0),
         ("n_sites", 0),
         ("duration_days", 0.0),
