@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..urlkit import parse_url, registered_domain
 from .globaldb import GlobalEntry, ServerDB
@@ -44,35 +44,37 @@ class MeasurementAnalytics:
 
     # -- per-AS views ---------------------------------------------------------
 
+    def _reporters_by_as(self, entries: List[GlobalEntry]) -> Dict[int, int]:
+        """Clients vouching for any of ``entries``, counted per AS in
+        first-entry order: one pass over the vouch sets."""
+        live: Dict[int, Set[Tuple[str, int]]] = {}
+        for entry in entries:
+            live.setdefault(entry.asn, set()).add((entry.url, entry.asn))
+        counts = dict.fromkeys(live, 0)
+        ledger = self.server.voting
+        for client_id in ledger.clients():
+            vouched = ledger.reports_of(client_id)
+            for asn, keys in live.items():
+                if not vouched.isdisjoint(keys):
+                    counts[asn] += 1
+        return counts
+
     def reporters_per_as(self) -> Dict[int, int]:
         """Distinct reporting identities per AS (the paper's example)."""
-        reporters: Dict[int, set] = defaultdict(set)
-        for entry in self.server.all_entries():
-            reporters[entry.asn] |= self.server.voting.reporters_for(
-                entry.url, entry.asn
-            )
-        return {asn: len(ids) for asn, ids in reporters.items()}
+        return self._reporters_by_as(self.server.all_entries())
 
     def as_summary(self, asn: int) -> AsSummary:
         entries = [e for e in self.server.all_entries() if e.asn == asn]
         domains = {registered_domain(parse_url(e.url).host) for e in entries}
         type_counts: Counter = Counter()
-        # Ordered dict-as-set; incoming reporter sets are sorted at the
-        # boundary so insertion order never depends on hash order.
-        reporters: Dict[str, None] = {}
         for entry in entries:
             for stage in entry.stages:
                 type_counts[stage.value] += 1
-            reporters.update(
-                dict.fromkeys(
-                    sorted(self.server.voting.reporters_for(entry.url, entry.asn))
-                )
-            )
         return AsSummary(
             asn=asn,
             blocked_urls=len(entries),
             blocked_domains=len(domains),
-            reporters=len(reporters),
+            reporters=self._reporters_by_as(entries).get(asn, 0),
             blocking_types=tuple(type_counts.most_common()),
         )
 

@@ -67,10 +67,9 @@ class ReputationAnalyzer:
         for uuid in clients:
             mine = report_sets[uuid]
             if mine:
+                # uuid itself is one of each key's reporters.
                 corroborated = sum(
-                    1
-                    for key in mine
-                    if len(ledger.reporters_for(*key) - {uuid}) > 0
+                    1 for key in mine if ledger.stats(*key).reporters >= 2
                 )
                 corroboration = corroborated / len(mine)
             else:

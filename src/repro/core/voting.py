@@ -27,17 +27,17 @@ per-plane statistics never pays for them, and a dormant ledger's
 When active, the per-plane histograms partition the aggregate one —
 merging them bucket-wise reproduces ``_vote_hist`` exactly.
 
-s_{j,k} is maintained **incrementally**: per key we keep a histogram
-``{d: count}`` of how many reporters currently spread their vote over d
-URLs.  When a client's report count moves from d_old to d_new, only that
-client's keys are touched (decrement the d_old bucket, increment d_new),
-so :meth:`VotingLedger.stats` is a dict read plus a sum over the handful
-of distinct d values — no scan over reporters.  Because the histogram
-holds integers, the incremental path and the from-scratch recompute in
-``tests/_reference_globaldb.py`` (which rebuilds each histogram by
-walking the key's reporters) produce *bit-identical* floats: both sum
-``count / d`` over the same sorted buckets, and the property tests
-assert exact agreement.
+s_{j,k} and n_{j,k} are maintained **incrementally**: per key we keep a
+histogram ``{d: count}`` of how many reporters currently spread their
+vote over d URLs, so n is the sum of its counts.  When a client's report
+count moves from d_old to d_new, only that client's keys are touched
+(one count moves from bucket d_old to d_new), so :meth:`VotingLedger.stats`
+is a dict read plus sums over the handful of distinct d values — no scan
+over reporters.  Because the histogram holds integers, the incremental
+path and the from-scratch recompute in ``tests/_reference_globaldb.py``
+(which rebuilds each histogram from the vouch sets) produce
+*bit-identical* floats: both sum ``count / d`` over the same sorted
+buckets, and the property tests assert exact agreement.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ def _hist_votes(hist: Dict[int, int]) -> float:
     """Σ count/d over the histogram, summed in sorted-bucket order so the
     incremental and from-scratch paths add the same floats in the same
     order (exact agreement, not approximate)."""
-    if not hist:
-        return 0.0
     if len(hist) == 1:
         (d, count), = hist.items()
         return count / d
@@ -97,16 +95,17 @@ class VotingLedger:
       the clients of one grouped upload can share one set object
       (:meth:`add_first_vouches`) without one client's change reaching
       another's.
-    - Each key that has owners has one canonical tuple.  It enters the
-      table with the key's first owner and leaves with its last, so the
-      table holds exactly the keys of ``_by_key``, as the very objects
-      ``_by_key`` holds.  A writer that maps its keys through
+    - A key is owned exactly when it has a d-histogram, and
+      ``_canonical.keys() == _vote_hist.keys() ==`` the union of the
+      vouch sets: each vouching client holds one count per key it
+      vouches for, in bucket ``len(its vouch set)``, so the counts sum
+      to n.  The key's one canonical tuple enters and leaves with its
+      histogram; a writer that maps its keys through
       :meth:`canonical_keys` stores that one object in every vouch set.
     """
 
     def __init__(self) -> None:
         self._by_client: Dict[str, Set[Key]] = {}
-        self._by_key: Dict[Key, Set[str]] = {}
         # key -> the one tuple stored for it, for keys that have owners.
         self._canonical: Dict[Key, Key] = {}
         # key -> {d: number of reporters currently spreading over d URLs}
@@ -124,13 +123,18 @@ class VotingLedger:
     # -- incremental histogram maintenance ------------------------------------
 
     def _hist_add(self, key: Key, d: int) -> None:
+        """Add one count to the key's d bucket; an unowned key enters the
+        histogram and canonical tables as the object given."""
         hist = self._vote_hist.get(key)
         if hist is None:
             self._vote_hist[key] = {d: 1}
+            self._canonical[key] = key
         else:
             hist[d] = hist.get(d, 0) + 1
 
     def _hist_sub(self, key: Key, d: int) -> None:
+        """Take one count out of the key's d bucket; with its last count
+        the key leaves the histogram and canonical tables."""
         hist = self._vote_hist[key]
         count = hist[d] - 1
         if count:
@@ -139,6 +143,7 @@ class VotingLedger:
             del hist[d]
             if not hist:
                 del self._vote_hist[key]
+                del self._canonical[key]
 
     def _plane_hist_add(self, key: Key, plane: str, d: int) -> None:
         by_plane = self._plane_hist.get(key)
@@ -251,8 +256,10 @@ class VotingLedger:
         iterates in the same order (revocations and dissents mark a
         client's keys in its set's order), and that one object is stored
         for every client of the block: stored vouch sets are never
-        mutated, so sharing it is safe.
+        mutated, so sharing it is safe.  An empty block changes nothing.
         """
+        if not client_ids or not keys:
+            return
         vouch_set = set(keys)
         self._count_first_vouches(client_ids, dict.fromkeys(keys))
         by_client = self._by_client
@@ -262,28 +269,22 @@ class VotingLedger:
     def _count_first_vouches(
         self, client_ids: Sequence[str], keys: Collection[Key]
     ) -> None:
-        """Seed ownership and the d-histograms (the per-plane mirror too,
-        when active) for distinct clients that each vouch for the same d
-        distinct ``keys`` and for nothing before: ``hist[d] += k`` per
-        key, per-plane counts in the mirror, and one ``set.update`` of
-        the owners.  A key with no owners yet enters ``_by_key`` and the
-        canonical table as the object given.  No old votes to retract or
-        re-bucket, and a first vouch dilutes no earlier key."""
+        """Seed the d-histograms (the per-plane mirror too, when active)
+        for k distinct clients that each vouch for the same d distinct
+        ``keys`` and for nothing before: ``hist[d] += k`` per key and
+        per-plane counts in the mirror.  A key with no histogram yet
+        enters the histogram and canonical tables as the object given.
+        No old votes to retract or re-bucket, and a first vouch dilutes
+        no earlier key."""
         d = len(keys)
         count = len(client_ids)
-        by_key = self._by_key
         canonical = self._canonical
         hists = self._vote_hist
         for key in keys:
-            owners = by_key.get(key)
-            if owners is None:
-                by_key[key] = set(client_ids)
-                canonical[key] = key
-            else:
-                owners.update(client_ids)
             hist = hists.get(key)
             if hist is None:
                 hists[key] = {d: count}
+                canonical[key] = key
             else:
                 hist[d] = hist.get(d, 0) + count
         if not self._planes_active:
@@ -320,8 +321,8 @@ class VotingLedger:
 
     def _set_reports(self, client_id: str, new_keys: Set[Key]) -> Set[Key]:
         """Store ``new_keys`` as the client's vouch set and move the
-        ownership and histograms with it.  The old set is only read and
-        then replaced, never edited: other clients may share it."""
+        histograms, and so ownership, with it.  The old set is only read
+        and then replaced, never edited: other clients may share it."""
         old_keys = self._by_client.get(client_id, set())
         if new_keys == old_keys:
             return set()
@@ -334,39 +335,26 @@ class VotingLedger:
             return set(new_keys)
         d_old = len(old_keys)
         d_new = len(new_keys)
-        by_key = self._by_key
-        canonical = self._canonical
         hist_add = self._hist_add
         hist_sub = self._hist_sub
         mirror = self._planes_active
         plane = self._plane_of.get(client_id, DEFAULT_PLANE) if mirror else ""
         affected = old_keys ^ new_keys
         for key in old_keys - new_keys:
-            owners = by_key.get(key)
-            if owners is not None:
-                owners.discard(client_id)
-                if not owners:
-                    del by_key[key]
-                    del canonical[key]
             hist_sub(key, d_old)
             if mirror:
                 self._plane_hist_sub(key, plane, d_old)
-        if d_new != d_old and old_keys:
+        if d_new != d_old:
             staying = old_keys & new_keys
             for key in staying:
-                hist_sub(key, d_old)
+                # In before out: an owned key's histogram never empties.
                 hist_add(key, d_new)
+                hist_sub(key, d_old)
                 if mirror:
                     self._plane_hist_sub(key, plane, d_old)
                     self._plane_hist_add(key, plane, d_new)
             affected |= staying
         for key in new_keys - old_keys:
-            owners = by_key.get(key)
-            if owners is None:
-                by_key[key] = {client_id}
-                canonical[key] = key
-            else:
-                owners.add(client_id)
             hist_add(key, d_new)
             if mirror:
                 self._plane_hist_add(key, plane, d_new)
@@ -386,14 +374,10 @@ class VotingLedger:
 
     def stats(self, url: str, asn: int) -> VoteStats:
         """Incrementally-maintained s/n for one key (no reporter scan)."""
-        key = (url, asn)
-        reporters = self._by_key.get(key)
-        if not reporters:
+        hist = self._vote_hist.get((url, asn))
+        if hist is None:
             return VoteStats(votes=0.0, reporters=0)
-        return VoteStats(
-            votes=_hist_votes(self._vote_hist.get(key, {})),
-            reporters=len(reporters),
-        )
+        return VoteStats(votes=_hist_votes(hist), reporters=sum(hist.values()))
 
     def stats_for_plane(self, url: str, asn: int, plane: str) -> VoteStats:
         """s/n restricted to reporters of one measurement plane."""
@@ -414,8 +398,7 @@ class VotingLedger:
         key = (url, asn)
         plane_hists = self._plane_histograms()
         if plane_hists is None:
-            reporters = self._by_key.get(key)
-            if not reporters:
+            if key not in self._vote_hist:
                 return {}
             return {DEFAULT_PLANE: self.stats(url, asn)}
         return {
@@ -444,12 +427,9 @@ class VotingLedger:
             reporters += weight * stats.reporters
         return VoteStats(votes=votes, reporters=reporters)
 
-    def reporters_for(self, url: str, asn: int) -> Set[str]:
-        return set(self._by_key.get((url, asn), set()))
-
     def has_reporters(self, url: str, asn: int) -> bool:
-        """Cheap existence check (no defensive copy)."""
-        return bool(self._by_key.get((url, asn)))
+        """Whether any client vouches for the key (one dict read)."""
+        return (url, asn) in self._vote_hist
 
     def client_count(self) -> int:
         return len(self._by_client)

@@ -60,15 +60,23 @@ def load_toml(path: str) -> Dict[str, object]:
     ``[tool.csawanalyze…]`` tables are parsed, with
     :func:`.toml_subset.parse`: the rest of a ``pyproject.toml``
     uses inline tables and quoted dotted keys that the subset rejects,
-    and the analyzer reads nothing outside those tables.
+    and the analyzer reads nothing outside those tables.  A syntax error
+    is a :class:`ConfigError` naming the file, with the parser's message
+    and position.
     """
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
     try:
         import tomllib  # Python 3.11+
     except ImportError:
-        return toml_subset.parse(_analyzer_tables(text), path)
-    return tomllib.loads(text)
+        try:
+            return toml_subset.parse(_analyzer_tables(text), path)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def _analyzer_tables(text: str) -> str:

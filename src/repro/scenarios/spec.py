@@ -704,7 +704,8 @@ class ScenarioSpec:
 def load_toml_file(path: str) -> Dict[str, Any]:
     """Parse a TOML file into a plain dict (stdlib tomllib when present,
     otherwise :func:`repro.devtools.toml_subset.parse` — CI runs Python
-    3.9)."""
+    3.9).  A syntax error is a :class:`SpecError` naming the file, with
+    the parser's message and position."""
     try:
         import tomllib  # Python >= 3.11
     except ImportError:
@@ -715,4 +716,7 @@ def load_toml_file(path: str) -> Dict[str, Any]:
         except ValueError as err:
             raise SpecError(str(err)) from None
     with open(path, "rb") as handle:
-        return tomllib.load(handle)
+        try:
+            return tomllib.load(handle)
+        except tomllib.TOMLDecodeError as err:
+            raise SpecError(f"{path}: {err}") from None

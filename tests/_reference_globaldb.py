@@ -14,15 +14,17 @@ The production paths must match these bit for bit; only the tests and
   ``sync_batch_for_as`` + ``apply_batch`` must leave the same client
   state (``TestSyncWireFormatProperties``).
 - :func:`recompute_stats` and :func:`recompute_plane_stats` rebuild a
-  key's d-histogram from its reporters; the ledger's incremental
-  ``stats`` and ``stats_for_plane`` must equal them exactly.
+  key's d-histogram from its reporters, the clients whose vouch sets
+  hold it (:func:`reporters_of`); the ledger's incremental ``stats``
+  and ``stats_for_plane`` must equal them exactly.  They read only the
+  vouch sets, the ledger's primary state.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.globaldb import (
     GlobalEntry,
@@ -206,9 +208,20 @@ def _tally(ledger: VotingLedger, reporters: Iterable[str]) -> VoteStats:
     return VoteStats(votes=votes, reporters=count)
 
 
+def reporters_of(ledger: VotingLedger, url: str, asn: int) -> List[str]:
+    """The clients whose vouch sets hold ``(url, asn)``, in client order."""
+    key = (url, asn)
+    return [c for c, keys in ledger._by_client.items() if key in keys]
+
+
+def vouched_keys(ledger: VotingLedger) -> Set[Tuple[str, int]]:
+    """Every key some client vouches for: the union of the vouch sets."""
+    return set().union(*ledger._by_client.values())
+
+
 def recompute_stats(ledger: VotingLedger, url: str, asn: int) -> VoteStats:
     """``ledger.stats`` from scratch, walking every reporter of the key."""
-    return _tally(ledger, ledger._by_key.get((url, asn), ()))
+    return _tally(ledger, reporters_of(ledger, url, asn))
 
 
 def recompute_plane_stats(
@@ -216,7 +229,8 @@ def recompute_plane_stats(
 ) -> VoteStats:
     """``ledger.stats_for_plane`` from scratch: the key's reporters on
     ``plane`` only."""
-    reporters = ledger._by_key.get((url, asn), ())
     return _tally(
-        ledger, [c for c in reporters if ledger.plane_of(c) == plane]
+        ledger,
+        [c for c in reporters_of(ledger, url, asn)
+         if ledger.plane_of(c) == plane],
     )

@@ -34,6 +34,7 @@ class TestAnalytics:
         per_as = analytics.reporters_per_as()
         assert per_as[1] == 2  # uuids[0] and uuids[1]
         assert per_as[2] == 3
+        assert list(per_as) == [1, 2]  # first-entry order
 
     def test_as_summary(self):
         analytics = MeasurementAnalytics(seeded_server())
@@ -41,8 +42,10 @@ class TestAnalytics:
         assert summary.blocked_urls == 2
         assert summary.blocked_domains == 2
         assert summary.dominant_type == "block-page"
+        assert summary.reporters == 2
         summary2 = analytics.as_summary(2)
         assert summary2.dominant_type.startswith("dns")
+        assert summary2.reporters == 3
 
     def test_top_blocked_domains(self):
         analytics = MeasurementAnalytics(seeded_server())
@@ -74,6 +77,27 @@ class TestAnalytics:
         assert analytics.stale_entries(now=20.0, older_than=100.0) == []
         stale = analytics.stale_entries(now=500.0, older_than=100.0)
         assert len(stale) == len(server.all_entries())
+
+    def test_evicted_entry_reporters_not_counted(self):
+        """A TTL-evicted entry's reporter counts for nothing, though its
+        vouch still stands in the ledger."""
+        server = ServerDB(entry_ttl=5.0)
+        lone, other = (server.register(now=0.0) for _ in range(2))
+        for uuid, url, now in (
+            (lone, "http://old.example/", 1.0),
+            (other, "http://new.example/", 10.0),  # evicts old.example
+        ):
+            server.post_update(
+                uuid,
+                [ReportItem(url=url, asn=1, stages=(BlockType.BLOCK_PAGE,),
+                            measured_at=now)],
+                now=now,
+            )
+        assert [e.url for e in server.all_entries()] == ["http://new.example/"]
+        assert server.stats_for("http://old.example/", 1).reporters == 1
+        analytics = MeasurementAnalytics(server)
+        assert analytics.reporters_per_as() == {1: 1}
+        assert analytics.as_summary(1).reporters == 1
 
     def test_empty_server(self):
         analytics = MeasurementAnalytics(ServerDB())

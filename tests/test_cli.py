@@ -119,6 +119,15 @@ size_bytes = "abc"
         assert main(["scenario", "run", str(spec)]) == 2
         assert "sites[0].size_bytes" in capsys.readouterr().err
 
+    def test_run_pack_with_a_syntax_error_exits_2_naming_the_line(
+        self, capsys, tmp_path
+    ):
+        spec = tmp_path / "bad.toml"
+        spec.write_text('name = "bad"\nb = {inline =\n')
+        assert main(["scenario", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.toml: " in err and "line 2" in err
+
     def test_run_failing_expectations_exits_nonzero(self, capsys, tmp_path):
         spec = tmp_path / "wrong.toml"
         spec.write_text(

@@ -661,6 +661,16 @@ class TestCli:
         assert main([str(tmp_path / "ok.py")]) == 2
         assert bad in capsys.readouterr().err
 
+    def test_config_syntax_error_exits_2_naming_the_file(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.csawanalyze]\nselect = [\n"
+        )
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        assert main([str(tmp_path / "ok.py")]) == 2
+        assert "pyproject.toml: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("missing", ["srcc", "gone.py"])
     def test_missing_path_exits_2(self, tmp_path, capsys, missing):
         assert main([str(tmp_path / missing)]) == 2

@@ -448,6 +448,23 @@ class TestReputation:
         assert not server.is_registered(evil)
         assert server.stats_for(fakes[0], 1).reporters == 0
 
+    def test_corroboration_counts_keys_with_a_second_reporter(self):
+        server = ServerDB()
+        mixed, witness = (server.register(now=0.0) for _ in range(2))
+        for uuid, urls in (
+            (mixed, ["http://lone.example/", "http://shared.example/"]),
+            (witness, ["http://shared.example/"]),
+        ):
+            server.post_update(
+                uuid,
+                [ReportItem(url=u, asn=1, stages=(BlockType.BLOCK_PAGE,),
+                            measured_at=1.0) for u in urls],
+                now=2.0,
+            )
+        profiles = ReputationAnalyzer(server).profiles()
+        assert profiles[mixed].corroboration == 0.5
+        assert profiles[witness].corroboration == 1.0
+
     def test_honest_users_never_flagged(self):
         server, honest, _real = self.seed_server()
         suspects = ReputationAnalyzer(server).flag_suspects()

@@ -3,12 +3,19 @@
 A grouped upload's fresh clients share one vouch set object, which no
 later change edits in place, and every (URL, AS) key that has owners is
 stored as one tuple: the ledger's canonical table holds exactly the
-owned keys, as the objects ``_by_key`` holds, and uploads through
-``ServerDB`` store those objects in every vouch set.
+owned keys (the keys of the histogram table and the union of the vouch
+sets), as the objects the histogram table holds, and uploads through
+``ServerDB`` store those objects in every vouch set.  A key's reporters
+are counted in its histogram, not stored per key, so a grouped upload
+grows the ledger by its vouch sets only.
 """
+
+import tracemalloc
 
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
+from repro.core.voting import VotingLedger
+from tests._reference_globaldb import vouched_keys
 
 ASN = 64500
 
@@ -22,15 +29,14 @@ def _reports(urls, asn=ASN):
 
 
 def assert_keys_stored_once(ledger):
-    """The canonical table holds exactly the owned keys, each as the
-    object ``_by_key`` and the histograms hold and every vouch set
-    holds."""
+    """The canonical table holds exactly the owned keys, the keys of the
+    histogram table and of the vouch sets, each as the object the
+    histograms hold and every vouch set holds."""
     table = ledger._canonical
-    assert table.keys() == ledger._by_key.keys()
+    assert table.keys() == ledger._vote_hist.keys()
+    assert table.keys() == vouched_keys(ledger)
     for key, stored in table.items():
         assert stored is key
-    for key in ledger._by_key:
-        assert table[key] is key
     for key in ledger._vote_hist:
         assert table[key] is key
     for vouch_set in ledger._by_client.values():
@@ -86,7 +92,7 @@ def test_one_by_one_uploads_store_one_tuple_per_key():
             now=1.0 + i,
         )
     ledger = server.voting
-    (stored,) = [key for key in ledger._by_key if key == (shared_url, ASN)]
+    (stored,) = [key for key in ledger._vote_hist if key == (shared_url, ASN)]
     for uuid in uuids:
         (mine,) = [key for key in ledger._by_client[uuid] if key == stored]
         assert mine is stored
@@ -129,4 +135,46 @@ def test_key_table_holds_exactly_the_owned_keys():
 
     for uuid in (a, b):
         server.revoke(uuid)
-    assert ledger._canonical == {} and ledger._by_key == {}
+    assert ledger._canonical == {} and ledger._vote_hist == {}
+
+
+def _ledger_state(ledger):
+    return (
+        {client: set(keys) for client, keys in ledger._by_client.items()},
+        {key: dict(hist) for key, hist in ledger._vote_hist.items()},
+        dict(ledger._canonical),
+    )
+
+
+def test_an_empty_first_vouch_block_changes_nothing():
+    ledger = VotingLedger()
+    known = ("http://known.example/", ASN)
+    ledger.set_client_reports("c0", [known])
+    before = _ledger_state(ledger)
+    ledger.add_first_vouches([], [known, ("http://new.example/", ASN)])
+    ledger.add_first_vouches(["c1", "c2"], [])
+    assert _ledger_state(ledger) == before
+    assert not ledger.has_reporters("http://new.example/", ASN)
+    assert not ledger.vouches("c1") and ledger.client_count() == 1
+    assert ledger.stats(*known).reporters == 1
+
+
+def test_grouped_uploads_grow_the_ledger_by_their_vouch_sets_only():
+    """2,000 clients post one 50-URL list in 20 groups of 100: the
+    ledger stores 40 vouch sets and 50 histograms, and no per-key set of
+    reporter identities, which alone would take megabytes."""
+    server = ServerDB(entry_ttl=None)
+    uuids = [server.register(now=0.0) for _ in range(2000)]
+    reports = _reports([f"http://u{i}.example/" for i in range(50)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, len(uuids), 100):
+            server.post_updates(uuids[start:start + 100], reports, now=1.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert server.voting.stats("http://u0.example/", ASN).reporters == 2000
+    assert grown < 1 << 20, (
+        f"20 grouped uploads grew traced memory by {grown / 1024:,.0f} KiB"
+    )

@@ -15,7 +15,8 @@ from repro.core.voting import VotingLedger
 from repro.simnet.engine import Environment
 from repro.simnet.latency import LatencyModel
 from tests._reference_globaldb import (
-    apply_sync, recompute_plane_stats, recompute_stats, sync_for_as,
+    apply_sync, recompute_plane_stats, recompute_stats, reporters_of,
+    sync_for_as, vouched_keys,
 )
 from tests.test_ledger_sharing import assert_keys_stored_once
 
@@ -195,7 +196,7 @@ class TestVotingProperties:
         for i in range(6):
             url = f"http://u{i}.example/"
             stats = ledger.stats(url, 1)
-            assert stats.reporters == len(ledger.reporters_for(url, 1))
+            assert stats.reporters == len(reporters_of(ledger, url, 1))
             assert stats.votes <= stats.reporters + 1e-9
 
 
@@ -722,7 +723,6 @@ class TestRunBatchedWriteProperties:
             list(db.clients_by_plane.items()),
             ledger._vote_hist,
             ledger._plane_histograms(),
-            ledger._by_key,
             ledger._by_client,
             cls._key_table(ledger),
         )
@@ -730,11 +730,13 @@ class TestRunBatchedWriteProperties:
     @staticmethod
     def _key_table(ledger):
         """The ledger's canonical key table, as sorted keys, after
-        checking that it holds one tuple per owned key: the very object
-        ``_by_key`` holds (DESIGN.md §20)."""
+        checking that it holds one tuple per owned key, the very object
+        the histogram table holds, and that the owned keys are the
+        union of the vouch sets (DESIGN.md §20)."""
         table = ledger._canonical
-        assert table.keys() == ledger._by_key.keys()
-        for key in ledger._by_key:
+        assert table.keys() == ledger._vote_hist.keys()
+        assert table.keys() == vouched_keys(ledger)
+        for key in ledger._vote_hist:
             assert table[key] is key
         return sorted(table)
 
@@ -779,7 +781,7 @@ class TestRunBatchedWriteProperties:
 
     @classmethod
     def _assert_ledger_matches_recompute(cls, ledger):
-        for url, asn in list(ledger._by_key):
+        for url, asn in sorted(vouched_keys(ledger)):
             assert ledger.stats(url, asn) == recompute_stats(ledger, url, asn)
             for plane in cls.PLANES:
                 assert ledger.stats_for_plane(url, asn, plane) == \
