@@ -55,7 +55,7 @@ class MeasurementAnalytics:
         for client_id in ledger.clients():
             vouched = ledger.reports_of(client_id)
             for asn, keys in live.items():
-                if not vouched.isdisjoint(keys):
+                if not keys.isdisjoint(vouched):
                     counts[asn] += 1
         return counts
 

@@ -34,7 +34,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..urlkit import normalize_url
@@ -258,14 +258,15 @@ class _AsShard:
                 log.popleft()
         self.floor = version - len(log)
 
-    def touched_since(self, since_version: int) -> Set[str]:
-        """URLs changed after ``since_version`` (caller checked >= floor)."""
-        touched: Set[str] = set()
+    def touched_since(self, since_version: int) -> List[str]:
+        """URLs changed after ``since_version`` (caller checked >=
+        floor), each once, ordered by its latest change."""
+        latest: Dict[str, None] = {}
         for version, url in reversed(self.log):
             if version <= since_version:
                 break
-            touched.add(url)
-        return touched
+            latest[url] = None
+        return list(reversed(latest))
 
 
 class ServerDB:
@@ -457,8 +458,16 @@ class ServerDB:
         for shard, pending in runs.values():
             shard.mark_changed(pending)
         self.update_count += len(keys)
-        affected = self.voting.add_client_reports(uuid, keys)
-        self._mark_vote_changes(affected.difference(keys))
+        voting = self.voting
+        diluting = voting.vouches(uuid)
+        affected = voting.add_client_reports(uuid, keys)
+        if diluting:
+            # A re-post dilutes the client's earlier keys: re-mark those
+            # the upload did not just mark, in the affected order.
+            upload = set(keys)
+            self._mark_vote_changes(
+                [key for key in affected if key not in upload]
+            )
         # Write-time eviction: stale rows leave with this write.
         for shard, _ in runs.values():
             self._evict_expired(shard, now)
@@ -535,8 +544,9 @@ class ServerDB:
         key = (url, asn)
         current = self.voting.reports_of(uuid)
         if key in current:
-            current.discard(key)
-            affected = self.voting.set_client_reports(uuid, list(current))
+            affected = self.voting.set_client_reports(
+                uuid, [kept for kept in current if kept != key]
+            )
             self._mark_vote_changes(affected)
         if not self.voting.has_reporters(url, asn):
             shard = self._shards.get(asn)
@@ -545,7 +555,7 @@ class ServerDB:
             return True
         return False
 
-    def _mark_vote_changes(self, keys: Iterable[Tuple[str, int]]) -> None:
+    def _mark_vote_changes(self, keys: Sequence[Tuple[str, int]]) -> None:
         """Bump shard versions for entries whose vote statistics moved.
 
         A client growing its report list dilutes its vote on *every* key
@@ -805,7 +815,8 @@ class ServerDB:
         Entries only the revoked client vouched for are evicted outright,
         so they surface in the removal half of every consumer's next
         delta; entries with surviving reporters just get their statistics
-        bumped (their vote mass shrank).
+        bumped (their vote mass shrank).  Changes are marked in the
+        client's stored vouch order.
         """
         self._clients.pop(uuid, None)
         affected = self.voting.revoke_client(uuid)

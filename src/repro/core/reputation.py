@@ -23,7 +23,7 @@ revoked, which removes their vote mass retroactively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Set
+from typing import Dict, KeysView, Set
 
 from .globaldb import ServerDB
 
@@ -62,7 +62,7 @@ class ReputationAnalyzer:
     def profiles(self) -> Dict[str, ClientProfile]:
         ledger = self.server.voting
         clients = ledger.clients()
-        report_sets = {uuid: ledger.reports_of(uuid) for uuid in clients}
+        report_sets = {uuid: set(ledger.reports_of(uuid)) for uuid in clients}
         profiles = {}
         for uuid in clients:
             mine = report_sets[uuid]
@@ -95,7 +95,7 @@ class ReputationAnalyzer:
         min_volume: int = 30,
         max_corroboration: float = 0.2,
         clique_similarity: float = 0.9,
-    ) -> AbstractSet[str]:
+    ) -> KeysView[str]:
         """UUIDs whose behaviour is distinctively malicious.
 
         High-volume reporters are flagged when nobody corroborates them
@@ -117,7 +117,7 @@ class ReputationAnalyzer:
                 flagged[uuid] = None
         return flagged.keys()
 
-    def enforce(self, **thresholds) -> AbstractSet[str]:
+    def enforce(self, **thresholds) -> KeysView[str]:
         """Flag and revoke; returns the revoked UUIDs."""
         suspects = self.flag_suspects(**thresholds)
         for uuid in suspects:

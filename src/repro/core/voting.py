@@ -38,16 +38,24 @@ path and the from-scratch recompute in ``tests/_reference_globaldb.py``
 (which rebuilds each histogram from the vouch sets) produce
 *bit-identical* floats: both sum ``count / d`` over the same sorted
 buckets, and the property tests assert exact agreement.
+
+**Vouch order.**  A client's vouch set is stored as a tuple of distinct
+keys in report order, and every mutator returns the keys whose
+statistics moved as a tuple in a documented order, so the order in
+which a versioned store marks them (and with it the shard logs and
+every delta pulled from them) follows the reports, never string
+hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["DEFAULT_PLANE", "VoteStats", "VotingLedger"]
 
 Key = Tuple[str, int]  # (url, asn)
+Keys = Tuple[Key, ...]  # distinct keys, in a documented order
 
 #: The plane every report belongs to unless tagged otherwise: C-Saw's
 #: own in-browser redundant-request plane.  Canonical home of the name
@@ -90,11 +98,11 @@ class VotingLedger:
 
     Its state is stored once (DESIGN.md §20):
 
-    - A stored vouch set is never mutated.  A change stores a new set
-      (:meth:`_set_reports`) and :meth:`reports_of` returns a copy, so
-      the clients of one grouped upload can share one set object
-      (:meth:`add_first_vouches`) without one client's change reaching
-      another's.
+    - A vouch set is an immutable tuple of distinct keys in report
+      order.  A change stores a new tuple (:meth:`_set_reports`), so
+      the clients of one grouped upload share one tuple
+      (:meth:`add_first_vouches`) and :meth:`reports_of` hands out the
+      stored one without a copy.
     - A key is owned exactly when it has a d-histogram, and
       ``_canonical.keys() == _vote_hist.keys() ==`` the union of the
       vouch sets: each vouching client holds one count per key it
@@ -102,10 +110,18 @@ class VotingLedger:
       to n.  The key's one canonical tuple enters and leaves with its
       histogram; a writer that maps its keys through
       :meth:`canonical_keys` stores that one object in every vouch set.
+
+    Orders: a first vouch and :meth:`set_client_reports` store the keys
+    in argument order, duplicates dropped at their first occurrence;
+    :meth:`add_client_reports` keeps the stored keys in place and
+    appends the new ones in report order.  The mutators return the keys
+    whose statistics moved: first the stored keys that left, plus those
+    that stayed while d changed, in stored order; then the added keys,
+    in new order.
     """
 
     def __init__(self) -> None:
-        self._by_client: Dict[str, Set[Key]] = {}
+        self._by_client: Dict[str, Keys] = {}
         # key -> the one tuple stored for it, for keys that have owners.
         self._canonical: Dict[Key, Key] = {}
         # key -> {d: number of reporters currently spreading over d URLs}
@@ -226,23 +242,28 @@ class VotingLedger:
 
     # -- mutation ------------------------------------------------------------
 
-    def set_client_reports(self, client_id: str, keys: List[Key]) -> Set[Key]:
-        """Replace the set of blocked entries ``client_id`` vouches for.
+    def set_client_reports(self, client_id: str, keys: Iterable[Key]) -> Keys:
+        """Replace the entries ``client_id`` vouches for with ``keys``,
+        stored in argument order.
 
         Votes are recomputed implicitly: a client reporting d URLs gives
         1/d to each, so growing its report list dilutes its earlier votes
-        — the PageRank-style normalization the paper leans on.
+        — the PageRank-style normalization the paper leans on.  The same
+        key set in another order keeps the stored tuple.
 
         Returns the keys whose (votes, reporters) statistics changed —
-        the set a versioned store must mark dirty for delta sync.
+        what a versioned store must mark dirty for delta sync — in the
+        class's affected order.
         """
-        return self._set_reports(client_id, set(keys))
+        return self._set_reports(client_id, tuple(dict.fromkeys(keys)))
 
-    def add_client_reports(self, client_id: str, keys: List[Key]) -> Set[Key]:
-        """Add entries to a client's vouch set (keeping existing ones)."""
-        old_keys = self._by_client.get(client_id)
-        merged = set(keys) if old_keys is None else old_keys | set(keys)
-        return self._set_reports(client_id, merged)
+    def add_client_reports(self, client_id: str, keys: Sequence[Key]) -> Keys:
+        """Add entries to a client's vouch set: the stored keys keep
+        their places and the new ones follow in report order."""
+        old_keys = self._by_client.get(client_id, ())
+        return self._set_reports(
+            client_id, tuple(dict.fromkeys((*old_keys, *keys)))
+        )
 
     def add_first_vouches(
         self, client_ids: Sequence[str], keys: Sequence[Key]
@@ -250,25 +271,20 @@ class VotingLedger:
         """Give each of ``client_ids`` the entries ``keys`` as its first
         vouch set — equal to :meth:`add_client_reports` for each in turn.
 
-        The clients must be distinct and vouch for nothing yet.  Keys are
-        counted in upload order.  The vouch set is built once, from
-        ``keys`` as :meth:`add_client_reports` builds each one, so it
-        iterates in the same order (revocations and dissents mark a
-        client's keys in its set's order), and that one object is stored
-        for every client of the block: stored vouch sets are never
-        mutated, so sharing it is safe.  An empty block changes nothing.
+        The clients must be distinct and vouch for nothing yet.  The
+        vouch tuple is built once, as :meth:`add_client_reports` builds
+        each one, and that one object is stored for every client of the
+        block.  An empty block changes nothing.
         """
         if not client_ids or not keys:
             return
-        vouch_set = set(keys)
-        self._count_first_vouches(client_ids, dict.fromkeys(keys))
+        vouch_set = tuple(dict.fromkeys(keys))
+        self._count_first_vouches(client_ids, vouch_set)
         by_client = self._by_client
         for client_id in client_ids:
             by_client[client_id] = vouch_set
 
-    def _count_first_vouches(
-        self, client_ids: Sequence[str], keys: Collection[Key]
-    ) -> None:
+    def _count_first_vouches(self, client_ids: Sequence[str], keys: Keys) -> None:
         """Seed the d-histograms (the per-plane mirror too, when active)
         for k distinct clients that each vouch for the same d distinct
         ``keys`` and for nothing before: ``hist[d] += k`` per key and
@@ -319,54 +335,62 @@ class VotingLedger:
         """Whether the client vouches for any entry (cheap, no copy)."""
         return client_id in self._by_client
 
-    def _set_reports(self, client_id: str, new_keys: Set[Key]) -> Set[Key]:
-        """Store ``new_keys`` as the client's vouch set and move the
-        histograms, and so ownership, with it.  The old set is only read
-        and then replaced, never edited: other clients may share it."""
-        old_keys = self._by_client.get(client_id, set())
-        if new_keys == old_keys:
-            return set()
-        if not old_keys:
+    def _set_reports(self, client_id: str, new_keys: Keys) -> Keys:
+        """Store ``new_keys`` (distinct) as the client's vouch set and
+        move the histograms, and so ownership, with it; returns the
+        affected keys in the class's order.  The old tuple is only read:
+        other clients may share it."""
+        old_keys = self._by_client.get(client_id)
+        if old_keys is None:
+            if not new_keys:
+                return ()
             # First vouch set for this client (the server-side hot path):
-            # the count form with a count of one.  The caller's set is
-            # stored as given, so it keeps its iteration order.
+            # the count form with a count of one.
             self._count_first_vouches((client_id,), new_keys)
             self._by_client[client_id] = new_keys
-            return set(new_keys)
+            return new_keys
+        new_set = set(new_keys)
         d_old = len(old_keys)
         d_new = len(new_keys)
+        if d_new == d_old and new_set.issuperset(old_keys):
+            return ()  # the same keys: the stored order stands
         hist_add = self._hist_add
         hist_sub = self._hist_sub
         mirror = self._planes_active
         plane = self._plane_of.get(client_id, DEFAULT_PLANE) if mirror else ""
-        affected = old_keys ^ new_keys
-        for key in old_keys - new_keys:
-            hist_sub(key, d_old)
-            if mirror:
-                self._plane_hist_sub(key, plane, d_old)
-        if d_new != d_old:
-            staying = old_keys & new_keys
-            for key in staying:
+        affected: List[Key] = []
+        for key in old_keys:
+            if key not in new_set:
+                hist_sub(key, d_old)
+                if mirror:
+                    self._plane_hist_sub(key, plane, d_old)
+            elif d_new != d_old:
                 # In before out: an owned key's histogram never empties.
                 hist_add(key, d_new)
                 hist_sub(key, d_old)
                 if mirror:
                     self._plane_hist_sub(key, plane, d_old)
                     self._plane_hist_add(key, plane, d_new)
-            affected |= staying
-        for key in new_keys - old_keys:
-            hist_add(key, d_new)
-            if mirror:
-                self._plane_hist_add(key, plane, d_new)
+            else:
+                continue  # stayed at the same d: its weight is untouched
+            affected.append(key)
+        old_set = set(old_keys)
+        for key in new_keys:
+            if key not in old_set:
+                hist_add(key, d_new)
+                if mirror:
+                    self._plane_hist_add(key, plane, d_new)
+                affected.append(key)
         if new_keys:
             self._by_client[client_id] = new_keys
         else:
-            self._by_client.pop(client_id, None)
-        return affected
+            del self._by_client[client_id]
+        return tuple(affected)
 
-    def revoke_client(self, client_id: str) -> Set[Key]:
-        """Drop a (malicious) client's influence entirely."""
-        affected = self.set_client_reports(client_id, [])
+    def revoke_client(self, client_id: str) -> Keys:
+        """Drop a (malicious) client's influence entirely; returns its
+        keys in stored order."""
+        affected = self._set_reports(client_id, ())
         self._plane_of.pop(client_id, None)
         return affected
 
@@ -437,7 +461,7 @@ class VotingLedger:
     def clients(self) -> List[str]:
         return list(self._by_client)
 
-    def reports_of(self, client_id: str) -> Set[Key]:
-        """The (URL, AS) entries this client currently vouches for, as a
-        copy: the stored set may be shared and is never mutated."""
-        return set(self._by_client.get(client_id, set()))
+    def reports_of(self, client_id: str) -> Keys:
+        """The (URL, AS) entries this client currently vouches for, in
+        stored order: the stored tuple itself, shared and immutable."""
+        return self._by_client.get(client_id, ())

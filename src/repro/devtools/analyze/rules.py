@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..config import ToolConfig
 from ..framework import ProjectRule, Violation, attr_chain, register
-from ..rules import AMBIENT_MODULES, SetTracker, WallClockRule, ambient_sink
+from ..rules import (
+    AMBIENT_MODULES,
+    ORDER_FREE_REDUCERS,
+    SetTracker,
+    WallClockRule,
+    ambient_sink,
+)
 from .callgraph import CallGraph, _local_names
 from .index import ModuleInfo, ProjectIndex
 
@@ -546,8 +554,13 @@ class UnorderedPublicResultRule(ProjectRule):
     (annotations + returned expressions, to a fixpoint over the call
     graph) and flags public ``repro.*`` functions whose return value
     materializes the order of such a set (``list()``/``tuple()``/
-    ``join``/comprehensions, dict-built-over-set).  Only call-sourced
-    set-ness is flagged — purely local cases are CSL003's findings.
+    ``join``/comprehensions, dict-built-over-set).  It also flags a
+    ``for`` over such a set, in any function, whose order outlives the
+    call: the loop fills a local list that the function then returns
+    or stores unsorted, or its body changes state outside the function
+    (calls a method on ``self`` or a parameter, or stores to or deletes
+    an attribute or subscript).  Only call-sourced set-ness is flagged —
+    purely local cases are CSL003's findings.
     """
 
     code = "CSA105"
@@ -559,20 +572,27 @@ class UnorderedPublicResultRule(ProjectRule):
         returns_set = _returns_set_fixpoint(index)
         for qualname in sorted(index.functions):
             fn = index.functions[qualname]
-            if not fn.is_public:
-                continue
             module = index.modules[fn.module]
             if not self.applies_to(module.relpath):
                 continue
-            for node, source in _iter_ordered_escapes(
-                fn.node, module, index, returns_set
-            ):
+            if fn.is_public:
+                for node, source in _iter_ordered_escapes(
+                    fn.node, module, index, returns_set
+                ):
+                    yield self.finding(
+                        module,
+                        node,
+                        f"return value of public {fn.qualname} materializes "
+                        f"the iteration order of a set produced by {source} "
+                        "(invisible to per-file CSL003): sort it first",
+                    )
+            tracker = _CallSetTracker(module, index, returns_set)
+            for node, source, how in tracker.loop_escapes(fn.node, fn.params):
                 yield self.finding(
                     module,
                     node,
-                    f"return value of public {fn.qualname} materializes "
-                    f"the iteration order of a set produced by {source} "
-                    "(invisible to per-file CSL003): sort it first",
+                    f"{fn.qualname} iterates a set produced by {source} and "
+                    f"{how} (invisible to per-file CSL003): sort it first",
                 )
 
 
@@ -619,6 +639,148 @@ class _CallSetTracker(SetTracker):
         for stmt in self.walk(fn_node.body):  # type: ignore[attr-defined]
             if isinstance(stmt, ast.Return) and stmt.value is not None:
                 yield stmt.value
+
+    def loop_escapes(
+        self, fn_node: ast.AST, params: Collection[str]
+    ) -> Iterator[Tuple[ast.AST, str, str]]:
+        """``(loop, source, how)`` per ``for`` over a call-returned set
+        whose order outlives the call: its body changes state outside
+        the function, or it fills a local list that a later statement
+        returns or stores before sorting or rebinding it."""
+        filled: Dict[str, Tuple[ast.AST, str]] = {}
+        reported: Set[int] = set()
+        for stmt in self.walk(fn_node.body):  # type: ignore[attr-defined]
+            if isinstance(stmt, (ast.For, ast.AsyncFor)):
+                is_set, source = self.set_likeness(stmt.iter)
+                if is_set and source:
+                    if _changes_outside(stmt.body, params):
+                        yield stmt, source, (
+                            "changes state outside the function in its order"
+                        )
+                        continue
+                    for name in _filled_lists(stmt.body):
+                        filled[name] = (stmt, source)
+            if not filled:
+                continue
+            escape = _escape_of(stmt)
+            if escape is not None:
+                value, verb = escape
+                for name in sorted(_ordered_names(value) & filled.keys()):
+                    loop, source = filled.pop(name)
+                    if id(loop) not in reported:
+                        reported.add(id(loop))
+                        yield loop, source, (
+                            f"{verb} list {name!r} filled in its order"
+                        )
+            for name in _reordered_names(stmt):
+                filled.pop(name, None)
+
+
+_LIST_FILLERS = {"append", "appendleft", "extend", "extendleft", "insert"}
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _scope_nodes(stmts: Sequence[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node under ``stmts``, nested function and class bodies
+    excluded (their effects are their own)."""
+    stack: List[ast.AST] = list(stmts)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, _NESTED_SCOPES)
+        )
+
+
+def _writes_outside(node: ast.AST) -> bool:
+    """Whether ``node`` stores to or deletes an attribute or a subscript."""
+    return isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+        node.ctx, (ast.Store, ast.Del)
+    )
+
+
+def _changes_outside(body: Sequence[ast.stmt], params: Collection[str]) -> bool:
+    """Whether a loop body reaches state the function does not own: a
+    method call on ``self`` or another parameter, or a store to or
+    deletion of an attribute or a subscript."""
+    for node in _scope_nodes(body):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            chain = attr_chain(node.func)
+            if chain is not None and chain[0] in params:
+                return True
+        elif _writes_outside(node):
+            return True
+    return False
+
+
+def _escape_of(stmt: ast.stmt) -> Optional[Tuple[Optional[ast.AST], str]]:
+    """``(value, verb)`` when ``stmt`` returns a value or stores it to an
+    attribute or a subscript; None otherwise."""
+    if isinstance(stmt, ast.Return):
+        return stmt.value, "returns"
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return None
+    if any(_writes_outside(node) for t in targets for node in ast.walk(t)):
+        return stmt.value, "stores"
+    return None
+
+
+def _reordered_names(stmt: ast.stmt) -> List[str]:
+    """Names ``stmt`` rebinds (``x = ...``) or sorts in place
+    (``x.sort()``): after it, a filled list no longer holds set order."""
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    if (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Attribute)
+        and stmt.value.func.attr == "sort"
+        and isinstance(stmt.value.func.value, ast.Name)
+    ):
+        return [stmt.value.func.value.id]
+    return []
+
+
+def _filled_lists(body: Sequence[ast.stmt]) -> List[str]:
+    """Local names a loop body appends, extends or inserts into."""
+    names: List[str] = []
+    for node in _scope_nodes(body):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _LIST_FILLERS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id not in names
+        ):
+            names.append(node.func.value.id)
+    return names
+
+
+def _ordered_names(node: Optional[ast.AST]) -> Set[str]:
+    """Names read in ``node`` outside the arguments of an order-free
+    reducer (``sorted``, ``len``, ``set``...), whose result does not
+    carry their order."""
+    names: Set[str] = set()
+    stack = [node] if node is not None else []
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ast.Name):
+            names.add(current.id)
+        elif not (
+            isinstance(current, ast.Call)
+            and isinstance(current.func, ast.Name)
+            and current.func.id in ORDER_FREE_REDUCERS
+        ):
+            stack.extend(ast.iter_child_nodes(current))
+    return names
 
 
 def _function_returns_set(

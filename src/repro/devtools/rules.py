@@ -33,7 +33,7 @@ from .framework import LintContext, Rule, Violation, attr_chain, register
 if TYPE_CHECKING:  # pragma: no cover
     from .analyze.index import ModuleInfo
 
-__all__ = ["SetTracker", "ambient_sink"]
+__all__ = ["ORDER_FREE_REDUCERS", "SetTracker", "ambient_sink"]
 
 
 def _is_none(node: ast.AST) -> bool:
@@ -305,7 +305,7 @@ class SetTracker:
 
 
 #: builtins whose result does not depend on argument iteration order
-_ORDER_FREE_REDUCERS = {
+ORDER_FREE_REDUCERS = {
     "sum",
     "len",
     "min",
@@ -414,7 +414,7 @@ class UnorderedIterationRule(Rule):
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
-                    and node.func.id in _ORDER_FREE_REDUCERS
+                    and node.func.id in ORDER_FREE_REDUCERS
                     and len(node.args) == 1
                     and isinstance(node.args[0], ast.GeneratorExp)
                 ):

@@ -104,7 +104,9 @@ class ReferenceServerDB(ServerDB):
             by_plane[item.plane] = by_plane.get(item.plane, 0) + 1
         if accepted:
             affected = self.voting.add_client_reports(uuid, keys)
-            self._mark_vote_changes(affected.difference(keys))
+            self._mark_vote_changes(
+                [key for key in affected if key not in keys]
+            )
             for shard in shards_touched.values():
                 self._evict_expired(shard, now)
         return accepted

@@ -412,6 +412,43 @@ class TestCSA105:
         files = by_file(run_fixture("csa105"))
         assert "clean.py" not in files
 
+    def test_loops_whose_order_outlives_the_call_flagged(self):
+        """A loop over a call-returned set is flagged when it fills a
+        list that is returned or stored unsorted, or when its body
+        changes state outside the function; the finding sits on the
+        loop and names the function and the set's producer."""
+        hits = [
+            v
+            for v in by_file(run_fixture("csa105")).get("loops.py", [])
+            if v.code == "CSA105"
+        ]
+        source = (FIXTURES / "csa105" / "loops.py").read_text().splitlines()
+        defs = {
+            i: text.split("def ")[1].split("(")[0]
+            for i, text in enumerate(source, 1)
+            if "def " in text
+        }
+
+        def enclosing(line):
+            return defs[max(i for i in defs if i < line)]
+
+        flagged = {enclosing(v.line): v for v in hits}
+        assert len(hits) == len(flagged)
+        assert set(flagged) == {
+            "_collect", "keep", "record", "mark", "store", "drop",
+        }
+        for name, violation in flagged.items():
+            assert source[violation.line - 1].lstrip().startswith("for ")
+            assert f"Store.{name} iterates a set produced by" in (
+                violation.message
+            )
+            assert "producer.candidates" in violation.message
+        assert "returns list 'out'" in flagged["_collect"].message
+        assert "stores list 'out'" in flagged["keep"].message
+        assert "changes state outside the function" in (
+            flagged["mark"].message
+        )
+
 
 # -- one suppression marker for both rule families ----------------------------
 

@@ -85,21 +85,25 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
-def _run_pipeline(hashseed: str) -> str:
+def _run_script(script: str, hashseed: str) -> str:
+    """``script``'s stdout, run in a fresh interpreter under ``hashseed``."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = str(REPO / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    result = subprocess.run(
-        [sys.executable, "-c", _PIPELINE],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         cwd=str(REPO),
         check=True,
-    )
-    return result.stdout
+    ).stdout
+
+
+def _run_pipeline(hashseed: str) -> str:
+    return _run_script(_PIPELINE, hashseed)
 
 
 class TestCrossHashSeedDeterminism:
@@ -123,6 +127,67 @@ class TestCrossHashSeedDeterminism:
         payload = json.loads(outputs["0"])
         assert payload["revoked"], "enforce() flagged nobody; test is vacuous"
         assert payload["sybil_reputation"]["flagged"]
+
+
+# One AS's write path, end to end: two clients' posts, a dilution, a
+# dissent and a revocation, then three pulls.  Prints each pulled batch's
+# rows and removals in wire order and the shard's (version, url) log —
+# orders no verdict reads, so the pipeline above cannot see them.
+_SERVER_ORDER = r"""
+import json
+from repro.core.globaldb import ReportItem, ServerDB
+from repro.core.records import BlockType
+
+ASN = 64500
+
+
+def reports(urls):
+    return [
+        ReportItem(url=url, asn=ASN, stages=(BlockType.BLOCK_PAGE,),
+                   measured_at=1.0)
+        for url in urls
+    ]
+
+
+server = ServerDB(entry_ttl=None)
+a, b = server.register(now=0.0), server.register(now=0.0)
+urls = [f"http://site{i}.example/page" for i in range(12)]
+server.post_update(a, reports(urls[:8]), now=1.0)
+after_first = server.version_for_as(ASN)
+server.post_update(b, reports(urls[2:5]), now=2.0)
+server.post_update(a, reports(urls[8:]), now=3.0)  # dilutes the first 8
+server.post_dissent(b, urls[3], ASN, now=4.0)
+before_revoke = server.version_for_as(ASN)
+server.revoke(a)
+out = {}
+for name, since in (("full", None), ("after_first", after_first),
+                    ("before_revoke", before_revoke)):
+    batch = server.sync_batch_for_as(ASN, now=5.0, since_version=since)
+    out[name] = [batch.full, list(batch.urls), list(batch.removed)]
+out["log"] = [list(row) for row in server._shards[ASN].log]
+print(json.dumps(out))
+"""
+
+
+class TestServerOrderAcrossHashSeeds:
+    """The global_DB's shard logs and pulled deltas follow the reports
+    and the log, not string hashing: vouch sets are report-ordered
+    tuples, the ledger returns affected keys in a documented order, and
+    a delta lists its URLs by latest change."""
+
+    def test_logs_and_deltas_identical_across_hash_seeds(self):
+        outputs = {
+            seed: _run_script(_SERVER_ORDER, seed)
+            for seed in ("0", "1", "2", "3")
+        }
+        baseline = json.loads(outputs["0"])
+        assert not baseline["after_first"][0], "expected a delta pull"
+        assert baseline["before_revoke"][2], "revocation removed nothing"
+        for seed, output in outputs.items():
+            assert json.loads(output) == baseline, (
+                f"PYTHONHASHSEED={seed} gave other shard-log or delta "
+                "orders than PYTHONHASHSEED=0"
+            )
 
 
 class TestSessionRefactorGolden:

@@ -10,6 +10,7 @@ are counted in its histogram, not stored per key, so a grouped upload
 grows the ledger by its vouch sets only.
 """
 
+import random
 import tracemalloc
 
 from repro.core.globaldb import ReportItem, ServerDB
@@ -29,9 +30,10 @@ def _reports(urls, asn=ASN):
 
 
 def assert_keys_stored_once(ledger):
-    """The canonical table holds exactly the owned keys, the keys of the
-    histogram table and of the vouch sets, each as the object the
-    histograms hold and every vouch set holds."""
+    """Each vouch set is a tuple of distinct keys, and the canonical
+    table holds exactly the owned keys, the keys of the histogram table
+    and of the vouch sets, each as the object the histograms hold and
+    every vouch set holds."""
     table = ledger._canonical
     assert table.keys() == ledger._vote_hist.keys()
     assert table.keys() == vouched_keys(ledger)
@@ -40,6 +42,8 @@ def assert_keys_stored_once(ledger):
     for key in ledger._vote_hist:
         assert table[key] is key
     for vouch_set in ledger._by_client.values():
+        assert type(vouch_set) is tuple
+        assert len(set(vouch_set)) == len(vouch_set)
         for key in vouch_set:
             assert table[key] is key
 
@@ -56,9 +60,8 @@ def test_grouped_upload_shares_one_vouch_set():
     first, *block = [ledger._by_client[uuid] for uuid in uuids]
     assert all(vouch_set is block[0] for vouch_set in block)
     for vouch_set in (first, block[0]):
-        assert vouch_set == set(keys)
-        # csaw-analyze: disable=CSL003 the set order is what is compared
-        assert list(vouch_set) == list(set(keys))
+        # Report order, each key once at its first occurrence.
+        assert vouch_set == tuple(dict.fromkeys(keys))
     assert_keys_stored_once(ledger)
 
 
@@ -177,4 +180,41 @@ def test_grouped_uploads_grow_the_ledger_by_their_vouch_sets_only():
     assert server.voting.stats("http://u0.example/", ASN).reporters == 2000
     assert grown < 1 << 20, (
         f"20 grouped uploads grew traced memory by {grown / 1024:,.0f} KiB"
+    )
+
+
+def test_encore_uploads_grow_the_ledger_by_one_tuple_per_client():
+    """2,000 fresh clients each post their own ~40-of-50-key thinning
+    of one list, one ``post_update`` each, as Encore-style probes do.
+    No two clients share a vouch set, so each stores its own: a tuple of
+    its keys, about 400 bytes with its ledger slot (a 40-key set alone
+    took 2,264)."""
+    rng = random.Random(27)
+    urls = [f"http://u{i}.example/" for i in range(50)]
+    server = ServerDB(entry_ttl=None)
+    # One warm-up client lists every URL, so the entries, the shard log
+    # and the canonical keys exist before the measured uploads.
+    server.post_update(server.register(now=0.0), _reports(urls), now=0.5)
+    uploads = [
+        (server.register(now=0.0),
+         _reports([url for url in urls if rng.random() < 0.8]))
+        for _ in range(2000)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for uuid, reports in uploads:
+            server.post_update(uuid, reports, now=1.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    ledger = server.voting
+    assert ledger.client_count() == 2001
+    assert ledger.reports_of(uploads[-1][0]) == tuple(
+        (item.url, ASN) for item in uploads[-1][1]
+    )
+    per_client = grown / len(uploads)
+    assert per_client < 1024, (
+        f"2,000 one-client uploads grew traced memory by "
+        f"{per_client:,.0f} B per client"
     )

@@ -397,16 +397,26 @@ class TestIncrementalVotingExactness:
             assert server.voting.has_reporters(entry.url, entry.asn)
 
     def test_affected_keys_reported(self):
+        """The keys whose statistics moved, in the documented order:
+        the stored keys that left or stayed while d changed, in stored
+        order, then the added keys in new order."""
         ledger = VotingLedger()
         a, b, c = [(f"http://k{i}.com/", 1) for i in range(3)]
-        assert ledger.set_client_reports("c1", [a]) == {a}
+        assert ledger.set_client_reports("c1", [a]) == (a,)
         # Growing the set dilutes the vote on *every* key: all affected.
-        assert ledger.add_client_reports("c1", [b, c]) == {a, b, c}
+        assert ledger.add_client_reports("c1", [b, c]) == (a, b, c)
         # d changes 3 -> 2, so even the staying keys' weights move.
-        assert ledger.set_client_reports("c1", [a, b]) == {a, b, c}
+        assert ledger.set_client_reports("c1", [a, b]) == (a, b, c)
         # Same-size swap: the staying key's weight is untouched.
-        assert ledger.set_client_reports("c1", [a, c]) == {b, c}
-        assert ledger.revoke_client("c1") == {a, c}
+        assert ledger.set_client_reports("c1", [a, c]) == (b, c)
+        assert ledger.revoke_client("c1") == (a, c)
+        # The stored order leads, whatever order the new keys come in.
+        ledger.set_client_reports("c2", [c, a])
+        assert ledger.set_client_reports("c2", [b, a]) == (c, b)
+        assert ledger.set_client_reports("c2", [a, b]) == ()
+        assert ledger.reports_of("c2") == (b, a)
+        assert ledger.add_client_reports("c2", [c, a, c]) == (b, a, c)
+        assert ledger.reports_of("c2") == (b, a, c)
 
 
 class TestDeltaSync:
