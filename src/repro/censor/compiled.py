@@ -45,11 +45,24 @@ from .actions import (
     IpVerdict,
     TlsVerdict,
 )
-from .policy import Rule, _label_suffixes
+from .policy import Rule
 
 __all__ = ["CompiledPolicy"]
 
 _NO_MATCH = 1 << 60  # sentinel rule index: larger than any real index
+
+
+def _label_suffixes(hostname: str):
+    """All label-aligned suffixes of a hostname, longest first.
+
+    "www.foo.com" -> "www.foo.com", "foo.com", "com".  Used for O(#labels)
+    set-lookup domain matching (blocklists hold hundreds of domains, and
+    the middlebox consults them on every DNS/HTTP/TLS stage).
+    """
+    hostname = hostname.lower().rstrip(".")
+    labels = hostname.split(".")
+    for start in range(len(labels)):
+        yield ".".join(labels[start:])
 
 
 def _keyword_engine(keywords: List[Tuple[int, str]]):
@@ -119,7 +132,8 @@ class CompiledPolicy:
                 for prefix in sorted(matcher.url_prefixes):
                     if "http://".startswith(prefix):
                         # A prefix of the scheme itself matches every URL
-                        # via Matcher.matches_url's "http://" + url retry.
+                        # via the URL matcher's "http://" + url retry
+                        # (tests/_reference_policy.py::matches_url).
                         http_universal = min(http_universal, index)
                         continue
                     route_prefix(index, prefix)

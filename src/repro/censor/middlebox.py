@@ -110,6 +110,3 @@ class Middlebox:
         if verdict.action is not TlsAction.PASS:
             self._record(time, "tls", sni or dst_ip, verdict.action.value, src_ip)
         return verdict
-
-    def blocked_event_count(self) -> int:
-        return len(self.log)

@@ -30,28 +30,18 @@ from .actions import (
 __all__ = ["Matcher", "Rule", "CensorPolicy"]
 
 
-def _label_suffixes(hostname: str):
-    """All label-aligned suffixes of a hostname, longest first.
-
-    "www.foo.com" -> "www.foo.com", "foo.com", "com".  Used for O(#labels)
-    set-lookup domain matching (blocklists hold hundreds of domains, and
-    the middlebox consults them on every DNS/HTTP/TLS stage).
-    """
-    hostname = hostname.lower().rstrip(".")
-    labels = hostname.split(".")
-    for start in range(len(labels)):
-        yield ".".join(labels[start:])
-
-
 @dataclass
 class Matcher:
-    """Predicate over the identifiers visible at each interception stage.
+    """Criteria over the identifiers visible at each interception stage.
 
     Empty criteria never match; a matcher must set at least one of them.
     ``domains`` are stored lowercased without a trailing dot, the form
-    :func:`_label_suffixes` gives every observed name.  ``keywords``
+    ``compiled._label_suffixes`` gives every observed name.  ``keywords``
     match anywhere in the cleartext URL (HTTP stage only), mirroring
-    keyword filters that the IP-as-hostname trick evades.
+    keyword filters that the IP-as-hostname trick evades.  The policy
+    matches through its compiled per-stage indexes
+    (:mod:`repro.censor.compiled`); the per-rule predicates are the
+    executable spec in ``tests/_reference_policy.py``.
     """
 
     domains: Set[str] = field(default_factory=set)
@@ -65,30 +55,6 @@ class Matcher:
         self.url_prefixes = {p.lower() for p in self.url_prefixes}
         if not (self.domains or self.keywords or self.url_prefixes or self.ips):
             raise ValueError("matcher needs at least one criterion")
-
-    def matches_qname(self, qname: str) -> bool:
-        return any(suffix in self.domains for suffix in _label_suffixes(qname))
-
-    def matches_ip(self, ip: str) -> bool:
-        return ip in self.ips
-
-    def matches_sni(self, sni: Optional[str]) -> bool:
-        if sni is None:
-            return False
-        return self.matches_qname(sni) or any(
-            k in sni.lower() for k in self.keywords
-        )
-
-    def matches_url(self, host: str, path: str) -> bool:
-        # Lowercase host *and* path once: keyword filters inspect the whole
-        # cleartext URL, and a MiXeD-case path must not dodge them.
-        url = f"{host}{path}".lower()
-        if self.matches_qname(host):
-            return True
-        if any(k in url for k in self.keywords):
-            return True
-        return any(url.startswith(p) or f"http://{url}".startswith(p)
-                   for p in self.url_prefixes)
 
 
 @dataclass

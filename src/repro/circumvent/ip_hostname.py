@@ -2,14 +2,14 @@
 
 Typing the server's IP address instead of its hostname into the URL defeats
 keyword/hostname filters: the cleartext GET then carries no blocked name.
-The client must already know the IP (here: learned out of band / from a
-previous resolution), and the trick fails against IP blacklists — both
+The client must already know the IP (here: learned out of band, from the
+authoritative record), and the trick fails against IP blacklists — both
 captured below.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from ..simnet.flow import FlowContext
 from ..simnet.world import World
@@ -23,18 +23,7 @@ class IpAsHostnameTransport(Transport):
     name = "ip-as-hostname"
     is_local_fix = True
 
-    def __init__(self):
-        # hostname -> ip learned from earlier successful resolutions.
-        self._known_ips: Dict[str, str] = {}
-
-    def learn_ip(self, hostname: str, ip: str) -> None:
-        """Record an address seen in an (uncensored) resolution."""
-        self._known_ips[hostname.lower()] = ip
-
     def _ip_for(self, world: World, hostname: str) -> Optional[str]:
-        known = self._known_ips.get(hostname.lower())
-        if known is not None:
-            return known
         # Out-of-band knowledge (a friend abroad, a DNS cache, etc.): the
         # authoritative record, *not* a resolution through the censor.
         ips = world.network.authoritative_ips(hostname)

@@ -84,13 +84,6 @@ class UrlPrefixIndex:
                 return paths[candidate]
         return None
 
-    def exact(self, url: str) -> Optional[str]:
-        parsed = parse_url(url)
-        paths = self._by_origin.get(parsed.origin)
-        if not paths:
-            return None
-        return paths.get(parsed.path)
-
 
 def _prefix_walk(path: str) -> Iterable[str]:
     """Yield ``path`` and its segment-wise prefixes, longest first.

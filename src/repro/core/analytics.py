@@ -5,8 +5,7 @@ user-centric analytics (e.g., number of users reporting measurements
 from a certain AS)."  This module is that consumer: aggregate views over
 the global database that researchers, rights groups, or the C-Saw
 operators themselves would pull — reporter counts per AS, blocking-type
-mixes, top blocked domains, detection timelines, and stale entries that
-suggest Blocked→Unblocked churn.
+mixes, top blocked domains, and mechanisms that differ between ASes.
 """
 
 from __future__ import annotations
@@ -122,23 +121,3 @@ class MeasurementAnalytics:
                 varied[domain] = dominants
         return varied
 
-    def detection_timeline(
-        self, bucket_seconds: float = 3600.0
-    ) -> List[Tuple[float, int]]:
-        """Histogram of first-detection times (blocking-wave visibility)."""
-        buckets: Counter = Counter()
-        for entry in self.server.all_entries():
-            buckets[int(entry.first_measured_at // bucket_seconds)] += 1
-        return [
-            (bucket * bucket_seconds, count)
-            for bucket, count in sorted(buckets.items())
-        ]
-
-    def stale_entries(self, now: float, older_than: float) -> List[GlobalEntry]:
-        """Entries nobody has re-confirmed lately — whitelisting suspects
-        (Blocked→Unblocked churn that deserves a re-measure)."""
-        return [
-            e
-            for e in self.server.all_entries()
-            if now - e.measured_at > older_than
-        ]

@@ -332,9 +332,6 @@ class ServerDB:
             self.voting.set_client_plane(uuid, plane)
         return uuid
 
-    def is_registered(self, uuid: str) -> bool:
-        return uuid in self._clients
-
     @property
     def client_count(self) -> int:
         return len(self._clients)
@@ -784,10 +781,6 @@ class ServerDB:
     def stats_for(self, url: str, asn: int) -> VoteStats:
         return self.voting.stats(normalize_url(url), asn)
 
-    def plane_stats_for(self, url: str, asn: int) -> Dict[str, VoteStats]:
-        """Per-plane provenance breakdown of one entry's vote statistics."""
-        return self.voting.plane_stats(normalize_url(url), asn)
-
     def entry(self, url: str, asn: int) -> Optional[GlobalEntry]:
         shard = self._shards.get(asn)
         if shard is None:
@@ -804,10 +797,6 @@ class ServerDB:
     @property
     def entry_count(self) -> int:
         return sum(len(shard.entries) for shard in self._shards.values())
-
-    def shard_sizes(self) -> Dict[int, int]:
-        """Per-AS row counts (capacity-planning view for the operators)."""
-        return {asn: len(shard.entries) for asn, shard in self._shards.items()}
 
     def revoke(self, uuid: str) -> None:
         """Revoke a malicious client: drop identity and vote influence.

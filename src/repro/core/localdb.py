@@ -230,18 +230,6 @@ class LocalDatabase:
             self._track(record.url, record)
         return len(self._records)
 
-    def expire_records(self, now: Optional[float] = None) -> int:
-        """Purge expired records; returns how many were dropped."""
-        when = self._clock() if now is None else now
-        stale = [
-            key
-            for key, record in self._records.items()
-            if record.is_expired(when, self.ttl)
-        ]
-        for key in stale:
-            self._drop(key)
-        return len(stale)
-
     def _drop(self, key: str) -> None:
         self._records.pop(key, None)
         self._index.remove(key)

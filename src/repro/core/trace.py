@@ -256,17 +256,6 @@ class SessionTrace:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def stage_sequence(self) -> List[str]:
-        """Stages in the order they were entered (``begin`` events)."""
-        return [e.stage for e in self.events if e.kind == "begin"]
-
-    def evidence_types(self) -> List[BlockType]:
-        """Blocking evidence in emission order."""
-        return [
-            e.block_type for e in self.events
-            if e.kind == "evidence" and e.block_type is not None
-        ]
-
     def stage_durations(self) -> Dict[str, float]:
         """Time spent per stage, insertion-ordered by first completion.
 

@@ -403,20 +403,6 @@ class VotingLedger:
             return VoteStats(votes=0.0, reporters=0)
         return VoteStats(votes=_hist_votes(hist), reporters=sum(hist.values()))
 
-    def stats_for_plane(self, url: str, asn: int, plane: str) -> VoteStats:
-        """s/n restricted to reporters of one measurement plane."""
-        key = (url, asn)
-        plane_hists = self._plane_histograms()
-        if plane_hists is None:
-            # Every reporter is on the default plane.
-            if plane == DEFAULT_PLANE:
-                return self.stats(url, asn)
-            return VoteStats(votes=0.0, reporters=0)
-        hist = plane_hists.get(key, {}).get(plane)
-        if not hist:
-            return VoteStats(votes=0.0, reporters=0)
-        return VoteStats(votes=_hist_votes(hist), reporters=sum(hist.values()))
-
     def plane_stats(self, url: str, asn: int) -> Dict[str, VoteStats]:
         """Per-plane s/n for one key — the provenance breakdown."""
         key = (url, asn)

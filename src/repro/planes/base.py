@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..core.globaldb import ReportItem, ServerDB
 from ..core.voting import DEFAULT_PLANE
@@ -165,18 +165,3 @@ class MeasurementPlane(ABC):
             )
             for record in records
         ]
-
-    # -- voting ----------------------------------------------------------------
-
-    @staticmethod
-    def vote_weights(
-        planes: Sequence["MeasurementPlane"],
-    ) -> Optional[Dict[str, float]]:
-        """The per-plane weight map a confidence-criterion consumer
-        should apply for this mix; None for the uniform single-plane
-        degenerate case (exactly today's unweighted criterion)."""
-        if len(planes) <= 1 and all(
-            plane.profile.fidelity >= 1.0 for plane in planes
-        ):
-            return None
-        return {plane.profile.name: plane.profile.fidelity for plane in planes}

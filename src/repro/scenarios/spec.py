@@ -526,18 +526,6 @@ class ExpectSpec:
     reputation: Optional[ReputationExpect] = None
     planes: Tuple[PlaneExpect, ...] = field(default=(), metadata={"key": "plane"})
 
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.verdicts
-            or self.classifications
-            or self.detections
-            or self.min_observations
-            or self.fleet
-            or self.reputation
-            or self.planes
-        )
-
 
 # -- the scenario itself -------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Simulated-network substrate: event kernel, topology, and protocol stack."""
 
-from .engine import AllOf, AnyOf, Environment, Event, Interrupt, Process, Timeout
+from .engine import AllOf, AnyOf, Environment, Event, Process, Timeout
 from .flow import ClientLoadTracker, FlowContext
 from .latency import LatencyModel, transfer_time
 from .rng import RngRegistry
@@ -13,7 +13,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Timeout",
     "ClientLoadTracker",

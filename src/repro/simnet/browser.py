@@ -69,10 +69,6 @@ class PageLoadResult:
     def ok(self) -> bool:
         return self.main is not None and self.main.ok
 
-    @property
-    def object_failures(self) -> List["object"]:
-        return [obj for obj in self.objects if obj.failed]
-
     def __repr__(self) -> str:
         return (
             f"PageLoadResult({self.url!r}, plt={self.plt:.3f}s, ok={self.ok}, "

@@ -11,8 +11,10 @@ primitives the C-Saw reproduction needs:
 - :class:`Process` — a running generator; itself an event that triggers when
   the generator returns (its value) or raises (its failure).
 - :class:`AnyOf` / :class:`AllOf` — condition events used for redundant
-  requests ("first response wins") and barrier joins.
-- :meth:`Process.interrupt` — used to cancel the losing redundant request.
+  requests ("first response wins") and barrier joins.  The losing request
+  is not cancelled: ``_unknown_flow`` waits on ``any_of`` and lets the
+  loser run to completion, because Algorithm 1 records the direct path's
+  verdict either way.
 
 Virtual time is a float in seconds.  The kernel is fully deterministic: ties
 in the event queue are broken by insertion order.
@@ -32,11 +34,11 @@ artefact), so it trades a little uniformity for throughput:
   than a bound method avoids both an allocation per wait and a reference
   cycle per process (which kept the cyclic GC busy);
 - queue entries are ``(time, eid, kind, obj)`` 4-tuples.  ``kind`` lets
-  process kick-starts and interrupt deliveries ride the queue *without*
-  allocating a carrier :class:`Event` each;
+  process kick-starts ride the queue *without* allocating a carrier
+  :class:`Event` each;
 - the queue is split three ways.  Entries scheduled *at the current time*
-  (process starts, completions, ``succeed``/``fail``, interrupts,
-  zero-delay timeouts) go on a plain ``deque``: virtual time never moves
+  (process starts, completions, ``succeed``/``fail``, zero-delay
+  timeouts) go on a plain ``deque``: virtual time never moves
   backwards, so append order on that lane *is* ``(time, eid)`` order and
   the O(log n) heap is bypassed entirely.  Future entries (positive-delay
   timeouts) go through a one-entry ``_pending`` buffer so the common
@@ -54,8 +56,8 @@ artefact), so it trades a little uniformity for throughput:
   ``_resume`` call frame), and running until an event shares the same
   loop via a cheap per-iteration check.  :meth:`Process._resume`
   implements the same resume as a standalone method for the cold paths
-  (already-processed events, multi-waiter lists, interrupts) and must
-  stay in sync with the inline one;
+  (already-processed events, multi-waiter lists) and must stay in sync
+  with the inline one;
 - the cyclic garbage collector is paused for the duration of
   :meth:`Environment.run` (and restored after).  Kernel objects are
   acyclic by construction, so reference counting reclaims them promptly
@@ -81,7 +83,6 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
 ]
 
@@ -90,24 +91,12 @@ class SimulationError(Exception):
     """Raised for kernel misuse (e.g. running a finished environment)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    The interrupting party supplies ``cause``, available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Sentinel for Event state.
 _PENDING = object()
 
 # Queue-entry kinds (see Environment._imm / _queue).
 _KIND_EVENT = 0  # obj is a triggered Event whose waiters must run
 _KIND_START = 1  # obj is a Process to kick-start
-_KIND_INTERRUPT = 2  # obj is (process, Interrupt) to deliver
 
 
 class Event:
@@ -197,19 +186,6 @@ class _InitEvent(Event):
 _INIT = _InitEvent()
 
 
-class _Failure(Event):
-    """Carrier delivering an exception into a process (interrupts)."""
-
-    __slots__ = ()
-
-    def __init__(self, exc: BaseException):
-        self.env = None
-        self._waiters = None
-        self._value = exc
-        self._ok = False
-        self._defused = True
-
-
 class Timeout(Event):
     """Event that triggers ``delay`` seconds of virtual time in the future."""
 
@@ -259,7 +235,7 @@ class Process(Event):
     it.
     """
 
-    __slots__ = ("_generator", "_send", "_target")
+    __slots__ = ("_generator", "_send")
 
     def __init__(self, env: "Environment", generator: Generator):
         try:
@@ -275,44 +251,11 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self._send = send
-        self._target: Optional[Event] = None
         # Kick-start on the next loop iteration (no carrier event needed).
         env._eid = eid = env._eid + 1
         env._imm.append((env._now, eid, _KIND_START, self))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is a no-op, and a process that
-        finishes between the call and the delivery (same timestep) ignores
-        the delivery; either way nothing persists in the event queue.
-        """
-        if self._value is not _PENDING:
-            return  # Interrupting a finished process is a no-op.
-        env = self.env
-        env._eid = eid = env._eid + 1
-        env._imm.append(
-            (env._now, eid, _KIND_INTERRUPT, (self, Interrupt(cause)))
-        )
-
     # -- internal ---------------------------------------------------------
-
-    def _deliver_interrupt(self, exc: Interrupt) -> None:
-        if self._value is not _PENDING:
-            return  # Process finished before the interrupt was delivered.
-        target = self._target
-        if target is not None:
-            # Detach from the event we were waiting on so its eventual
-            # trigger does not double-resume us.
-            waiters = target._waiters
-            if waiters is self:
-                target._waiters = False
-            elif type(waiters) is list:
-                try:
-                    waiters.remove(self)
-                except ValueError:
-                    pass
-        self._resume(_Failure(exc))
 
     def _resume(self, event: Event) -> None:
         # Cold-path twin of the inline resume in Environment.run — keep
@@ -334,7 +277,6 @@ class Process(Event):
                     ) from None
                 if other_env is not env:
                     raise SimulationError("yielded event from another environment")
-                self._target = next_event
                 if waiters is False:
                     next_event._waiters = self
                     return
@@ -347,14 +289,12 @@ class Process(Event):
                 # Event already processed: loop again immediately.
                 event = next_event
         except StopIteration as stop:
-            self._target = None
             if self._value is _PENDING:
                 self._ok = True
                 self._value = stop.value
                 env._eid = eid = env._eid + 1
                 env._imm.append((env._now, eid, _KIND_EVENT, self))
         except BaseException as exc:
-            self._target = None
             if self._value is _PENDING:
                 self._ok = False
                 self._value = exc
@@ -502,7 +442,6 @@ class Environment:
         p._defused = False
         p._generator = generator
         p._send = send
-        p._target = None
         self._eid = eid = self._eid + 1
         self._imm.append((self._now, eid, _KIND_START, p))
         return p
@@ -585,12 +524,6 @@ class Environment:
                 self._now = when
                 # -- dispatch ----------------------------------------------
                 if kind:
-                    if kind == 2:  # _KIND_INTERRUPT
-                        process, exc = obj
-                        process._deliver_interrupt(exc)
-                        if until is not None and until._waiters is None:
-                            break
-                        continue
                     # _KIND_START: treat as resuming the process with the
                     # _INIT carrier through the fused resume below.
                     waiters = obj
@@ -614,14 +547,12 @@ class Environment:
                             obj._defused = True
                             next_event = p._generator.throw(obj._value)
                     except StopIteration as stop:
-                        p._target = None
                         if p._value is _PENDING:
                             p._ok = True
                             p._value = stop.value
                             self._eid = eid = self._eid + 1
                             imm_append((when, eid, 0, p))
                     except BaseException as exc:
-                        p._target = None
                         if p._value is _PENDING:
                             p._ok = False
                             p._value = exc
@@ -632,7 +563,6 @@ class Environment:
                             w2 = next_event._waiters
                             nenv = next_event.env
                         except AttributeError:
-                            p._target = None
                             p._ok = False
                             p._value = SimulationError(
                                 f"process yielded a non-event: {next_event!r}"
@@ -641,7 +571,6 @@ class Environment:
                             imm_append((when, eid, 0, p))
                         else:
                             if nenv is not self:
-                                p._target = None
                                 p._ok = False
                                 p._value = SimulationError(
                                     "yielded event from another environment"
@@ -650,16 +579,13 @@ class Environment:
                                 imm_append((when, eid, 0, p))
                             elif w2 is False:
                                 next_event._waiters = p
-                                p._target = next_event
                             elif w2 is None:
                                 # Already-processed event: re-resume (rare).
                                 p._resume(next_event)
                             elif type(w2) is list:
                                 w2.append(p)
-                                p._target = next_event
                             else:
                                 next_event._waiters = [w2, p]
-                                p._target = next_event
                 elif type(waiters) is list:
                     for waiter in waiters:
                         if type(waiter) is Process:

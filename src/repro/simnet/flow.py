@@ -101,16 +101,6 @@ class FlowContext:
             load=load or ClientLoadTracker(),
         )
 
-    def with_isp(self, isp: AutonomousSystem) -> "FlowContext":
-        """Same client/flow state, pinned to a specific provider."""
-        return FlowContext(
-            client=self.client,
-            access=self.access,
-            isp=isp,
-            rng=self.rng,
-            load=self.load,
-        )
-
     @property
     def middlebox(self):
         """The censor middlebox on this flow's path (or None)."""

@@ -60,14 +60,6 @@ class LatencyModel:
         """Whether a given round experiences loss."""
         return self.loss > 0 and rng.random() < self.loss
 
-    def combine(self, other: "LatencyModel") -> "LatencyModel":
-        """Concatenate two path segments (RTTs add, loss composes)."""
-        return LatencyModel(
-            base_rtt=self.base_rtt + other.base_rtt,
-            jitter_sigma=math.hypot(self.jitter_sigma, other.jitter_sigma),
-            loss=1.0 - (1.0 - self.loss) * (1.0 - other.loss),
-        )
-
 
 def slow_start_rounds(size_bytes: int, init_cwnd: int = INIT_CWND_BYTES) -> int:
     """Number of additional round trips TCP slow start needs for a payload.

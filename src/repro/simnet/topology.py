@@ -207,9 +207,6 @@ class Network:
     def host_for_ip(self, ip: str) -> Optional[Host]:
         return self.hosts_by_ip.get(ip)
 
-    def host_for_name(self, name: str) -> Optional[Host]:
-        return self.hosts_by_name.get(name)
-
     # -- latency oracle -----------------------------------------------------
 
     def geo_rtt(self, loc_a: str, loc_b: str) -> float:

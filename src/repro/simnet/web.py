@@ -175,11 +175,6 @@ class Web:
             return candidates[0]
         return None
 
-    def page_for(self, server: Host, host_header: str, path: str) -> Optional[WebPage]:
-        """What ``server`` returns for ``Host: host_header`` + ``path``."""
-        site = self.site_serving(server, host_header)
-        return site.page(path) if site is not None else None
-
     def sites_on_ip(self, ip: str) -> List[Site]:
         return list(self._sites_by_ip.get(ip, []))
 

@@ -61,9 +61,6 @@ class ParsedUrl:
             port = _DEFAULT_PORTS[scheme]
         return replace(self, scheme=scheme, port=port)
 
-    def with_host(self, host: str) -> "ParsedUrl":
-        return replace(self, host=host.lower())
-
     def __str__(self) -> str:
         return self.url
 

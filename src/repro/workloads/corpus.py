@@ -75,9 +75,6 @@ class Corpus:
             1.0 / (site.rank ** self.zipf_exponent) for site in self.sites
         ))
 
-    def sites_in_category(self, category: str) -> List[SiteSpec]:
-        return [s for s in self.sites if s.category == category]
-
     def domains_in_categories(self, categories: Sequence[str]) -> List[str]:
         wanted = set(categories)
         return [s.hostname for s in self.sites if s.category in wanted]

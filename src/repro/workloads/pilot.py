@@ -111,7 +111,7 @@ class PilotReport:
     sync_rows_received: int = 0
     # Where page-load time went, summed over every client's finished
     # sessions (stage → sim-seconds).  Kept out of :meth:`rows` so the
-    # Table-7 tuple shape stays stable; rendered by :meth:`plt_rows`.
+    # Table-7 tuple shape stays stable.
     plt_stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def rows(self) -> List[Tuple[str, int]]:
@@ -129,21 +129,6 @@ class PilotReport:
             ("Full blocked-list syncs served", self.full_syncs),
             ("Delta blocked-list syncs served", self.delta_syncs),
             ("Sync rows transferred", self.sync_rows_received),
-        ]
-
-    def plt_rows(self) -> List[Tuple[str, float, float]]:
-        """Per-stage PLT decomposition: (stage, seconds, share-of-total).
-
-        Sorted by descending time (ties by stage name) — the paper-§6
-        "where does page-load time go" view over the whole deployment.
-        """
-        total = sum(self.plt_stage_seconds.values())
-        return [
-            (stage, seconds, seconds / total if total > 0 else 0.0)
-            for stage, seconds in sorted(
-                self.plt_stage_seconds.items(),
-                key=lambda item: (-item[1], item[0]),
-            )
         ]
 
 

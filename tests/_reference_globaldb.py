@@ -16,8 +16,9 @@ The production paths must match these bit for bit; only the tests and
 - :func:`recompute_stats` and :func:`recompute_plane_stats` rebuild a
   key's d-histogram from its reporters, the clients whose vouch sets
   hold it (:func:`reporters_of`); the ledger's incremental ``stats``
-  and ``stats_for_plane`` must equal them exactly.  They read only the
-  vouch sets, the ledger's primary state.
+  and one plane's entry of ``plane_stats`` (:func:`plane_stats_of`)
+  must equal them exactly.  They read only the vouch sets, the
+  ledger's primary state.
 """
 
 from __future__ import annotations
@@ -226,10 +227,18 @@ def recompute_stats(ledger: VotingLedger, url: str, asn: int) -> VoteStats:
     return _tally(ledger, reporters_of(ledger, url, asn))
 
 
+def plane_stats_of(
+    ledger: VotingLedger, url: str, asn: int, plane: str
+) -> VoteStats:
+    """The ledger's incremental s/n over ``plane``'s reporters of a key,
+    read from ``plane_stats`` (zero when the plane has none)."""
+    return ledger.plane_stats(url, asn).get(plane, VoteStats(0.0, 0))
+
+
 def recompute_plane_stats(
     ledger: VotingLedger, url: str, asn: int, plane: str
 ) -> VoteStats:
-    """``ledger.stats_for_plane`` from scratch: the key's reporters on
+    """:func:`plane_stats_of` from scratch: the key's reporters on
     ``plane`` only."""
     return _tally(
         ledger,

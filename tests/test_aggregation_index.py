@@ -59,14 +59,16 @@ def test_empty_index_lookups():
     index = UrlPrefixIndex()
     assert len(index) == 0
     assert index.longest_prefix("http://site.example/a") is None
-    assert index.exact("http://site.example/a") is None
     assert index.keys_for_origin("http://site.example/a") == []
 
 
 def test_exact_vs_prefix_and_origin_isolation():
     index = UrlPrefixIndex()
     index.add("http://a.example/p")
-    assert index.exact("http://a.example/p") == "http://a.example/p"
-    assert index.exact("http://a.example/p/q") is None
+    # The stored key answers for itself and, as a prefix, for a deeper
+    # path; the deeper path is not a key of its own.
+    assert index.longest_prefix("http://a.example/p") == "http://a.example/p"
+    assert index.longest_prefix("http://a.example/p/q") == "http://a.example/p"
+    assert index.keys_for_origin("http://a.example/p/q") == ["http://a.example/p"]
     # Same path under another origin must not leak across buckets.
     assert index.longest_prefix("http://b.example/p/q") is None

@@ -65,19 +65,6 @@ class TestAnalytics:
         # baz.com only ever appears with one mechanism.
         assert "baz.com" not in varied
 
-    def test_detection_timeline(self):
-        analytics = MeasurementAnalytics(seeded_server())
-        timeline = analytics.detection_timeline(bucket_seconds=60.0)
-        # Six posts but one is a re-report of an existing (URL, AS) entry.
-        assert timeline == [(0.0, 5)]
-
-    def test_stale_entries(self):
-        server = seeded_server()
-        analytics = MeasurementAnalytics(server)
-        assert analytics.stale_entries(now=20.0, older_than=100.0) == []
-        stale = analytics.stale_entries(now=500.0, older_than=100.0)
-        assert len(stale) == len(server.all_entries())
-
     def test_evicted_entry_reporters_not_counted(self):
         """A TTL-evicted entry's reporter counts for nothing, though its
         vouch still stands in the ledger."""

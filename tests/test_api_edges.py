@@ -11,12 +11,6 @@ from repro.urlkit import parse_url
 
 
 class TestParsedUrlHelpers:
-    def test_with_host(self):
-        parsed = parse_url("https://old.example/path").with_host("NEW.example")
-        assert parsed.host == "new.example"
-        assert parsed.path == "/path"
-        assert parsed.scheme == "https"
-
     def test_str_is_url(self):
         assert str(parse_url("http://a.example/x")) == "http://a.example/x"
 

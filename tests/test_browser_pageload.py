@@ -98,7 +98,8 @@ class TestLoadPage:
             load_page(world.env, fetcher, "http://rich.example/")
         )
         assert result.ok
-        assert len(result.object_failures) == 8
+        assert len(result.objects) == 8
+        assert all(obj.failed for obj in result.objects)
         policy.remove_rules("")  # clean up the anonymous rule
 
     def test_parallelism_cap_slows_load(self, scenario):

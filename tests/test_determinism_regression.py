@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.censor.fingerprint import FingerprintAnalyzer
-from repro.core.globaldb import ReportItem, ServerDB
+from repro.core.globaldb import RegistrationError, ReportItem, ServerDB
 from repro.core.records import BlockType
 from repro.core.reputation import ReputationAnalyzer
 
@@ -239,7 +239,9 @@ class TestOrderedAccumulators:
             min_volume=1, max_corroboration=2.0
         )
         assert revoked == set(uuids)
-        assert all(not server.is_registered(u) for u in uuids)
+        for uuid in uuids:
+            with pytest.raises(RegistrationError):
+                server.post_update(uuid, [], now=10.0)
 
     def test_fingerprint_classify_preserves_flow_order(self):
         ips = [f"10.0.0.{i}" for i in (7, 3, 9, 1, 5)]

@@ -14,10 +14,10 @@ from repro.simnet.engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
+from repro.simnet.simtime import time_eq
 
 
 def test_timeout_advances_clock():
@@ -174,48 +174,6 @@ def test_any_of_empty_triggers_immediately():
     assert env.run(until=env.process(proc())) == {}
 
 
-def test_interrupt_cancels_wait():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-            log.append(("finished", env.now))
-        except Interrupt as exc:
-            log.append((f"interrupted:{exc.cause}", env.now))
-            return "cancelled"
-
-    def canceller(victim):
-        yield env.timeout(2)
-        victim.interrupt("lost-race")
-
-    victim = env.process(sleeper())
-    env.process(canceller(victim))
-    env.run()
-    # The interrupt was delivered at t=2; the stale timeout still drains the
-    # queue at t=100 but nobody is woken by it.
-    assert log == [("interrupted:lost-race", 2)]
-    assert victim.value == "cancelled"
-
-
-def test_interrupt_finished_process_is_noop():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-        return "done"
-
-    def canceller(victim):
-        yield env.timeout(5)
-        victim.interrupt("too-late")
-
-    victim = env.process(quick())
-    env.process(canceller(victim))
-    env.run()
-    assert victim.value == "done"
-
-
 def test_run_until_time():
     env = Environment()
     ticks = []
@@ -263,11 +221,16 @@ def test_nested_any_of_with_processes():
         b = env.process(worker(7, "b"))
         result = yield env.any_of([a, b])
         winner = list(result.values())[0]
-        # The loser is still running; cancel it.
-        b.interrupt("lost")
-        return winner
+        return winner, env.now, b
 
-    assert env.run(until=env.process(racer())) == "a"
+    winner, won_at, loser = env.run(until=env.process(racer()))
+    assert (winner, won_at) == ("a", 3)
+    # Nothing cancels the loser (Algorithm 1 measures the direct path
+    # either way): it is still running, and finishes on its own.
+    assert not loser.triggered
+    env.run()
+    assert loser.value == "b"
+    assert time_eq(env.now, 7)
 
 
 def test_drained_queue_with_pending_event_errors():

@@ -6,9 +6,9 @@ from repro.simnet.engine import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     SimulationError,
 )
+from repro.simnet.simtime import time_eq
 
 
 class TestEventFailure:
@@ -52,6 +52,7 @@ class TestEventFailure:
 
         def slow():
             yield env.timeout(10)
+            return "slow-done"
 
         def racer():
             a = env.process(failing())
@@ -59,10 +60,14 @@ class TestEventFailure:
             try:
                 yield env.any_of([a, b])
             except KeyError:
-                b.interrupt()
-                return "condition-failed"
+                return "condition-failed", env.now, b
 
-        assert env.run(until=env.process(racer())) == "condition-failed"
+        outcome, failed_at, loser = env.run(until=env.process(racer()))
+        assert (outcome, failed_at) == ("condition-failed", 1)
+        # The failed condition does not stop the other child.
+        env.run()
+        assert loser.value == "slow-done"
+        assert time_eq(env.now, 10)
 
     def test_all_of_fails_fast_on_child_failure(self):
         env = Environment()
@@ -85,59 +90,6 @@ class TestEventFailure:
 
         # The barrier fails at t=1, not t=50.
         assert env.run(until=env.process(joiner())) == 1
-
-
-class TestInterruptEdges:
-    def test_interrupt_before_first_yield_is_delivered(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(10)
-            except Interrupt:
-                log.append("interrupted")
-
-        proc = env.process(sleeper())
-        proc.interrupt("immediately")
-        env.run()
-        assert log == ["interrupted"]
-
-    def test_double_interrupt_is_safe(self):
-        env = Environment()
-
-        def sleeper():
-            try:
-                yield env.timeout(10)
-            except Interrupt:
-                return "once"
-
-        proc = env.process(sleeper())
-        proc.interrupt()
-        proc.interrupt()
-        env.run()
-        assert proc.value == "once"
-
-    def test_interrupted_process_can_keep_working(self):
-        env = Environment()
-
-        def resilient():
-            total = 0.0
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(5)  # continues after the interrupt
-            return env.now
-
-        def canceller(victim):
-            yield env.timeout(2)
-            victim.interrupt()
-
-        proc = env.process(resilient())
-        env.process(canceller(proc))
-        env.run()
-        assert proc.value == pytest.approx(7)
 
 
 class TestEnvironmentEdges:

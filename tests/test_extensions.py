@@ -19,6 +19,7 @@ from repro.core import (
     BlockType,
     CSawClient,
     CSawConfig,
+    RegistrationError,
     ReportItem,
     ReputationAnalyzer,
     ServerDB,
@@ -445,7 +446,8 @@ class TestReputation:
         )
         revoked = ReputationAnalyzer(server).enforce()
         assert revoked == {evil}
-        assert not server.is_registered(evil)
+        with pytest.raises(RegistrationError):
+            server.post_update(evil, [], now=52.0)
         assert server.stats_for(fakes[0], 1).reporters == 0
 
     def test_corroboration_counts_keys_with_a_second_reporter(self):

@@ -38,13 +38,6 @@ class TestLatencyModel:
         hot_samples = sorted(congested.sample_rtt(rng_b) for _ in range(2000))
         assert hot_samples[-20] > calm_samples[-20]
 
-    def test_combine_adds_rtts_and_composes_loss(self):
-        a = LatencyModel(base_rtt=0.1, loss=0.1)
-        b = LatencyModel(base_rtt=0.2, loss=0.1)
-        combined = a.combine(b)
-        assert combined.base_rtt == pytest.approx(0.3)
-        assert combined.loss == pytest.approx(1 - 0.9 * 0.9)
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             LatencyModel(base_rtt=-1)
@@ -118,7 +111,7 @@ class TestNetwork:
         isp = net.add_as(17557, "PTCL", "pakistan")
         host = net.add_host("client-1", "pakistan", asn=17557)
         assert net.host_for_ip(host.ip) is host
-        assert net.host_for_name("client-1") is host
+        assert net.hosts_by_name["client-1"] is host
         assert net.ases[17557] is isp
 
     def test_duplicate_rejected(self):

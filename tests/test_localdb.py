@@ -156,13 +156,14 @@ class TestLocalDatabase:
         assert db.lookup("http://foo.com/")[0] is BlockStatus.NOT_MEASURED
         assert db.record_count == 0  # expired record dropped on lookup
 
-    def test_expire_records_sweep(self, db, clock):
+    def test_lookup_expires_only_stale_records(self, db, clock):
         db.record_measurement("http://a.com/", BlockStatus.NOT_BLOCKED, [])
         clock.now = 60.0
         db.record_measurement("http://b.com/", BlockStatus.NOT_BLOCKED, [])
         clock.now = 130.0
-        assert db.expire_records() == 1  # only a.com expired
-        assert db.record_count == 1
+        assert db.lookup("http://a.com/")[0] is BlockStatus.NOT_MEASURED
+        assert db.lookup("http://b.com/")[0] is BlockStatus.NOT_BLOCKED
+        assert db.record_count == 1  # only a.com expired
 
     def test_status_change_replaces_record(self, db):
         db.record_measurement(
@@ -293,7 +294,7 @@ class TestDirtyKeySets:
             "http://a.com/", BlockStatus.BLOCKED, [BlockType.BLOCK_PAGE]
         )
         clock.now = 150.0
-        db.expire_records()
+        db.lookup("http://a.com/")  # drops the expired record
         assert db.blocked_records() == []
         assert db.pending_reports() == []
 
@@ -343,7 +344,7 @@ class TestDirtyKeySets:
                 db.record_measurement(url, BlockStatus.NOT_BLOCKED, [])
             else:
                 clock.now += 40.0
-                db.expire_records()
+                db.lookup(url)  # drops the record if it has expired
             assert {
                 r.url for r in db.pending_reports()
             } == self.naive_pending(db)

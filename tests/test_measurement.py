@@ -9,6 +9,7 @@ from repro.core import (
     CSawConfig,
     ServerDB,
 )
+from repro.simnet.simtime import time_eq
 from repro.workloads.scenarios import pakistan_case_study
 
 
@@ -101,6 +102,39 @@ class TestUnknownUrlFlow:
         assert p.ok and s.ok
         # Serial pays detection time + circumvention time in sequence.
         assert s.plt > p.plt
+
+    def test_relay_serves_before_the_direct_verdict(self, scenario):
+        """Parallel mode on an IP-blocked URL: the relay's copy is served
+        while the direct path is still timing out (about 21 s, Table 5).
+        Nothing cancels the losing direct request, because Algorithm 1
+        records its verdict either way."""
+        env = scenario.world.env
+        client = make_client(
+            scenario, scenario.isp_a, "m7",
+            config=CSawConfig(redundancy_mode="parallel"),
+            include=["lantern"],
+        )
+        url = scenario.urls["table5/tcp-ip"]
+
+        def proc():
+            start = env.now
+            response = yield from client.request(url)
+            served = (env.now - start, client.local_db.lookup(url)[0])
+            yield response.measurement_process
+            return response, served, env.now - start
+
+        response, served, measured_after = scenario.world.run_process(proc())
+        served_after, status_when_served = served
+        assert response.ok
+        assert response.path == "lantern"
+        assert status_when_served is BlockStatus.NOT_MEASURED
+        # Served seconds before the direct path's timeout verdict.
+        assert served_after < 10.0
+        assert measured_after > 20.0
+        status, record = client.local_db.lookup(url)
+        assert status is BlockStatus.BLOCKED
+        assert record.stages == [BlockType.IP_TIMEOUT]
+        assert time_eq(record.measured_at, env.now)
 
     def test_record_written_once_measured(self, scenario):
         client = make_client(scenario, scenario.isp_a, "m6")

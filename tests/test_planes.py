@@ -23,7 +23,11 @@ from hypothesis import strategies as st
 
 from tests._golden import capture_planes, check, freeze, golden_storm
 from tests._reference_fleet import run_reference_storm
-from tests._reference_globaldb import recompute_plane_stats, recompute_stats
+from tests._reference_globaldb import (
+    plane_stats_of,
+    recompute_plane_stats,
+    recompute_stats,
+)
 from repro.core.fleet import WAVE_STAGES, ClientCohort, run_fleet_storm
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
@@ -137,13 +141,6 @@ class TestPlaneAbstraction:
         items = plane.wave_items(urls, asn=1, onset=10.0, rng=random.Random(9))
         assert 0 < len(items) < len(urls)
         assert all(item.plane == "problist" for item in items)
-
-    def test_vote_weights_degenerate_for_single_full_fidelity_plane(self):
-        only_csaw = [CSawBrowserPlane(fraction=0.01)]
-        assert CSawBrowserPlane.vote_weights(only_csaw) is None
-        mix = [CSawBrowserPlane(fraction=0.01), EncoreProbePlane(fraction=0.1)]
-        weights = CSawBrowserPlane.vote_weights(mix)
-        assert weights == {"csaw": 1.0, "encore": 0.5}
 
 
 class TestSybilPlanes:
@@ -277,7 +274,7 @@ class TestMixedPlaneStorm:
         assert set(server.clients_by_plane) == {"csaw", "encore", "problist"}
         assert set(server.reports_by_plane) == {"csaw", "encore", "problist"}
         entry = next(iter(server.all_entries()))
-        by_plane = server.plane_stats_for(entry.url, entry.asn)
+        by_plane = server.voting.plane_stats(entry.url, entry.asn)
         assert by_plane  # provenance survives into the voting ledger
         aggregate = server.stats_for(entry.url, entry.asn)
         assert sum(s.reporters for s in by_plane.values()) == aggregate.reporters
@@ -319,18 +316,18 @@ class TestPerPlaneVoting:
         ledger = VotingLedger()
         ledger.set_client_reports("c1", [("http://a.com/", 1)])
         assert ledger.plane_of("c1") == DEFAULT_PLANE
-        assert ledger.stats_for_plane("http://a.com/", 1, DEFAULT_PLANE) == (
+        assert plane_stats_of(ledger, "http://a.com/", 1, DEFAULT_PLANE) == (
             ledger.stats("http://a.com/", 1)
         )
-        assert ledger.stats_for_plane("http://a.com/", 1, "encore").reporters == 0
+        assert plane_stats_of(ledger, "http://a.com/", 1, "encore").reporters == 0
         assert ledger.plane_stats("http://a.com/", 1) == {
             DEFAULT_PLANE: ledger.stats("http://a.com/", 1)
         }
 
     def test_activation_rebuilds_then_partitions(self):
         ledger = self.seeded_ledger()
-        csaw = ledger.stats_for_plane("http://a.com/", 1, DEFAULT_PLANE)
-        encore = ledger.stats_for_plane("http://a.com/", 1, "encore")
+        csaw = plane_stats_of(ledger, "http://a.com/", 1, DEFAULT_PLANE)
+        encore = plane_stats_of(ledger, "http://a.com/", 1, "encore")
         assert csaw.reporters == 2 and encore.reporters == 1
         assert csaw.votes == pytest.approx(0.5 + 1.0)
         assert encore.votes == pytest.approx(0.5)
@@ -358,18 +355,18 @@ class TestPerPlaneVoting:
     def test_revoke_clears_plane_assignment(self):
         ledger = self.seeded_ledger()
         ledger.revoke_client("e1")
-        assert ledger.stats_for_plane("http://a.com/", 1, "encore").reporters == 0
+        assert plane_stats_of(ledger, "http://a.com/", 1, "encore").reporters == 0
         assert ledger.plane_of("e1") == DEFAULT_PLANE
         assert ledger.stats("http://a.com/", 1).reporters == 2
 
     def test_reassignment_rebuckets_existing_reports(self):
         ledger = self.seeded_ledger()
         ledger.set_client_plane("c2", "problist")
-        assert ledger.stats_for_plane("http://a.com/", 1, "problist").reporters == 1
-        assert ledger.stats_for_plane("http://a.com/", 1, DEFAULT_PLANE).reporters == 1
+        assert plane_stats_of(ledger, "http://a.com/", 1, "problist").reporters == 1
+        assert plane_stats_of(ledger, "http://a.com/", 1, DEFAULT_PLANE).reporters == 1
         ledger.set_client_plane("c2", DEFAULT_PLANE)
-        assert ledger.stats_for_plane("http://a.com/", 1, "problist").reporters == 0
-        assert ledger.stats_for_plane("http://a.com/", 1, DEFAULT_PLANE).reporters == 2
+        assert plane_stats_of(ledger, "http://a.com/", 1, "problist").reporters == 0
+        assert plane_stats_of(ledger, "http://a.com/", 1, DEFAULT_PLANE).reporters == 2
 
     def test_server_weighted_filter_gates_coarse_only_entries(self):
         server = ServerDB(entry_ttl=None)
@@ -478,7 +475,7 @@ class TestPlaneLedgerProperties:
         self.apply(ledger, ops, with_planes=True)
         for url in URLS:
             for plane in PLANE_NAMES:
-                incremental = ledger.stats_for_plane(url, 1, plane)
+                incremental = plane_stats_of(ledger, url, 1, plane)
                 reference = recompute_plane_stats(ledger, url, 1, plane)
                 assert incremental == reference, (url, plane)
 

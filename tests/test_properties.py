@@ -13,10 +13,9 @@ from repro.core.localdb import LocalDatabase
 from repro.core.records import BlockStatus, BlockType
 from repro.core.voting import VotingLedger
 from repro.simnet.engine import Environment
-from repro.simnet.latency import LatencyModel
 from tests._reference_globaldb import (
-    apply_sync, recompute_plane_stats, recompute_stats, reporters_of,
-    sync_for_as, vouched_keys,
+    apply_sync, plane_stats_of, recompute_plane_stats, recompute_stats,
+    reporters_of, sync_for_as, vouched_keys,
 )
 from tests.test_ledger_sharing import assert_keys_stored_once
 
@@ -105,27 +104,6 @@ class TestEngineProperties:
             return trace
 
         assert run_program() == run_program()
-
-
-class TestLatencyProperties:
-    @given(
-        st.floats(min_value=0.001, max_value=2.0),
-        st.floats(min_value=0.001, max_value=2.0),
-    )
-    def test_combine_adds_rtts_commutatively(self, a, b):
-        m1 = LatencyModel(base_rtt=a)
-        m2 = LatencyModel(base_rtt=b)
-        assert m1.combine(m2).base_rtt == pytest.approx(m2.combine(m1).base_rtt)
-        assert m1.combine(m2).base_rtt == pytest.approx(a + b)
-
-    @given(
-        st.floats(min_value=0.0, max_value=0.5),
-        st.floats(min_value=0.0, max_value=0.5),
-    )
-    def test_combined_loss_in_unit_interval(self, la, lb):
-        combined = LatencyModel(0.1, loss=la).combine(LatencyModel(0.1, loss=lb))
-        assert 0.0 <= combined.loss < 1.0
-        assert combined.loss >= max(la, lb) - 1e-12
 
 
 _paths = st.lists(
@@ -784,7 +762,7 @@ class TestRunBatchedWriteProperties:
         for url, asn in sorted(vouched_keys(ledger)):
             assert ledger.stats(url, asn) == recompute_stats(ledger, url, asn)
             for plane in cls.PLANES:
-                assert ledger.stats_for_plane(url, asn, plane) == \
+                assert plane_stats_of(ledger, url, asn, plane) == \
                     recompute_plane_stats(ledger, url, asn, plane)
 
     @given(

@@ -102,7 +102,8 @@ class TestRegistration:
 
         uuid = scenario.world.run_process(flow())
         assert uuid is not None
-        assert server.is_registered(uuid)
+        # The server accepts (an empty) post from the new UUID.
+        assert server.post_update(uuid, [], now=scenario.world.env.now) == 0
         assert client.reporting.registered
         assert client.global_view.last_synced is not None
 

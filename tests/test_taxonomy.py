@@ -174,8 +174,8 @@ class TestTransitionTable:
         # New session-trace semantics: the same facts, from the bus.
         trace = outcome.trace
         assert trace is not None and len(trace) > 0
-        assert trace.stage_sequence() == sequence
-        evidence = trace.evidence_types()
+        assert [e.stage for e in trace if e.kind == "begin"] == sequence
+        evidence = [e.block_type for e in trace if e.kind == "evidence"]
         for block_type in stages:
             assert block_type in evidence
         stamps = [event.t for event in trace]

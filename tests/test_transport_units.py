@@ -1,5 +1,6 @@
 """Unit tests for transports not covered by the integration suites:
-VPN, static-proxy fleet construction, Hold-On costs, IP-learning."""
+VPN, static-proxy fleet construction, Hold-On costs, where the
+IP-as-hostname fix learns its address."""
 
 import pytest
 
@@ -120,12 +121,15 @@ class TestHoldOnCosts:
 
 
 class TestIpLearning:
-    def test_learned_ip_overrides_authoritative(self, scenario):
+    """The IP-as-hostname fix learns a host's address out of band, from
+    the authoritative record."""
+
+    def test_authoritative_record_gives_the_ip(self, scenario):
+        world = scenario.world
         transport = IpAsHostnameTransport()
-        transport.learn_ip("www.youtube.com", "100.200.200.200")
         assert (
-            transport._ip_for(scenario.world, "www.youtube.com")
-            == "100.200.200.200"
+            transport._ip_for(world, "WWW.YouTube.com")
+            == world.network.authoritative_ips("www.youtube.com")[0]
         )
 
     def test_unknown_host_unavailable(self, scenario):

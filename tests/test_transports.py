@@ -142,11 +142,14 @@ class TestLocalFixes:
         assert result.failure_stage == "tcp"
 
     def test_learned_ip_is_used(self, scenario):
-        transport = IpAsHostnameTransport()
-        transport.learn_ip("unknown-site.example", "100.1.2.3")
-        assert transport.available_for(
-            scenario.world, "http://unknown-site.example/"
-        )
+        # The address is learned out of band, from the authoritative
+        # record, not from a resolution through the censor.
+        world = scenario.world
+        ctx = make_ctx(scenario, scenario.isp_a, "i3")
+        result = fetch(scenario, IpAsHostnameTransport(), ctx, scenario.urls["porn"])
+        assert result.ok
+        assert result.response.server_ip == \
+            world.network.authoritative_ips(PORN_SITE)[0]
 
 
 class TestRelays:

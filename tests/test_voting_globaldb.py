@@ -202,7 +202,8 @@ class TestServerDB:
         uuid = server.register(now=0.0)
         server.post_update(uuid, self.make_reports(["http://a.com/"]), now=1.0)
         server.revoke(uuid)
-        assert not server.is_registered(uuid)
+        with pytest.raises(RegistrationError):
+            server.post_update(uuid, [], now=2.0)
         assert server.stats_for("http://a.com/", 17557).reporters == 0
 
     def test_post_update_normalizes_once_consistently(self):
@@ -261,8 +262,11 @@ class TestServerDB:
         reports += self.make_reports(["http://c.com/"], asn=38193)
         with pytest.raises(RegistrationError):
             server.post_update("nope", reports, now=2.0)
-        assert server.shard_sizes() == {17557: 1}
+        assert [(e.url, e.asn) for e in server.all_entries()] == [
+            ("http://a.com/", 17557)
+        ]
         assert server.version_for_as(17557) == version
+        assert server.version_for_as(38193) == 0
         assert server.update_count == 1
         assert server.voting.client_count() == 1
 

@@ -26,18 +26,18 @@ class TestWebModel:
         b = world.web.add_site("b.example", location="us-east", host=shared)
         world.web.add_page("http://a.example/", size_bytes=1000)
         world.web.add_page("http://b.example/", size_bytes=2000)
-        page_a = world.web.page_for(shared, "a.example", "/")
-        page_b = world.web.page_for(shared, "b.example", "/")
+        page_a = world.web.site_serving(shared, "a.example").page("/")
+        page_b = world.web.site_serving(shared, "b.example").page("/")
         assert page_a.size_bytes == 1000
         assert page_b.size_bytes == 2000
         # Unknown vhost on a multi-site server: no default.
-        assert world.web.page_for(shared, "c.example", "/") is None
+        assert world.web.site_serving(shared, "c.example") is None
 
     def test_default_vhost_on_single_site_server(self, world):
         site = world.web.add_site("solo.example", location="us-east")
         world.web.add_page("http://solo.example/", size_bytes=500)
         # Host header carries an IP (ip-as-hostname): default site answers.
-        page = world.web.page_for(site.host, site.host.ip, "/")
+        page = world.web.site_serving(site.host, site.host.ip).page("/")
         assert page is not None and page.size_bytes == 500
 
     def test_catch_all_site(self, world):
@@ -131,16 +131,6 @@ class TestFlowContext:
         ctx = FlowContext.for_new_flow(client, access, world.rngs.stream("fc"))
         assert ctx.isp is isp
         assert ctx.middlebox is isp.censor
-
-    def test_with_isp_keeps_load(self, world):
-        isp = world.network.ases[100]
-        other = world.network.add_as(101, "other", "pakistan")
-        client, access = world.add_client("fc2", [isp])
-        ctx = FlowContext.for_new_flow(client, access, world.rngs.stream("fc2"))
-        pinned = ctx.with_isp(other)
-        assert pinned.isp is other
-        assert pinned.load is ctx.load
-        assert pinned.client is ctx.client
 
     def test_load_tracker_factor_shape(self):
         tracker = ClientLoadTracker(penalty=0.2, capacity=3, max_factor=2.0)

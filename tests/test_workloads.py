@@ -22,7 +22,7 @@ class TestCorpus:
 
     def test_category_mix_roughly_respected(self):
         corpus = build_corpus(n_sites=400, seed=1)
-        porn = len(corpus.sites_in_category("porn"))
+        porn = len(corpus.domains_in_categories(["porn"]))
         assert 0.04 * 400 <= porn <= 0.2 * 400
 
     def test_zipf_sampling_prefers_top_ranks(self):
