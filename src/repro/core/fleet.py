@@ -4,10 +4,9 @@ The engine, voting, and per-AS shard layers are each fast in isolation;
 this module exercises them *together* at population scale.  A
 :class:`ClientCohort` represents thousands-to-millions of C-Saw clients
 without one ``CSawClient`` object per user.  Each AS's population is
-stored by service rank as a few record arrays (``array`` module typed
-arrays) and a run queue, from which the per-client ``versions``,
-``next_pull_at``, ``rows_received`` and ``bytes_received`` views are
-built when read —
+stored by service rank as one per-client array, a run queue and a
+log, from which the per-client ``versions``, ``next_pull_at``,
+``rows_received`` and ``bytes_received`` views are built when read —
 
 - ``offsets``       each client's pull stagger, rank-sorted at
                     construction; a client's next pull is its offset
@@ -15,8 +14,9 @@ built when read —
 - ``runs``          ``[count, since_version]`` runs of clients in
                     service order from ``pull_ptr`` (−1 = never synced
                     → next pull is a full snapshot);
-- ``rows_diff`` / ``bytes_diff``  difference arrays over ranks of the
-                    per-client delta-sync cost;
+- ``sync_log``      one ``(lo, count, rows, wire)`` record per served
+                    run slice that carried rows: the delta-sync cost of
+                    ``count`` ranks from ``lo``, cyclically;
 - ``pending``       per-reporter count of wave URLs not yet posted;
 - reporter identity arrays (indices + server-issued UUIDs) for the
   active-reporter subset — reputation/voting runs on real identities.
@@ -73,7 +73,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from operator import add
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -153,11 +153,15 @@ class _PlaneGroup:
 
 class CohortAs:
     """One AS's client population: stagger offsets, version runs, and
-    per-client sync cost as difference arrays (DESIGN.md §15)."""
+    per-client sync cost as a log of served run slices (DESIGN.md §15).
+
+    ``offsets`` is its one array with an entry per client; the sync log
+    grows with the run slices served, not with ``n``.
+    """
 
     __slots__ = (
         "asn", "n", "rng", "pull_interval", "offsets", "runs", "pull_ptr",
-        "rows_diff", "bytes_diff", "pulls", "wave_urls", "groups",
+        "sync_log", "pulls", "wave_urls", "groups",
         "target_version", "wave_started_at", "converged_at", "unconverged",
     )
 
@@ -172,18 +176,20 @@ class CohortAs:
         # due order is cyclic from ``pull_ptr``.  Clients are
         # exchangeable aside from the independently-sampled reporter
         # subset, so sorting the offsets relabels clients without
-        # changing any aggregate outcome.
-        self.offsets = array(
-            "d", sorted(rng.uniform(0.0, pull_interval) for _ in range(n))
-        )
+        # changing any aggregate outcome.  ``uniform(0, I)`` is
+        # ``0.0 + I * random()`` and scaling by ``I > 0`` is monotone,
+        # so sorting the unit draws, then scaling, gives the sorted
+        # ``uniform`` draws bit for bit, from the same stream position.
+        draws = list(starmap(rng.random, repeat((), n)))
+        draws.sort()
+        self.offsets = array("d", [x * pull_interval for x in draws])
         # Since-versions as [count, version] runs in service order from
         # pull_ptr, oldest first; -1 = never synced.
         self.runs: Deque[List[int]] = deque([[n, -1]])
         self.pull_ptr = 0
-        # Rows/bytes received per rank, as difference arrays (the extra
-        # slot lets a range that ends at rank n - 1 close without a test).
-        self.rows_diff = array("q", [0]) * (n + 1)
-        self.bytes_diff = array("q", [0]) * (n + 1)
+        # Rows/bytes received, as flat (lo, count, rows, wire) records
+        # of the served run slices that carried rows, in service order.
+        self.sync_log = array("q")
         self.pulls = 0
         # Blocking-wave state (filled by start_wave / reporter posts):
         # one _PlaneGroup per plane in the cohort's mix.
@@ -242,15 +248,26 @@ class CohortAs:
         at[:start] = [x + interval for x in at[:start]]
         return array("d", at)
 
+    def _replay(self, column: int) -> array:
+        """Column ``column`` of the sync log (2 = rows, 3 = wire bytes)
+        summed per rank: the log's slices replayed into a difference
+        array (the extra slot lets a range that ends at rank n - 1
+        close without a test), then accumulated."""
+        n, log = self.n, self.sync_log
+        diff = array("q", [0]) * (n + 1)
+        for lo, count, value in zip(log[0::4], log[1::4], log[column::4]):
+            _add_cyclic(diff, lo, count, n, value)
+        return array("q", accumulate(diff[:-1]))
+
     @property
     def rows_received(self) -> array:
         """Delta-sync rows each client received, by rank."""
-        return array("q", accumulate(self.rows_diff[:-1]))
+        return self._replay(2)
 
     @property
     def bytes_received(self) -> array:
         """Delta-sync bytes each client received, by rank."""
-        return array("q", accumulate(self.bytes_diff[:-1]))
+        return self._replay(3)
 
     # Aggregate views over the plane groups, in mix order — the shape
     # the pre-plane record arrays had (and what the golden fingerprint
@@ -733,6 +750,7 @@ class ClientCohort:
         runs = st.runs
         target = st.target_version
         asn = st.asn
+        sync_log = st.sync_log
         batch_cache: Dict[int, object] = {}
         lo = st.pull_ptr % n
         left = served
@@ -757,8 +775,7 @@ class ClientCohort:
             rows = batch.transferred
             if rows:
                 wire = batch.wire_bytes
-                _add_cyclic(st.rows_diff, lo, count, n, rows)
-                _add_cyclic(st.bytes_diff, lo, count, n, wire)
+                sync_log.extend((lo, count, rows, wire))
                 metrics.sync_rows += rows * count
                 metrics.sync_bytes += wire * count
             else:

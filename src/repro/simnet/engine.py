@@ -232,7 +232,8 @@ class Process(Event):
     The generator yields events; each resumption receives the event's value
     (or has the event's exception thrown in).  Returning from the generator
     succeeds the process with the return value; an uncaught exception fails
-    it.
+    it.  Nothing else may trigger it: :meth:`succeed` and :meth:`fail`
+    raise, as they do on a :class:`Timeout`.
     """
 
     __slots__ = ("_generator", "_send")
@@ -254,6 +255,12 @@ class Process(Event):
         # Kick-start on the next loop iteration (no carrier event needed).
         env._eid = eid = env._eid + 1
         env._imm.append((env._now, eid, _KIND_START, self))
+
+    def succeed(self, value: Any = None) -> "Event":
+        raise SimulationError("a process triggers when its generator ends")
+
+    def fail(self, exception: BaseException) -> "Event":
+        raise SimulationError("a process triggers when its generator ends")
 
     # -- internal ---------------------------------------------------------
 

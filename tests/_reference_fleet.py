@@ -5,9 +5,10 @@ with the original one-client-at-a-time pull loop and report loop.  Its
 shards store the per-client record arrays the pull loop mutates — the
 shard version each client last applied, its next pull deadline, and the
 rows and bytes it received — where the production shard keeps stagger
-offsets, version runs and difference arrays.  Its report loop posts
-each due reporter with its own ``post_update`` call, where production
-hands a shared-list plane's due reporters to one ``post_updates`` call.
+offsets, version runs and a log of served run slices.  Its report loop
+posts each due reporter with its own ``post_update`` call, where
+production hands a shared-list plane's due reporters to one
+``post_updates`` call.
 This is the executable spec the version-run sweep and the grouped posts
 must match bit for bit (``tests/test_properties.py``,
 ``TestGroupedSweepProperties``, and the ``"spec"`` entry of

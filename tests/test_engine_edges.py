@@ -92,6 +92,35 @@ class TestEventFailure:
         assert env.run(until=env.process(joiner())) == 1
 
 
+class TestProcessTrigger:
+    def test_running_process_cannot_be_forged(self):
+        """Only the generator's return triggers a process: ``succeed``
+        and ``fail`` from outside raise, and the real return stands."""
+        env = Environment()
+        log = []
+
+        def worker():
+            yield env.timeout(5)
+            log.append(("finished", env.now))
+            return "real"
+
+        p = env.process(worker())
+
+        def forger():
+            yield env.timeout(1)
+            with pytest.raises(SimulationError):
+                p.succeed("forged")
+            with pytest.raises(SimulationError):
+                p.fail(RuntimeError("forged"))
+            log.append(("refused", env.now))
+
+        env.process(forger())
+        env.run()
+        assert p.value == "real"
+        assert p.ok
+        assert log == [("refused", 1), ("finished", 5)]
+
+
 class TestEnvironmentEdges:
     def test_run_until_number_rejected(self):
         env = Environment()

@@ -3,13 +3,18 @@
 The bench (``benchmarks/bench_fleet_storm.py``) proves the scale story;
 these tests pin the semantics at small sizes: same-seed determinism,
 worker-count invariance of the sharded fan-out, convergence accounting,
-batch sharing, and metric merging.
+batch sharing, metric merging, and the per-AS footprint.
 """
+
+import random
+import sys
+import tracemalloc
 
 import pytest
 
 from repro.core.fleet import (
     ClientCohort,
+    CohortAs,
     FleetMetrics,
     run_fleet_storm,
     run_fleet_storm_sharded,
@@ -253,3 +258,68 @@ class TestFleetMetrics:
         with pytest.raises(ValueError, match="pull_interval"):
             run_fleet_storm(seed=0, n_ases=1, clients_per_as=5,
                             pull_interval=0.0)
+
+
+class TestCohortFootprint:
+    @pytest.mark.parametrize("interval, n", [
+        (0.1, 1), (600.0, 1), (0.1, 37), (600, 17), (600.0, 1000),
+        (5000.0, 250),
+    ])
+    def test_offsets_are_the_sorted_uniform_draws(self, interval, n):
+        """The offsets are ``sorted(uniform(0, I))`` bit for bit, and the
+        shard's stream ends where those draws leave it."""
+        for seed in range(24):
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            shard = CohortAs(1, n, interval, rng)
+            want = sorted(want_rng.uniform(0.0, interval) for _ in range(n))
+            assert [x.hex() for x in shard.offsets] == [
+                x.hex() for x in want
+            ], (seed, interval, n)
+            assert rng.getstate() == want_rng.getstate(), (seed, interval, n)
+
+    def test_only_the_offsets_grow_with_the_population(self):
+        """A 100,000-client AS keeps 8 bytes per client: its offsets.
+        The sync log and the rest of its state stay small through a
+        wave and two pull intervals."""
+        n = 100_000
+        # Plane modules import on first construction; keep that out of
+        # the measured window.
+        ClientCohort(ServerDB(entry_ttl=None), asns=[1], clients_per_as=1,
+                     seed=0)
+        server = ServerDB(entry_ttl=None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cohort = ClientCohort(server, asns=[40000], clients_per_as=n,
+                                  seed=3)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / n < 12, (
+            f"construction kept {retained / n:.1f} B/client"
+        )
+
+        env = Environment()
+
+        def wave():
+            yield env.timeout(300.0)
+            cohort.start_wave(env.now, urls_per_as=20)
+
+        env.process(wave())
+        env.process(cohort.run(env, 300.0 + 2 * 600.0 + cohort.tick))
+        env.run()
+        metrics = cohort.finalize()
+        (shard,) = cohort.shards
+        assert shard.pulls >= 2 * n
+        assert sum(shard.rows_received) == metrics.sync_rows
+        sizes = {
+            slot: sys.getsizeof(getattr(shard, slot))
+            for slot in CohortAs.__slots__
+            if slot != "offsets"
+        }
+        oversized = [
+            f"CohortAs.{slot}: {size:,} B"
+            for slot, size in sizes.items()
+            if size >= 64 * 1024
+        ]
+        assert not oversized, ", ".join(oversized)
