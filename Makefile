@@ -11,8 +11,8 @@ test:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest tests/
 
 # Determinism analyzer (DESIGN.md §7): per-file CSL rules plus call
-# graph, worker reachability and CSA rules in one pass, enforced at an
-# empty baseline; fails on any finding.
+# graph, worker reachability and CSA rules in one pass; fails on any
+# finding.
 analyze:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m repro.devtools.analyze src
 

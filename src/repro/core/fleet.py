@@ -17,9 +17,7 @@ log, from which the per-client ``versions``, ``next_pull_at``,
 - ``sync_log``      one ``(lo, count, rows, wire)`` record per served
                     run slice that carried rows: the delta-sync cost of
                     ``count`` ranks from ``lo``, cyclically;
-- ``pending``       per-reporter count of wave URLs not yet posted;
-- reporter identity arrays (indices + server-issued UUIDs) for the
-  active-reporter subset — reputation/voting runs on real identities.
+- ``groups``        one reporter group per measurement plane (below).
 
 The mean-field observation that makes this sound: every client of an AS
 consumes the same server-side change stream, so a client's blocked-list
@@ -54,15 +52,24 @@ concatenation (global counters by summation).
 **Measurement planes** (DESIGN.md §13): each AS's reporter population is
 a list of :class:`_PlaneGroup` records, one per
 :class:`repro.planes.MeasurementPlane` in the cohort's mix — per-plane
-reporter indices,
-identities, detection schedules, item lists, and convergence targets.
-The default mix is a single :class:`~repro.planes.CSawBrowserPlane` at
-``reporter_fraction``, bit-identical to the pre-plane pipeline
-(``tests/data/plane_golden.json``): plane 0 draws from the shard's own
-RNG stream in the historical order, while every additional plane draws
-from its own ``derive_seed(seed, "fleet-plane", name, asn)`` stream — so
-adding a plane never perturbs the C-Saw subpopulation, and sharded
-workers stay draw-identical for any worker count.
+reporter indices, server-issued identities (reputation and voting run
+on real identities), detection schedules, pending counts, item lists,
+and convergence state.  The default mix is a single
+:class:`~repro.planes.CSawBrowserPlane` at 1%, bit-identical to the
+pre-plane pipeline (``tests/data/plane_golden.json``): plane 0 draws
+from the shard's own RNG stream in the historical order, while every
+additional plane draws from its own ``derive_seed(seed, "fleet-plane",
+name, asn)`` stream — so adding a plane never perturbs the C-Saw
+subpopulation, and sharded workers stay draw-identical for any worker
+count.
+
+**Convergence** (DESIGN.md §9.3) is kept per plane only.  When a
+plane's last reporter posts, the AS's shard version becomes the plane's
+target, and the plane's ``unconverged`` count starts as the clients
+whose applied version is below it; each later pull that brings a run
+to the target takes its clients off.  A plane converges when the count
+reaches zero, and an AS once all its planes have, at the latest plane's
+time.
 """
 
 from __future__ import annotations
@@ -112,12 +119,12 @@ def _add_cyclic(diff: array, lo: int, count: int, n: int, value: int) -> None:
 class _PlaneGroup:
     """One measurement plane's reporter subpopulation within an AS.
 
-    Exactly the per-reporter record arrays ``CohortAs`` used to carry
-    inline, one set per plane: reporter indices and server identities,
-    detection schedule, per-reporter pending counts, the plane's item
-    lists (one shared list, or per-reporter lists for planes whose
-    vantages each observe their own subset), and the plane's own
-    convergence target/curve.
+    Reporter indices and server identities, detection schedule,
+    per-reporter pending counts, the plane's item lists (one shared
+    list, or per-reporter lists for planes whose vantages each observe
+    their own subset), and the plane's convergence target, count and
+    curve: ``unconverged`` counts the clients whose applied version is
+    below ``target_version`` (all ``n`` until the target is set).
     """
 
     __slots__ = (
@@ -161,8 +168,7 @@ class CohortAs:
 
     __slots__ = (
         "asn", "n", "rng", "pull_interval", "offsets", "runs", "pull_ptr",
-        "sync_log", "pulls", "wave_urls", "groups",
-        "target_version", "wave_started_at", "converged_at", "unconverged",
+        "sync_log", "pulls", "wave_urls", "groups", "wave_started_at",
     )
 
     def __init__(self, asn: int, n: int, pull_interval: float,
@@ -195,10 +201,7 @@ class CohortAs:
         # one _PlaneGroup per plane in the cohort's mix.
         self.wave_urls: List[str] = []
         self.groups: List[_PlaneGroup] = []
-        self.target_version: Optional[int] = None
         self.wave_started_at: Optional[float] = None
-        self.converged_at: Optional[float] = None
-        self.unconverged = n
 
     def due(self, now: float) -> int:
         """How many clients from ``pull_ptr`` on are due by ``now`` (at
@@ -268,48 +271,6 @@ class CohortAs:
     def bytes_received(self) -> array:
         """Delta-sync bytes each client received, by rank."""
         return self._replay(3)
-
-    # Aggregate views over the plane groups, in mix order — the shape
-    # the pre-plane record arrays had (and what the golden fingerprint
-    # and sweep property tests read).  With a single group these are the
-    # group's own arrays.
-
-    @property
-    def reporter_ix(self) -> array:
-        groups = self.groups
-        if len(groups) == 1:
-            return groups[0].reporter_ix
-        out = array("l")
-        for g in groups:
-            out.extend(g.reporter_ix)
-        return out
-
-    @property
-    def reporter_uuids(self) -> List[str]:
-        groups = self.groups
-        if len(groups) == 1:
-            return groups[0].uuids
-        return [uuid for g in groups for uuid in g.uuids]
-
-    @property
-    def report_at(self) -> array:
-        groups = self.groups
-        if len(groups) == 1:
-            return groups[0].report_at
-        out = array("d")
-        for g in groups:
-            out.extend(g.report_at)
-        return out
-
-    @property
-    def pending(self) -> array:
-        groups = self.groups
-        if len(groups) == 1:
-            return groups[0].pending
-        out = array("l")
-        for g in groups:
-            out.extend(g.pending)
-        return out
 
 
 @dataclass
@@ -487,17 +448,12 @@ class ClientCohort:
         asns: List[int],
         clients_per_as: int,
         seed: int,
-        reporter_fraction: float = 0.01,
         pull_interval: float = 600.0,
         tick: Optional[float] = None,
         planes: Optional[Sequence] = None,
     ):
         if clients_per_as < 1:
             raise ValueError("clients_per_as must be >= 1")
-        if not 0.0 < reporter_fraction <= 1.0:
-            raise ValueError(
-                f"reporter_fraction must be in (0,1]: {reporter_fraction!r}"
-            )
         # A zero tick would stall the engine at one instant forever.
         if not pull_interval > 0.0:
             raise ValueError(f"pull_interval must be > 0: {pull_interval!r}")
@@ -509,15 +465,15 @@ class ClientCohort:
         self.seed = seed
         # The measurement-plane mix: MeasurementPlane instances or spec
         # mappings (resolved via the planes registry).  None is the
-        # degenerate single-plane mix — one CSawBrowserPlane at
-        # reporter_fraction, bit-identical to the pre-plane cohort.
+        # degenerate single-plane mix — one CSawBrowserPlane at 1%,
+        # bit-identical to the pre-plane cohort.
         from ..planes import build_plane
         from ..planes.base import MeasurementPlane
         from ..planes.csaw import CSawBrowserPlane
 
         if planes is None:
             self.planes: List[MeasurementPlane] = [
-                CSawBrowserPlane(fraction=reporter_fraction)
+                CSawBrowserPlane(fraction=0.01)
             ]
         else:
             self.planes = [
@@ -537,7 +493,6 @@ class ClientCohort:
         # sweep (and per shared SyncBatch); finer ticks tighten the
         # convergence measurement.  Defaults to pull_interval / 20.
         self.tick = tick
-        self.reporter_fraction = reporter_fraction
         # One seeded stream per AS, derived from the AS identity — the AS
         # space can then be partitioned across worker processes without
         # changing any AS's draws (worker-count invariance).
@@ -553,8 +508,6 @@ class ClientCohort:
         self.metrics = FleetMetrics(
             n_clients=clients_per_as * len(asns), n_ases=len(asns)
         )
-        self._first_report_at: Optional[float] = None
-        self._last_report_at: Optional[float] = None
 
     # -- wave scheduling -------------------------------------------------------
 
@@ -562,7 +515,6 @@ class ClientCohort:
         self,
         now: float,
         urls_per_as: int,
-        detection_delay: Tuple[float, float] = (5.0, 120.0),
         stagger: float = 0.0,
     ) -> None:
         """A censor starts blocking ``urls_per_as`` URLs in every AS.
@@ -606,9 +558,6 @@ class ClientCohort:
             ]
             st.wave_started_at = onset
             st.groups = []
-            st.target_version = None
-            st.converged_at = None
-            st.unconverged = st.n
             for p_ix, plane in enumerate(self.planes):
                 rng = (
                     st.rng
@@ -632,9 +581,7 @@ class ClientCohort:
                     "d",
                     (
                         onset + delay
-                        for delay in plane.detection_delays(
-                            n_reporters, rng, detection_delay
-                        )
+                        for delay in plane.detection_delays(n_reporters, rng)
                     ),
                 )
                 group.report_order = sorted(
@@ -676,7 +623,6 @@ class ClientCohort:
         server = self.server
         metrics = self.metrics
         by_plane = metrics.reports_by_plane
-        all_done = True
         for group in st.groups:
             order = group.report_order
             report_at = group.report_at
@@ -713,25 +659,23 @@ class ClientCohort:
                     by_plane[group.name] = (
                         by_plane.get(group.name, 0) + accepted
                     )
-                    if self._first_report_at is None:
-                        self._first_report_at = now
-                    self._last_report_at = now
+                    if metrics.first_report_at is None:
+                        metrics.first_report_at = now
+                    metrics.last_report_at = now
                 pending = group.pending
                 for r in due:
                     pending[r] = 0
                 group.report_ptr = end
-            if group.report_ptr == len(order):
-                if group.target_version is None:
+                if end == len(order):
                     # This plane's last reporter posted: the shard
-                    # version now is the plane's own convergence target.
-                    group.target_version = server.version_for_as(st.asn)
-            else:
-                all_done = False
-        if all_done and st.target_version is None:
-            # Last reporter of the last plane posted: the shard version
-            # now is what the population must reach to be considered
-            # converged (the overall target; per-plane targets above).
-            st.target_version = server.version_for_as(st.asn)
+                    # version now is the plane's convergence target, and
+                    # the clients still below it are its unconverged.
+                    target = server.version_for_as(st.asn)
+                    group.target_version = target
+                    group.unconverged = sum(
+                        count for count, version in st.runs
+                        if version < target
+                    )
 
     def _service_pulls(self, st: CohortAs, now: float) -> None:
         """Serve every client whose periodic pull came due, run by run.
@@ -748,7 +692,6 @@ class ClientCohort:
         server, metrics = self.server, self.metrics
         n = st.n
         runs = st.runs
-        target = st.target_version
         asn = st.asn
         sync_log = st.sync_log
         batch_cache: Dict[int, object] = {}
@@ -780,14 +723,6 @@ class ClientCohort:
                 metrics.sync_bytes += wire * count
             else:
                 metrics.sync_bytes += SYNC_HEADER_BYTES * count
-            if (
-                target is not None
-                and st.unconverged
-                and since < target <= version
-            ):
-                st.unconverged -= count
-                if st.unconverged == 0 and st.wave_started_at is not None:
-                    st.converged_at = now
             for group in st.groups:
                 gt = group.target_version
                 if (
@@ -842,21 +777,21 @@ class ClientCohort:
             self.service(env.now)
 
     def finalize(self) -> FleetMetrics:
-        """Compute the fleet-level metrics after a run."""
+        """Compute the fleet-level metrics after a run: an AS converged
+        once all its planes had, at the latest plane's time (-1.0 =
+        did not converge)."""
         metrics = self.metrics
-        metrics.first_report_at = self._first_report_at
-        metrics.last_report_at = self._last_report_at
         for st in self.shards:
-            if st.converged_at is not None and st.wave_started_at is not None:
-                metrics.convergence_by_as[st.asn] = (
-                    st.converged_at - st.wave_started_at
-                )
-            else:
-                metrics.convergence_by_as[st.asn] = -1.0  # did not converge
+            started = st.wave_started_at
+            times = [group.converged_at for group in st.groups]
+            metrics.convergence_by_as[st.asn] = (
+                max(times) - started
+                if started is not None and None not in times
+                else -1.0
+            )
             metrics.pending_by_as[st.asn] = sum(
                 sum(group.pending) for group in st.groups
             )
-            started = st.wave_started_at
             if started is None:
                 continue
             for group in st.groups:
@@ -887,7 +822,6 @@ def run_fleet_storm(
     seed: int = 0,
     n_ases: int = 50,
     clients_per_as: int = 2000,
-    reporter_fraction: float = 0.01,
     urls_per_as: int = 20,
     pull_interval: float = 600.0,
     wave_at: float = 300.0,
@@ -906,7 +840,7 @@ def run_fleet_storm(
     and runs the engine until every AS had time to converge
     (``horizon`` defaults to the wave plus two pull intervals).
     ``planes`` is the measurement-plane mix — plane instances or spec
-    mappings; None is the single C-Saw plane at ``reporter_fraction``.
+    mappings; None is the single C-Saw plane at 1%.
     Returns :class:`FleetMetrics`.
     """
     if server is None:
@@ -917,7 +851,6 @@ def run_fleet_storm(
         asns=[asn_base + i for i in range(n_ases)],
         clients_per_as=clients_per_as,
         seed=seed,
-        reporter_fraction=reporter_fraction,
         pull_interval=pull_interval,
         planes=planes,
     )
@@ -937,18 +870,6 @@ def run_fleet_storm(
     env.process(cohort.run(env, stop_at))
     env.run()
     return cohort.finalize()
-
-
-def _fleet_partition(
-    seed: int,
-    n_ases: int,
-    asn_base: int,
-    **kwargs,
-) -> FleetMetrics:
-    """One worker's slice of the fleet (its own ServerDB + engine)."""
-    return run_fleet_storm(
-        seed=seed, n_ases=n_ases, asn_base=asn_base, **kwargs
-    )
 
 
 def run_fleet_storm_sharded(
@@ -980,7 +901,7 @@ def run_fleet_storm_sharded(
     specs = [
         TrialSpec(
             name=f"fleet[{part}]",
-            fn=_fleet_partition,
+            fn=run_fleet_storm,
             kwargs={
                 "seed": seed,
                 "n_ases": bounds[part + 1] - bounds[part],

@@ -10,14 +10,12 @@ One pass parses the whole tree into a project index; the per-file CSL
 rules run on each indexed module, then a conservative call graph
 (direct calls, method calls by attribute name, callables handed to the
 trial runner / executors) and its worker-reachable closure feed the
-whole-program CSA rules.  One suppression, baseline and report step
-covers both families.
+whole-program CSA rules.  One suppression and report step covers both
+families.
 
 Configuration lives in ``[tool.csawanalyze]`` in ``pyproject.toml``:
 
 - ``select``: rule codes to run (default: all registered rules);
-- ``baseline``: path of a committed baseline file (grandfathered
-  findings; see ``--write-baseline``);
 - ``[tool.csawanalyze.allow]``: per-rule lists of fnmatch globs *added*
   to the rule's built-in allowlist (files exempt from the rule);
 - ``[tool.csawanalyze.scope]``: per-rule glob lists *replacing* the
@@ -27,11 +25,12 @@ Configuration lives in ``[tool.csawanalyze]`` in ``pyproject.toml``:
   first-positional-callable dispatcher names), ``spec-modules``
   (CSA104).
 
+Any other key in the table is a config error.
+
 Inline, ``# csaw-analyze: disable=CSL003`` (or a bare ``disable`` for
 all codes) suppresses findings on that line — or on the next line when
-the comment stands alone.  Exit status is 0 iff no unsuppressed,
-non-baselined findings remain, 1 when some do, and 2 for a bad path or
-config value.
+the comment stands alone.  Exit status is 0 iff no unsuppressed
+findings remain, 1 when some do, and 2 for a bad path or config value.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import os
 import sys
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from .. import config as _config
 from ..config import ConfigError, ToolConfig, load_tool_config
 from ..framework import (
     LintContext,
@@ -201,15 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--config", help="explicit pyproject.toml path")
     parser.add_argument(
-        "--baseline",
-        help="baseline file (overrides [tool.csawanalyze].baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="record current findings as the baseline and exit 0",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
     parser.add_argument(
@@ -238,27 +227,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     project = build_project(paths, config)
     violations = analyze_project(project, rules)
 
-    if args.write_baseline:
-        _config.write_baseline(violations, args.write_baseline, config.root)
-        print(
-            f"csaw-analyze: wrote baseline with {len(violations)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return 0
-
-    baseline_path = args.baseline or config.baseline
-    if baseline_path and not os.path.isabs(baseline_path):
-        baseline_path = os.path.join(config.root, baseline_path)
-    fresh, grandfathered = _config.apply_baseline(
-        violations, _config.load_baseline(baseline_path), config.root
-    )
-
     if args.fmt == "json":
         print(
             json.dumps(
                 {
-                    "violations": [vars(v) for v in fresh],
-                    "grandfathered": grandfathered,
+                    "violations": [vars(v) for v in violations],
                     "n_functions": len(project.index.functions),
                     "n_worker_reachable": len(project.graph.worker_reachable),
                 },
@@ -267,18 +240,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
     else:
-        for violation in fresh:
+        for violation in violations:
             print(violation.render())
-        summary = (
-            f"csaw-analyze: {len(fresh)} finding(s) across "
+        print(
+            f"csaw-analyze: {len(violations)} finding(s) across "
             f"{len(project.index.modules)} module(s), "
             f"{len(project.index.functions)} function(s), "
-            f"{len(project.graph.worker_reachable)} worker-reachable"
+            f"{len(project.graph.worker_reachable)} worker-reachable",
+            file=sys.stderr,
         )
-        if grandfathered:
-            summary += f", {grandfathered} grandfathered by baseline"
-        print(summary, file=sys.stderr)
-    return 1 if fresh else 0
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

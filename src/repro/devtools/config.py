@@ -1,39 +1,29 @@
-"""Configuration & baseline machinery for ``csaw-analyze``.
+"""Configuration for ``csaw-analyze``.
 
 - :class:`ToolConfig` — root, rule selection, per-rule ``allow``/
-  ``scope`` glob tables, free-form options, baseline path;
+  ``scope`` glob tables, free-form options;
 - :func:`load_tool_config` — load the ``[tool.csawanalyze]`` table (via
   :mod:`tomllib` when available, else :mod:`.toml_subset` — the
-  same fallback as the scenario spec loader);
-- :func:`iter_python_files` — deterministic file discovery;
-- baseline read/write/apply — findings are grandfathered per
-  ``(file, code)`` count, so a committed-empty baseline enforces every
-  rule at zero while ``--write-baseline`` permits incremental adoption.
+  same fallback as the scenario spec loader); a key it does not read
+  is a :class:`ConfigError`;
+- :func:`iter_python_files` — deterministic file discovery.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import toml_subset
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .framework import Violation
 
 __all__ = [
     "ConfigError",
     "ToolConfig",
-    "apply_baseline",
-    "baseline_key",
     "find_project_root",
     "iter_python_files",
-    "load_baseline",
     "load_tool_config",
     "load_toml",
-    "write_baseline",
 ]
 
 
@@ -50,7 +40,6 @@ class ToolConfig:
     allow: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     scope: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     options: Dict[str, object] = field(default_factory=dict)
-    baseline: Optional[str] = None
 
 
 def load_toml(path: str) -> Dict[str, object]:
@@ -122,6 +111,9 @@ def load_tool_config(config_path: Optional[str], anchor: str) -> ToolConfig:
     section = section.get("csawanalyze", {}) if isinstance(section, dict) else {}
     if not isinstance(section, dict):
         section = {}
+    unknown = sorted(section.keys() - {"select", "allow", "scope", "options"})
+    if unknown:
+        raise ConfigError(f"[tool.csawanalyze]: unknown key(s) {unknown}")
 
     def globs(value: object) -> Dict[str, Tuple[str, ...]]:
         if not isinstance(value, dict):
@@ -146,7 +138,6 @@ def load_tool_config(config_path: Optional[str], anchor: str) -> ToolConfig:
         allow=globs(section.get("allow")),
         scope=globs(section.get("scope")),
         options=dict(options) if isinstance(options, dict) else {},
-        baseline=section.get("baseline"),
     )
 
 
@@ -168,51 +159,3 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
             found.append(path)
     return found
 
-
-# -- baseline ------------------------------------------------------------------
-
-
-def baseline_key(violation: "Violation", root: str) -> str:
-    relpath = os.path.relpath(os.path.abspath(violation.path), root).replace(
-        os.sep, "/"
-    )
-    return f"{relpath}:{violation.code}"
-
-
-def write_baseline(
-    violations: Iterable["Violation"], path: str, root: str
-) -> None:
-    counts: Dict[str, int] = {}
-    for violation in violations:
-        key = baseline_key(violation, root)
-        counts[key] = counts.get(key, 0) + 1
-    payload = {"version": 1, "entries": dict(sorted(counts.items()))}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_baseline(path: Optional[str]) -> Dict[str, int]:
-    if not path or not os.path.isfile(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entries = payload.get("entries", {})
-    return {str(k): int(v) for k, v in entries.items()}
-
-
-def apply_baseline(
-    violations: Sequence["Violation"], baseline: Dict[str, int], root: str
-) -> Tuple[List["Violation"], int]:
-    """Drop up to ``baseline[key]`` findings per (file, code); count kept."""
-    remaining = dict(baseline)
-    fresh: List["Violation"] = []
-    grandfathered = 0
-    for violation in violations:
-        key = baseline_key(violation, root)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            grandfathered += 1
-        else:
-            fresh.append(violation)
-    return fresh, grandfathered

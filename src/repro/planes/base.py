@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from ..core.globaldb import ReportItem, ServerDB
 from ..core.voting import DEFAULT_PLANE
@@ -127,10 +127,7 @@ class MeasurementPlane(ABC):
 
     @abstractmethod
     def detection_delays(
-        self,
-        count: int,
-        rng: random.Random,
-        default_window: Tuple[float, float],
+        self, count: int, rng: random.Random
     ) -> Iterable[float]:
         """Per-reporter delay from wave onset to post time (draw order
         is part of the plane's contract — the fleet consumes these

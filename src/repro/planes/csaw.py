@@ -21,6 +21,10 @@ from .base import MeasurementPlane, PlaneProfile
 
 __all__ = ["CSawBrowserPlane"]
 
+#: Seconds from wave onset within which a browsing reporter hits a
+#: blocked wave URL and posts (uniform).
+BROWSE_WINDOW: Tuple[float, float] = (5.0, 120.0)
+
 
 class CSawBrowserPlane(MeasurementPlane):
     """In-browser redundant-request reporters: the paper's own plane."""
@@ -39,15 +43,12 @@ class CSawBrowserPlane(MeasurementPlane):
         )
 
     def detection_delays(
-        self,
-        count: int,
-        rng: random.Random,
-        default_window: Tuple[float, float],
+        self, count: int, rng: random.Random
     ) -> Iterable[float]:
-        # Users notice blocking as they browse: uniform over the cohort's
-        # detection window, one draw per reporter in reporter order (the
-        # exact pre-refactor sequence).
-        lo, hi = default_window
+        # Users notice blocking as they browse: uniform over the browse
+        # window, one draw per reporter in reporter order (the exact
+        # pre-refactor sequence).
+        lo, hi = BROWSE_WINDOW
         return (rng.uniform(lo, hi) for _ in range(count))
 
     def wave_items(

@@ -61,10 +61,7 @@ class EncoreProbePlane(MeasurementPlane):
         )
 
     def detection_delays(
-        self,
-        count: int,
-        rng: random.Random,
-        default_window: Tuple[float, float],
+        self, count: int, rng: random.Random
     ) -> Iterable[float]:
         lo, hi = PROBE_WINDOW
         return (rng.uniform(lo, hi) for _ in range(count))

@@ -14,7 +14,7 @@ interval rather than a human-reaction window.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from ..core.fleet import WAVE_STAGES
 from ..core.globaldb import ReportItem
@@ -57,10 +57,7 @@ class GeneratedProbeListPlane(MeasurementPlane):
         )
 
     def detection_delays(
-        self,
-        count: int,
-        rng: random.Random,
-        default_window: Tuple[float, float],
+        self, count: int, rng: random.Random
     ) -> Iterable[float]:
         # Scheduled scans: each vantage's next pass over its list lands
         # uniformly within one probe interval of the wave onset.

@@ -257,7 +257,6 @@ class ScenarioRunner:
             seed=spec.seed,
             n_ases=cohort.n_ases,
             clients_per_as=cohort.clients_per_as,
-            reporter_fraction=cohort.reporter_fraction,
             urls_per_as=cohort.urls_per_as,
             pull_interval=cohort.pull_interval,
             wave_at=cohort.wave_at,

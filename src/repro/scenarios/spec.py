@@ -354,7 +354,6 @@ class CohortSpec:
 
     n_ases: int = 4
     clients_per_as: int = 500
-    reporter_fraction: float = 0.01
     urls_per_as: int = 10
     pull_interval: float = 600.0
     wave_at: float = 300.0
@@ -366,11 +365,6 @@ class CohortSpec:
     def __post_init__(self) -> None:
         _check(self.n_ases >= 0, "n_ases", "must be >= 0")
         _check(self.clients_per_as >= 1, "clients_per_as", "must be >= 1")
-        _check(
-            0.0 < self.reporter_fraction <= 1.0,
-            "reporter_fraction",
-            "must be in (0, 1]",
-        )
         _check(self.urls_per_as >= 0, "urls_per_as", "must be >= 0")
         _check(self.pull_interval > 0.0, "pull_interval", "must be > 0")
         _check(self.wave_at >= 0.0, "wave_at", "must be >= 0")
@@ -547,7 +541,7 @@ class ScenarioSpec:
     events: Tuple[EventSpec, ...] = ()
     rolling: Optional[RollingSpec] = None
     cohort: Optional[CohortSpec] = None
-    planes: Tuple[PlaneSpec, ...] = ()  # empty -> single default C-Saw plane
+    planes: Tuple[PlaneSpec, ...] = ()  # empty -> one C-Saw plane at 1%
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
     expect: ExpectSpec = field(default_factory=ExpectSpec)
     urls: Dict[str, str] = field(default_factory=dict)  # label -> url sugar

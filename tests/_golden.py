@@ -306,15 +306,33 @@ def capture_scenarios() -> Dict[str, Any]:
 # -- plane_golden -------------------------------------------------------------
 
 
-def golden_storm(cohort_type, seed: int = 7, **cohort_kwargs):
+#: A storm whose sweeps fall between laps (tick 600/6.5 s), so served run
+#: slices wrap past rank ``n - 1``; three planes, and a 900 s entry TTL
+#: whose evictions keep rows flowing after the wave, for four intervals.
+WRAPPING_STORM: Dict[str, Any] = dict(
+    planes=(
+        {"kind": "csaw", "fraction": 0.05},
+        {"kind": "encore", "fraction": 0.1},
+        {"kind": "problist", "fraction": 0.05, "coverage": 0.9},
+    ),
+    tick=600.0 / 6.5,
+    entry_ttl=900.0,
+    intervals=4.0,
+)
+
+
+def golden_storm(cohort_type, seed: int = 7,
+                 planes=({"kind": "csaw", "fraction": 0.05},),
+                 tick: Optional[float] = None,
+                 entry_ttl: Optional[float] = None, intervals: float = 2.0):
     """The plane golden's fleet storm on ``cohort_type``: a wave at 300 s,
-    then two pull intervals.  Returns ``(cohort, server, metrics)``."""
-    server = ServerDB(entry_ttl=None)
+    then ``intervals`` pull intervals.  Returns ``(cohort, server,
+    metrics)``."""
+    server = ServerDB(entry_ttl=entry_ttl)
     env = Environment()
     cohort = cohort_type(
         server, asns=[41000 + i for i in range(4)], clients_per_as=60,
-        seed=seed, reporter_fraction=0.05, pull_interval=600.0,
-        **cohort_kwargs,
+        seed=seed, pull_interval=600.0, tick=tick, planes=planes,
     )
 
     def driver():
@@ -322,30 +340,36 @@ def golden_storm(cohort_type, seed: int = 7, **cohort_kwargs):
         cohort.start_wave(env.now, urls_per_as=5)
 
     env.process(driver())
-    env.process(cohort.run(env, 300.0 + 2.0 * 600.0 + cohort.tick))
+    env.process(cohort.run(env, 300.0 + intervals * 600.0 + cohort.tick))
     env.run()
     return cohort, server, cohort.finalize()
 
 
-def storm_fingerprint(cohort_type) -> Dict[str, Any]:
-    """:func:`golden_storm`, captured down to every record array."""
-    cohort, server, metrics = golden_storm(cohort_type)
-    shards = [
-        {
-            "asn": st.asn,
-            "versions": list(st.versions),
-            "next_pull_at": [repr(x) for x in st.next_pull_at],
-            "bytes_received": list(st.bytes_received),
-            "rows_received": list(st.rows_received),
-            "reporter_ix": sorted(st.reporter_ix),
-            "reporter_uuids": sorted(st.reporter_uuids),
-            "report_at": [repr(x) for x in st.report_at],
-            "pending": list(st.pending),
-            "target_version": st.target_version,
-            "converged_at": repr(st.converged_at),
-        }
-        for st in cohort.shards
-    ]
+def shard_fingerprint(st) -> Dict[str, Any]:
+    """One shard's per-client views and its plane groups' reporter
+    arrays, concatenated in mix order; the AS's target is its latest
+    plane's, reached when its last plane converged."""
+    groups = st.groups
+    targets = [group.target_version for group in groups]
+    times = [group.converged_at for group in groups]
+    return {
+        "asn": st.asn,
+        "versions": list(st.versions),
+        "next_pull_at": [repr(x) for x in st.next_pull_at],
+        "bytes_received": list(st.bytes_received),
+        "rows_received": list(st.rows_received),
+        "reporter_ix": sorted(ix for group in groups for ix in group.reporter_ix),
+        "reporter_uuids": sorted(uuid for group in groups for uuid in group.uuids),
+        "report_at": [repr(x) for group in groups for x in group.report_at],
+        "pending": [count for group in groups for count in group.pending],
+        "target_version": None if None in targets else max(targets, default=None),
+        "converged_at": repr(None if None in times else max(times, default=None)),
+    }
+
+
+def storm_fingerprint(cohort, server, metrics) -> Dict[str, Any]:
+    """One :func:`golden_storm` run, captured down to every record array."""
+    shards = [shard_fingerprint(st) for st in cohort.shards]
     entries = server.all_entries()
     stats = [server.voting.stats(e.url, e.asn) for e in entries]
     return {
@@ -372,9 +396,16 @@ def storm_fingerprint(cohort_type) -> Dict[str, Any]:
 
 
 def capture_planes() -> Dict[str, Any]:
+    wrapping = golden_storm(ClientCohort, **WRAPPING_STORM)
+    metrics = wrapping[2]
     return {
-        "grouped": storm_fingerprint(ClientCohort),
-        "spec": storm_fingerprint(ReferenceClientCohort),
+        "grouped": storm_fingerprint(*golden_storm(ClientCohort)),
+        "spec": storm_fingerprint(*golden_storm(ReferenceClientCohort)),
+        "wrapping": {
+            **storm_fingerprint(*wrapping),
+            "convergence_by_plane": freeze(metrics.convergence_by_plane),
+            "curve_by_plane": freeze(metrics.curve_by_plane),
+        },
     }
 
 

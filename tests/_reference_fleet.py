@@ -8,7 +8,9 @@ rows and bytes it received — where the production shard keeps stagger
 offsets, version runs and a log of served run slices.  Its report loop
 posts each due reporter with its own ``post_update`` call, where
 production hands a shared-list plane's due reporters to one
-``post_updates`` call.
+``post_updates`` call, and when a plane's target is set it counts the
+clients below it from that versions array, where production sums the
+version runs.
 This is the executable spec the version-run sweep and the grouped posts
 must match bit for bit (``tests/test_properties.py``,
 ``TestGroupedSweepProperties``, and the ``"spec"`` entry of
@@ -53,7 +55,6 @@ class ReferenceClientCohort(ClientCohort):
         server = self.server
         metrics = self.metrics
         by_plane = metrics.reports_by_plane
-        all_done = True
         for group in st.groups:
             order = group.report_order
             shared = group.items  # one shared list per shard per wave
@@ -70,26 +71,23 @@ class ReferenceClientCohort(ClientCohort):
                     by_plane[group.name] = (
                         by_plane.get(group.name, 0) + accepted
                     )
-                    if self._first_report_at is None:
-                        self._first_report_at = now
-                    self._last_report_at = now
+                    if metrics.first_report_at is None:
+                        metrics.first_report_at = now
+                    metrics.last_report_at = now
                 # else: a per-reporter plane whose vantage observed
                 # nothing (e.g. every blockpage misclassified) — no
                 # server call, no report-window update.
                 pending[r] = 0
                 group.report_ptr += 1
-            if group.report_ptr == len(order):
-                if group.target_version is None:
+                if group.report_ptr == len(order):
                     # This plane's last reporter posted: the shard
-                    # version now is the plane's own convergence target.
-                    group.target_version = server.version_for_as(st.asn)
-            else:
-                all_done = False
-        if all_done and st.target_version is None:
-            # Last reporter of the last plane posted: the shard version
-            # now is what the population must reach to be considered
-            # converged (the overall target; per-plane targets above).
-            st.target_version = server.version_for_as(st.asn)
+                    # version now is the plane's convergence target, and
+                    # the clients still below it are its unconverged.
+                    target = server.version_for_as(st.asn)
+                    group.target_version = target
+                    group.unconverged = sum(
+                        1 for version in st.versions if version < target
+                    )
 
     def _service_pulls(self, st: CohortAs, now: float) -> None:
         """Serve every client whose periodic pull came due, one at a time.
@@ -135,14 +133,6 @@ class ReferenceClientCohort(ClientCohort):
             metrics.pulls_served += 1
             st.pull_ptr += 1
             served += 1
-            if (
-                st.target_version is not None
-                and st.unconverged
-                and since < st.target_version <= batch.version
-            ):
-                st.unconverged -= 1
-                if st.unconverged == 0 and st.wave_started_at is not None:
-                    st.converged_at = now
             for group in st.groups:
                 gt = group.target_version
                 if (
@@ -158,7 +148,6 @@ def run_storm(
     seed: int = 0,
     n_ases: int = 50,
     clients_per_as: int = 2000,
-    reporter_fraction: float = 0.01,
     urls_per_as: int = 20,
     pull_interval: float = 600.0,
     wave_at: Optional[float] = 300.0,
@@ -186,7 +175,6 @@ def run_storm(
         asns=[asn_base + i for i in range(n_ases)],
         clients_per_as=clients_per_as,
         seed=seed,
-        reporter_fraction=reporter_fraction,
         pull_interval=pull_interval,
         tick=tick,
         planes=planes,

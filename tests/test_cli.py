@@ -119,6 +119,22 @@ size_bytes = "abc"
         assert main(["scenario", "run", str(spec)]) == 2
         assert "sites[0].size_bytes" in capsys.readouterr().err
 
+    def test_run_pack_with_stale_reporter_fraction_exits_2(
+        self, capsys, tmp_path
+    ):
+        from repro.scenarios import shipped_packs
+
+        with open(dict(shipped_packs())["low-penetration-country"]) as handle:
+            text = handle.read()
+        spec = tmp_path / "stale.toml"
+        spec.write_text(
+            text.replace("[cohort]\n", "[cohort]\nreporter_fraction = 0.005\n", 1)
+        )
+        assert main(["scenario", "run", str(spec)]) == 2
+        assert "cohort: unknown key(s) ['reporter_fraction']" in (
+            capsys.readouterr().err
+        )
+
     def test_run_pack_with_a_syntax_error_exits_2_naming_the_line(
         self, capsys, tmp_path
     ):

@@ -4,11 +4,10 @@ Covers the project index, the conservative call graph (worker-dispatcher
 edges, attribute-name method resolution, cycle tolerance), every CSA
 rule against its fixture package under ``tests/data/analyze_fixtures/``
 (positive, negative, suppression), the one suppression marker across
-both rule families, the baseline round-trip, the ``graph`` subcommand,
-CLI behavior and its rejection of bad paths and config — and the two
-repo-level contracts: the shipped tree is analyzer-clean at the
-committed empty baseline, and planted bugs of both rule families are
-caught in one run.
+both rule families, the ``graph`` subcommand, CLI behavior and its
+rejection of bad paths and config — and the two repo-level contracts:
+the shipped tree is analyzer-clean, and planted bugs of both rule
+families are caught in one run.
 """
 
 import json
@@ -28,7 +27,6 @@ from repro.devtools.analyze.main import (
     build_project,
     main,
 )
-from repro.devtools import config as devconfig
 from repro.devtools.config import ToolConfig, load_tool_config
 from repro.devtools.framework import suppressed_lines
 
@@ -504,25 +502,6 @@ class TestMarkers:
         ]
 
 
-# -- baseline round-trip -------------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_grandfathers_existing_findings(self, tmp_path):
-        root = str(FIXTURES / "csa101")
-        config = ToolConfig(root=root)
-        violations = analyze_paths([root], config)
-        assert violations
-        baseline_path = tmp_path / "baseline.json"
-        devconfig.write_baseline(violations, str(baseline_path), root)
-        baseline = devconfig.load_baseline(str(baseline_path))
-        fresh, grandfathered = devconfig.apply_baseline(
-            violations, baseline, root
-        )
-        assert fresh == []
-        assert grandfathered == len(violations)
-
-
 # -- repo-level contracts ------------------------------------------------------
 
 
@@ -533,11 +512,11 @@ class TestRepoEnforcement:
 
     def test_worker_reachable_covers_fleet_and_pilot(self, real_project):
         reachable = real_project.graph.worker_reachable
-        assert "repro.core.fleet._fleet_partition" in reachable
         assert "repro.core.fleet.run_fleet_storm" in reachable
+        assert "repro.core.fleet.ClientCohort.service" in reachable
         assert "repro.workloads.pilot._pilot_trial" in reachable
         entrypoints = real_project.graph.worker_entrypoints
-        assert "repro.core.fleet._fleet_partition" in entrypoints
+        assert "repro.core.fleet.run_fleet_storm" in entrypoints
         assert "repro.workloads.pilot._pilot_trial" in entrypoints
 
     def test_full_run_is_fast_enough(self):
@@ -564,16 +543,16 @@ class TestRepoEnforcement:
         )
         fleet = srcdir / "repro" / "core" / "fleet.py"
         text = fleet.read_text()
-        marker = "def _fleet_partition("
+        marker = "def run_fleet_storm("
         assert marker in text
         text = text.replace(
             marker,
-            "def _fleet_partition(*__planted_args, **__planted_kwargs):\n"
+            "def run_fleet_storm(*__planted_args, **__planted_kwargs):\n"
             "    _planted_probe(0)\n"
-            "    return __orig_fleet_partition("
+            "    return __orig_run_fleet_storm("
             "*__planted_args, **__planted_kwargs)\n"
             "\n\n"
-            "def __orig_fleet_partition(",
+            "def __orig_run_fleet_storm(",
             1,
         )
         text += (
@@ -601,7 +580,7 @@ class TestRepoEnforcement:
         assert planted, rendered
         assert any("_PLANTED_COUNTS" in v.message for v in planted)
         assert any(
-            "repro.core.fleet._fleet_partition" in v.message for v in planted
+            "repro.core.fleet.run_fleet_storm" in v.message for v in planted
         )
         sink = [v for v in violations if v.path == str(clock)]
         assert [(v.code, v.line) for v in sink] == [("CSL002", 5)], rendered
@@ -663,18 +642,11 @@ class TestCli:
             "worker_reachable",
         ):
             assert key in payload
-        assert "repro.core.fleet._fleet_partition" in payload["worker_reachable"]
+        assert "repro.core.fleet.run_fleet_storm" in payload["worker_entrypoints"]
         assert "repro.core.fleet.run_fleet_storm" in payload["worker_reachable"]
         assert (
             "repro.workloads.pilot._pilot_trial" in payload["worker_reachable"]
         )
-
-    def test_write_baseline_then_clean(self, capsys, tmp_path):
-        baseline = tmp_path / "b.json"
-        fixture = str(FIXTURES / "csa101")
-        assert main([fixture, "--write-baseline", str(baseline)]) == 0
-        assert main([fixture, "--baseline", str(baseline)]) == 0
-        assert main([fixture]) == 1
 
     def test_unknown_select_code_exits_2(self, capsys):
         assert main([str(FIXTURES / "csa101"), "--select", "CSA11"]) == 2
@@ -687,8 +659,12 @@ class TestCli:
             ('select = ["CSL01"]', "CSL01"),
             ('[tool.csawanalyze.allow]\nCSL02 = ["x.py"]', "CSL02"),
             ('[tool.csawanalyze.scope]\nCSL04 = ["x.py"]', "CSL04"),
+            (
+                'baseline = ".csawanalyze-baseline.json"',
+                "[tool.csawanalyze]: unknown key(s) ['baseline']",
+            ),
         ],
-        ids=["select-not-a-list", "select", "allow", "scope"],
+        ids=["select-not-a-list", "select", "allow", "scope", "unknown-key"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, table, bad):
         (tmp_path / "pyproject.toml").write_text(

@@ -1,5 +1,5 @@
 """csaw-analyze's per-file CSL rules: paired trigger/clean fixtures per
-rule, plus the suppression, allowlist, scope-override, baseline, and CLI
+rule, plus the suppression, allowlist, scope-override, config and CLI
 behaviours — and the enforcement test that keeps the real tree at zero
 findings."""
 
@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import config as devconfig
-from repro.devtools.analyze.main import analyze_paths, analyze_source, main
+from repro.devtools.analyze.main import analyze_source, main
 from repro.devtools.config import ToolConfig, load_tool_config
 from repro.devtools.framework import all_rules, suppressed_lines
 
@@ -460,7 +459,6 @@ class TestConfig:
                 """
                 [tool.csawanalyze]
                 select = ["CSL001", "CSL007"]
-                baseline = "lint-baseline.json"
 
                 [tool.csawanalyze.allow]
                 CSL001 = ["src/gen/*"]
@@ -473,7 +471,6 @@ class TestConfig:
         config = load_tool_config(None, str(tmp_path / "x.py"))
         assert config.root == str(tmp_path)
         assert config.select == ("CSL001", "CSL007")
-        assert config.baseline == "lint-baseline.json"
         assert config.allow == {"CSL001": ("src/gen/*",)}
         assert config.options["time-identifiers"] == ["epoch"]
 
@@ -490,56 +487,12 @@ class TestConfig:
     def test_subset_reads_strings_as_tomllib_does(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "tomllib", None)
         path = tmp_path / "pyproject.toml"
-        path.write_text('[tool.csawanalyze]\nbaseline = "a #b"  # note\n')
-        assert load_tool_config(str(path), str(tmp_path)).baseline == "a #b"
-        path.write_text("[tool.csawanalyze]\nbaseline = foo\n")
+        path.write_text('[tool.csawanalyze.options]\nspec-modules = "a #b"  # note\n')
+        config = load_tool_config(str(path), str(tmp_path))
+        assert config.options["spec-modules"] == "a #b"
+        path.write_text("[tool.csawanalyze.options]\nspec-modules = foo\n")
         with pytest.raises(ValueError, match="line 2"):
             load_tool_config(str(path), str(tmp_path))
-
-
-# -- baseline mode -------------------------------------------------------------
-
-
-class TestBaseline:
-    @staticmethod
-    def _violating_file(tmp_path, name="old.py", extra=""):
-        path = tmp_path / "src" / name
-        path.parent.mkdir(exist_ok=True)
-        path.write_text("def f(xs=[]):\n    return xs\n" + extra)
-        return path
-
-    def test_round_trip_grandfathers_existing(self, tmp_path):
-        self._violating_file(tmp_path)
-        config = ToolConfig(root=str(tmp_path))
-        violations = analyze_paths([str(tmp_path / "src")], config)
-        assert [v.code for v in violations] == ["CSL007"]
-
-        baseline_path = tmp_path / "baseline.json"
-        devconfig.write_baseline(violations, str(baseline_path), config.root)
-        baseline = devconfig.load_baseline(str(baseline_path))
-        assert baseline == {"src/old.py:CSL007": 1}
-
-        fresh, grandfathered = devconfig.apply_baseline(violations, baseline, config.root)
-        assert fresh == [] and grandfathered == 1
-
-    def test_new_violation_not_masked(self, tmp_path):
-        path = self._violating_file(tmp_path)
-        config = ToolConfig(root=str(tmp_path))
-        violations = analyze_paths([str(tmp_path / "src")], config)
-        baseline_path = tmp_path / "baseline.json"
-        devconfig.write_baseline(violations, str(baseline_path), config.root)
-
-        path.write_text(path.read_text() + "def g(ys=[]):\n    return ys\n")
-        violations = analyze_paths([str(tmp_path / "src")], config)
-        fresh, grandfathered = devconfig.apply_baseline(
-            violations, devconfig.load_baseline(str(baseline_path)), config.root
-        )
-        assert grandfathered == 1
-        assert [v.code for v in fresh] == ["CSL007"]
-
-    def test_missing_baseline_is_empty(self):
-        assert devconfig.load_baseline(None) == {}
-        assert devconfig.load_baseline("/nonexistent/baseline.json") == {}
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -556,15 +509,6 @@ class TestCli:
         good = tmp_path / "good.py"
         good.write_text("def f(xs=None):\n    return xs\n")
         assert main([str(good)]) == 0
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(xs=[]):\n    return xs\n")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(bad), "--write-baseline", str(baseline)]) == 0
-        assert json.loads(baseline.read_text())["entries"]
-        assert main([str(bad), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
 
     def test_json_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -604,7 +548,3 @@ class TestRepoEnforcement:
         rc = main([str(REPO / "src"), "--config", str(REPO / "pyproject.toml")])
         captured = capsys.readouterr()
         assert rc == 0, f"csaw-analyze found violations:\n{captured.out}"
-
-    def test_committed_baseline_is_empty(self):
-        baseline = devconfig.load_baseline(str(REPO / ".csawanalyze-baseline.json"))
-        assert baseline == {}

@@ -24,7 +24,7 @@ from repro.simnet.engine import Environment
 from tests._reference_fleet import run_reference_storm
 
 SMALL = dict(seed=7, n_ases=4, clients_per_as=60, urls_per_as=5,
-             reporter_fraction=0.05)
+             planes=[{"kind": "csaw", "fraction": 0.05}])
 
 
 def small_storm(**overrides):
@@ -235,8 +235,10 @@ class TestFleetMetrics:
         with pytest.raises(ValueError):
             ClientCohort(
                 server, asns=[1], clients_per_as=5, seed=0,
-                reporter_fraction=0.0,
+                planes=[{"kind": "csaw", "fraction": 0.0}],
             )
+        with pytest.raises(ValueError, match="planes must not be empty"):
+            ClientCohort(server, asns=[1], clients_per_as=5, seed=0, planes=[])
 
     @pytest.mark.parametrize("bad", [
         {"pull_interval": 0.0},

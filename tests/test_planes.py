@@ -16,6 +16,7 @@ Four layers under test (ISSUE 10):
 """
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -72,16 +73,34 @@ class TestGoldenFingerprint:
         check("plane_golden", capture_planes())
 
     def test_explicit_default_plane_matches_golden_too(self):
-        """Passing the C-Saw plane explicitly (same fraction) is the
-        same storm as passing no planes at all."""
+        """Passing the C-Saw plane as an instance is the same storm as
+        passing its spec mapping, as the golden storm does."""
 
         def run(planes):
             _, _, metrics = golden_storm(ClientCohort, planes=planes)
             return metrics.summary()
 
         explicit = run([CSawBrowserPlane(fraction=0.05)])
-        assert explicit == run(None)
+        assert explicit == run([{"kind": "csaw", "fraction": 0.05}])
         check("plane_golden", freeze(explicit), at="grouped.summary")
+
+    def test_default_mix_is_one_csaw_plane_at_one_percent(self):
+        """No ``planes`` is one C-Saw plane at 1%, bit for bit: every
+        metric and every server row."""
+
+        def run(**kwargs):
+            server = ServerDB(entry_ttl=None)
+            metrics = run_fleet_storm(server=server, **kwargs)
+            rows = sorted(
+                [e.url, e.asn, [s.value for s in e.stages],
+                 repr(e.posted_at), e.last_uuid]
+                for e in server.all_entries()
+            )
+            return freeze(asdict(metrics)), rows
+
+        default = run()
+        assert default[0]["n_reporters"] == 50 * 20
+        assert default == run(planes=[{"kind": "csaw", "fraction": 0.01}])
 
 
 class TestPlaneAbstraction:

@@ -419,12 +419,10 @@ class TestGroupedSweepProperties:
                ttl_frac, after_sweep=None):
         from tests._reference_fleet import run_storm
 
-        planes = None
-        if mix is not None:
-            planes = [{"kind": "csaw", "fraction": frac}] + [
-                {**plane, "fraction": frac}
-                for plane in TestGroupedSweepProperties.MIXES[mix]
-            ]
+        planes = [{"kind": "csaw", "fraction": frac}] + [
+            {**plane, "fraction": frac}
+            for plane in TestGroupedSweepProperties.MIXES.get(mix, ())
+        ]
         wave_at = None if wave_frac is None else wave_frac * interval
         tick = interval / tick_div
         return run_storm(
@@ -432,7 +430,6 @@ class TestGroupedSweepProperties:
             seed=seed,
             n_ases=n_ases,
             clients_per_as=clients,
-            reporter_fraction=frac,
             urls_per_as=urls,
             pull_interval=interval,
             wave_at=wave_at,
@@ -446,6 +443,15 @@ class TestGroupedSweepProperties:
             tick=tick,
             after_sweep=after_sweep,
         )
+
+    @staticmethod
+    def _plane_state(shard):
+        """Each plane group's pending counts and convergence state."""
+        return [
+            (group.name, list(group.pending), group.target_version,
+             group.unconverged, group.converged_at)
+            for group in shard.groups
+        ]
 
     @staticmethod
     def _assert_same(got, want, path="metrics"):
@@ -519,6 +525,7 @@ class TestGroupedSweepProperties:
     ):
         from repro.core.fleet import ClientCohort
         from tests._reference_fleet import ReferenceClientCohort
+        from tests.test_oracles import assert_convergence_bound
 
         args = (seed, n_ases, clients, urls, frac, interval, tick_div,
                 wave_frac, horizon_intervals, mix, stagger_frac, ttl_frac)
@@ -549,12 +556,14 @@ class TestGroupedSweepProperties:
             assert ga.next_pull_at == sa.next_pull_at
             assert ga.bytes_received == sa.bytes_received
             assert ga.rows_received == sa.rows_received
-            assert ga.pending == sa.pending
             assert (ga.pulls, ga.pull_ptr) == (sa.pulls, sa.pull_ptr)
-            assert ga.unconverged == sa.unconverged
-            assert ga.converged_at == sa.converged_at
+            # Per-plane convergence, counted from the version runs on one
+            # side and from the per-client versions on the other.
+            assert self._plane_state(ga) == self._plane_state(sa)
             if wave_frac is None:
                 assert set(ga.versions) <= {-1, 0}
+        assert_convergence_bound(grouped)
+        assert_convergence_bound(spec)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**20),

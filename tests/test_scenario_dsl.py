@@ -168,7 +168,6 @@ class TestSpecValidation:
     @pytest.mark.parametrize("key, value", [
         ("pull_interval", 0),
         ("clients_per_as", 0),
-        ("reporter_fraction", 0.0),
         ("n_ases", -1),
         ("urls_per_as", -2),
         ("wave_at", -1.0),
@@ -179,6 +178,15 @@ class TestSpecValidation:
     def test_degenerate_cohort_value_names_the_key(self, key, value):
         with pytest.raises(SpecError, match=rf"cohort\.{key}"):
             ScenarioSpec.from_dict(minimal(cohort={key: value}))
+
+    def test_stale_reporter_fraction_names_the_key(self):
+        """Reporters are sized by ``[[planes]]`` alone: a spec that
+        still sets ``cohort.reporter_fraction`` fails instead of running
+        with another reporter mix."""
+        with pytest.raises(
+            SpecError, match=r"^cohort: unknown key\(s\) \['reporter_fraction'\]"
+        ):
+            ScenarioSpec.from_dict(minimal(cohort={"reporter_fraction": 0.005}))
 
     @pytest.mark.parametrize("kind, key, value", [
         ("problist", "probe_interval", 0.0),
