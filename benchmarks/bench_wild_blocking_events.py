@@ -11,19 +11,20 @@ import pytest
 
 from conftest import run_once
 from repro.analysis import render_table
-from repro.workloads.events import BlockingWave
+from repro.scenarios import ScenarioRunner, wave_spec
+from repro.urlkit import parse_url
 
 
 def run_experiment():
-    wave = BlockingWave(seed=5, users_per_as=4)
-    observations = wave.run()
-    return wave, observations
+    return ScenarioRunner(workers=1).run(wave_spec(seed=5, users_per_as=4))
 
 
 def test_wild_blocking_wave(benchmark, report):
-    wave, observations = run_once(benchmark, run_experiment)
+    outcome = run_once(benchmark, run_experiment)
+    observations = outcome.observations
+    service = {url: label.capitalize() for label, url in outcome.spec.urls.items()}
     rows = [
-        [f"t+{o.detected_at / 3600:.1f}h", o.service, f"AS {o.asn}", o.symptom]
+        [f"t+{o.detected_at / 3600:.1f}h", service[o.url], f"AS {o.asn}", o.symptom]
         for o in observations
     ]
     report(render_table(
@@ -35,17 +36,14 @@ def test_wild_blocking_wave(benchmark, report):
     ))
 
     assert len(observations) == 5
-    by_key = {(o.asn, o.service): o for o in observations}
+    by_key = {(o.asn, service[o.url]): o for o in observations}
     assert by_key[(38193, "Twitter")].symptom == "HTTP_GET_TIMEOUT"
     assert by_key[(17557, "Twitter")].symptom == "HTTP_GET_BLOCKPAGE"
-    instagram = [o for o in observations if o.service == "Instagram"]
+    instagram = [o for o in observations if service[o.url] == "Instagram"]
     assert len(instagram) == 3
     assert all(o.symptom == "DNS blocking" for o in instagram)
     # Detection promptness: every event surfaced within a few hours.
-    onsets = {
-        (e.asn, "Twitter" if "twitter" in e.domain else "Instagram"): e.time
-        for e in wave.events
-    }
+    onsets = {(e.asn, e.domain): e.time for e in outcome.spec.events}
     for o in observations:
-        lag = o.detected_at - onsets[(o.asn, o.service)]
+        lag = o.detected_at - onsets[(o.asn, parse_url(o.url).host)]
         assert 0 <= lag < 6 * 3600.0

@@ -1,4 +1,4 @@
-"""Analysis helpers: CDFs, percentiles, summaries, table rendering."""
+"""Analysis helpers: percentiles, summaries, seed claims, table rendering."""
 
 from .planes import (
     plane_convergence_curves,
@@ -6,21 +6,14 @@ from .planes import (
     render_plane_mix,
     voting_robustness,
 )
-from .plt_decomposition import (
-    decompose,
-    merge_breakdowns,
-    render_plt_decomposition,
-)
-from .robustness import SeedSweep, across_seeds, claim_holds
-from .stats import Summary, cdf_points, mean, median, percentile, summarize
+from .plt_decomposition import decompose, render_plt_decomposition
+from .robustness import claim_holds
+from .stats import Summary, mean, median, percentile, summarize
 from .tables import format_seconds, render_table
 
 __all__ = [
-    "SeedSweep",
-    "across_seeds",
     "claim_holds",
     "Summary",
-    "cdf_points",
     "mean",
     "median",
     "percentile",
@@ -28,7 +21,6 @@ __all__ = [
     "format_seconds",
     "render_table",
     "decompose",
-    "merge_breakdowns",
     "render_plt_decomposition",
     "plane_convergence_curves",
     "plane_mix_rows",

@@ -20,11 +20,7 @@ from typing import Dict, List, Tuple
 
 from .tables import format_seconds, render_table
 
-__all__ = [
-    "decompose",
-    "merge_breakdowns",
-    "render_plt_decomposition",
-]
+__all__ = ["decompose", "render_plt_decomposition"]
 
 #: Canonical display order: the Figure-4 pipeline, then phase 2, then
 #: transports, then the session envelope.  Unknown stages sort after, by
@@ -48,17 +44,6 @@ def _stage_key(stage: str) -> Tuple[int, str]:
     if stage == "session":
         return (len(_STAGE_ORDER) + 2, stage)
     return (len(_STAGE_ORDER) + 1, stage)
-
-
-def merge_breakdowns(
-    breakdowns: List[Dict[str, float]]
-) -> Dict[str, float]:
-    """Sum several stage→seconds maps (e.g. one per client)."""
-    merged: Dict[str, float] = {}
-    for breakdown in breakdowns:
-        for stage, seconds in breakdown.items():
-            merged[stage] = merged.get(stage, 0.0) + seconds
-    return merged
 
 
 def decompose(

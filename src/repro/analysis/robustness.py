@@ -1,66 +1,19 @@
 """Seed-robustness harness: do the headline claims survive re-rolls?
 
 A reproduction whose conclusions hold only for one RNG seed has not
-reproduced anything.  :func:`across_seeds` re-runs an experiment under a
-set of seeds and aggregates a scalar metric; :func:`claim_holds` checks a
-predicate per seed and reports the holding fraction.  The
-``bench_seed_robustness`` bench uses these to re-verify the paper's
-orderings (Figure 7, Table 6, Figure 5) across seeds.
+reproduced anything.  :func:`claim_holds` checks a predicate per seed
+and reports the holding fraction; the ``bench_seed_robustness`` bench
+uses it to re-verify the paper's orderings (Figure 7, Table 6, Figure 5)
+across seeds.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, TypeVar
 
-__all__ = ["SeedSweep", "across_seeds", "claim_holds"]
+__all__ = ["claim_holds"]
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class SeedSweep:
-    """Aggregate of one scalar metric across seeds."""
-
-    metric: str
-    values: tuple
-    seeds: tuple
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-    @property
-    def stdev(self) -> float:
-        if len(self.values) < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(
-            sum((v - mu) ** 2 for v in self.values) / (len(self.values) - 1)
-        )
-
-    @property
-    def spread(self) -> float:
-        return max(self.values) - min(self.values)
-
-    def __repr__(self) -> str:
-        return (
-            f"SeedSweep({self.metric}: mean={self.mean:.3f} "
-            f"± {self.stdev:.3f} over {len(self.values)} seeds)"
-        )
-
-
-def across_seeds(
-    metric: str,
-    experiment: Callable[[int], float],
-    seeds: Sequence[int],
-) -> SeedSweep:
-    """Run ``experiment(seed) -> scalar`` for every seed."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    values = tuple(float(experiment(seed)) for seed in seeds)
-    return SeedSweep(metric=metric, values=values, seeds=tuple(seeds))
 
 
 def claim_holds(

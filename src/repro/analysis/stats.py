@@ -1,4 +1,4 @@
-"""Statistics helpers: CDFs, percentiles, summaries.
+"""Statistics helpers: percentiles and summaries.
 
 Every figure in the paper is a CDF of PLTs or a categorical fraction;
 these helpers compute them plainly (no numpy dependency needed for the
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
-__all__ = ["percentile", "median", "mean", "cdf_points", "Summary", "summarize"]
+__all__ = ["percentile", "median", "mean", "Summary", "summarize"]
 
 
 def mean(values: Sequence[float]) -> float:
@@ -40,13 +40,6 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def median(values: Sequence[float]) -> float:
     return percentile(values, 50)
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """(x, F(x)) points of the empirical CDF, one per sample."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from .relay import relay_fetch
 from .static_proxy import PROXY_FLEET_SPEC, StaticProxyTransport, build_proxy_fleet
 from .tor import TorClient, TorCircuit, TorNetwork, TorRelay, TorTransport
 from .uproxy import FriendProxyTransport
-from .vpn import VpnTransport
 
 __all__ = [
     "FetchResult",
@@ -38,5 +37,4 @@ __all__ = [
     "TorRelay",
     "TorTransport",
     "FriendProxyTransport",
-    "VpnTransport",
 ]

@@ -1,4 +1,4 @@
-"""Shared machinery for relay-based circumvention (proxies, Lantern, VPN).
+"""Shared machinery for relay-based circumvention (proxies, Lantern, uProxy).
 
 A relay fetch has two legs: the client's (censored) leg to the relay, and
 the relay's (clean) leg to the origin.  The censor only sees the first leg
@@ -33,7 +33,6 @@ def relay_fetch(
     use_tls: bool = True,
     bandwidth_cap_bps: Optional[float] = None,
     relay_stream: str = "relay",
-    setup_overhead_rtts: float = 0.5,
 ) -> Generator:
     """Process: fetch ``url`` through a single relay; returns FetchResult.
 
@@ -70,7 +69,7 @@ def relay_fetch(
             return failed(error)
 
     # Tunnel establishment chatter (CONNECT round trip and the like).
-    yield env.timeout(setup_overhead_rtts * conn.rtt)
+    yield env.timeout(0.5 * conn.rtt)
 
     # --- leg 2: relay -> origin (clean) ------------------------------------
     relay_ctx = world.relay_ctx(relay_host, stream=relay_stream)

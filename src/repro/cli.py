@@ -134,12 +134,13 @@ def _cmd_pilot(args: argparse.Namespace) -> int:
 
 
 def _cmd_wave(args: argparse.Namespace) -> int:
-    from .workloads.events import run_blocking_wave
+    from .scenarios import ScenarioRunner, wave_spec
 
-    observations = run_blocking_wave(seed=args.seed)
+    outcome = ScenarioRunner(workers=1).run(wave_spec(seed=args.seed))
+    service = {url: label.capitalize() for label, url in outcome.spec.urls.items()}
     rows = [
-        [f"t+{o.detected_at / 3600:.1f}h", o.service, f"AS {o.asn}", o.symptom]
-        for o in observations
+        [f"t+{o.detected_at / 3600:.1f}h", service[o.url], f"AS {o.asn}", o.symptom]
+        for o in outcome.observations
     ]
     print(render_table(
         ["detected", "service", "AS", "response"], rows,

@@ -37,7 +37,6 @@ from .taxonomy import (
     block_type_for,
     dns_block_type,
     failure_class,
-    failure_class_for,
 )
 from .trace import SessionTrace, TraceEvent, TraceMode
 from .voting import VoteStats, VotingLedger
@@ -86,7 +85,6 @@ __all__ = [
     "block_type_for",
     "dns_block_type",
     "failure_class",
-    "failure_class_for",
     "SessionTrace",
     "TraceEvent",
     "TraceMode",

@@ -7,8 +7,9 @@ across ``core/detection.py``, ``core/measurement.py``, and
 - simnet failure → :class:`BlockType` (the Figure-4 / Table-5 symptom);
 - simnet failure → circumvention failure class (the protocol stage a
   transport failed at: ``dns | tcp | tls | http | other``);
-- :class:`BlockType` → failure class (which stage a recorded symptom
-  implicates, used when choosing a circumvention approach).
+- :class:`BlockType` → failure class (``BLOCK_TYPE_FAILURE_CLASS``:
+  which stage a recorded symptom implicates, used when choosing a
+  circumvention approach).
 
 csaw-analyze rule CSL008 forbids inline exception→BlockType maps anywhere
 else, so new failure modes must be registered here — where the
@@ -42,7 +43,6 @@ __all__ = [
     "block_type_for",
     "dns_block_type",
     "failure_class",
-    "failure_class_for",
 ]
 
 
@@ -155,8 +155,3 @@ def dns_block_type(error: DnsError) -> BlockType:
 def failure_class(error: Exception) -> str:
     """Protocol stage a failure belongs to: dns | tcp | tls | http | other."""
     return _failure_class_for_class(type(error))
-
-
-def failure_class_for(block_type: BlockType) -> str:
-    """Protocol stage a recorded blocking symptom implicates."""
-    return BLOCK_TYPE_FAILURE_CLASS[block_type]

@@ -20,12 +20,13 @@ Configuration lives in ``[tool.csawanalyze]`` in ``pyproject.toml``:
   to the rule's built-in allowlist (files exempt from the rule);
 - ``[tool.csawanalyze.scope]``: per-rule glob lists *replacing* the
   rule's built-in scope (files the rule applies to);
-- ``[tool.csawanalyze.options]``: free-form rule options —
-  ``time-identifiers`` (CSL006), ``worker-dispatchers`` (extra
-  first-positional-callable dispatcher names), ``spec-modules``
-  (CSA104).
+- ``[tool.csawanalyze.options]``: rule options, each a list of strings.
+  Every rule declares the option keys it reads (``Rule.option_keys``;
+  ``--list-rules`` prints them), and a key that no rule declares is a
+  config error naming the declared keys.
 
-Any other key in the table is a config error.
+Any other key in the table, or an ``allow``/``scope``/``options`` value
+that is not a table of string lists, is a config error too.
 
 Inline, ``# csaw-analyze: disable=CSL003`` (or a bare ``disable`` for
 all codes) suppresses findings on that line — or on the next line when
@@ -56,21 +57,13 @@ from .callgraph import build_call_graph
 from .index import ProjectIndex
 from .rules import Project
 
-__all__ = [
-    "Project",
-    "analyze_paths",
-    "analyze_project",
-    "analyze_source",
-    "build_project",
-    "main",
-]
+__all__ = ["Project", "analyze_project", "build_project", "main"]
 
 
 def _project(index: ProjectIndex, config: ToolConfig) -> Project:
-    extra = config.options.get("worker-dispatchers", ())
-    if isinstance(extra, str):
-        extra = (extra,)
-    graph = build_call_graph(index, extra_dispatchers=tuple(extra))
+    graph = build_call_graph(
+        index, extra_dispatchers=config.options.get("worker-dispatchers", ())
+    )
     return Project(index=index, graph=graph, config=config)
 
 
@@ -123,23 +116,6 @@ def analyze_project(
     return kept
 
 
-def analyze_paths(
-    paths: Sequence[str], config: Optional[ToolConfig] = None
-) -> List[Violation]:
-    return analyze_project(build_project(paths, config))
-
-
-def analyze_source(
-    source: str, path: str, config: Optional[ToolConfig] = None
-) -> List[Violation]:
-    """Analyze one in-memory module; ``path`` drives scope/allow matching."""
-    config = config or ToolConfig()
-    index = ProjectIndex(root=os.path.abspath(config.root))
-    index.add_source(source, path)
-    index.finalize()
-    return analyze_project(_project(index, config))
-
-
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -166,6 +142,7 @@ def _graph_main(argv: Sequence[str]) -> int:
     paths = list(args.paths) or ["src"]
     try:
         config = _load_config(paths, args.config)
+        effective_rules(config)  # rejects option keys no rule declares
     except ConfigError as exc:
         print(f"csaw-analyze: error: {exc}", file=sys.stderr)
         return 2
@@ -209,7 +186,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for code, rule_cls in all_rules().items():
             doc = (rule_cls.__doc__ or "").strip().splitlines()[0]
-            print(f"{code}  {rule_cls.name:<30} {doc}")
+            reads = "".join(f" [{key}]" for key in rule_cls.option_keys)
+            print(f"{code}  {rule_cls.name:<30} {doc}{reads}")
         return 0
 
     paths = list(args.paths) or ["src"]

@@ -67,6 +67,11 @@ _MUTATORS = {
 }
 
 
+#: The option the call-graph builder reads (extra dispatcher names),
+#: declared by each rule that walks the graph: CSA101–CSA103.
+_GRAPH_OPTIONS = ("worker-dispatchers",)
+
+
 def _fmt_path(path: Sequence[str]) -> str:
     if len(path) > 5:
         path = list(path[:2]) + ["..."] + list(path[-2:])
@@ -95,6 +100,7 @@ class WorkerSharedStateRule(ProjectRule):
     code = "CSA101"
     name = "no-worker-global-state"
     message = "module-level mutable state written in worker-reachable code"
+    option_keys = _GRAPH_OPTIONS
 
     def check(self, project: Project) -> Iterator[Violation]:
         index, graph = project.index, project.graph
@@ -222,6 +228,7 @@ class RngStreamRegistryRule(ProjectRule):
     code = "CSA102"
     name = "rng-stream-registry"
     message = "RngRegistry stream-name hazard"
+    option_keys = _GRAPH_OPTIONS
 
     def check(self, project: Project) -> Iterator[Violation]:
         index, graph = project.index, project.graph
@@ -376,6 +383,7 @@ class AmbientEscapeRule(ProjectRule):
     code = "CSA103"
     name = "no-ambient-escape"
     message = "transitively reaches an ambient-randomness/wall-clock sink"
+    option_keys = _GRAPH_OPTIONS
 
     def check(self, project: Project) -> Iterator[Violation]:
         index, graph = project.index, project.graph
@@ -471,6 +479,7 @@ class FrozenSpecMutationRule(ProjectRule):
     code = "CSA104"
     name = "no-frozen-spec-mutation"
     message = "mutation of a ScenarioSpec-subtree parameter"
+    option_keys = ("spec-modules",)
 
     _DEFAULT_SPEC_MODULES = ("repro.scenarios.spec",)
 

@@ -1,11 +1,12 @@
 """Configuration for ``csaw-analyze``.
 
 - :class:`ToolConfig` — root, rule selection, per-rule ``allow``/
-  ``scope`` glob tables, free-form options;
+  ``scope`` glob tables, rule options;
 - :func:`load_tool_config` — load the ``[tool.csawanalyze]`` table (via
   :mod:`tomllib` when available, else :mod:`.toml_subset` — the
-  same fallback as the scenario spec loader); a key it does not read
-  is a :class:`ConfigError`;
+  same fallback as the scenario spec loader); a key it does not read,
+  or an ``allow``/``scope``/``options`` value that is not a table of
+  string lists, is a :class:`ConfigError`;
 - :func:`iter_python_files` — deterministic file discovery.
 """
 
@@ -39,7 +40,8 @@ class ToolConfig:
     select: Tuple[str, ...] = ()  # empty = all registered
     allow: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     scope: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    options: Dict[str, object] = field(default_factory=dict)
+    #: option key -> strings; each rule declares the keys it reads
+    options: Dict[str, List[str]] = field(default_factory=dict)
 
 
 def load_toml(path: str) -> Dict[str, object]:
@@ -115,14 +117,21 @@ def load_tool_config(config_path: Optional[str], anchor: str) -> ToolConfig:
     if unknown:
         raise ConfigError(f"[tool.csawanalyze]: unknown key(s) {unknown}")
 
-    def globs(value: object) -> Dict[str, Tuple[str, ...]]:
+    def string_lists(key: str) -> Dict[str, List[str]]:
+        value = section.get(key, {})
         if not isinstance(value, dict):
-            return {}
-        return {
-            str(code): tuple(str(g) for g in patterns)
-            for code, patterns in value.items()
-            if isinstance(patterns, (list, tuple))
-        }
+            raise ConfigError(
+                f"[tool.csawanalyze] {key}: expected a table, got {value!r}"
+            )
+        for name, items in value.items():
+            if not isinstance(items, list) or not all(
+                isinstance(item, str) for item in items
+            ):
+                raise ConfigError(
+                    f"[tool.csawanalyze.{key}] {name}: expected a list of "
+                    f"strings, got {items!r}"
+                )
+        return value
 
     select = section.get("select", [])
     if not isinstance(select, list) or not all(
@@ -131,13 +140,13 @@ def load_tool_config(config_path: Optional[str], anchor: str) -> ToolConfig:
         raise ConfigError(
             f"select must be a list of rule codes, got {select!r}"
         )
-    options = section.get("options", {})
+    allow, scope = string_lists("allow"), string_lists("scope")
     return ToolConfig(
         root=root,
         select=tuple(select),
-        allow=globs(section.get("allow")),
-        scope=globs(section.get("scope")),
-        options=dict(options) if isinstance(options, dict) else {},
+        allow={code: tuple(globs) for code, globs in allow.items()},
+        scope={code: tuple(globs) for code, globs in scope.items()},
+        options=dict(string_lists("options")),
     )
 
 

@@ -107,6 +107,8 @@ class Rule:
     scope: Tuple[str, ...] = ()
     #: fnmatch globs for exempt files
     allow: Tuple[str, ...] = ()
+    #: keys this rule reads under ``[tool.csawanalyze.options]``
+    option_keys: Tuple[str, ...] = ()
 
     @classmethod
     def configured(cls, config: ToolConfig) -> "Rule":
@@ -170,8 +172,9 @@ def effective_rules(config: ToolConfig) -> List[Rule]:
     """The selected rules with config globs applied.
 
     Raises :class:`ConfigError` when ``select`` or an ``allow``/``scope``
-    key names a code no rule registers — a typo would otherwise select
-    nothing (or exempt nothing) and pass silently.
+    key names a code no rule registers, or an ``options`` key is one no
+    registered rule declares in its ``option_keys`` — a typo would
+    otherwise select, exempt or configure nothing and pass silently.
     """
     registry = all_rules()
     for key, codes in (
@@ -184,6 +187,15 @@ def effective_rules(config: ToolConfig) -> List[Rule]:
             raise ConfigError(
                 f"{key} names no registered rule: {', '.join(unknown)}"
             )
+    declared = sorted(
+        {key for rule_cls in registry.values() for key in rule_cls.option_keys}
+    )
+    unknown = sorted(config.options.keys() - set(declared))
+    if unknown:
+        raise ConfigError(
+            f"[tool.csawanalyze.options]: unknown key(s) {unknown} "
+            f"(declared: {declared})"
+        )
     return [
         rule_cls.configured(config)
         for code, rule_cls in registry.items()

@@ -532,16 +532,17 @@ class SimTimeEqualityRule(Rule):
 
     Simulated timestamps are sums of float latencies; exact equality
     depends on summation order and breaks under any refactor that
-    reassociates it.  Use :func:`repro.simnet.simtime.time_eq` /
-    ``time_ne`` (tolerance comparison) instead.
+    reassociates it.  Use :func:`repro.simnet.simtime.time_eq`
+    (tolerance comparison; ``not time_eq`` for ``!=``) instead.  The
+    ``time-identifiers`` option names more time-like identifiers.
     """
 
     code = "CSL006"
     name = "no-simtime-float-equality"
     message = (
-        "==/!= on a simulated-time float: use repro.simnet.simtime.time_eq "
-        "/ time_ne"
+        "==/!= on a simulated-time float: use repro.simnet.simtime.time_eq"
     )
+    option_keys = ("time-identifiers",)
 
     _TIME_ATTRS = {"now", "time"}
     _TIME_NAMES = {"now", "sim_time"}

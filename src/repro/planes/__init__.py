@@ -7,7 +7,8 @@ kind registry the scenario compiler and spec validator resolve against.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping
+import inspect
+from typing import Any, Dict, Mapping, Type
 
 from .base import DEFAULT_PLANE, MeasurementPlane, PlaneProfile
 from .csaw import CSawBrowserPlane
@@ -28,57 +29,42 @@ __all__ = [
 ]
 
 
-def _build_csaw(spec: Mapping[str, Any]) -> CSawBrowserPlane:
-    return CSawBrowserPlane(
-        fraction=spec["fraction"], name=spec.get("name", DEFAULT_PLANE)
-    )
-
-
-def _build_encore(spec: Mapping[str, Any]) -> EncoreProbePlane:
-    return EncoreProbePlane(
-        fraction=spec["fraction"],
-        miss_rate=spec.get("miss_rate", 0.2),
-        name=spec.get("name", "encore"),
-    )
-
-
-def _build_problist(spec: Mapping[str, Any]) -> GeneratedProbeListPlane:
-    return GeneratedProbeListPlane(
-        fraction=spec["fraction"],
-        probe_interval=spec.get("probe_interval", 600.0),
-        coverage=spec.get("coverage", 0.7),
-        name=spec.get("name", "problist"),
-    )
-
-
-def _build_sybil(spec: Mapping[str, Any]) -> SybilPlane:
-    kind = spec["kind"]
-    return SybilPlane(
-        kind,
-        fraction=spec["fraction"],
-        urls_each=spec.get("urls_each", 1),
-        name=spec.get("name", kind),
-    )
-
-
-#: kind -> factory taking a mapping of spec fields (a PlaneSpec's fields
-#: or a plain dict); the scenario compiler and spec validation both
-#: resolve plane kinds here, so adding a plane is one registry entry.
-PLANE_KINDS: Dict[str, Callable[[Mapping[str, Any]], MeasurementPlane]] = {
-    "csaw": _build_csaw,
-    "encore": _build_encore,
-    "problist": _build_problist,
-    "flood": _build_sybil,
-    "clique": _build_sybil,
+#: kind -> plane class.  A mapping of spec fields (a PlaneSpec's set
+#: fields or a plain dict) builds through the class's own constructor,
+#: so each knob's default is stated once, there.  The scenario compiler
+#: and spec validation both resolve kinds here, so adding a plane is one
+#: registry entry.
+PLANE_KINDS: Dict[str, Type[MeasurementPlane]] = {
+    "csaw": CSawBrowserPlane,
+    "encore": EncoreProbePlane,
+    "problist": GeneratedProbeListPlane,
+    "flood": SybilPlane,
+    "clique": SybilPlane,
 }
 
 
 def build_plane(spec: Mapping[str, Any]) -> MeasurementPlane:
-    """Instantiate one plane from its spec-field mapping."""
-    kind = spec.get("kind", "csaw")
-    factory = PLANE_KINDS.get(kind)
-    if factory is None:
+    """Instantiate one plane from its spec-field mapping.
+
+    Every key goes to the kind's constructor, ``kind`` only when the
+    constructor takes it (the Sybil planes' does).  A key the
+    constructor does not take is a :class:`ValueError` naming the key
+    and the kind.
+    """
+    kwargs = dict(spec)
+    kind = kwargs.setdefault("kind", "csaw")
+    plane_cls = PLANE_KINDS.get(kind)
+    if plane_cls is None:
         raise ValueError(
             f"unknown plane kind {kind!r} (known: {sorted(PLANE_KINDS)})"
         )
-    return factory(spec)
+    takes = inspect.signature(plane_cls).parameters
+    if "kind" not in takes:
+        del kwargs["kind"]
+    unknown = sorted(kwargs.keys() - takes.keys())
+    if unknown:
+        raise ValueError(
+            f"plane kind {kind!r} does not read {unknown} "
+            f"(it reads: {', '.join(takes)})"
+        )
+    return plane_cls(**kwargs)

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .compiler import CompiledScenario, ScenarioCompiler
 from .expect import ExpectationCheck, ExpectationReport, evaluate
-from .library import centralized_spec, pakistan_spec, wave_spec
+from .library import pakistan_spec, wave_spec
 from .runner import (
     ProbeVerdict,
     ReputationOutcome,
@@ -44,7 +44,6 @@ __all__ = [
     "SYMPTOM_LABELS",
     "symptom_for",
     "pakistan_spec",
-    "centralized_spec",
     "wave_spec",
     "load_spec",
     "load_toml_file",

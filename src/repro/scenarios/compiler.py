@@ -164,7 +164,10 @@ class ScenarioCompiler:
             return None
         from ..planes import build_plane
 
-        return [build_plane(asdict(plane)) for plane in spec.planes]
+        return [
+            build_plane({k: v for k, v in asdict(plane).items() if v is not None})
+            for plane in spec.planes
+        ]
 
     def compile(self, spec: ScenarioSpec) -> CompiledScenario:
         spec.validate()

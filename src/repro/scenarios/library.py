@@ -1,12 +1,13 @@
 """The canonical scenarios, expressed as specs.
 
-These are the declarative re-statements of the three legacy imperative
-builders — Pakistan §2.3/Table 1, the centralized-country contrast case,
-and the §7.5 blocking wave.  The old entrypoints in
-``repro.workloads.scenarios`` / ``repro.workloads.events`` are now thin
-wrappers that compile these specs; ``tests/test_scenario_dsl.py`` proves
-the compiled worlds bit-identical (same seed, same floats) to the
-pre-redesign builders via committed golden fingerprints.
+These are the declarative re-statements of two legacy imperative
+builders: Pakistan §2.3/Table 1 and the §7.5 blocking wave.
+``repro.workloads.scenarios.pakistan_case_study`` is a thin wrapper
+that compiles :func:`pakistan_spec`; the wave runs as
+``ScenarioRunner(workers=1).run(wave_spec(...))``.
+``tests/test_scenario_dsl.py`` proves both worlds bit-identical (same
+seed, same floats) to the pre-redesign builders via committed golden
+fingerprints.
 
 The Table-7 pilot and the Figure-2 ONI sweep are not specs here: they
 need a site corpus and per-AS mechanism mixes that no spec section
@@ -34,7 +35,6 @@ from .spec import (
 
 __all__ = [
     "pakistan_spec",
-    "centralized_spec",
     "wave_spec",
     "WAVE_ASNS",
     "TWITTER",
@@ -164,46 +164,6 @@ def pakistan_spec(
         ),
         execution=ExecutionSpec(mode="probe"),
         urls=urls,
-    )
-
-
-def centralized_spec(
-    seed: int = 1, n_isps: int = 4, country: str = "pakistan"
-) -> ScenarioSpec:
-    """One national policy object shared by every ISP (§2's
-    centralized-censorship contrast case)."""
-    return ScenarioSpec(
-        name="centralized-country",
-        description="centralized censorship: every ISP shares one "
-        "national filtering policy",
-        seed=seed,
-        sites=(
-            SiteSpec(YOUTUBE, location="global-anycast", size_bytes=360_000,
-                     category="video", supports_fronting=True),
-            SiteSpec(SMALL_UNBLOCKED, location="netherlands", size_bytes=95_000),
-        ),
-        blockpages=(BlockpageSpec("block.national-filter.example"),),
-        policies=(
-            PolicySpec(
-                name="national",
-                rules=(
-                    RuleSpec(domains=("youtube.com",),
-                             mechanisms=("blockpage-redirect",),
-                             label="national-youtube"),
-                ),
-            ),
-        ),
-        ases=tuple(
-            AsSpec(50000 + index, f"{country}-ISP-{index}", country=country,
-                   policy="national")
-            for index in range(n_isps)
-        ),
-        infra=InfraSpec(tor_relays=30, lantern_proxies=8),
-        execution=ExecutionSpec(mode="probe"),
-        urls={
-            "youtube": f"http://{YOUTUBE}/",
-            "small-unblocked": f"http://{SMALL_UNBLOCKED}/",
-        },
     )
 
 

@@ -12,10 +12,10 @@ Three execution modes, resolved from the spec:
   ``[expect.reputation]`` the reputation analyzer judges the storm's
   server afterwards.
 
-The client driver reproduces the legacy :class:`BlockingWave` loop
-draw-for-draw (same stream names, same jitter, same think-time), which
-is what lets the old entrypoints become thin wrappers with bit-identical
-same-seed output.
+The client driver reproduces the pre-DSL blocking-wave loop
+draw-for-draw (same stream names, same jitter, same think-time), so the
+§7.5 wave runs here alone (``ScenarioRunner(workers=1).run(wave_spec())``)
+with bit-identical same-seed output.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class ScenarioOutcome:
     report: ExpectationReport = None  # type: ignore[assignment]
 
 
-# -- the client-mode driver (the legacy wave loop, verbatim) -------------------
+# -- the client-mode driver (the pre-DSL wave loop, verbatim) ------------------
 
 
 def _censor_process(world, events):

@@ -26,6 +26,7 @@ CI matrix needs no third-party dependency.
 
 import dataclasses
 import functools
+import inspect
 import typing
 from dataclasses import MISSING, dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, Union
@@ -378,20 +379,21 @@ class PlaneSpec:
 
     ``kind`` picks the implementation from the :mod:`repro.planes`
     registry; ``fraction`` sizes the plane's reporter subpopulation.
-    The remaining knobs only apply to the kinds that read them:
-    ``miss_rate`` (encore blockpage misclassification),
-    ``probe_interval``/``coverage`` (problist scheduling and
-    list-generation recall), ``urls_each`` (the URLs a flood or clique
-    reporter fabricates).
+    The remaining knobs are unset unless given, which leaves the plane
+    class's own default, and a kind may set only the knobs its
+    constructor takes: ``miss_rate`` (encore blockpage
+    misclassification), ``probe_interval``/``coverage`` (problist
+    scheduling and list-generation recall), ``urls_each`` (the URLs a
+    flood or clique reporter fabricates).
     """
 
     kind: str
     name: str = ""  # "" -> the kind
     fraction: float = 0.01
-    miss_rate: float = 0.2
-    probe_interval: float = 600.0
-    coverage: float = 0.7
-    urls_each: int = 1
+    miss_rate: Optional[float] = None
+    probe_interval: Optional[float] = None
+    coverage: Optional[float] = None
+    urls_each: Optional[int] = None
 
     def __post_init__(self) -> None:
         # The registry is the source of truth for what can be built (lazy
@@ -403,11 +405,20 @@ class PlaneSpec:
             raise SpecError(f"{self.kind!r} not in registry ({known})", "kind")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
+        takes = inspect.signature(PLANE_KINDS[self.kind]).parameters
+        for f in dataclasses.fields(self):
+            if f.name != "kind" and f.name not in takes:
+                _check(getattr(self, f.name) is None, f.name,
+                       f"plane kind {self.kind!r} does not read it")
         _check(0.0 < self.fraction <= 1.0, "fraction", "must be in (0, 1]")
-        _check(0.0 <= self.miss_rate < 1.0, "miss_rate", "must be in [0, 1)")
-        _check(self.probe_interval > 0.0, "probe_interval", "must be > 0")
-        _check(0.0 < self.coverage <= 1.0, "coverage", "must be in (0, 1]")
-        _check(self.urls_each >= 1, "urls_each", "must be >= 1")
+        _check(self.miss_rate is None or 0.0 <= self.miss_rate < 1.0,
+               "miss_rate", "must be in [0, 1)")
+        _check(self.probe_interval is None or self.probe_interval > 0.0,
+               "probe_interval", "must be > 0")
+        _check(self.coverage is None or 0.0 < self.coverage <= 1.0,
+               "coverage", "must be in (0, 1]")
+        _check(self.urls_each is None or self.urls_each >= 1,
+               "urls_each", "must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ here instead.
 
 from __future__ import annotations
 
-__all__ = ["TIME_EPS", "time_eq", "time_ne", "time_close"]
+__all__ = ["TIME_EPS", "time_eq"]
 
 #: Half a nanosecond of simulated seconds: far below any modelled latency
 #: (the finest grain in ``simnet/latency.py`` is microseconds), far above
@@ -21,12 +21,3 @@ TIME_EPS = 5e-10
 def time_eq(a: float, b: float, eps: float = TIME_EPS) -> bool:
     """True when two simulated timestamps are the same instant."""
     return abs(a - b) <= eps
-
-
-def time_ne(a: float, b: float, eps: float = TIME_EPS) -> bool:
-    """True when two simulated timestamps are distinct instants."""
-    return abs(a - b) > eps
-
-
-#: Alias matching the naming used in analysis code.
-time_close = time_eq

@@ -20,8 +20,6 @@ __all__ = [
     "parse_url",
     "normalize_url",
     "base_url",
-    "is_base_url",
-    "is_derived_of",
     "registered_domain",
 ]
 
@@ -108,26 +106,6 @@ def normalize_url(url: str) -> str:
 def base_url(url: str) -> str:
     """The base URL (path ``/``) of ``url``."""
     return parse_url(url).base().url
-
-
-def is_base_url(url: str) -> bool:
-    return parse_url(url).is_base
-
-
-def is_derived_of(derived: str, base: str) -> bool:
-    """True when ``derived`` shares origin with ``base`` and extends it.
-
-    ``base`` may itself be a non-root path (prefix semantics, used by the
-    local_DB's longest-prefix matching).
-    """
-    d, b = parse_url(derived), parse_url(base)
-    if (d.scheme, d.host, d.port) != (b.scheme, b.host, b.port):
-        return False
-    if b.path == "/":
-        return True
-    return d.path == b.path or d.path.startswith(
-        b.path if b.path.endswith("/") else b.path + "/"
-    )
 
 
 def registered_domain(host: str) -> str:

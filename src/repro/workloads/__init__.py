@@ -1,8 +1,7 @@
-"""Workloads: synthetic corpus, canned scenarios, pilot study, events."""
+"""Workloads: synthetic corpus, the case-study world, pilot study, ONI sweep."""
 
 from .corpus import CATEGORY_MIX, Corpus, SiteSpec, build_corpus
-from .events import BlockingWave, WaveObservation, run_blocking_wave
-from .oni import FIG2_CATEGORIES, ONI_AS_SPECS, OniSweep, run_oni_sweep
+from .oni import FIG2_CATEGORIES, ONI_AS_SPECS, OniSweep
 from .pilot import (
     PilotConfig,
     PilotReport,
@@ -11,26 +10,16 @@ from .pilot import (
     run_pilot,
     summarize_sweep,
 )
-from .scenarios import (
-    BLOCKED_CATEGORIES,
-    CaseStudyScenario,
-    CentralizedScenario,
-    centralized_country,
-    pakistan_case_study,
-)
+from .scenarios import BLOCKED_CATEGORIES, CaseStudyScenario, pakistan_case_study
 
 __all__ = [
     "CATEGORY_MIX",
     "Corpus",
     "SiteSpec",
     "build_corpus",
-    "BlockingWave",
-    "WaveObservation",
-    "run_blocking_wave",
     "FIG2_CATEGORIES",
     "ONI_AS_SPECS",
     "OniSweep",
-    "run_oni_sweep",
     "PilotConfig",
     "PilotReport",
     "PilotStudy",
@@ -39,7 +28,5 @@ __all__ = [
     "summarize_sweep",
     "BLOCKED_CATEGORIES",
     "CaseStudyScenario",
-    "CentralizedScenario",
-    "centralized_country",
     "pakistan_case_study",
 ]

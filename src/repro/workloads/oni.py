@@ -27,7 +27,7 @@ from ..scenarios.compiler import blockpage_site
 from ..scenarios.mechanisms import build_rule
 from ..simnet.world import World
 
-__all__ = ["OniAsSpec", "ONI_AS_SPECS", "OniSweep", "run_oni_sweep", "FIG2_CATEGORIES"]
+__all__ = ["OniAsSpec", "ONI_AS_SPECS", "OniSweep", "FIG2_CATEGORIES"]
 
 FIG2_CATEGORIES = [
     "No DNS",
@@ -187,8 +187,3 @@ def _classify(stages: List[BlockType]) -> Optional[str]:
         if category is not None:
             return category
     return None
-
-
-def run_oni_sweep(seed: int = 13, domains_per_as: int = 60):
-    sweep = OniSweep(seed=seed, domains_per_as=domains_per_as)
-    return sweep.run(), sweep.ground_truth()

@@ -1,4 +1,4 @@
-"""Canned experiment worlds (spec-backed wrappers).
+"""The canned case-study world (a spec-backed wrapper).
 
 :func:`pakistan_case_study` rebuilds the paper's measurement setting
 (§2.3, Table 1): a University/home vantage in Pakistan behind two large
@@ -10,14 +10,13 @@ ISPs with *different* filtering stacks —
   to a local host *and* HTTP/HTTPS request drops) and iframe block pages
   for everything else.
 
-Since the scenario-DSL redesign both worlds are *data*: the builders
-here are thin wrappers that compile
-:func:`repro.scenarios.library.pakistan_spec` /
-:func:`~repro.scenarios.library.centralized_spec` and re-bundle the
-result into the historical dataclasses.  Same seed, same world,
-bit-for-bit (``tests/test_scenario_dsl.py`` holds the golden
-fingerprints) — only the construction path changed.  Their clients'
-transports come from the compiler's one catalogue,
+Since the scenario-DSL redesign the world is *data*: the builder here
+is a thin wrapper that compiles
+:func:`repro.scenarios.library.pakistan_spec` and re-bundles the result
+into the historical dataclass.  Same seed, same world, bit-for-bit
+(``tests/test_scenario_dsl.py`` holds the golden fingerprints); only
+the construction path changed.  Its clients' transports come from the
+compiler's one catalogue,
 :func:`~repro.scenarios.compiler.build_transports`.
 """
 
@@ -45,7 +44,6 @@ from ..scenarios.library import (
     SMALL_UNBLOCKED,
     TABLE5_SITES,
     YOUTUBE,
-    centralized_spec,
     pakistan_spec,
 )
 from ..simnet.topology import AutonomousSystem, Host
@@ -120,47 +118,5 @@ def pakistan_case_study(
         tor=compiled.tor,
         lantern=compiled.lantern,
         proxy_transports=compiled.proxies,
-        urls=dict(spec.urls),
-    )
-
-
-@dataclass
-class CentralizedScenario:
-    """A country with *centralized* censorship (§2): every ISP shares one
-    national filtering policy, so all traffic of the same type sees the
-    same kind of blocking — the contrast case to the distributed
-    Pakistan world above."""
-
-    world: World
-    isps: List[AutonomousSystem]
-    policy: object  # the shared CensorPolicy
-    blockpage: Host
-    tor: TorNetwork
-    lantern: LanternNetwork
-    urls: Dict[str, str] = field(default_factory=dict)
-
-    def make_transports(self, client_name: str) -> List[Transport]:
-        return build_transports(
-            client_name,
-            ("public-dns", "https", "tor", "lantern"),
-            tor=self.tor,
-            lantern=self.lantern,
-        )
-
-
-def centralized_country(
-    seed: int = 1, n_isps: int = 4, country: str = "pakistan"
-) -> CentralizedScenario:
-    """Build a centrally-censored country: one policy object shared by
-    every ISP (think Iran/South Korea in §2)."""
-    spec = centralized_spec(seed=seed, n_isps=n_isps, country=country)
-    compiled = ScenarioCompiler().compile(spec)
-    return CentralizedScenario(
-        world=compiled.world,
-        isps=[compiled.isps[a.asn] for a in spec.ases],
-        policy=compiled.policies["national"],
-        blockpage=compiled.blockpages["block.national-filter.example"],
-        tor=compiled.tor,
-        lantern=compiled.lantern,
         urls=dict(spec.urls),
     )

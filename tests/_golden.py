@@ -43,11 +43,12 @@ from repro.censor.actions import PASS_DNS, PASS_HTTP, PASS_IP, PASS_TLS
 from repro.core import CSawClient, CSawConfig, ServerDB
 from repro.core.detection import measure_direct_path
 from repro.core.fleet import ClientCohort
+from repro.scenarios import ScenarioRunner, wave_spec
 from repro.simnet.engine import Environment
-from repro.workloads.events import BlockingWave
 from repro.workloads.oni import OniSweep
 from repro.workloads.pilot import PilotConfig, PilotStudy
-from repro.workloads.scenarios import centralized_country, pakistan_case_study
+from repro.workloads.scenarios import pakistan_case_study
+from tests._centralized import centralized_country
 from tests._reference_fleet import ReferenceClientCohort
 
 
@@ -283,15 +284,17 @@ def centralized_fingerprint(seed: int = 9, n_isps: int = 3) -> Dict[str, Any]:
 
 
 def wave_fingerprint(seed: int = 6, users_per_as: int = 3) -> Dict[str, Any]:
-    wave = BlockingWave(seed=seed, users_per_as=users_per_as)
-    observations = wave.run()
+    outcome = ScenarioRunner(workers=1).run(
+        wave_spec(seed=seed, users_per_as=users_per_as)
+    )
+    service = {url: label.capitalize() for label, url in outcome.spec.urls.items()}
     return {
         "observations": [
-            [repr(o.detected_at), o.asn, o.service, o.symptom]
-            for o in observations
+            [repr(o.detected_at), o.asn, service[o.url], o.symptom]
+            for o in outcome.observations
         ],
-        "stats": [freeze(c.stats()) for c in wave.clients],
-        "entries": wave.server.entry_count,
+        "stats": [freeze(c.stats()) for c in outcome.compiled.clients],
+        "entries": outcome.compiled.server.entry_count,
     }
 
 

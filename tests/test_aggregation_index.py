@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.aggregation import UrlPrefixIndex
+from repro.urlkit import parse_url
+from tests._reference_urls import is_derived_of
 
 
 def test_segment_boundary_a_vs_ab():
@@ -72,3 +77,44 @@ def test_exact_vs_prefix_and_origin_isolation():
     assert index.keys_for_origin("http://a.example/p/q") == ["http://a.example/p"]
     # Same path under another origin must not leak across buckets.
     assert index.longest_prefix("http://b.example/p/q") is None
+
+
+_origins = st.sampled_from([
+    "http://site.example",
+    "https://site.example",
+    "http://site.example:8080",
+    "http://other.example",
+])
+# Whole segments only; "a" and "ab" share a first letter, so a match
+# that is not on a segment boundary shows.
+_paths = st.lists(st.sampled_from(["a", "ab", "b"]), max_size=3).map(
+    lambda segments: "/" + "/".join(segments)
+)
+_urls = st.builds(lambda origin, path: origin + path, _origins, _paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=st.lists(st.tuples(st.booleans(), _urls), max_size=20),
+    queries=st.lists(_urls, min_size=1, max_size=6),
+)
+def test_longest_prefix_is_the_deepest_key_the_url_derives_from(ops, queries):
+    """After every add or remove, ``longest_prefix(u)`` is the stored
+    key with the longest path among those ``u`` derives from (the
+    whole-segment reference), or ``None`` when there is none."""
+    index = UrlPrefixIndex()
+    stored = {}  # key -> None, in insertion order
+    for add, key in ops:
+        if add:
+            index.add(key)
+            stored[key] = None
+        else:
+            index.remove(key)
+            stored.pop(key, None)
+        for url in queries:
+            covering = [k for k in stored if is_derived_of(url, k)]
+            expected = max(
+                covering, key=lambda k: len(parse_url(k).path), default=None
+            )
+            assert index.longest_prefix(url) == expected, (url, list(stored))
+    assert len(index) == len(stored)

@@ -20,15 +20,10 @@ import pytest
 
 from repro.devtools.analyze.callgraph import build_call_graph
 from repro.devtools.analyze.index import ProjectIndex, module_name_for
-from repro.devtools.analyze.main import (
-    analyze_paths,
-    analyze_project,
-    analyze_source,
-    build_project,
-    main,
-)
+from repro.devtools.analyze.main import analyze_project, build_project, main
 from repro.devtools.config import ToolConfig, load_tool_config
 from repro.devtools.framework import suppressed_lines
+from tests._analyze import analyze_paths, analyze_source
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "data" / "analyze_fixtures"
@@ -663,8 +658,32 @@ class TestCli:
                 'baseline = ".csawanalyze-baseline.json"',
                 "[tool.csawanalyze]: unknown key(s) ['baseline']",
             ),
+            (
+                '[tool.csawanalyze.scope]\nCSL002 = "other/*"',
+                "[tool.csawanalyze.scope] CSL002: expected a list of strings,"
+                " got 'other/*'",
+            ),
+            (
+                '[tool.csawanalyze.allow]\nCSL002 = "x.py"',
+                "[tool.csawanalyze.allow] CSL002: expected a list of strings,"
+                " got 'x.py'",
+            ),
+            (
+                'options = "oops"',
+                "[tool.csawanalyze] options: expected a table, got 'oops'",
+            ),
+            (
+                '[tool.csawanalyze.options]\ntime-identifier = ["epoch"]',
+                "[tool.csawanalyze.options]: unknown key(s) ['time-identifier']"
+                " (declared: ['spec-modules', 'time-identifiers',"
+                " 'worker-dispatchers'])",
+            ),
         ],
-        ids=["select-not-a-list", "select", "allow", "scope", "unknown-key"],
+        ids=[
+            "select-not-a-list", "select", "allow", "scope", "unknown-key",
+            "scope-not-a-list", "allow-not-a-list", "options-not-a-table",
+            "unknown-option",
+        ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, table, bad):
         (tmp_path / "pyproject.toml").write_text(

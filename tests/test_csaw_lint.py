@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze.main import analyze_source, main
+from repro.devtools.analyze.main import main
 from repro.devtools.config import ToolConfig, load_tool_config
 from repro.devtools.framework import all_rules, suppressed_lines
+from tests._analyze import analyze_source
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -487,9 +488,9 @@ class TestConfig:
     def test_subset_reads_strings_as_tomllib_does(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "tomllib", None)
         path = tmp_path / "pyproject.toml"
-        path.write_text('[tool.csawanalyze.options]\nspec-modules = "a #b"  # note\n')
+        path.write_text('[tool.csawanalyze.options]\nspec-modules = ["a #b"]  # note\n')
         config = load_tool_config(str(path), str(tmp_path))
-        assert config.options["spec-modules"] == "a #b"
+        assert config.options["spec-modules"] == ["a #b"]
         path.write_text("[tool.csawanalyze.options]\nspec-modules = foo\n")
         with pytest.raises(ValueError, match="line 2"):
             load_tool_config(str(path), str(tmp_path))

@@ -122,6 +122,15 @@ class TestPlaneAbstraction:
         with pytest.raises(ValueError):
             build_plane({"kind": "satellite", "fraction": 0.1})
 
+    def test_a_knob_the_kind_does_not_read_is_rejected(self):
+        # A typo used to be dropped silently and the storm ran on the
+        # default coverage.
+        with pytest.raises(ValueError, match=r"'encore' does not read \['covrage'\]"):
+            run_fleet_storm(
+                n_ases=1, clients_per_as=20, urls_per_as=1,
+                planes=[{"kind": "encore", "fraction": 0.05, "covrage": 0.9}],
+            )
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             CSawBrowserPlane(fraction=0.0)
@@ -584,6 +593,25 @@ fraction = 0.05
 [[planes]]
 kind = "encore"
 fraction = 0.01
+"""
+                ),
+                tmp_path,
+            )
+
+    def test_knob_the_kind_does_not_read_names_the_key(self, tmp_path):
+        from repro.scenarios import SpecError
+
+        with pytest.raises(
+            SpecError,
+            match=r"^planes\[0\]\.coverage: plane kind 'encore' does not read it",
+        ):
+            self.load(
+                self.toml_for(
+                    planes_block="""
+[[planes]]
+kind = "encore"
+fraction = 0.05
+coverage = 0.3
 """
                 ),
                 tmp_path,

@@ -37,6 +37,7 @@ from repro.scenarios.spec import (
     load_toml_file,
 )
 from repro.workloads.scenarios import pakistan_case_study
+from tests._centralized import centralized_spec
 
 
 MINIMAL = {
@@ -510,8 +511,6 @@ class TestTomlSubset:
 
 class TestCompiler:
     def test_centralized_policy_object_is_shared(self):
-        from repro.scenarios import centralized_spec
-
         compiled = ScenarioCompiler().compile(
             centralized_spec(seed=2, n_isps=3)
         )

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import cdf_points, mean, median, percentile, summarize
-from repro.analysis.robustness import SeedSweep, across_seeds, claim_holds
+from repro.analysis import mean, median, percentile, summarize
+from repro.analysis.robustness import claim_holds
 from repro.analysis.tables import format_seconds, render_table
 from repro.core import BlockStatus, BlockType, CSawClient, LocalDatabase
-from repro.workloads.scenarios import centralized_country, pakistan_case_study
+from repro.workloads.scenarios import pakistan_case_study
+from tests._centralized import centralized_country
 
 
 class TestStats:
@@ -28,13 +29,6 @@ class TestStats:
                 fn([])
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_cdf_points_monotone(self):
-        points = cdf_points([5.0, 1.0, 3.0])
-        xs = [x for x, _y in points]
-        ys = [y for _x, y in points]
-        assert xs == sorted(xs)
-        assert ys == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
 
     def test_summary_fields(self):
         s = summarize(range(1, 101))
@@ -75,20 +69,12 @@ class TestTables:
 
 
 class TestRobustnessHarness:
-    def test_across_seeds_aggregates(self):
-        sweep = across_seeds("double", lambda seed: seed * 2.0, [1, 2, 3])
-        assert sweep.mean == pytest.approx(4.0)
-        assert sweep.spread == 4.0
-        assert sweep.stdev > 0
-
     def test_claim_holds_reports_failures(self):
         result = claim_holds(lambda s: s, lambda v: v % 2 == 0, [2, 3, 4])
         assert result["fraction"] == pytest.approx(2 / 3)
         assert result["failures"] == [3]
 
     def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            across_seeds("x", lambda s: s, [])
         with pytest.raises(ValueError):
             claim_holds(lambda s: s, lambda v: True, [])
 

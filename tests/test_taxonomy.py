@@ -14,7 +14,6 @@ from repro.core.taxonomy import (
     block_type_for,
     dns_block_type,
     failure_class,
-    failure_class_for,
 )
 from repro.simnet.dns import DnsError, DnsTimeout, NxDomain, Refused, ServFail
 from repro.simnet.http import HttpTimeout
@@ -45,7 +44,7 @@ class TestFailureMapping:
         error = make()
         assert block_type_for(error) is expected
         assert failure_class(error) == klass
-        assert failure_class_for(expected) == klass
+        assert BLOCK_TYPE_FAILURE_CLASS[expected] == klass
 
     def test_unmapped_error_gives_none(self):
         assert block_type_for(ValueError("nope")) is None

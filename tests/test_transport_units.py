@@ -1,16 +1,13 @@
 """Unit tests for transports not covered by the integration suites:
-VPN, static-proxy fleet construction, Hold-On costs, where the
+static-proxy fleet construction, Hold-On costs, where the
 IP-as-hostname fix learns its address."""
 
 import pytest
 
-from repro.censor.actions import IpAction, IpVerdict
-from repro.censor.policy import Matcher, Rule
 from repro.circumvent import (
     HoldOnTransport,
     IpAsHostnameTransport,
     PROXY_FLEET_SPEC,
-    VpnTransport,
     build_proxy_fleet,
 )
 from repro.workloads.scenarios import pakistan_case_study
@@ -25,58 +22,6 @@ def make_ctx(scenario, isp, name):
     world = scenario.world
     client, access = world.add_client(name, [isp])
     return world.new_ctx(client, access, stream=f"tu/{name}")
-
-
-class TestVpn:
-    def test_vpn_tunnels_blocked_content(self, scenario):
-        world = scenario.world
-        endpoint = world.network.add_host("vpn-nl", "netherlands",
-                                          bandwidth_bps=40e6)
-        vpn = VpnTransport(endpoint)
-        assert vpn.provides_anonymity
-        assert vpn.uses_relay
-        assert vpn.name == "vpn:vpn-nl"
-        ctx = make_ctx(scenario, scenario.isp_b, "vpn-1")
-        result = world.run_process(
-            vpn.fetch(world, ctx, scenario.urls["youtube"])
-        )
-        assert result.ok
-        assert result.response.size_bytes == 360_000
-
-    def test_vpn_endpoint_blacklisted(self, scenario):
-        world = scenario.world
-        endpoint = world.network.add_host("vpn-blocked", "netherlands")
-        policy = world.network.ases[scenario.isp_a.asn].censor.policy
-        policy.add_rule(
-            Rule(matcher=Matcher(ips={endpoint.ip}),
-                 ip=IpVerdict(IpAction.DROP), label="vpn-kill")
-        )
-        vpn = VpnTransport(endpoint)
-        ctx = make_ctx(scenario, scenario.isp_a, "vpn-2")
-        result = world.run_process(
-            vpn.fetch(world, ctx, scenario.urls["youtube"])
-        )
-        assert result.failed
-        assert result.failure_stage == "tcp"
-        policy.remove_rules("vpn-kill")
-
-    def test_vpn_slower_than_plain_relay_setup(self, scenario):
-        """The VPN handshake overhead (1.5 RTT extra) shows up."""
-        world = scenario.world
-        host_a = world.network.add_host("vpn-fast", "netherlands",
-                                        jitter_sigma=0.0)
-        host_b = world.network.add_host("proxy-fast", "netherlands",
-                                        jitter_sigma=0.0)
-        from repro.circumvent import StaticProxyTransport
-
-        vpn = VpnTransport(host_a)
-        proxy = StaticProxyTransport(host_b)
-        ctx = make_ctx(scenario, scenario.isp_clean, "vpn-3")
-        url = scenario.urls["small-unblocked"]
-        vpn_result = world.run_process(vpn.fetch(world, ctx, url))
-        proxy_result = world.run_process(proxy.fetch(world, ctx, url))
-        assert vpn_result.ok and proxy_result.ok
-        assert vpn_result.elapsed > proxy_result.elapsed
 
 
 class TestProxyFleet:

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.urlkit import (
-    base_url,
-    is_base_url,
-    is_derived_of,
-    normalize_url,
-    parse_url,
-    registered_domain,
-)
+from repro.urlkit import base_url, normalize_url, parse_url, registered_domain
+from tests._reference_urls import is_derived_of
 
 
 def test_parse_basic():
@@ -53,8 +47,8 @@ def test_parse_rejects_malformed(bad):
 
 def test_base_url_and_is_base():
     assert base_url("http://www.foo.com/a/b.html") == "http://www.foo.com/"
-    assert is_base_url("http://www.foo.com/")
-    assert not is_base_url("http://www.foo.com/a")
+    assert parse_url("http://www.foo.com/").is_base
+    assert not parse_url("http://www.foo.com/a").is_base
 
 
 def test_with_scheme_switches_default_port():

@@ -1,12 +1,13 @@
-"""Tests for the workload generators: corpus, pilot, events, ONI sweep."""
+"""Tests for the workload generators: corpus, pilot, the §7.5 wave, ONI sweep."""
 
 import random
 
 import pytest
 
 from tests._golden import check, oni_construction, pilot_construction
+from repro.scenarios import ScenarioRunner, wave_spec
+from repro.urlkit import parse_url
 from repro.workloads.corpus import build_corpus
-from repro.workloads.events import BlockingWave
 from repro.workloads.oni import FIG2_CATEGORIES, OniSweep
 from repro.workloads.pilot import PilotConfig, PilotStudy
 from repro.simnet.world import World
@@ -122,38 +123,39 @@ class TestPilotSmall:
 
 
 class TestBlockingWave:
-    def test_wave_detects_all_five_events(self):
-        wave = BlockingWave(seed=6, users_per_as=3)
-        observations = wave.run()
-        assert len(observations) == 5
-        services = {(o.service, o.asn) for o in observations}
-        assert ("Twitter", 38193) in services
-        assert ("Twitter", 17557) in services
-        assert sum(1 for o in observations if o.service == "Instagram") == 3
+    """The §7.5 wave, run through the scenario runner."""
 
-    def test_detection_lags_blocking_onset(self):
-        wave = BlockingWave(seed=6, users_per_as=3)
-        observations = wave.run()
-        onsets = {
-            (e.asn, "Twitter" if "twitter" in e.domain else "Instagram"): e.time
-            for e in wave.events
-        }
-        for obs in observations:
-            onset = onsets[(obs.asn, obs.service)]
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return ScenarioRunner(workers=1).run(wave_spec(seed=6, users_per_as=3))
+
+    @staticmethod
+    def services(outcome):
+        """(AS, service label) -> observation; labels are the spec's own."""
+        label = {url: name for name, url in outcome.spec.urls.items()}
+        return {(o.asn, label[o.url]): o for o in outcome.observations}
+
+    def test_wave_detects_all_five_events(self, outcome):
+        assert len(outcome.observations) == 5
+        services = self.services(outcome)
+        assert (38193, "twitter") in services
+        assert (17557, "twitter") in services
+        assert sum(1 for _asn, name in services if name == "instagram") == 3
+
+    def test_detection_lags_blocking_onset(self, outcome):
+        onsets = {(e.asn, e.domain): e.time for e in outcome.spec.events}
+        for obs in outcome.observations:
+            onset = onsets[(obs.asn, parse_url(obs.url).host)]
             assert obs.detected_at >= onset
             # Users browse every ~30 min: detection within a few hours.
             assert obs.detected_at - onset < 6 * 3600.0
 
-    def test_mechanism_labels_match_paper_vocabulary(self):
-        wave = BlockingWave(seed=6, users_per_as=3)
-        observations = wave.run()
-        by_asn = {
-            (o.asn, o.service): o.symptom for o in observations
-        }
-        assert by_asn[(38193, "Twitter")] == "HTTP_GET_TIMEOUT"
-        assert by_asn[(17557, "Twitter")] == "HTTP_GET_BLOCKPAGE"
+    def test_mechanism_labels_match_paper_vocabulary(self, outcome):
+        by_asn = {key: o.symptom for key, o in self.services(outcome).items()}
+        assert by_asn[(38193, "twitter")] == "HTTP_GET_TIMEOUT"
+        assert by_asn[(17557, "twitter")] == "HTTP_GET_BLOCKPAGE"
         for asn in (38193, 59257, 45773):
-            assert by_asn[(asn, "Instagram")] == "DNS blocking"
+            assert by_asn[(asn, "instagram")] == "DNS blocking"
 
 
 class TestOniSweep:
