@@ -13,7 +13,8 @@ import pytest
 from conftest import run_once
 from repro.analysis import percentile, render_table, summarize
 from repro.circumvent import DomainFrontingTransport, HttpsTransport, IpAsHostnameTransport
-from repro.workloads.scenarios import FRONT, pakistan_case_study
+from repro.scenarios.library import FRONT
+from repro.workloads.scenarios import pakistan_case_study
 
 RUNS = 200
 

@@ -11,7 +11,7 @@ fidelity weights / thresholds against a post-storm
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.fleet import FleetMetrics
 from ..core.globaldb import ServerDB

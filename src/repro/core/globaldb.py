@@ -190,11 +190,13 @@ class _AsShard:
 
     ``version`` increments on every visible change to the shard — entry
     added, refreshed, evicted, or its vote statistics moved — and ``log``
-    records ``(version, url)`` per change.  The log is bounded: when it
-    outgrows a small multiple of the live table, old rows are forgotten
+    holds the URL of each change, oldest first.  The log is bounded: when
+    it outgrows a small multiple of the live table, old rows are forgotten
     and ``floor`` rises; diffs are only answerable for ``since_version >=
     floor`` (older clients get a full snapshot).  Log versions are
-    contiguous, so ``floor == version - len(log)``.  Changes are recorded
+    contiguous, so a row's version follows from its position (the row
+    ``i`` places from the end has version ``version - i``) and ``floor ==
+    version - len(log)``.  Changes are recorded
     in *runs* (:meth:`mark_changed`): a write marks every URL it changed
     between two entry-count changes as one step, and a group's block of
     repeat uploads marks one run per shard, with the same versions, log
@@ -211,7 +213,7 @@ class _AsShard:
         self.entries: Dict[str, GlobalEntry] = {}
         self.version = 0
         self.floor = 0
-        self.log: Deque[Tuple[int, str]] = deque()
+        self.log: Deque[str] = deque()
         self.expiry: List[Tuple[float, str]] = []
         # Built SyncBatches keyed by (since_version, min_reporters,
         # min_votes), valid for the *current* shard version only: every
@@ -241,31 +243,27 @@ class _AsShard:
         count = len(urls)
         if not count:
             return
-        start = self.version
-        version = self.version = start + count
+        version = self.version = self.version + count
         if self.batch_cache:
             self.batch_cache.clear()
         log = self.log
         limit = max(256, 4 * len(self.entries))
         if count >= limit:
             log.clear()
-            log.extend(
-                zip(range(version - limit + 1, version + 1), urls[-limit:])
-            )
+            log.extend(urls[-limit:])
         else:
-            log.extend(zip(range(start + 1, version + 1), urls))
+            log.extend(urls)
             for _ in range(len(log) - limit):
                 log.popleft()
         self.floor = version - len(log)
 
     def touched_since(self, since_version: int) -> List[str]:
         """URLs changed after ``since_version`` (caller checked >=
-        floor), each once, ordered by its latest change."""
-        latest: Dict[str, None] = {}
-        for version, url in reversed(self.log):
-            if version <= since_version:
-                break
-            latest[url] = None
+        floor), each once, ordered by its latest change: the last
+        ``version - since_version`` rows of the log."""
+        latest = dict.fromkeys(
+            itertools.islice(reversed(self.log), self.version - since_version)
+        )
         return list(reversed(latest))
 
 

@@ -25,7 +25,7 @@ the golden in ``tests/data/session_refactor_golden.json``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..circumvent.base import FetchResult
 from ..simnet.ipaddr import is_private

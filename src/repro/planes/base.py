@@ -96,9 +96,7 @@ class MeasurementPlane(ABC):
 
     def __init__(self, fraction: float):
         if not 0.0 < fraction <= 1.0:
-            raise ValueError(
-                f"{type(self).__name__}: fraction must be in (0,1]: {fraction!r}"
-            )
+            raise ValueError(f"fraction must be in (0, 1]: {fraction!r}")
         self.fraction = fraction
 
     def reporter_count(self, population: int) -> int:

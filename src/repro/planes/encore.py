@@ -47,9 +47,7 @@ class EncoreProbePlane(MeasurementPlane):
     ):
         super().__init__(fraction)
         if not 0.0 <= miss_rate < 1.0:
-            raise ValueError(
-                f"EncoreProbePlane: miss_rate must be in [0,1): {miss_rate!r}"
-            )
+            raise ValueError(f"miss_rate must be in [0, 1): {miss_rate!r}")
         self.miss_rate = miss_rate
         self.profile = PlaneProfile(
             name=name,

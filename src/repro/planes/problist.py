@@ -37,14 +37,9 @@ class GeneratedProbeListPlane(MeasurementPlane):
     ):
         super().__init__(fraction)
         if not 0.0 < coverage <= 1.0:
-            raise ValueError(
-                f"GeneratedProbeListPlane: coverage must be in (0,1]: {coverage!r}"
-            )
+            raise ValueError(f"coverage must be in (0, 1]: {coverage!r}")
         if not probe_interval > 0.0:
-            raise ValueError(
-                f"GeneratedProbeListPlane: probe_interval must be > 0: "
-                f"{probe_interval!r}"
-            )
+            raise ValueError(f"probe_interval must be > 0: {probe_interval!r}")
         self.probe_interval = probe_interval
         self.coverage = coverage
         self.profile = PlaneProfile(

@@ -33,9 +33,9 @@ class SybilPlane(CSawBrowserPlane):
     def __init__(self, kind: str, fraction: float, urls_each: int = 1,
                  name: str = ""):
         if kind not in ("clique", "flood"):
-            raise ValueError(f"SybilPlane: kind must be clique|flood: {kind!r}")
+            raise ValueError(f"kind must be clique|flood: {kind!r}")
         if not urls_each >= 1:
-            raise ValueError(f"SybilPlane: urls_each must be >= 1: {urls_each!r}")
+            raise ValueError(f"urls_each must be >= 1: {urls_each!r}")
         super().__init__(fraction, name=name or kind)
         # No report names a blocked URL.
         self.profile = replace(self.profile, kind=kind, false_signal=1.0)

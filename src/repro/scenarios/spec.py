@@ -396,9 +396,10 @@ class PlaneSpec:
     urls_each: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # The registry is the source of truth for what can be built (lazy
-        # import: only a declared mix pulls in the planes package).
-        from ..planes import PLANE_KINDS
+        # The registry is the source of truth for what can be built, and
+        # the plane's constructor for what its knobs accept (lazy import:
+        # only a declared mix pulls in the planes package).
+        from ..planes import PLANE_KINDS, build_plane
 
         if self.kind not in PLANE_KINDS:
             known = "|".join(sorted(PLANE_KINDS))
@@ -410,15 +411,13 @@ class PlaneSpec:
             if f.name != "kind" and f.name not in takes:
                 _check(getattr(self, f.name) is None, f.name,
                        f"plane kind {self.kind!r} does not read it")
-        _check(0.0 < self.fraction <= 1.0, "fraction", "must be in (0, 1]")
-        _check(self.miss_rate is None or 0.0 <= self.miss_rate < 1.0,
-               "miss_rate", "must be in [0, 1)")
-        _check(self.probe_interval is None or self.probe_interval > 0.0,
-               "probe_interval", "must be > 0")
-        _check(self.coverage is None or 0.0 < self.coverage <= 1.0,
-               "coverage", "must be in (0, 1]")
-        _check(self.urls_each is None or self.urls_each >= 1,
-               "urls_each", "must be >= 1")
+        # Build the plane once, so its range checks fail here; each
+        # constructor message starts with the knob it rejects.
+        try:
+            build_plane({k: v for k, v in vars(self).items() if v is not None})
+        except ValueError as err:
+            knob, _, problem = str(err).partition(" ")
+            raise SpecError(problem, knob) from None
 
 
 @dataclass(frozen=True)

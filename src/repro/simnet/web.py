@@ -3,14 +3,17 @@
 A :class:`WebPage` carries both a *logical size* (drives transfer timing;
 the paper's experiments use ~50 KB, 95 KB, 316 KB, ~360 KB and ~1.4 MB
 pages) and a small synthetic *HTML snippet* (drives block-page
-classification).  Pages may embed objects served from the same site or
-from CDN hosts — embedded CDN fetches are how the pilot study surfaced
-CDN-server blocking (§7.4).
+classification).  A page keeps only HTML it was given; any other
+page's ordinary snippet is rendered by :func:`make_normal_html` each
+time ``page.html`` is read (once per served response), so a world of
+thousands of pages holds none of it.  Pages may embed objects served
+from the same site or from CDN hosts — embedded CDN fetches are how the
+pilot study surfaced CDN-server blocking (§7.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from ..urlkit import parse_url
@@ -29,24 +32,40 @@ class EmbeddedRef:
 
 @dataclass
 class WebPage:
-    """One fetchable resource."""
+    """One fetchable resource.
+
+    ``html`` is the HTML given to the constructor, or else
+    :func:`make_normal_html` for the page, rendered on every read and
+    never kept.
+    """
 
     url: str
     size_bytes: int
-    html: str = ""
+    html: InitVar[str] = ""
     embedded: List[EmbeddedRef] = field(default_factory=list)
     category: str = "general"
+    _html: str = field(default="", init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, html: str) -> None:
         if self.size_bytes <= 0:
             raise ValueError(f"page size must be positive: {self.size_bytes!r}")
-        if not self.html:
-            parsed = parse_url(self.url)
-            self.html = make_normal_html(parsed.host, parsed.path, self.embedded)
+        self._html = html
 
     @property
     def total_bytes(self) -> int:
         return self.size_bytes + sum(ref.size_bytes for ref in self.embedded)
+
+
+def _page_html(page: WebPage) -> str:
+    if page._html:
+        return page._html
+    parsed = parse_url(page.url)
+    return make_normal_html(parsed.host, parsed.path, page.embedded)
+
+
+# Set once the dataclass is built: in the class body the property would
+# become the ``html`` argument's default.
+WebPage.html = property(_page_html)  # type: ignore[assignment]
 
 
 @dataclass

@@ -120,10 +120,11 @@ def _cdn_object_factory(cdn_hostname: str):
         # Deterministic pseudo-size derived from the path (stable across
         # processes, unlike built-in hash()).
         size = 8_000 + (zlib.crc32(f"{cdn_hostname}{path}".encode()) % 40_000)
+        # A binary-ish object: it keeps no html, and ``page.html``
+        # renders the generic page for each response that serves it.
         return WebPage(
             url=f"http://{cdn_hostname}{path}",
             size_bytes=size,
-            html="",  # binary-ish object; html irrelevant
             category="cdn-object",
         )
 

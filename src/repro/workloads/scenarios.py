@@ -39,11 +39,6 @@ from ..scenarios.library import (
     FRONT,
     ISP_A_ASN,
     ISP_B_ASN,
-    LARGE_UNBLOCKED,
-    PORN_SITE,
-    SMALL_UNBLOCKED,
-    TABLE5_SITES,
-    YOUTUBE,
     pakistan_spec,
 )
 from ..simnet.topology import AutonomousSystem, Host

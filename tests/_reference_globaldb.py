@@ -49,10 +49,11 @@ class ReferenceShard(_AsShard):
             self.version += 1
             if self.batch_cache:
                 self.batch_cache.clear()
-            self.log.append((self.version, url))
+            self.log.append(url)
             limit = max(256, 4 * len(self.entries))
             while len(self.log) > limit:
-                self.floor = self.log.popleft()[0]
+                self.log.popleft()
+                self.floor += 1
 
 
 class ReferenceServerDB(ServerDB):

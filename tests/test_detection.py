@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.detection import measure_direct_path
 from repro.core.records import BlockStatus, BlockType
-from repro.workloads.scenarios import TABLE5_SITES, pakistan_case_study
+from repro.scenarios.library import TABLE5_SITES
+from repro.workloads.scenarios import pakistan_case_study
 
 
 @pytest.fixture(scope="module")

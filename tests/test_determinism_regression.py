@@ -164,7 +164,7 @@ for name, since in (("full", None), ("after_first", after_first),
                     ("before_revoke", before_revoke)):
     batch = server.sync_batch_for_as(ASN, now=5.0, since_version=since)
     out[name] = [batch.full, list(batch.urls), list(batch.removed)]
-out["log"] = [list(row) for row in server._shards[ASN].log]
+out["log"] = list(server._shards[ASN].log)
 print(json.dumps(out))
 """
 

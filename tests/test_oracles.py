@@ -14,11 +14,23 @@ nothing leaves a target most clients already hold), and
 An AS converges with its latest plane, so the bound holds per AS over
 all its planes' reporters.  Each plane's detection window bounds
 ``report_at - onset`` from the inputs alone.
+
+Voting (paper §5).  Each client's one vote is split evenly over the d
+URLs it vouches for, so URL j holds n_j reporters and s_j = Σ 1/d_i
+votes over its reporters i, and an entry is served exactly when n_j
+reaches ``min_reporters`` and s_j reaches ``min_votes``.
 """
+
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from repro.core.fleet import ClientCohort, run_fleet_storm
+from repro.core.globaldb import ReportItem, ServerDB
+from repro.core.records import BlockType
+from repro.core.voting import VoteStats
 from repro.planes.csaw import BROWSE_WINDOW
 from tests._reference_fleet import run_storm
 
@@ -81,3 +93,89 @@ class TestFleetConvergence:
         # The same bound from the inputs alone: no report lands later
         # than its plane's window after onset.
         assert max(by_as.values()) <= window + 600.0 + cohort.tick
+
+
+class TestVotingOracles:
+    ASN = 9
+    URLS = [f"http://vote{j}.example/" for j in range(8)]
+
+    @pytest.mark.parametrize("c, d", [(1, 3), (2, 200), (3, 7), (5, 40)])
+    def test_vote_mass_is_one_vote_split_over_d(self, c, d):
+        """Each identity's one vote is split over its d reports (§5): a
+        clique URL gets c/d votes from c reporters, a flood URL 1/d from
+        its one fabricator."""
+        server = ServerDB(entry_ttl=None)
+        metrics = run_fleet_storm(
+            seed=c * 1000 + d, n_ases=2, clients_per_as=100, urls_per_as=4,
+            asn_base=61000, server=server,
+            planes=[
+                {"kind": "csaw", "fraction": 0.05},
+                {"kind": "clique", "fraction": c / 100, "urls_each": d},
+                {"kind": "flood", "fraction": c / 100, "urls_each": d},
+            ],
+        )
+        assert metrics.reporters_by_plane == {"csaw": 10, "clique": 2 * c,
+                                              "flood": 2 * c}
+        assert metrics.pending_at_horizon == 0
+        ledger = server.voting
+        by_plane = {}
+        for uuid in ledger.clients():
+            by_plane.setdefault(ledger.plane_of(uuid), []).append(
+                ledger.reports_of(uuid)
+            )
+        assert all(len(keys) == d for keys in by_plane["clique"])
+        assert all(len(keys) == d for keys in by_plane["flood"])
+        clique = set().union(*by_plane["clique"])
+        assert len(clique) == 2 * d  # one shared list per AS
+        for url, asn in sorted(clique):
+            assert server.stats_for(url, asn) == VoteStats(votes=c / d,
+                                                           reporters=c)
+        flood = set().union(*by_plane["flood"])
+        assert len(flood) == 2 * c * d  # no two identities share a URL
+        for url, asn in sorted(flood):
+            assert server.stats_for(url, asn) == VoteStats(votes=1 / d,
+                                                           reporters=1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_served_exactly_when_reporters_and_votes_reach_the_criterion(
+        self, seed
+    ):
+        """Hand-built uploads: client i vouches for d_i URLs of one AS in
+        one post.  ``blocked_for_as`` and a full ``sync_batch_for_as``
+        both serve exactly the URLs with n_j >= ``min_reporters`` and
+        s_j >= ``min_votes``, each ``min_votes`` lying strictly between
+        two achievable sums so that float rounding decides no case."""
+        rng = random.Random(seed)
+        vouches = [rng.sample(self.URLS, rng.randint(1, 5)) for _ in range(9)]
+        server = ServerDB(entry_ttl=None)
+        for urls in vouches:
+            server.post_update(server.register(now=0.0), [
+                ReportItem(url=url, asn=self.ASN,
+                           stages=(BlockType.HTTP_TIMEOUT,), measured_at=1.0)
+                for url in urls
+            ], now=1.0)
+        n = Counter(url for urls in vouches for url in urls)
+        s = {url: Fraction(0) for url in n}
+        for urls in vouches:
+            for url in urls:
+                s[url] += Fraction(1, len(urls))
+        sums = [Fraction(0), *sorted(set(s.values()))]
+        cuts = [0.0, *((a + b) / 2 for a, b in zip(sums, sums[1:])),
+                sums[-1] + 1]
+        for min_reporters in (1, 2, 3, 5):
+            for cut in cuts:
+                min_votes = float(cut)
+                expected = sorted(
+                    url for url in n
+                    if n[url] >= min_reporters and s[url] >= cut
+                )
+                listed = server.blocked_for_as(
+                    self.ASN, 2.0, min_reporters, min_votes
+                )
+                batch = server.sync_batch_for_as(
+                    self.ASN, 2.0, None, min_reporters, min_votes
+                )
+                assert batch.full
+                assert sorted(entry.url for entry in listed) == expected, \
+                    (min_reporters, cut)
+                assert sorted(batch.urls) == expected, (min_reporters, cut)

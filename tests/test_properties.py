@@ -989,24 +989,35 @@ class TestRunBatchedWriteProperties:
     def test_runs_around_the_log_limit_match_one_at_a_time(self, entries):
         """Runs one short of, at and past the log limit, onto logs of
         several lengths: one run leaves the version, log and floor that
-        marking its URLs one at a time does, and ``floor == version -
-        len(log)`` holds."""
+        marking its URLs one at a time does, ``floor == version -
+        len(log)`` holds, and the log holds URLs alone.  For every
+        answerable ``v``, ``touched_since(v)`` lists each URL marked
+        after version ``v`` once, ordered by its latest mark (URLs
+        repeat within and across the runs)."""
         from repro.core.globaldb import _AsShard
         from tests._reference_globaldb import ReferenceShard
 
         limit = max(256, 4 * entries)
         for prior in (0, 1, limit - 1, limit):
             for count in (1, limit - 1, limit, limit + 1, 2 * limit + 3):
+                marks = [f"u{i % 97}" for i in range(prior)]
+                marks += [f"u{i % 13}" for i in range(count)]
                 shards = (ReferenceShard(), _AsShard())
                 for shard in shards:
                     # Only the entry count matters to the log limit.
                     shard.entries.update((f"e{i}", None) for i in range(entries))
-                    shard.mark_changed([f"p{i}" for i in range(prior)])
-                    shard.mark_changed([f"r{i}" for i in range(count)])
+                    shard.mark_changed(marks[:prior])
+                    shard.mark_changed(marks[prior:])
                 ref, fast = shards
                 assert (fast.version, list(fast.log), fast.floor) == \
                     (ref.version, list(ref.log), ref.floor), (prior, count)
                 assert fast.floor == fast.version - len(fast.log)
+                assert all(type(row) is str for row in fast.log)
+                # Mark k (0-based) carries version k + 1.
+                latest = {url: k for k, url in enumerate(marks)}
+                for v in range(fast.floor, fast.version + 1):
+                    expected = sorted(set(marks[v:]), key=latest.__getitem__)
+                    assert fast.touched_since(v) == expected, (prior, count, v)
 
     def test_group_with_unknown_uuid_changes_nothing(self):
         """Every UUID of a group is checked before anything is applied:

@@ -193,6 +193,10 @@ class TestSpecValidation:
         ("problist", "probe_interval", 0.0),
         ("problist", "probe_interval", float("nan")),
         ("flood", "urls_each", 0),
+        ("csaw", "fraction", 0),
+        ("encore", "miss_rate", 1.0),
+        ("problist", "coverage", 0),
+        ("problist", "coverage", float("nan")),
     ])
     def test_degenerate_plane_value_names_the_key(self, kind, key, value):
         with pytest.raises(SpecError, match=rf"^planes\[0\]\.{key}: "):

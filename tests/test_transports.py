@@ -12,12 +12,8 @@ from repro.circumvent import (
     LanternSystem,
     PublicDnsTransport,
 )
-from repro.workloads.scenarios import (
-    FRONT,
-    PORN_SITE,
-    YOUTUBE,
-    pakistan_case_study,
-)
+from repro.scenarios.library import FRONT, PORN_SITE, YOUTUBE
+from repro.workloads.scenarios import pakistan_case_study
 
 
 @pytest.fixture()

@@ -1,14 +1,24 @@
 """Unit tests for the web model, World facade, flow context, and relay
 machinery."""
 
+import inspect
+import tracemalloc
+
 import pytest
 
 from repro.censor.actions import IpAction, IpVerdict
 from repro.censor.policy import CensorPolicy, Matcher, Rule
+from repro.circumvent import DirectTransport, DomainFrontingTransport
 from repro.circumvent.relay import relay_fetch
+from repro.scenarios.library import FRONT
+from repro.simnet import web
 from repro.simnet.flow import ClientLoadTracker, FlowContext
 from repro.simnet.web import EmbeddedRef, WebPage, make_normal_html
 from repro.simnet.world import World
+from repro.urlkit import parse_url
+from repro.workloads.corpus import _cdn_object_factory
+from repro.workloads.pilot import PilotConfig, PilotStudy
+from repro.workloads.scenarios import pakistan_case_study
 
 
 @pytest.fixture()
@@ -212,3 +222,69 @@ class TestRelayFetch:
         )
         assert result.failed
         assert result.failure_stage == "dns"
+
+
+class TestHtmlRenderedOnRead:
+    """A page keeps only HTML it was given; any other page's HTML is
+    rendered on read, byte for byte what construction used to store."""
+
+    def test_a_built_pilot_world_holds_no_rendered_html(self):
+        """Building the world leaves no block from the renderer alive,
+        and reading every page's HTML leaves no rendering alive."""
+        lines, first = inspect.getsourcelines(web.make_normal_html)
+        renderer = range(first, first + len(lines))
+
+        def held(snapshot):
+            return [
+                stat for stat in snapshot.statistics("lineno")
+                if stat.traceback[0].filename == web.__file__
+                and stat.traceback[0].lineno in renderer
+            ]
+
+        tracemalloc.start()
+        try:
+            study = PilotStudy(PilotConfig(seed=1, n_sites=50)).build()
+            built = tracemalloc.take_snapshot()
+            sites = study.world.web.sites.values()
+            assert all(page.html for site in sites for page in site.pages.values())
+            read = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert sites and not held(built), held(built)
+        # A read may leave a free-listed list behind, never a page's HTML.
+        assert sum(stat.size for stat in held(read)) < 1024, held(read)
+
+    def test_response_html_is_the_page_rendering_or_the_given_html(self):
+        scenario = pakistan_case_study(seed=33, with_proxy_fleet=False)
+        world = scenario.world
+        refs = [EmbeddedRef("http://cdn.example/a.jpg", 300)]
+        page = WebPage(url="http://Mixed.example/p?q=1", size_bytes=10,
+                       embedded=refs)
+        assert page.html == make_normal_html("mixed.example", "/p?q=1", refs)
+
+        world.web.add_site("cdn-test.example", location="global-anycast",
+                           catch_all=_cdn_object_factory("cdn-test.example"))
+        world.web.add_site("given.example", location="us-east")
+        world.web.add_page("http://given.example/", size_bytes=500,
+                           html="<p>given</p>")
+        client, access = world.add_client("reader", [scenario.isp_a])
+
+        def served(transport, url):
+            ctx = world.new_ctx(client, access, stream=f"html/{url}")
+            result = world.run_process(transport.fetch(world, ctx, url))
+            assert result.ok, result
+            return result.response
+
+        small = scenario.urls["small-unblocked"]
+        youtube = scenario.urls["youtube"]
+        for transport, url in ((DirectTransport(), small),
+                               (DomainFrontingTransport(FRONT), youtube)):
+            response = served(transport, url)
+            parsed = parse_url(url)
+            assert response.html == make_normal_html(
+                parsed.host, parsed.path, response.page.embedded
+            ), url
+        cdn = served(DirectTransport(), "http://cdn-test.example/img/1.jpg")
+        assert cdn.html == make_normal_html("cdn-test.example", "/img/1.jpg", [])
+        given = served(DirectTransport(), "http://given.example/")
+        assert given.html == "<p>given</p>"
