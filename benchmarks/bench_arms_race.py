@@ -30,7 +30,8 @@ from repro.censor.actions import (
 )
 from repro.censor.policy import Matcher, Rule
 from repro.core import CSawClient, CSawConfig
-from repro.workloads.scenarios import FRONT, YOUTUBE, pakistan_case_study
+from repro.scenarios.library import FRONT, YOUTUBE
+from repro.workloads.scenarios import pakistan_case_study
 
 ACCESSES_PER_ROUND = 8
 

@@ -27,6 +27,11 @@ from .middlebox import Middlebox
 
 __all__ = ["FingerprintScore", "FingerprintAnalyzer"]
 
+# A relay flow within this many seconds of a non-relay flow is paired; one
+# within this many seconds after a block is a failover.
+_PAIR_WINDOW = 1.0
+_FAILOVER_WINDOW = 30.0
+
 
 @dataclass(frozen=True)
 class FingerprintScore:
@@ -51,17 +56,9 @@ class FingerprintScore:
 class FingerprintAnalyzer:
     """The censor's offline analysis over one middlebox's logs."""
 
-    def __init__(
-        self,
-        middlebox: Middlebox,
-        relay_ips: Set[str],
-        pair_window: float = 1.0,
-        failover_window: float = 30.0,
-    ):
+    def __init__(self, middlebox: Middlebox, relay_ips: Set[str]):
         self.middlebox = middlebox
         self.relay_ips = set(relay_ips)
-        self.pair_window = pair_window
-        self.failover_window = failover_window
 
     def score_clients(self) -> Dict[str, FingerprintScore]:
         flows_by_client: Dict[str, List] = defaultdict(list)
@@ -81,7 +78,7 @@ class FingerprintAnalyzer:
                 # A non-relay flow starting within the pair window.
                 if any(
                     f.dst_ip not in self.relay_ips
-                    and abs(f.time - relay_flow.time) <= self.pair_window
+                    and abs(f.time - relay_flow.time) <= _PAIR_WINDOW
                     for f in flows
                 ):
                     paired += 1
@@ -89,7 +86,7 @@ class FingerprintAnalyzer:
             failovers = 0
             for relay_flow in relay_flows:
                 if any(
-                    0 <= relay_flow.time - t <= self.failover_window
+                    0 <= relay_flow.time - t <= _FAILOVER_WINDOW
                     for t in block_times
                 ):
                     failovers += 1

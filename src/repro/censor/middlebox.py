@@ -1,9 +1,10 @@
 """On-path censor middlebox.
 
-One middlebox per censoring AS.  It wraps a :class:`CensorPolicy` and keeps
-an audit log of every non-PASS interception, which the analysis code uses to
-build Figure-2-style distributions of blocking types and to validate what
-C-Saw's detector inferred against what the censor actually did.
+One middlebox per censoring AS.  It wraps a :class:`CensorPolicy` and
+answers each protocol stage's query with a verdict.  Under surveillance
+(``observe_traffic``) it also logs every flow and every non-PASS
+interception — the censor's own record, which §8's fingerprinting
+analysis (:mod:`repro.censor.fingerprint`) reads.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .actions import (
-    PASS_DNS,
-    PASS_HTTP,
-    PASS_IP,
-    PASS_TLS,
     DnsAction,
     DnsVerdict,
     HttpAction,
@@ -54,15 +51,15 @@ class FlowObservation:
 class Middlebox:
     """Policy enforcement point on the path through one AS.
 
-    With ``observe_traffic`` enabled the box additionally keeps a log of
-    *every* connection (not just blocked ones) — the raw material for the
-    fingerprinting analysis of §8.
+    With ``observe_traffic`` enabled the box keeps a log of *every*
+    connection (``flows``) and of every enforcement action (``log``) —
+    the raw material for the fingerprinting analysis of §8.  Without it,
+    both stay empty.
     """
 
     policy: CensorPolicy
     asn: int
     log: List[InterceptionEvent] = field(default_factory=list)
-    enabled: bool = True
     observe_traffic: bool = False
     flows: List[FlowObservation] = field(default_factory=list)
 
@@ -72,41 +69,33 @@ class Middlebox:
         self.log.append(InterceptionEvent(time, stage, identifier, action, src_ip))
 
     def observe_flow(self, time: float, src_ip: str, dst_ip: str) -> None:
-        if self.enabled and self.observe_traffic:
+        if self.observe_traffic:
             self.flows.append(FlowObservation(time, src_ip, dst_ip))
 
     def dns_query(self, time: float, qname: str, src_ip: str = "") -> DnsVerdict:
-        if not self.enabled:
-            return PASS_DNS
         verdict = self.policy.compiled().on_dns_query(qname)
-        if verdict.action is not DnsAction.PASS:
+        if self.observe_traffic and verdict.action is not DnsAction.PASS:
             self._record(time, "dns", qname, verdict.action.value, src_ip)
         return verdict
 
     def packet(self, time: float, dst_ip: str, src_ip: str = "") -> IpVerdict:
-        if not self.enabled:
-            return PASS_IP
         verdict = self.policy.compiled().on_packet(dst_ip)
-        if verdict.action is not IpAction.PASS:
+        if self.observe_traffic and verdict.action is not IpAction.PASS:
             self._record(time, "ip", dst_ip, verdict.action.value, src_ip)
         return verdict
 
     def http_request(
         self, time: float, host: str, path: str, src_ip: str = ""
     ) -> HttpVerdict:
-        if not self.enabled:
-            return PASS_HTTP
         verdict = self.policy.compiled().on_http_request(host, path)
-        if verdict.action is not HttpAction.PASS:
+        if self.observe_traffic and verdict.action is not HttpAction.PASS:
             self._record(time, "http", f"{host}{path}", verdict.action.value, src_ip)
         return verdict
 
     def tls_client_hello(
         self, time: float, sni: Optional[str], dst_ip: str, src_ip: str = ""
     ) -> TlsVerdict:
-        if not self.enabled:
-            return PASS_TLS
         verdict = self.policy.compiled().on_tls_client_hello(sni, dst_ip)
-        if verdict.action is not TlsAction.PASS:
+        if self.observe_traffic and verdict.action is not TlsAction.PASS:
             self._record(time, "tls", sni or dst_ip, verdict.action.value, src_ip)
         return verdict

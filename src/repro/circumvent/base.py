@@ -28,6 +28,9 @@ __all__ = [
     "fetch_pipeline",
 ]
 
+# Redirect hops a fetch follows before giving up as a redirect loop.
+MAX_REDIRECTS = 3
+
 
 def classify_failure(error: Exception) -> str:
     """Protocol stage a failure belongs to: dns | tcp | tls | http | other.
@@ -166,7 +169,6 @@ def fetch_pipeline(
     dst_ip: Optional[str] = None,
     sni: Optional[str] = None,
     host_header: Optional[str] = None,
-    max_redirects: int = 3,
     dns_hold_on: bool = False,
 ) -> Generator:
     """The canonical client-side fetch: DNS → TCP → (TLS) → HTTP.
@@ -198,7 +200,7 @@ def fetch_pipeline(
     current_sni = sni
     current_host_header = host_header
     current_dst = dst_ip
-    for _hop in range(max_redirects + 1):
+    for _hop in range(MAX_REDIRECTS + 1):
         # --- DNS -----------------------------------------------------------
         if current_dst is not None:
             ip = current_dst
@@ -206,8 +208,8 @@ def fetch_pipeline(
             use_resolver = resolver or world.isp_resolver(ctx)
             try:
                 ips = yield from resolve(
-                    env, world.network, ctx, current.host,
-                    use_resolver, world.dns_config, hold_on=dns_hold_on,
+                    env, world.network, ctx, current.host, use_resolver,
+                    hold_on=dns_hold_on,
                 )
             except DnsError as error:
                 return failed(error)
@@ -215,9 +217,7 @@ def fetch_pipeline(
 
         # --- TCP -----------------------------------------------------------
         try:
-            conn = yield from tcp_connect(
-                env, world.network, ctx, ip, current.port, world.tcp_config
-            )
+            conn = yield from tcp_connect(env, world.network, ctx, ip, current.port)
         except TcpError as error:
             return failed(error)
 
@@ -225,7 +225,7 @@ def fetch_pipeline(
         if current.scheme == "https":
             announce = current_sni if current_sni is not None else current.host
             try:
-                yield from tls_handshake(env, ctx, conn, announce, world.tls_config)
+                yield from tls_handshake(env, ctx, conn, announce)
             except TlsError as error:
                 return failed(error)
 
@@ -235,7 +235,6 @@ def fetch_pipeline(
             response = yield from http_exchange(
                 env, world.network, world.web, ctx, conn,
                 current.scheme, header_host, current.path,
-                world.http_config,
             )
         except (HttpTimeout, ConnectionReset) as error:
             return failed(error)

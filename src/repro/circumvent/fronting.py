@@ -19,6 +19,8 @@ from .base import FetchResult, Transport, classify_failure, fetch_pipeline
 
 __all__ = ["DomainFrontingTransport"]
 
+_CDN_INTERNAL_RTT = 0.03  # front → backend, over the CDN's own links
+
 
 class DomainFrontingTransport(Transport):
     """Front requests for blocked sites through ``front_hostname``."""
@@ -26,9 +28,8 @@ class DomainFrontingTransport(Transport):
     name = "domain-fronting"
     is_local_fix = True
 
-    def __init__(self, front_hostname: str, cdn_internal_rtt: float = 0.03):
+    def __init__(self, front_hostname: str):
         self.front_hostname = front_hostname.lower()
-        self.cdn_internal_rtt = cdn_internal_rtt
 
     def available_for(self, world: World, url: str) -> bool:
         target = world.web.site_for(parse_url(url).host)
@@ -77,10 +78,10 @@ class DomainFrontingTransport(Transport):
         page = backend.page(parsed.path) if backend is not None else None
         if page is None:
             # Front answers, backend has no such resource.
-            yield env.timeout(self.cdn_internal_rtt)
+            yield env.timeout(_CDN_INTERNAL_RTT)
             return failed(RuntimeError(f"fronted resource missing: {url}"))
-        internal = self.cdn_internal_rtt + transfer_time(
-            page.size_bytes, self.cdn_internal_rtt, front_site.host.bandwidth_bps
+        internal = _CDN_INTERNAL_RTT + transfer_time(
+            page.size_bytes, _CDN_INTERNAL_RTT, front_site.host.bandwidth_bps
         )
         yield env.timeout(internal)
 
@@ -95,7 +96,6 @@ class DomainFrontingTransport(Transport):
         response = HttpResponse(
             status=200,
             url=url,
-            html=page.html,
             size_bytes=page.size_bytes,
             server_ip=front_site.host.ip,
             page=page,

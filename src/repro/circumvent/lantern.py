@@ -13,7 +13,7 @@ Two layers:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..simnet.flow import FlowContext
 from ..simnet.http import HttpResponse
@@ -35,6 +35,7 @@ _PROXY_LOCATIONS: List[Tuple[str, float]] = [
     ("canada", 0.08),
     ("japan", 0.07),
 ]
+_TRUST_DEGREE = 3
 
 
 class LanternNetwork:
@@ -51,13 +52,10 @@ class LanternNetwork:
         cls,
         world: World,
         n_proxies: int = 12,
-        stream: str = "lantern-network",
-        locations: Optional[List[Tuple[str, float]]] = None,
     ) -> "LanternNetwork":
-        rng = world.rngs.stream(stream)
-        locations = locations or _PROXY_LOCATIONS
-        names = [loc for loc, _w in locations]
-        weights = [w for _loc, w in locations]
+        rng = world.rngs.stream("lantern-network")
+        names = [loc for loc, _w in _PROXY_LOCATIONS]
+        weights = [w for _loc, w in _PROXY_LOCATIONS]
         proxies = []
         for index in range(n_proxies):
             location = rng.choices(names, weights=weights)[0]
@@ -73,14 +71,14 @@ class LanternNetwork:
             )
         return cls(world, proxies)
 
-    def trusted_for(self, stream: str, degree: int = 3) -> List[Host]:
+    def trusted_for(self, stream: str) -> List[Host]:
         """The proxies one user can reach through friend-of-friend trust.
 
-        A small random subset: trust, not proximity, decides reachability —
-        which is exactly why Lantern paths are long.
+        A small random subset (``_TRUST_DEGREE``): trust, not proximity,
+        decides reachability — which is exactly why Lantern paths are long.
         """
         rng = self.world.rngs.stream(stream)
-        degree = min(degree, len(self.proxies))
+        degree = min(_TRUST_DEGREE, len(self.proxies))
         return rng.sample(self.proxies, degree)
 
 
@@ -123,7 +121,7 @@ class LanternTransport(Transport):
         return result
 
 
-def _default_looks_blocked(response: HttpResponse) -> bool:
+def _looks_blocked(response: HttpResponse) -> bool:
     """Lantern's own crude blocking check on a direct response."""
     if response.status >= 400:
         return True
@@ -143,14 +141,8 @@ class LanternSystem:
 
     name = "lantern-system"
 
-    def __init__(
-        self,
-        transport: LanternTransport,
-        looks_blocked: Callable[[HttpResponse], bool] = _default_looks_blocked,
-        proxy_all: bool = False,
-    ):
+    def __init__(self, transport: LanternTransport, proxy_all: bool = False):
         self.transport = transport
-        self.looks_blocked = looks_blocked
         # Full-proxy mode: tunnel everything, blocked or not (how Lantern
         # was operated in the paper's §7.3 comparison — Figure 7b shows it
         # relaying even unblocked pages).
@@ -167,7 +159,7 @@ class LanternSystem:
             world, ctx, url, transport_name="lantern-direct"
         )
         blocked = direct.failed or (
-            direct.response is not None and self.looks_blocked(direct.response)
+            direct.response is not None and _looks_blocked(direct.response)
         )
         if not blocked:
             return direct

@@ -29,16 +29,13 @@ def relay_fetch(
     relay_host: Host,
     *,
     transport_name: str,
-    sni: Optional[str] = None,
-    use_tls: bool = True,
     bandwidth_cap_bps: Optional[float] = None,
-    relay_stream: str = "relay",
 ) -> Generator:
     """Process: fetch ``url`` through a single relay; returns FetchResult.
 
-    ``sni`` is what the censor sees in the ClientHello on the client→relay
-    leg (defaults to the relay's own hostname).  ``bandwidth_cap_bps``
-    models a loaded relay throttling the tunnel.
+    The censor sees the relay's own hostname in the ClientHello on the
+    client→relay leg.  ``bandwidth_cap_bps`` models a loaded relay
+    throttling the tunnel.
     """
     env = world.env
     started = env.now
@@ -55,24 +52,19 @@ def relay_fetch(
 
     # --- leg 1: client -> relay (censored) --------------------------------
     try:
-        conn = yield from tcp_connect(
-            env, world.network, ctx, relay_host.ip, 443, world.tcp_config
-        )
+        conn = yield from tcp_connect(env, world.network, ctx, relay_host.ip, 443)
     except TcpError as error:
         return failed(error)
-
-    if use_tls:
-        announce = sni if sni is not None else relay_host.name
-        try:
-            yield from tls_handshake(env, ctx, conn, announce, world.tls_config)
-        except TlsError as error:
-            return failed(error)
+    try:
+        yield from tls_handshake(env, ctx, conn, relay_host.name)
+    except TlsError as error:
+        return failed(error)
 
     # Tunnel establishment chatter (CONNECT round trip and the like).
     yield env.timeout(0.5 * conn.rtt)
 
     # --- leg 2: relay -> origin (clean) ------------------------------------
-    relay_ctx = world.relay_ctx(relay_host, stream=relay_stream)
+    relay_ctx = world.relay_ctx(relay_host)
     inner = yield from fetch_pipeline(
         world, relay_ctx, url, transport_name=f"{transport_name}/origin"
     )

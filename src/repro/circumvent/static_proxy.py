@@ -9,7 +9,7 @@ modeled as per-host jitter and extra processing delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ..simnet.flow import FlowContext
 from ..simnet.topology import Host
@@ -26,19 +26,13 @@ class StaticProxyTransport(Transport):
     is_local_fix = False
     uses_relay = True
 
-    def __init__(self, proxy_host: Host, bandwidth_cap_bps: Optional[float] = None):
+    def __init__(self, proxy_host: Host):
         self.proxy_host = proxy_host
-        self.bandwidth_cap_bps = bandwidth_cap_bps
         self.name = f"proxy:{proxy_host.name}"
 
     def fetch(self, world: World, ctx: FlowContext, url: str) -> Generator:
         result = yield from relay_fetch(
-            world,
-            ctx,
-            url,
-            self.proxy_host,
-            transport_name=self.name,
-            bandwidth_cap_bps=self.bandwidth_cap_bps,
+            world, ctx, url, self.proxy_host, transport_name=self.name
         )
         return result
 
@@ -70,12 +64,10 @@ PROXY_FLEET_SPEC: List[ProxySpec] = [
 ]
 
 
-def build_proxy_fleet(
-    world: World, specs: Optional[List[ProxySpec]] = None
-) -> List[StaticProxyTransport]:
+def build_proxy_fleet(world: World) -> List[StaticProxyTransport]:
     """Instantiate the proxy fleet as hosts + transports in ``world``."""
     transports = []
-    for spec in specs or PROXY_FLEET_SPEC:
+    for spec in PROXY_FLEET_SPEC:
         host = world.network.add_host(
             name=f"proxy-{spec.label.lower()}",
             location=spec.location,

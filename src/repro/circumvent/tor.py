@@ -42,6 +42,7 @@ _DEFAULT_RELAY_LOCATIONS: List[Tuple[str, float]] = [
     ("canada", 0.04),
     ("japan", 0.02),
 ]
+_EXIT_FRACTION = 0.35
 
 
 @dataclass
@@ -61,7 +62,6 @@ class TorCircuit:
     middle: TorRelay
     exit: TorRelay
     built_at: float
-    used: bool = False
 
     @property
     def relays(self) -> List[TorRelay]:
@@ -133,15 +133,12 @@ class TorNetwork:
         cls,
         world: World,
         n_relays: int = 60,
-        exit_fraction: float = 0.35,
-        stream: str = "tor-network",
-        locations: Optional[List[Tuple[str, float]]] = None,
     ) -> "TorNetwork":
-        """Generate a relay population with lognormal bandwidths."""
-        rng = world.rngs.stream(stream)
-        locations = locations or _DEFAULT_RELAY_LOCATIONS
-        names = [loc for loc, _w in locations]
-        weights = [w for _loc, w in locations]
+        """Generate a relay population with lognormal bandwidths; about
+        ``_EXIT_FRACTION`` of the relays are exits."""
+        rng = world.rngs.stream("tor-network")
+        names = [loc for loc, _w in _DEFAULT_RELAY_LOCATIONS]
+        weights = [w for _loc, w in _DEFAULT_RELAY_LOCATIONS]
         relays = []
         for index in range(n_relays):
             location = rng.choices(names, weights=weights)[0]
@@ -163,7 +160,7 @@ class TorNetwork:
                 TorRelay(
                     host=host,
                     bandwidth_bps=bandwidth,
-                    is_exit=rng.random() < exit_fraction,
+                    is_exit=rng.random() < _EXIT_FRACTION,
                 )
             )
         return cls(world, relays)
@@ -244,15 +241,14 @@ class TorClient:
         self.use_bridges = use_bridges
         self._circuit: Optional[TorCircuit] = None
 
-    def circuit(self, now: float) -> Tuple[TorCircuit, bool]:
-        """Current circuit and whether it was freshly built."""
+    def circuit(self, now: float) -> TorCircuit:
+        """The current circuit, rebuilt once it is ``rotation_period`` old."""
         current = self._circuit
         if current is None or now - current.built_at >= self.rotation_period:
-            self._circuit = self.network.sample_circuit(
+            current = self._circuit = self.network.sample_circuit(
                 self.rng, now, self.exit_location, use_bridges=self.use_bridges
             )
-            return self._circuit, True
-        return current, False
+        return current
 
     def new_circuit(self, now: float) -> TorCircuit:
         """Force an independent fresh circuit (redundant-request use)."""
@@ -269,15 +265,9 @@ class TorTransport(Transport):
     provides_anonymity = True
     uses_relay = True
 
-    def __init__(
-        self,
-        client: TorClient,
-        fresh_circuit_per_fetch: bool = False,
-        prebuilt_circuits: bool = True,
-    ):
+    def __init__(self, client: TorClient, fresh_circuit_per_fetch: bool = False):
         self.client = client
         self.fresh_circuit_per_fetch = fresh_circuit_per_fetch
-        self.prebuilt_circuits = prebuilt_circuits
 
     def fetch(self, world: World, ctx: FlowContext, url: str) -> Generator:
         env = world.env
@@ -293,21 +283,17 @@ class TorTransport(Transport):
                 failure_stage=classify_failure(error),
             )
 
-        if self.fresh_circuit_per_fetch:
-            circuit, fresh = self.client.new_circuit(env.now), True
-        else:
-            circuit, fresh = self.client.circuit(env.now)
         # Tor pre-builds circuits in the background, so construction is
-        # not user-visible; ``prebuilt_circuits=False`` disables the pool
-        # (e.g. to study cold-start behaviour).
-        if self.prebuilt_circuits:
-            fresh = False
+        # not user-visible.
+        if self.fresh_circuit_per_fetch:
+            circuit = self.client.new_circuit(env.now)
+        else:
+            circuit = self.client.circuit(env.now)
 
         # --- censored leg: client -> entry relay ---------------------------
         try:
             conn = yield from tcp_connect(
-                env, world.network, ctx, circuit.entry.host.ip, 443,
-                world.tcp_config,
+                env, world.network, ctx, circuit.entry.host.ip, 443
             )
         except TcpError as error:
             return failed(error)
@@ -318,16 +304,6 @@ class TorTransport(Transport):
         hop_mx = net.latency_between(circuit.middle.host, circuit.exit.host)
         rtt_em = hop_em.sample_rtt(rng)
         rtt_mx = hop_mx.sample_rtt(rng)
-
-        if fresh:
-            # Telescoping circuit build: each extension is a handshake over
-            # all previous hops.
-            build = (
-                1.5 * conn.rtt
-                + 1.5 * (conn.rtt + rtt_em)
-                + 1.5 * (conn.rtt + rtt_em + rtt_mx)
-            )
-            yield env.timeout(build)
 
         # Request travels the three hops to the exit.
         yield env.timeout((conn.rtt + rtt_em + rtt_mx) / 2.0)
@@ -363,7 +339,6 @@ class TorTransport(Transport):
             transfer_time(response.size_bytes, circuit_rtt, bandwidth)
             * ctx.load.factor()
         )
-        circuit.used = True
 
         return FetchResult(
             url=url,

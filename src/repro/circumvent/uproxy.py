@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..simnet.flow import FlowContext
-from ..simnet.tcp import ConnectTimeout
+from ..simnet.tcp import CONNECT_TIMEOUT, ConnectTimeout
 from ..simnet.topology import Host
 from ..simnet.world import World
 from .base import FetchResult, Transport
@@ -60,12 +60,11 @@ class FriendProxyTransport(Transport):
         if not self._online(world, ctx):
             # The friend's laptop is closed: indistinguishable from a
             # dead relay — a connect timeout after the SYN schedule.
-            yield world.env.timeout(world.tcp_config.connect_timeout_total)
+            yield world.env.timeout(CONNECT_TIMEOUT)
             return FetchResult(
                 url=url,
                 transport=self.name,
-                started=world.env.now
-                - world.tcp_config.connect_timeout_total,
+                started=world.env.now - CONNECT_TIMEOUT,
                 finished=world.env.now,
                 error=ConnectTimeout(self.friend_host.ip, "(friend offline)"),
                 failure_stage="tcp",

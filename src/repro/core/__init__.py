@@ -3,11 +3,7 @@
 from .aggregation import UrlPrefixIndex, storage_key
 from .analytics import AsSummary, MeasurementAnalytics
 from .appcheck import AppReachabilityChecker, AppStatus
-from .blockpage import (
-    BlockpageDetector,
-    phase1_looks_like_blockpage,
-    phase2_is_blockpage,
-)
+from .blockpage import phase1_looks_like_blockpage, phase2_is_blockpage
 from .circumvention import CircumventionModule, fix_defeats
 from .client import CSawClient
 from .config import CSawConfig
@@ -48,7 +44,6 @@ __all__ = [
     "MeasurementAnalytics",
     "AppReachabilityChecker",
     "AppStatus",
-    "BlockpageDetector",
     "phase1_looks_like_blockpage",
     "phase2_is_blockpage",
     "CircumventionModule",

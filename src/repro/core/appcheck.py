@@ -61,8 +61,7 @@ class AppReachabilityChecker:
         for endpoint in service.endpoints:
             try:
                 yield from tcp_connect(
-                    env, self.world.network, ctx, endpoint.ip, service.port,
-                    self.world.tcp_config,
+                    env, self.world.network, ctx, endpoint.ip, service.port
                 )
             except TcpError:
                 blocked.append(endpoint.ip)
@@ -120,8 +119,7 @@ class AppReachabilityChecker:
         env = self.world.env
         # Censored leg to the VPN endpoint.
         tunnel = yield from tcp_connect(
-            env, self.world.network, ctx, self.vpn_endpoint.ip, 1194,
-            self.world.tcp_config,
+            env, self.world.network, ctx, self.vpn_endpoint.ip, 1194
         )
         # VPN handshake, then the tunnelled app session from the VPN's
         # (uncensored) vantage.

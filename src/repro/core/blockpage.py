@@ -16,11 +16,8 @@ large size ratio flags the direct response as a block page (also [42]).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from ..simnet.http import HttpResponse
-
-__all__ = ["BlockpageDetector", "phase1_looks_like_blockpage", "phase2_is_blockpage"]
+__all__ = ["phase1_looks_like_blockpage", "phase2_is_blockpage"]
 
 # Explicit blocking language: precise phrases, not single common words.
 _BLOCK_PHRASES = (
@@ -49,6 +46,9 @@ _BLOCK_TITLES = ("access denied", "surf safely", "notice")
 
 # Block pages are small; anything big is real content.
 _MAX_BLOCKPAGE_BYTES = 4096
+# Phase 2: a direct response under this fraction of the circumvented
+# response's size is a block page.
+_RATIO_THRESHOLD = 0.30
 
 
 def phase1_looks_like_blockpage(html: str) -> bool:
@@ -70,39 +70,8 @@ def phase1_looks_like_blockpage(html: str) -> bool:
     return False
 
 
-def phase2_is_blockpage(
-    direct_size: int, circumvented_size: int, ratio_threshold: float = 0.30
-) -> bool:
+def phase2_is_blockpage(direct_size: int, circumvented_size: int) -> bool:
     """Size-comparison check: direct response much smaller → block page."""
     if circumvented_size <= 0:
         return False
-    return direct_size < ratio_threshold * circumvented_size
-
-
-@dataclass
-class BlockpageDetector:
-    """Stateful wrapper tracking phase-1/phase-2 decisions."""
-
-    ratio_threshold: float = 0.30
-    phase1_hits: int = 0
-    phase1_passes: int = 0
-    phase2_hits: int = 0
-    phase2_passes: int = 0
-
-    def phase1(self, response: HttpResponse) -> bool:
-        suspected = phase1_looks_like_blockpage(response.html)
-        if suspected:
-            self.phase1_hits += 1
-        else:
-            self.phase1_passes += 1
-        return suspected
-
-    def phase2(self, direct: HttpResponse, circumvented: HttpResponse) -> bool:
-        is_block = phase2_is_blockpage(
-            direct.size_bytes, circumvented.size_bytes, self.ratio_threshold
-        )
-        if is_block:
-            self.phase2_hits += 1
-        else:
-            self.phase2_passes += 1
-        return is_block
+    return direct_size < _RATIO_THRESHOLD * circumvented_size

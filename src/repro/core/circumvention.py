@@ -72,11 +72,14 @@ def fix_defeats(fix_name: str, stages: Sequence[BlockType]) -> bool:
     return bool(observed) and observed <= coverage
 
 
+# Moving-average weight for per-approach PLT tracking.
+_EWMA_ALPHA = 0.3
+
+
 @dataclass
 class _PltTracker:
     """Moving-average PLTs per (approach, URL) and per approach."""
 
-    alpha: float = 0.3
     by_url: Dict[Tuple[str, str], float] = field(default_factory=dict)
     by_transport: Dict[str, float] = field(default_factory=dict)
 
@@ -89,7 +92,7 @@ class _PltTracker:
             table[key] = (
                 plt
                 if previous is None
-                else (1 - self.alpha) * previous + self.alpha * plt
+                else (1 - _EWMA_ALPHA) * previous + _EWMA_ALPHA * plt
             )
 
     def estimate(self, transport_name: str, url: str) -> float:
@@ -119,7 +122,7 @@ class CircumventionModule:
         self.transports: Dict[str, Transport] = {}
         for transport in transports:
             self.register(transport)
-        self._tracker = _PltTracker(alpha=self.config.ewma_alpha)
+        self._tracker = _PltTracker()
         self._access_counts: Dict[str, int] = {}
         # Local fixes observed to fail for a URL (e.g. the censor also
         # drops Host:<ip> requests, defeating ip-as-hostname): data-driven

@@ -25,7 +25,6 @@ from ..simnet.browser import load_page
 from ..simnet.flow import ClientLoadTracker, FlowContext
 from ..simnet.topology import AccessNetwork, AutonomousSystem
 from ..simnet.world import World
-from .blockpage import BlockpageDetector
 from .circumvention import CircumventionModule
 from .config import CSawConfig
 from .globaldb import ServerDB
@@ -50,14 +49,11 @@ class CSawClient:
         config: Optional[CSawConfig] = None,
         report_transport: Optional[Transport] = None,
         location: str = "pakistan",
-        bandwidth_bps: float = 20e6,
     ):
         self.world = world
         self.name = name
         self.config = config or CSawConfig()
-        self.host, self.access = world.add_client(
-            name, isps, location=location, bandwidth_bps=bandwidth_bps
-        )
+        self.host, self.access = world.add_client(name, isps, location=location)
         self.load = ClientLoadTracker()
         self._rng = world.rngs.stream(f"client/{name}")
 
@@ -68,9 +64,6 @@ class CSawClient:
             clock=lambda: world.env.now,
         )
         self.global_view = GlobalView()
-        self.detector = BlockpageDetector(
-            ratio_threshold=self.config.blockpage_ratio_threshold
-        )
         self.circumvention = CircumventionModule(
             world,
             transports,
@@ -83,7 +76,6 @@ class CSawClient:
             self.local_db,
             self.circumvention,
             global_view=self.global_view,
-            detector=self.detector,
             config=self.config,
             rng_stream=f"client/{name}/measurement",
         )
@@ -182,9 +174,7 @@ class CSawClient:
         from .records import BlockStatus
 
         ctx = self.new_ctx()
-        outcome = yield from measure_direct_path(
-            self.world, ctx, url, self.detector
-        )
+        outcome = yield from measure_direct_path(self.world, ctx, url)
         if (
             outcome.status is BlockStatus.NOT_BLOCKED
             and not outcome.suspected_blockpage

@@ -46,10 +46,6 @@ class CSawConfig:
     # before trusting a crowdsourced entry.
     min_reporters: int = 1
     min_votes: float = 0.0
-    # Phase-2 size-ratio threshold for block-page confirmation.
-    blockpage_ratio_threshold: float = 0.30
-    # Moving-average weight for per-approach PLT tracking.
-    ewma_alpha: float = 0.3
     # Trace-bus recording mode: "full" records every session event, "off"
     # records nothing.  Verdicts and served PLTs are bit-identical in both
     # modes — only the trace payload differs.
@@ -94,8 +90,6 @@ class CSawConfig:
             raise ValueError("need at least one request copy")
         if self.explore_every_n < 2:
             raise ValueError("explore_every_n must be >= 2")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0,1]: {self.ewma_alpha!r}")
         if not self.min_reporters >= 1:
             raise ValueError(f"min_reporters must be >= 1: {self.min_reporters!r}")
         if not self.min_votes >= 0.0:

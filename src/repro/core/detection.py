@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
-from ..circumvent.base import drop_tracebacks
+from ..circumvent.base import MAX_REDIRECTS, drop_tracebacks
 from ..simnet.dns import DnsError, resolve
 from ..simnet.flow import FlowContext
 from ..simnet.http import HttpResponse, HttpTimeout, http_exchange
@@ -43,7 +43,7 @@ from ..simnet.tcp import ConnectionReset, ConnectTimeout, TcpError, tcp_connect
 from ..simnet.tls import TlsReset, TlsTimeout, tls_handshake
 from ..simnet.world import World
 from ..urlkit import parse_url
-from .blockpage import BlockpageDetector
+from .blockpage import phase1_looks_like_blockpage
 from .records import BlockStatus, BlockType
 from .taxonomy import block_type_for, dns_block_type
 from .trace import (
@@ -107,19 +107,16 @@ class _DirectPathRun:
     """
 
     __slots__ = (
-        "world", "env", "ctx", "url", "detector", "max_redirects",
-        "first_byte", "trace", "parsed", "started", "stages",
-        "evidence_at", "dns_suspect", "ip", "conn", "response",
+        "world", "env", "ctx", "url", "first_byte", "trace", "parsed",
+        "started", "stages", "evidence_at", "dns_suspect", "ip", "conn",
+        "response",
     )
 
-    def __init__(self, world, ctx, url, detector, max_redirects,
-                 first_byte, trace):
+    def __init__(self, world, ctx, url, first_byte, trace):
         self.world = world
         self.env = world.env
         self.ctx = ctx
         self.url = url
-        self.detector = detector
-        self.max_redirects = max_redirects
         self.first_byte = first_byte
         self.trace = trace
         self.parsed = parse_url(url)
@@ -191,8 +188,7 @@ class _DirectPathRun:
         span = trace.begin(STAGE_LOCAL_DNS) if trace else 0.0
         try:
             ips = yield from resolve(
-                env, world.network, ctx, parsed.host,
-                world.isp_resolver(ctx), world.dns_config,
+                env, world.network, ctx, parsed.host, world.isp_resolver(ctx)
             )
             self.ip = ips[0]
             if trace:
@@ -212,8 +208,7 @@ class _DirectPathRun:
             gspan = trace.begin(STAGE_GLOBAL_DNS) if trace else 0.0
             try:
                 ips = yield from resolve(
-                    env, world.network, ctx, parsed.host,
-                    world.public_resolver, world.dns_config,
+                    env, world.network, ctx, parsed.host, world.public_resolver
                 )
             except DnsError as gdns_error:
                 # Both resolvers fail: the domain genuinely does not resolve.
@@ -239,7 +234,7 @@ class _DirectPathRun:
                 try:
                     ips = yield from resolve(
                         env, world.network, ctx, parsed.host,
-                        world.public_resolver, world.dns_config,
+                        world.public_resolver,
                     )
                     self.ip = ips[0]  # continue with the honest address
                 except DnsError:
@@ -256,8 +251,7 @@ class _DirectPathRun:
         span = trace.begin(STAGE_TCP) if trace else 0.0
         try:
             self.conn = yield from tcp_connect(
-                env, world.network, self.ctx, self.ip, self.parsed.port,
-                world.tcp_config,
+                env, world.network, self.ctx, self.ip, self.parsed.port
             )
         except (ConnectTimeout, ConnectionReset) as error:
             if trace:
@@ -282,9 +276,7 @@ class _DirectPathRun:
         trace = self.trace if self.trace.enabled else None
         span = trace.begin(STAGE_TLS) if trace else 0.0
         try:
-            yield from tls_handshake(
-                env, self.ctx, self.conn, self.parsed.host, world.tls_config
-            )
+            yield from tls_handshake(env, self.ctx, self.conn, self.parsed.host)
         except (TlsTimeout, TlsReset) as error:
             if trace:
                 trace.end(STAGE_TLS, span, detail=type(error).__name__)
@@ -301,12 +293,12 @@ class _DirectPathRun:
         trace = self.trace if self.trace.enabled else None
         span = trace.begin(STAGE_HTTP) if trace else 0.0
         current = self.parsed
-        for _hop in range(self.max_redirects + 1):
+        for _hop in range(MAX_REDIRECTS + 1):
             try:
                 self.response = yield from http_exchange(
                     env, world.network, world.web, ctx, self.conn,
                     current.scheme, current.host, current.path,
-                    world.http_config, first_byte=self.first_byte,
+                    first_byte=self.first_byte,
                 )
             except HttpTimeout as error:
                 if trace:
@@ -338,8 +330,7 @@ class _DirectPathRun:
                         return self.outcome(BlockStatus.BLOCKED, error=error)
                 try:
                     self.conn = yield from tcp_connect(
-                        env, world.network, ctx, redirect_ip, current.port,
-                        world.tcp_config,
+                        env, world.network, ctx, redirect_ip, current.port
                     )
                 except TcpError as error:
                     if trace:
@@ -373,7 +364,7 @@ class _DirectPathRun:
                     STAGE_BLOCKPAGE_PHASE1, span, detail="status 451"
                 )
             return self.outcome(BlockStatus.BLOCKED, response=response)
-        if self.detector.phase1(response):
+        if phase1_looks_like_blockpage(response.html):
             self.note_evidence(STAGE_BLOCKPAGE_PHASE1, BlockType.BLOCK_PAGE)
             if trace:
                 trace.end(
@@ -407,11 +398,8 @@ def measure_direct_path(
     world: World,
     ctx: FlowContext,
     url: str,
-    detector: Optional[BlockpageDetector] = None,
-    max_redirects: int = 3,
     first_byte=None,
     trace: Optional[SessionTrace] = None,
-    actor: str = "direct",
 ) -> Generator:
     """Process implementing the Figure-4 flowchart; returns DetectionOutcome.
 
@@ -421,12 +409,9 @@ def measure_direct_path(
     stages; callers that pass none still get a per-run trace on the
     returned outcome.
     """
-    detector = detector or BlockpageDetector()
     if trace is None:
-        trace = SessionTrace(lambda: world.env.now, url=url, actor=actor)
-    run = _DirectPathRun(
-        world, ctx, url, detector, max_redirects, first_byte, trace
-    )
+        trace = SessionTrace(lambda: world.env.now, url=url, actor="direct")
+    run = _DirectPathRun(world, ctx, url, first_byte, trace)
     # Hand back the run generator directly instead of delegating to it:
     # the setup above is pure (no engine events, no RNG), so running it
     # at call time instead of first resume is behavior-identical, and it
@@ -442,7 +427,6 @@ def _looks_like_ip(host: str) -> bool:
 def _redirect_resolve(world: World, ctx: FlowContext, host: str) -> Generator:
     """Resolve a redirect target's host (ISP resolver)."""
     ips = yield from resolve(
-        world.env, world.network, ctx, host,
-        world.isp_resolver(ctx), world.dns_config,
+        world.env, world.network, ctx, host, world.isp_resolver(ctx)
     )
     return ips[0]

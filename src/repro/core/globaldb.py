@@ -220,8 +220,6 @@ class _AsShard:
         # mutation funnels through mark_changed, which clears it.  A
         # fleet sweeping thousands of clients between server changes
         # pays batch construction once per distinct since-version.
-        # Key: (since_version, min_reporters, min_votes) plus sorted
-        # plane-weight items when the pull supplied a weighted criterion.
         self.batch_cache: Dict[Tuple, "SyncBatch"] = {}
 
     def mark_changed(self, urls: Sequence[str]) -> None:
@@ -591,19 +589,6 @@ class ServerDB:
 
     # -- queries ------------------------------------------------------------------
 
-    def _stats_fn(self, plane_weights: Optional[Dict[str, float]]):
-        """The (url, asn) -> VoteStats the confidence criterion reads:
-        plain aggregate stats, or fidelity-weighted per-plane sums when
-        the consumer supplied ``plane_weights`` (DESIGN.md §13)."""
-        if plane_weights is None:
-            return self.voting.stats
-        weighted = self.voting.weighted_stats
-
-        def stats(url: str, asn: int) -> VoteStats:
-            return weighted(url, asn, plane_weights)
-
-        return stats
-
     def blocked_for_as(
         self,
         asn: int,
@@ -631,9 +616,17 @@ class ServerDB:
         if shard is None:
             return []
         self._evict_expired(shard, now)
-        if plane_weights is None and min_reporters <= 1 and min_votes <= 0.0:
-            return list(shard.entries.values())
-        stats = self._stats_fn(plane_weights)
+        if plane_weights is None:
+            if min_reporters <= 1 and min_votes <= 0.0:
+                return list(shard.entries.values())
+            stats = self.voting.stats
+        else:
+            # Fidelity-weighted per-plane sums (DESIGN.md §13).
+            weighted = self.voting.weighted_stats
+
+            def stats(url: str, asn: int) -> VoteStats:
+                return weighted(url, asn, plane_weights)
+
         return [
             entry
             for entry in shard.entries.values()
@@ -647,7 +640,6 @@ class ServerDB:
         since_version: Optional[int] = None,
         min_reporters: int = 1,
         min_votes: float = 0.0,
-        plane_weights: Optional[Dict[str, float]] = None,
     ) -> SyncBatch:
         """Serve one client pull, incrementally when possible.
 
@@ -655,18 +647,16 @@ class ServerDB:
         log floor (log truncated), or a version from the future (stale
         client state, e.g. a server restart) all fall back to a full
         snapshot.  Otherwise only entries touched after ``since_version``
-        travel: re-evaluated against the confidence criterion (weighted
-        per plane when ``plane_weights`` is given), they land in
-        ``urls`` (still listed) or ``removed`` (evicted, dissented away,
-        or no longer passing the criterion).
+        travel: re-evaluated against the confidence criterion, they land
+        in ``urls`` (still listed) or ``removed`` (evicted, dissented
+        away, or no longer passing the criterion).
 
         Built batches are cached on the shard keyed by ``(since,
-        criterion)`` — the criterion including the sorted plane-weight
-        items when a weighted pull asked for them — and invalidated by
-        any shard change, so serving a whole cohort between changes
-        constructs each distinct batch once (the serve counters still
-        count every pull).  A NaN ``min_reporters`` or ``min_votes``
-        raises ``ValueError``, as in :meth:`blocked_for_as`.
+        criterion)`` and invalidated by any shard change, so serving a
+        whole cohort between changes constructs each distinct batch once
+        (the serve counters still count every pull).  A NaN
+        ``min_reporters`` or ``min_votes`` raises ``ValueError``, as in
+        :meth:`blocked_for_as`.
         """
         _check_criterion(min_reporters, min_votes)
         shard = self._shards.get(asn)
@@ -687,20 +677,12 @@ class ServerDB:
             if since_version == shard.version:
                 return SyncBatch(asn=asn, version=shard.version, full=False)
             since_key = since_version
-        if plane_weights is None:
-            key: Tuple = (since_key, min_reporters, min_votes)
-        else:
-            key = (
-                since_key,
-                min_reporters,
-                min_votes,
-                tuple(sorted(plane_weights.items())),
-            )
+        key = (since_key, min_reporters, min_votes)
         cache = shard.batch_cache
         batch = cache.get(key)
         if batch is None:
             batch = self._build_batch(
-                shard, asn, since_key, min_reporters, min_votes, plane_weights
+                shard, asn, since_key, min_reporters, min_votes
             )
             if len(cache) >= 128:  # bound stragglers between changes
                 cache.clear()
@@ -714,7 +696,6 @@ class ServerDB:
         since_version: Optional[int],
         min_reporters: int,
         min_votes: float,
-        plane_weights: Optional[Dict[str, float]] = None,
     ) -> SyncBatch:
         """Construct one columnar batch (cache-miss path).
 
@@ -728,10 +709,8 @@ class ServerDB:
         spec is the row twin in ``tests/_reference_globaldb.py``, which
         lists the same rows one entry object at a time.
         """
-        stats = self._stats_fn(plane_weights)
-        check_votes = (
-            min_reporters > 1 or min_votes > 0.0 or plane_weights is not None
-        )
+        stats = self.voting.stats
+        check_votes = min_reporters > 1 or min_votes > 0.0
         entries = shard.entries
         removed: List[str] = []
         if since_version is None:

@@ -37,7 +37,6 @@ from typing import Dict, Generator, List, Optional
 from ..circumvent.base import FetchResult, Transport
 from ..simnet.flow import FlowContext
 from ..simnet.world import World
-from .blockpage import BlockpageDetector
 from .circumvention import CircumventionModule
 from .config import CSawConfig
 from .detection import DetectionOutcome, measure_direct_path
@@ -112,7 +111,6 @@ class MeasurementModule:
         local_db: LocalDatabase,
         circumvention: CircumventionModule,
         global_view: Optional[GlobalView] = None,
-        detector: Optional[BlockpageDetector] = None,
         config: Optional[CSawConfig] = None,
         rng_stream: str = "measurement",
     ):
@@ -124,9 +122,6 @@ class MeasurementModule:
         # defines __len__, so an empty one is falsy).
         self.global_view = global_view if global_view is not None else GlobalView()
         self.config = config or CSawConfig()
-        self.detector = detector or BlockpageDetector(
-            ratio_threshold=self.config.blockpage_ratio_threshold
-        )
         self.rng = world.rngs.stream(rng_stream)
         # Trace mode, resolved once so per-session setup is one identity
         # test.
@@ -239,8 +234,7 @@ class MeasurementModule:
         ctx.load.enter()
         try:
             outcome = yield from measure_direct_path(
-                self.world, ctx, url, self.detector,
-                first_byte=first_byte, trace=trace,
+                self.world, ctx, url, first_byte=first_byte, trace=trace
             )
         finally:
             ctx.load.exit()

@@ -27,6 +27,9 @@ from .records import BlockStatus, BlockType
 
 __all__ = ["MultihomingManager"]
 
+_PROBE_INTERVAL = 60.0  # seconds between ASN probes
+_WINDOW = 8  # the most recent probes that count
+
 
 class MultihomingManager:
     """ASN probing plus the blocked-record pinning rule."""
@@ -35,18 +38,12 @@ class MultihomingManager:
         self,
         world: World,
         access: AccessNetwork,
-        probe_interval: float = 60.0,
-        window: int = 8,
         rng_stream: str = "multihoming",
     ):
-        if window < 2:
-            raise ValueError("window must cover at least two probes")
         self.world = world
         self.access = access
-        self.probe_interval = probe_interval
-        self.window = window
         self.rng = world.rngs.stream(rng_stream)
-        self._observations: Deque[Tuple[float, int]] = deque(maxlen=window)
+        self._observations: Deque[Tuple[float, int]] = deque(maxlen=_WINDOW)
         self.probes = 0
 
     # -- detection ---------------------------------------------------------
@@ -66,10 +63,10 @@ class MultihomingManager:
         return flow_isp.asn
 
     def run_periodic(self, ctx: FlowContext, until: float) -> Generator:
-        """Background process: probe every ``probe_interval`` seconds."""
+        """Background process: probe every ``_PROBE_INTERVAL`` seconds."""
         env = self.world.env
         while env.now < until:
-            yield env.timeout(self.probe_interval)
+            yield env.timeout(_PROBE_INTERVAL)
             yield from self.probe_once(ctx)
 
     @property

@@ -147,7 +147,6 @@ class ReportingService:
         self.plane = plane
         self.uuid: Optional[str] = None
         self.reports_posted = 0
-        self.downloads = 0
         self.full_syncs = 0
         self.delta_syncs = 0
         self.sync_rows_received = 0  # entries + removals over all pulls
@@ -235,7 +234,6 @@ class ReportingService:
             min_votes=self.min_votes,
         )
         self.global_view.apply_batch(batch, now)
-        self.downloads += 1
         if batch.full:
             self.full_syncs += 1
         else:

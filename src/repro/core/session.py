@@ -30,6 +30,7 @@ from typing import List, Optional
 from ..circumvent.base import FetchResult
 from ..simnet.ipaddr import is_private
 from ..simnet.tcp import TcpError
+from .blockpage import phase2_is_blockpage
 from .detection import DetectionOutcome
 from .records import BlockStatus, BlockType
 from .taxonomy import block_type_for
@@ -273,8 +274,8 @@ class MeasurementSession:
             status = BlockStatus.BLOCKED
             if comparator is not None:
                 span = self.trace.begin(STAGE_BLOCKPAGE_PHASE2)
-                if not module.detector.phase2(
-                    outcome.response, comparator.response
+                if not phase2_is_blockpage(
+                    outcome.response.size_bytes, comparator.response.size_bytes
                 ):
                     # Phase-1 false positive: sizes match, the page is real.
                     status = BlockStatus.NOT_BLOCKED
@@ -296,8 +297,8 @@ class MeasurementSession:
             status = BlockStatus.NOT_BLOCKED
             if comparator is not None:
                 span = self.trace.begin(STAGE_BLOCKPAGE_PHASE2)
-                if module.detector.phase2(
-                    outcome.response, comparator.response
+                if phase2_is_blockpage(
+                    outcome.response.size_bytes, comparator.response.size_bytes
                 ):
                     # Phase-1 false negative: the served page was a block
                     # page.  Correct it by refreshing with the circumvented
@@ -488,7 +489,9 @@ class MeasurementSession:
         status = BlockStatus.BLOCKED if outcome.blocked else outcome.status
         if outcome.suspected_blockpage and circ is not None and circ.ok:
             span = trace.begin(STAGE_BLOCKPAGE_PHASE2)
-            if not module.detector.phase2(outcome.response, circ.response):
+            if not phase2_is_blockpage(
+                outcome.response.size_bytes, circ.response.size_bytes
+            ):
                 status = BlockStatus.NOT_BLOCKED
                 if BlockType.BLOCK_PAGE in stages:
                     stages.remove(BlockType.BLOCK_PAGE)

@@ -592,22 +592,18 @@ class MutableDefaultRule(Rule):
     """Mutable default arguments are shared state across calls.
 
     In a simulator that reuses builders across trials, a list/dict/set
-    default quietly carries state from one seed's run into the next.
+    default quietly carries state from one seed's run into the next.  A
+    call default is built once, when the ``def`` runs, and every call
+    shares it: any call but an immutable builtin's (a dataclass
+    instance, a ``deque()``) is flagged.
     """
 
     code = "CSL007"
     name = "no-mutable-default"
     message = "mutable default argument: default to None and build inside"
 
-    _MUTABLE_CALLS = {
-        "list",
-        "dict",
-        "set",
-        "defaultdict",
-        "OrderedDict",
-        "Counter",
-        "deque",
-        "bytearray",
+    _IMMUTABLE_CALLS = {
+        "tuple", "frozenset", "int", "float", "str", "bytes", "bool",
     }
 
     def _is_mutable(self, node: ast.AST) -> bool:
@@ -617,8 +613,10 @@ class MutableDefaultRule(Rule):
         ):
             return True
         if isinstance(node, ast.Call):
-            chain = attr_chain(node.func)
-            return bool(chain) and chain[-1] in self._MUTABLE_CALLS
+            func = node.func
+            return not (
+                isinstance(func, ast.Name) and func.id in self._IMMUTABLE_CALLS
+            )
         return False
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:

@@ -97,8 +97,7 @@ def app_connect(
     for endpoint in order:
         try:
             conn = yield from tcp_connect(
-                world.env, world.network, ctx, endpoint.ip, service.port,
-                world.tcp_config,
+                world.env, world.network, ctx, endpoint.ip, service.port
             )
         except TcpError as error:
             failures.append(error)

@@ -3,11 +3,12 @@
 The timing constants are calibrated against Table 5 of the paper:
 
 - ``REFUSED`` answers come back in one resolver round trip (~25 ms);
-- ``SERVFAIL`` answers take ``servfail_delay`` at the resolver (its own
-  recursion timing out) and the stub retries once, landing near the
-  paper's 10.6 s;
+- ``SERVFAIL`` answers take ``SERVFAIL_DELAY`` at the resolver (its own
+  recursion timing out) plus a round trip, and the stub retries once
+  (``SERVFAIL_ATTEMPTS``), landing near the paper's 10.6 s;
 - silently dropped queries ("No DNS" in Figure 2) burn the stub's full
-  retry schedule before :class:`DnsTimeout` is raised.
+  retry schedule (``TIMEOUT_ATTEMPTS`` × ``QUERY_TIMEOUT``) before
+  :class:`DnsTimeout` is raised.
 
 Censorship applies per the verdict's *scope*: ``resolver`` rules only bite
 when the client queries the censoring ISP's own resolver (so a public DNS
@@ -31,7 +32,6 @@ __all__ = [
     "NxDomain",
     "ServFail",
     "Refused",
-    "DnsConfig",
     "Resolver",
     "resolve",
 ]
@@ -64,17 +64,14 @@ class Refused(DnsError):
     kind = "refused"
 
 
-@dataclass
-class DnsConfig:
-    """Stub-resolver behaviour knobs (defaults match Table 5 timings)."""
-
-    query_timeout: float = 5.0  # per attempt, for silently dropped queries
-    timeout_attempts: int = 2
-    servfail_delay: float = 5.25  # resolver-side recursion stall
-    servfail_attempts: int = 2
-    cache_hit_probability: float = 0.7
-    recursion_delay: float = 0.06  # cache-miss upstream walk
-    hold_on_margin: float = 0.15  # Hold-On's wait past the expected RTT
+# Stub-resolver timing (Table 5).
+QUERY_TIMEOUT = 5.0  # per attempt, for silently dropped queries
+TIMEOUT_ATTEMPTS = 2
+SERVFAIL_DELAY = 5.25  # resolver-side recursion stall
+SERVFAIL_ATTEMPTS = 2
+CACHE_HIT_PROBABILITY = 0.7
+RECURSION_DELAY = 0.06  # cache-miss upstream walk
+HOLD_ON_MARGIN = 0.15  # Hold-On's wait past the expected RTT
 
 
 @dataclass
@@ -107,7 +104,6 @@ def resolve(
     ctx: FlowContext,
     qname: str,
     resolver: Resolver,
-    config: DnsConfig = DnsConfig(),
     hold_on: bool = False,
 ) -> Generator:
     """Process: resolve ``qname`` via ``resolver``; yields, returns IPs.
@@ -136,8 +132,8 @@ def resolve(
 
     def honest_delay() -> float:
         delay = rtt
-        if ctx.rng.random() > config.cache_hit_probability:
-            delay += config.recursion_delay * ctx.rng.uniform(0.5, 2.0)
+        if ctx.rng.random() > CACHE_HIT_PROBABILITY:
+            delay += RECURSION_DELAY * ctx.rng.uniform(0.5, 2.0)
         return delay
 
     if verdict is None:
@@ -146,7 +142,7 @@ def resolve(
         if hold_on:
             # Hold-On waits a safety margin past the expected RTT even
             # when nothing races — the defence's standing cost.
-            wait += config.hold_on_margin
+            wait += HOLD_ON_MARGIN
         yield env.timeout(wait)
         ips = network.authoritative_ips(qname)
         if not ips:
@@ -162,7 +158,7 @@ def resolve(
             if not hold_on:
                 yield env.timeout(forged_at)
                 return [verdict.redirect_ip]
-            yield env.timeout(max(genuine_at, forged_at) + config.hold_on_margin)
+            yield env.timeout(max(genuine_at, forged_at) + HOLD_ON_MARGIN)
             ips = network.authoritative_ips(qname)
             if not ips:
                 raise NxDomain(qname)
@@ -179,13 +175,13 @@ def resolve(
         raise Refused(qname)
 
     if verdict.action is DnsAction.SERVFAIL:
-        for _attempt in range(config.servfail_attempts):
-            yield env.timeout(rtt + config.servfail_delay)
+        for _attempt in range(SERVFAIL_ATTEMPTS):
+            yield env.timeout(rtt + SERVFAIL_DELAY)
         raise ServFail(qname)
 
     if verdict.action is DnsAction.TIMEOUT:
-        for _attempt in range(config.timeout_attempts):
-            yield env.timeout(config.query_timeout)
+        for _attempt in range(TIMEOUT_ATTEMPTS):
+            yield env.timeout(QUERY_TIMEOUT)
         raise DnsTimeout(qname)
 
     raise AssertionError(f"unhandled DNS verdict: {verdict!r}")

@@ -23,34 +23,31 @@ from .topology import AccessNetwork, AutonomousSystem, Host
 __all__ = ["ClientLoadTracker", "FlowContext"]
 
 
+# Load model: each extra concurrent request adds ``PENALTY`` (convex in
+# the excess), each request past ``CAPACITY`` another ``OVER_PENALTY``,
+# and the slowdown saturates at ``MAX_FACTOR``.
+PENALTY = 0.18
+CAPACITY = 6
+OVER_PENALTY = 0.15
+MAX_FACTOR = 2.5
+
+
 class ClientLoadTracker:
     """Tracks concurrently active requests on one client machine.
 
     ``factor()`` scales transfer/processing time: 1.0 for a single active
-    request, growing by ``penalty`` per extra concurrent request.  The
-    default penalty is mild — the effect compounds across a page's many
+    request, growing by ``PENALTY`` per extra concurrent request.  The
+    penalty is mild — the effect compounds across a page's many
     embedded objects, which is what makes duplicate requests for large
     pages expensive (Figure 5c) while barely showing for small ones
     (Figure 5b).
     """
 
-    def __init__(
-        self,
-        penalty: float = 0.18,
-        capacity: int = 6,
-        over_penalty: float = 0.15,
-        max_factor: float = 2.5,
-    ):
-        self.penalty = penalty
-        self.capacity = capacity
-        self.over_penalty = over_penalty
-        self.max_factor = max_factor
+    def __init__(self) -> None:
         self.active = 0
-        self.peak = 0
 
     def enter(self) -> None:
         self.active += 1
-        self.peak = max(self.peak, self.active)
 
     def exit(self) -> None:
         if self.active <= 0:
@@ -61,7 +58,7 @@ class ClientLoadTracker:
         """Multiplicative slowdown experienced by each active request.
 
         Grows with concurrency (shared access link + CPU), steeper past
-        ``capacity`` (queueing), and saturates at ``max_factor`` — a real
+        ``CAPACITY`` (queueing), and saturates at ``MAX_FACTOR`` — a real
         client is bounded by its hardware, and an uncapped penalty makes
         open-loop workloads cascade unrealistically.
         """
@@ -69,9 +66,9 @@ class ClientLoadTracker:
         # Convex in the concurrency: a single duplicate costs little, the
         # third and fourth compound (the paper's Figure 6a: two copies are
         # the sweet spot, three inflate the tail).
-        slowdown = 1.0 + self.penalty * excess**1.7
-        over = max(0, self.active - self.capacity)
-        return min(self.max_factor, slowdown * (1.0 + self.over_penalty * over))
+        slowdown = 1.0 + PENALTY * excess**1.7
+        over = max(0, self.active - CAPACITY)
+        return min(MAX_FACTOR, slowdown * (1.0 + OVER_PENALTY * over))
 
 
 @dataclass

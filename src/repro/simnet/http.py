@@ -9,7 +9,7 @@ censor has already had its chance at the DNS/IP/SNI stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, Generator, Optional
 
 from ..censor.actions import HttpAction
@@ -20,7 +20,7 @@ from .tcp import ConnectionReset, TcpConnection
 from .topology import Network
 from .web import Web, WebPage
 
-__all__ = ["HttpTimeout", "HttpConfig", "HttpResponse", "http_exchange"]
+__all__ = ["HttpTimeout", "HttpResponse", "http_exchange"]
 
 
 class HttpTimeout(Exception):
@@ -34,24 +34,31 @@ class HttpTimeout(Exception):
         self.detail = detail
 
 
-@dataclass
-class HttpConfig:
-    get_timeout: float = 10.0  # stall before giving up on a response
-    server_think_time: float = 0.015
+GET_TIMEOUT = 10.0  # stall before giving up on a response
+SERVER_THINK_TIME = 0.015
 
 
 @dataclass
 class HttpResponse:
-    """What came back (possibly censor-injected)."""
+    """What came back (possibly censor-injected).
+
+    ``html`` is the HTML given to the constructor, or else the served
+    ``page``'s, read from the page on every access and never kept: most
+    served responses are only timed and sized, never read.
+    """
 
     status: int
     url: str
-    html: str
     size_bytes: int
     server_ip: str
+    html: InitVar[str] = ""
     page: Optional[WebPage] = None
     headers: Dict[str, str] = field(default_factory=dict)
     injected: bool = False  # ground truth; detectors must not read this
+    _html: str = field(default="", init=False, repr=False)
+
+    def __post_init__(self, html: str) -> None:
+        self._html = html
 
     @property
     def is_redirect(self) -> bool:
@@ -60,6 +67,17 @@ class HttpResponse:
     @property
     def location(self) -> Optional[str]:
         return self.headers.get("location")
+
+
+def _response_html(response: HttpResponse) -> str:
+    page = response.page
+    if response._html or page is None:
+        return response._html
+    return page.html
+
+
+# Set once the dataclass is built, as for ``WebPage.html``.
+HttpResponse.html = property(_response_html)  # type: ignore[assignment]
 
 
 _404_HTML = (
@@ -93,7 +111,6 @@ def http_exchange(
     scheme: str,
     host_header: str,
     path: str,
-    config: HttpConfig = HttpConfig(),
     first_byte=None,
 ) -> Generator:
     """Process: one GET over ``conn``; returns :class:`HttpResponse`.
@@ -114,7 +131,7 @@ def http_exchange(
     if scheme == "http" and middlebox is not None:
         verdict = middlebox.http_request(env.now, host_header, path, src_ip=ctx.client.ip)
         if verdict.action is HttpAction.DROP:
-            yield env.timeout(config.get_timeout)
+            yield env.timeout(GET_TIMEOUT)
             raise HttpTimeout(url, "(censor drop)")
         if verdict.action is HttpAction.RST:
             yield env.timeout(conn.rtt / 2.0)
@@ -155,7 +172,7 @@ def http_exchange(
         # Server-side filtering (§8): the provider itself withholds the
         # content from this region.  Not censor-injected — a relay whose
         # vantage lies outside the region gets the real page.
-        yield env.timeout(rtt + config.server_think_time)
+        yield env.timeout(rtt + SERVER_THINK_TIME)
         mark_first_byte()
         html = _GEO_BLOCK_HTML.format(host=host_header)
         return HttpResponse(
@@ -167,7 +184,7 @@ def http_exchange(
         )
     page = site.page(path) if site is not None else None
     if page is None:
-        yield env.timeout(rtt + config.server_think_time)
+        yield env.timeout(rtt + SERVER_THINK_TIME)
         mark_first_byte()
         return HttpResponse(
             status=404,
@@ -178,7 +195,7 @@ def http_exchange(
         )
     # Headers arrive one round trip (plus server think time) after the
     # GET; the body streams in afterwards.
-    headers_delay = config.server_think_time + rtt
+    headers_delay = SERVER_THINK_TIME + rtt
     yield env.timeout(headers_delay)
     mark_first_byte()
     body_duration = max(
@@ -191,7 +208,6 @@ def http_exchange(
     return HttpResponse(
         status=200,
         url=url,
-        html=page.html,
         size_bytes=page.size_bytes,
         server_ip=conn.dst_ip,
         page=page,

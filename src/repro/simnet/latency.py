@@ -1,4 +1,4 @@
-"""Latency, jitter, loss, and transfer-time models.
+"""Latency, jitter, and transfer-time models.
 
 The reproduction does not ship packets; it computes the *time* each protocol
 step takes.  The models here are deliberately simple but capture the pieces
@@ -6,7 +6,6 @@ that shape the paper's results:
 
 - per-path RTT with lognormal jitter (congested proxies show heavy tails,
   cf. Figure 1a's Germany-1/UK/Japan curves);
-- random loss, surfaced to the TCP model as retransmission delay;
 - TCP slow-start: small pages are RTT-bound, large pages bandwidth-bound.
 """
 
@@ -34,19 +33,16 @@ class LatencyModel:
     """Samples round-trip times for one path segment.
 
     ``base_rtt`` is the median RTT in seconds.  ``jitter_sigma`` is the sigma
-    of a multiplicative lognormal factor (0 = deterministic).  ``loss`` is
-    the per-round packet-loss probability surfaced to the transport.
+    of a multiplicative lognormal factor (0 = deterministic).  No path
+    loses packets.
     """
 
     base_rtt: float
     jitter_sigma: float = 0.08
-    loss: float = 0.0
 
     def __post_init__(self) -> None:
         if self.base_rtt < 0:
             raise ValueError(f"negative base_rtt: {self.base_rtt!r}")
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1): {self.loss!r}")
         if self.jitter_sigma < 0:
             raise ValueError(f"negative jitter_sigma: {self.jitter_sigma!r}")
 
@@ -56,12 +52,8 @@ class LatencyModel:
             return self.base_rtt
         return self.base_rtt * rng.lognormvariate(0.0, self.jitter_sigma)
 
-    def sample_loss(self, rng: random.Random) -> bool:
-        """Whether a given round experiences loss."""
-        return self.loss > 0 and rng.random() < self.loss
 
-
-def slow_start_rounds(size_bytes: int, init_cwnd: int = INIT_CWND_BYTES) -> int:
+def slow_start_rounds(size_bytes: int) -> int:
     """Number of additional round trips TCP slow start needs for a payload.
 
     0 when the object fits in the initial window; grows logarithmically
@@ -69,17 +61,16 @@ def slow_start_rounds(size_bytes: int, init_cwnd: int = INIT_CWND_BYTES) -> int:
     """
     if size_bytes <= 0:
         return 0
-    if size_bytes <= init_cwnd:
+    if size_bytes <= INIT_CWND_BYTES:
         return 0
     # Window doubles each RTT: cwnd * (2^r+1 - 1) bytes after r extra rounds.
-    return max(0, math.ceil(math.log2(size_bytes / init_cwnd + 1)) )
+    return max(0, math.ceil(math.log2(size_bytes / INIT_CWND_BYTES + 1)) )
 
 
 def transfer_time(
     size_bytes: int,
     rtt: float,
     bandwidth_bps: float,
-    init_cwnd: int = INIT_CWND_BYTES,
 ) -> float:
     """Time to move ``size_bytes`` after the connection is established.
 
@@ -90,5 +81,5 @@ def transfer_time(
         raise ValueError(f"negative size: {size_bytes!r}")
     if bandwidth_bps <= 0:
         raise ValueError(f"bandwidth must be positive: {bandwidth_bps!r}")
-    rounds = slow_start_rounds(size_bytes, init_cwnd)
+    rounds = slow_start_rounds(size_bytes)
     return rtt + rounds * rtt + (size_bytes * 8.0) / bandwidth_bps

@@ -2,9 +2,9 @@
 
 Captures the two failure symptoms censors produce at the IP layer:
 
-- blackholed packets → the client burns its full SYN retry schedule and
-  raises :class:`ConnectTimeout` (~21 s with the default schedule, the
-  TCP/IP row of Table 5);
+- blackholed packets → the client burns its full SYN retry schedule
+  (``SYN_RETRIES``) and raises :class:`ConnectTimeout` after
+  ``CONNECT_TIMEOUT`` = 21 s, the TCP/IP row of Table 5;
 - injected resets → :class:`ConnectionReset` after roughly half an RTT.
 
 A successful handshake yields a :class:`TcpConnection` carrying the sampled
@@ -26,7 +26,6 @@ __all__ = [
     "TcpError",
     "ConnectTimeout",
     "ConnectionReset",
-    "TcpConfig",
     "TcpConnection",
     "tcp_connect",
 ]
@@ -51,16 +50,10 @@ class ConnectionReset(TcpError):
     kind = "connection-reset"
 
 
-@dataclass
-class TcpConfig:
-    """Handshake knobs.  The default SYN schedule (3 + 6 + 12 s) totals the
-    21 s the paper measured for TCP/IP blocking detection (Table 5)."""
-
-    syn_retries: tuple = (3.0, 6.0, 12.0)
-
-    @property
-    def connect_timeout_total(self) -> float:
-        return sum(self.syn_retries)
+# The SYN schedule (3 + 6 + 12 s) totals the 21 s the paper measured for
+# TCP/IP blocking detection (Table 5).
+SYN_RETRIES = (3.0, 6.0, 12.0)
+CONNECT_TIMEOUT = sum(SYN_RETRIES)
 
 
 @dataclass
@@ -85,7 +78,6 @@ def tcp_connect(
     ctx: FlowContext,
     dst_ip: str,
     port: int = 80,
-    config: TcpConfig = TcpConfig(),
 ) -> Generator:
     """Process: three-way handshake to ``dst_ip``; returns TcpConnection.
 
@@ -97,7 +89,7 @@ def tcp_connect(
         middlebox.observe_flow(env.now, ctx.client.ip, dst_ip)
         verdict = middlebox.packet(env.now, dst_ip, src_ip=ctx.client.ip)
         if verdict.action is IpAction.DROP:
-            for delay in config.syn_retries:
+            for delay in SYN_RETRIES:
                 yield env.timeout(delay)
             raise ConnectTimeout(dst_ip, "(censor blackhole)")
         if verdict.action is IpAction.RST:
@@ -115,15 +107,12 @@ def tcp_connect(
     if dst is None:
         # Route to nowhere (e.g. DNS redirect into private space with no
         # listener): indistinguishable from a blackhole.
-        for delay in config.syn_retries:
+        for delay in SYN_RETRIES:
             yield env.timeout(delay)
         raise ConnectTimeout(dst_ip, "(no such host)")
 
     latency = network.latency_between(ctx.client, dst)
     rtt = latency.sample_rtt(ctx.rng) + ctx.access.access_rtt
-    if latency.sample_loss(ctx.rng):
-        # Lost SYN: one retry interval before the handshake completes.
-        yield env.timeout(config.syn_retries[0])
     yield env.timeout(rtt)
     return TcpConnection(
         src=ctx.client,

@@ -8,7 +8,6 @@ this layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..censor.actions import TlsAction
@@ -16,7 +15,7 @@ from .engine import Environment
 from .flow import FlowContext
 from .tcp import TcpConnection
 
-__all__ = ["TlsError", "TlsTimeout", "TlsReset", "TlsConfig", "tls_handshake"]
+__all__ = ["TlsError", "TlsTimeout", "TlsReset", "tls_handshake"]
 
 
 class TlsError(Exception):
@@ -38,10 +37,8 @@ class TlsReset(TlsError):
     kind = "tls-reset"
 
 
-@dataclass
-class TlsConfig:
-    handshake_round_trips: int = 2  # TLS 1.2 full handshake
-    drop_timeout: float = 15.0  # stall before the client gives up
+HANDSHAKE_ROUND_TRIPS = 2  # TLS 1.2 full handshake
+DROP_TIMEOUT = 15.0  # stall before the client gives up
 
 
 def tls_handshake(
@@ -49,7 +46,6 @@ def tls_handshake(
     ctx: FlowContext,
     conn: TcpConnection,
     sni: Optional[str],
-    config: TlsConfig = TlsConfig(),
 ) -> Generator:
     """Process: TLS handshake over ``conn`` announcing ``sni``.
 
@@ -60,12 +56,12 @@ def tls_handshake(
     if middlebox is not None:
         verdict = middlebox.tls_client_hello(env.now, sni, conn.dst_ip, src_ip=ctx.client.ip)
         if verdict.action is TlsAction.DROP:
-            yield env.timeout(config.drop_timeout)
+            yield env.timeout(DROP_TIMEOUT)
             raise TlsTimeout(sni, "(censor drop)")
         if verdict.action is TlsAction.RST:
             yield env.timeout(conn.rtt / 2.0)
             raise TlsReset(sni, "(censor RST)")
 
-    duration = config.handshake_round_trips * conn.sample_rtt(ctx.rng)
+    duration = HANDSHAKE_ROUND_TRIPS * conn.sample_rtt(ctx.rng)
     yield env.timeout(duration)
     return duration

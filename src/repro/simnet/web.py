@@ -5,10 +5,11 @@ the paper's experiments use ~50 KB, 95 KB, 316 KB, ~360 KB and ~1.4 MB
 pages) and a small synthetic *HTML snippet* (drives block-page
 classification).  A page keeps only HTML it was given; any other
 page's ordinary snippet is rendered by :func:`make_normal_html` each
-time ``page.html`` is read (once per served response), so a world of
-thousands of pages holds none of it.  Pages may embed objects served
-from the same site or from CDN hosts — embedded CDN fetches are how the
-pilot study surfaced CDN-server blocking (§7.4).
+time ``page.html`` is read (a served response reads it only when its
+own ``html`` is read), so a world of thousands of pages holds none of
+it.  Pages may embed objects served from the same site or from CDN
+hosts — embedded CDN fetches are how the pilot study surfaced
+CDN-server blocking (§7.4).
 """
 
 from __future__ import annotations

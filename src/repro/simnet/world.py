@@ -1,7 +1,7 @@
 """The ``World`` facade: one object bundling the whole simulated Internet.
 
 Everything an experiment needs — the event loop, topology, web content,
-resolvers, protocol configs, RNG streams — hangs off a single
+resolvers, RNG streams — hangs off a single
 :class:`World`, so scenario builders and benchmarks read naturally:
 
     world = World(seed=1)
@@ -16,13 +16,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..censor.middlebox import Middlebox
 from ..censor.policy import CensorPolicy
-from .dns import DnsConfig, Resolver
+from .dns import Resolver
 from .engine import Environment
 from .flow import ClientLoadTracker, FlowContext
-from .http import HttpConfig
 from .rng import RngRegistry
-from .tcp import TcpConfig
-from .tls import TlsConfig
 from .topology import AccessNetwork, AutonomousSystem, Host, Network
 from .web import Web
 
@@ -37,10 +34,6 @@ class World:
         self.env = Environment()
         self.network = Network(self.rngs)
         self.web = Web(self.network)
-        self.dns_config = DnsConfig()
-        self.tcp_config = TcpConfig()
-        self.tls_config = TlsConfig()
-        self.http_config = HttpConfig()
         self.resolvers: Dict[int, Resolver] = {}
         self.public_resolver: Optional[Resolver] = None
         self._transit_as: Optional[AutonomousSystem] = None
@@ -53,7 +46,6 @@ class World:
         name: str,
         country: str = "pakistan",
         policy: Optional[CensorPolicy] = None,
-        resolver_extra_rtt: float = 0.002,
     ) -> AutonomousSystem:
         """Register an ISP with its recursive resolver and censor box."""
         censor = Middlebox(policy=policy, asn=asn) if policy is not None else None
@@ -62,7 +54,7 @@ class World:
             name=f"resolver.as{asn}",
             location=country,
             asn=asn,
-            extra_rtt=resolver_extra_rtt,
+            extra_rtt=0.002,
         )
         self.resolvers[asn] = Resolver(host=resolver_host, kind="isp", asn=asn)
         return system

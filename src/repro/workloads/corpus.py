@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..simnet.web import EmbeddedRef
 from ..simnet.world import World
@@ -41,6 +41,9 @@ _SITE_LOCATIONS = [
     ("singapore", 0.1),
 ]
 
+ZIPF_EXPONENT = 0.9  # site popularity ~ 1 / rank**s
+_N_CDNS = 3  # shared CDN hostnames serving embedded objects
+
 
 @dataclass
 class SiteSpec:
@@ -65,14 +68,13 @@ class Corpus:
 
     sites: List[SiteSpec]
     cdn_hostnames: List[str]
-    zipf_exponent: float = 0.9
     # Running sums of the Zipf weights 1 / rank**s in site order, built
     # once: ``choices(weights=...)`` would re-sum them on every draw.
     _cum_weights: List[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._cum_weights = list(accumulate(
-            1.0 / (site.rank ** self.zipf_exponent) for site in self.sites
+            1.0 / (site.rank ** ZIPF_EXPONENT) for site in self.sites
         ))
 
     def domains_in_categories(self, categories: Sequence[str]) -> List[str]:
@@ -121,7 +123,7 @@ def _cdn_object_factory(cdn_hostname: str):
         # processes, unlike built-in hash()).
         size = 8_000 + (zlib.crc32(f"{cdn_hostname}{path}".encode()) % 40_000)
         # A binary-ish object: it keeps no html, and ``page.html``
-        # renders the generic page for each response that serves it.
+        # renders the generic page on each read.
         return WebPage(
             url=f"http://{cdn_hostname}{path}",
             size_bytes=size,
@@ -134,18 +136,15 @@ def _cdn_object_factory(cdn_hostname: str):
 def build_corpus(
     n_sites: int = 300,
     seed: int = 0,
-    n_cdns: int = 3,
-    category_mix: Optional[List[Tuple[str, float]]] = None,
     cdn_probability: float = 0.5,
 ) -> Corpus:
     """Generate ``n_sites`` site blueprints (deterministic in ``seed``)."""
     rng = random.Random(seed)
-    mix = category_mix or CATEGORY_MIX
-    categories = [c for c, _w in mix]
-    cat_weights = [w for _c, w in mix]
+    categories = [c for c, _w in CATEGORY_MIX]
+    cat_weights = [w for _c, w in CATEGORY_MIX]
     loc_names = [l for l, _w in _SITE_LOCATIONS]
     loc_weights = [w for _l, w in _SITE_LOCATIONS]
-    cdns = [f"cdn{i}.contentcache.net" for i in range(n_cdns)]
+    cdns = [f"cdn{i}.contentcache.net" for i in range(_N_CDNS)]
 
     tlds = ["com", "org", "net", "info", "pk"]
     sites = []

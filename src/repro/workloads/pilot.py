@@ -56,6 +56,12 @@ _MECHANISMS: List[Tuple[str, float]] = [
 ]
 
 
+_BLOCKED_VISIT_BIAS = 3.0  # over-weighting of censored categories
+_PAGE_LOAD_FRACTION = 0.15  # full page loads (embedded objects)
+_SYNC_INTERVAL = 24 * 3600.0  # report and download cadence
+_CDN_BLOCKING_ASES = 2  # ISPs that also block a CDN hostname
+
+
 @dataclass
 class PilotConfig:
     seed: int = 7
@@ -64,10 +70,6 @@ class PilotConfig:
     n_sites: int = 1700
     duration_days: float = 90.0
     requests_per_user: int = 80
-    blocked_visit_bias: float = 3.0  # over-weighting of censored categories
-    page_load_fraction: float = 0.15  # full page loads (embedded objects)
-    sync_interval: float = 24 * 3600.0
-    cdn_blocking_ases: int = 2  # ISPs that also block a CDN hostname
 
     def __post_init__(self) -> None:
         # Users are spread over the ASes and browse the corpus, so all
@@ -191,8 +193,8 @@ class PilotStudy:
                 server_db=self.server,
                 config=CSawConfig(
                     probe_probability=0.1,
-                    report_interval=config.sync_interval,
-                    download_interval=config.sync_interval,
+                    report_interval=_SYNC_INTERVAL,
+                    download_interval=_SYNC_INTERVAL,
                     record_ttl=14 * 24 * 3600.0,
                 ),
             )
@@ -209,7 +211,7 @@ class PilotStudy:
             mechanism = rng.choices(names, weights=weights)[0]
             by_mechanism[mechanism].add(domain)
         # A couple of ISPs also block a CDN host (the §7.4 discovery).
-        if index < self.config.cdn_blocking_ases and self.corpus is not None:
+        if index < _CDN_BLOCKING_ASES and self.corpus is not None:
             cdn = self.corpus.cdn_hostnames[0]
             by_mechanism["ip-drop"].add(cdn)
             if cdn not in self.cdn_blocked:
@@ -254,7 +256,7 @@ class PilotStudy:
             if world.env.now >= config.duration:
                 break
             url = self._sample_url(user_rng)
-            if user_rng.random() < config.page_load_fraction:
+            if user_rng.random() < _PAGE_LOAD_FRACTION:
                 yield world.env.process(client.load_page(url))
             else:
                 response = yield from client.request(url)
@@ -267,7 +269,7 @@ class PilotStudy:
         for _ in range(4):
             if site.category in BLOCKED_CATEGORIES:
                 break
-            if rng.random() < 1.0 / self.config.blocked_visit_bias:
+            if rng.random() < 1.0 / _BLOCKED_VISIT_BIAS:
                 break
             site = corpus.sample_site(rng)
         path = rng.choice(site.page_paths)

@@ -146,7 +146,6 @@ def sync_for_as(
     since_version: Optional[int] = None,
     min_reporters: int = 1,
     min_votes: float = 0.0,
-    plane_weights: Optional[Dict[str, float]] = None,
 ) -> SyncResult:
     """``server.sync_batch_for_as`` as per-row entries: the same full or
     delta decision, serve counters and rows, with every touched entry
@@ -162,12 +161,10 @@ def sync_for_as(
         or since_version > shard.version
     ):
         server.full_syncs_served += 1
-        entries = server.blocked_for_as(
-            asn, now, min_reporters, min_votes, plane_weights
-        )
+        entries = server.blocked_for_as(asn, now, min_reporters, min_votes)
         return SyncResult(asn, shard.version, True, entries)
     server.delta_syncs_served += 1
-    stats = server._stats_fn(plane_weights)
+    stats = server.voting.stats
     changed: List[GlobalEntry] = []
     removed: List[str] = []
     for url in shard.touched_since(since_version):

@@ -79,7 +79,7 @@ class TestConfigValidation:
             dict(redundancy_mode="zigzag"),
             dict(max_redundant_requests=0),
             dict(explore_every_n=1),
-            dict(ewma_alpha=0.0),
+            dict(min_reporters=0),
             dict(report_interval=0.0),
             dict(report_interval=-600.0),
             dict(report_interval=float("nan")),

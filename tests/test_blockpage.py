@@ -7,23 +7,9 @@ from repro.censor.blockpages import (
     build_blockpage_corpus,
     build_normal_corpus,
 )
-from repro.core.blockpage import (
-    BlockpageDetector,
-    phase1_looks_like_blockpage,
-    phase2_is_blockpage,
-)
-from repro.simnet.http import HttpResponse, _iframe_blockpage_html
+from repro.core.blockpage import phase1_looks_like_blockpage, phase2_is_blockpage
+from repro.simnet.http import _iframe_blockpage_html
 from repro.simnet.web import make_normal_html
-
-
-def make_response(html, size=None):
-    return HttpResponse(
-        status=200,
-        url="http://x.example/",
-        html=html,
-        size_bytes=size if size is not None else len(html),
-        server_ip="1.2.3.4",
-    )
 
 
 class TestPhase1:
@@ -81,8 +67,9 @@ class TestPhase2:
         assert not phase2_is_blockpage(direct_size=900, circumvented_size=0)
 
     def test_threshold_boundary(self):
-        assert phase2_is_blockpage(29, 100, ratio_threshold=0.30)
-        assert not phase2_is_blockpage(30, 100, ratio_threshold=0.30)
+        # The size-ratio threshold is 0.30 of the circumvented size.
+        assert phase2_is_blockpage(29, 100)
+        assert not phase2_is_blockpage(30, 100)
 
     def test_camouflaged_blockpage_caught_by_phase2(self):
         """Phase-1 misses bland pages; phase 2 nails them by size."""
@@ -94,23 +81,3 @@ class TestPhase2:
         for sample in camouflaged:
             assert not phase1_looks_like_blockpage(sample.html)
             assert phase2_is_blockpage(len(sample.html), 250_000)
-
-
-class TestDetectorStateful:
-    def test_counters(self):
-        detector = BlockpageDetector()
-        detector.phase1(make_response(DEFAULT_BLOCKPAGE_HTML))
-        detector.phase1(make_response(make_normal_html("a.com", "/", [])))
-        assert detector.phase1_hits == 1
-        assert detector.phase1_passes == 1
-        detector.phase2(
-            make_response("tiny", size=500),
-            make_response("big", size=300_000),
-        )
-        assert detector.phase2_hits == 1
-
-    def test_custom_ratio_threshold(self):
-        strict = BlockpageDetector(ratio_threshold=0.9)
-        assert strict.phase2(
-            make_response("x", size=200_000), make_response("y", size=300_000)
-        )

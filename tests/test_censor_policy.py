@@ -14,6 +14,8 @@ from repro.censor.actions import (
 )
 from repro.censor.middlebox import Middlebox
 from repro.censor.policy import CensorPolicy, Matcher, Rule
+from repro.circumvent.base import fetch_pipeline
+from repro.simnet.world import World
 from tests._reference_policy import (
     matches_ip,
     matches_qname,
@@ -149,7 +151,7 @@ class TestMiddlebox:
                 dns=DnsVerdict(DnsAction.SERVFAIL),
             )
         )
-        box = Middlebox(policy=policy, asn=1)
+        box = Middlebox(policy=policy, asn=1, observe_traffic=True)
         box.dns_query(1.0, "good.example")
         assert len(box.log) == 0
         box.dns_query(2.0, "bad.example")
@@ -160,20 +162,33 @@ class TestMiddlebox:
         assert event.action == "servfail"
         assert event.time == 2.0
 
-    def test_disabled_middlebox_passes_everything(self):
+    def test_log_kept_only_under_surveillance(self):
+        """A blocked fetch leaves no interception record unless the box
+        observes traffic: §8's fingerprinting is the log's only reader."""
+        world = World(seed=5)
         policy = CensorPolicy()
         policy.add_rule(
             Rule(
                 matcher=Matcher(domains={"bad.example"}),
                 dns=DnsVerdict(DnsAction.SERVFAIL),
-                http=HttpVerdict(HttpAction.DROP),
-                ip=IpVerdict(IpAction.DROP),
-                tls=TlsVerdict(TlsAction.DROP),
             )
         )
-        box = Middlebox(policy=policy, asn=1, enabled=False)
-        assert box.dns_query(0, "bad.example").action is DnsAction.PASS
-        assert box.packet(0, "9.9.9.9").action is IpAction.PASS
-        assert box.http_request(0, "bad.example", "/").action is HttpAction.PASS
-        assert box.tls_client_hello(0, "bad.example", "1.1.1.1").action is TlsAction.PASS
-        assert len(box.log) == 0
+        isp = world.add_isp(300, "isp", policy=policy)
+        world.web.add_site("bad.example", location="us-east")
+        world.web.add_page("http://bad.example/", size_bytes=1000)
+        client, access = world.add_client("c", [isp])
+        box = isp.censor
+
+        def fetch():
+            ctx = world.new_ctx(client, access)
+            return world.run_process(fetch_pipeline(
+                world, ctx, "http://bad.example/", transport_name="direct"
+            ))
+
+        assert fetch().failure_stage == "dns"
+        assert box.log == []
+        box.observe_traffic = True
+        assert fetch().failure_stage == "dns"
+        assert [(e.stage, e.identifier, e.action) for e in box.log] == [
+            ("dns", "bad.example", "servfail")
+        ]

@@ -336,6 +336,27 @@ class TestCSL007MutableDefault:
         """
         assert codes(src) == []
 
+    def test_trigger_class_call_default(self):
+        """A default instance is built once and shared by every call."""
+        src = """
+        from dataclasses import dataclass
+
+        @dataclass
+        class Config:
+            timeout: float = 5.0
+
+        def resolve(name, config=Config(), *, backup=Config()):
+            return name, config, backup
+        """
+        assert codes(src) == ["CSL007", "CSL007"]
+
+    def test_clean_immutable_builtin_call_defaults(self):
+        src = """
+        def f(seen=frozenset(), pair=tuple(), limit=float("inf"), n=int("3")):
+            return seen, pair, limit, n
+        """
+        assert codes(src) == []
+
 
 class TestCSL008InlineBlockTypeMap:
     def test_trigger_dict_map(self):

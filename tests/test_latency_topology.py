@@ -42,8 +42,6 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(base_rtt=-1)
         with pytest.raises(ValueError):
-            LatencyModel(base_rtt=0.1, loss=1.0)
-        with pytest.raises(ValueError):
             LatencyModel(base_rtt=0.1, jitter_sigma=-0.1)
 
 

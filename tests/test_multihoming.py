@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BlockStatus, BlockType, CSawClient, CSawConfig
-from repro.core.multihoming import MultihomingManager
+from repro.core.multihoming import _WINDOW, MultihomingManager
 from repro.workloads.scenarios import pakistan_case_study
 
 
@@ -47,11 +47,31 @@ class TestDetection:
         assert manager.is_multihomed
         assert manager.observed_asns == {scenario.isp_a.asn, scenario.isp_b.asn}
 
-    def test_window_validation(self, scenario):
+    def test_window_forgets_old_asns(self, scenario):
+        """Only the last ``_WINDOW`` probes count: once a multihomed
+        client moves to one provider, that many probes clear the flag."""
         world = scenario.world
-        _client, access = world.add_client("mh-w", [scenario.isp_a])
-        with pytest.raises(ValueError):
-            MultihomingManager(world, access, window=1)
+        client, dual = world.add_client(
+            "mh-w", [scenario.isp_a, scenario.isp_b]
+        )
+        manager = MultihomingManager(world, dual, rng_stream="mh-w")
+        ctx = world.new_ctx(client, dual)
+
+        def probe(count):
+            for _ in range(count):
+                yield from manager.probe_once(ctx)
+
+        drive(scenario, probe(10))
+        assert manager.is_multihomed
+        last_before_move = drive(scenario, manager.probe_once(ctx))
+        _host, single = world.add_client("mh-w-single", [scenario.isp_a])
+        manager.access = single
+        drive(scenario, probe(_WINDOW - 1))
+        # The last pre-move probe still counts.
+        assert manager.observed_asns == {scenario.isp_a.asn, last_before_move}
+        drive(scenario, probe(1))
+        assert not manager.is_multihomed
+        assert manager.observed_asns == {scenario.isp_a.asn}
 
 
 class TestPinning:

@@ -15,6 +15,15 @@ An AS converges with its latest plane, so the bound holds per AS over
 all its planes' reporters.  Each plane's detection window bounds
 ``report_at - onset`` from the inputs alone.
 
+Table 5 stalls.  A blocked direct-path measurement that stalls on
+timeouts alone spends exactly the client's timeout schedule in the
+stage the censor hit: the SYN retries for an IP drop, the stub's
+query timeouts for a dropped DNS query, the GET timeout for a dropped
+request and the TLS drop timeout for a dropped ClientHello.  A
+SERVFAIL answer waits out the resolver's stall per attempt plus one
+round trip to the resolver, so its span exceeds the stalls by one
+positive RTT per attempt.
+
 Voting (paper §5).  Each client's one vote is split evenly over the d
 URLs it vouches for, so URL j holds n_j reporters and s_j = Σ 1/d_i
 votes over its reporters i, and an entry is served exactly when n_j
@@ -27,11 +36,16 @@ from fractions import Fraction
 
 import pytest
 
+from repro.censor.policy import CensorPolicy, Matcher
+from repro.core.detection import measure_direct_path
 from repro.core.fleet import ClientCohort, run_fleet_storm
 from repro.core.globaldb import ReportItem, ServerDB
 from repro.core.records import BlockType
 from repro.core.voting import VoteStats
 from repro.planes.csaw import BROWSE_WINDOW
+from repro.scenarios.mechanisms import build_rule
+from repro.simnet import dns, http, tcp, tls
+from repro.simnet.world import World
 from tests._reference_fleet import run_storm
 
 
@@ -179,3 +193,60 @@ class TestVotingOracles:
                 assert sorted(entry.url for entry in listed) == expected, \
                     (min_reporters, cut)
                 assert sorted(batch.urls) == expected, (min_reporters, cut)
+
+
+#: Stalls made of timeouts only: mechanism -> (URL scheme, the stage
+#: span it stalls, that span in closed form).
+TIMEOUT_STALLS = {
+    "ip-drop": ("http", "tcp", sum(tcp.SYN_RETRIES)),
+    "dns-timeout": (
+        "http", "local-dns", dns.TIMEOUT_ATTEMPTS * dns.QUERY_TIMEOUT
+    ),
+    "http-drop": ("http", "http", http.GET_TIMEOUT),
+    "tls-drop": ("https", "tls", tls.DROP_TIMEOUT),
+}
+
+
+def measure_stall(mechanism, scheme, seed):
+    """One direct-path measurement in a one-AS world whose censor
+    applies ``mechanism`` to one site; returns the blocked outcome and
+    the client's access network."""
+    world = World(seed=seed)
+    world.add_public_resolver()
+    world.web.add_site("stall.example", location="us-east")
+    world.web.add_page("http://stall.example/", size_bytes=50_000)
+    ip = world.network.hosts_by_name["stall.example"].ip
+    policy = CensorPolicy()
+    policy.add_rule(build_rule(
+        Matcher(domains={"stall.example"}, ips={ip}), (mechanism,)
+    ))
+    isp = world.add_isp(17557, "isp", policy=policy)
+    client, access = world.add_client("t5", [isp])
+    ctx = world.new_ctx(client, access)
+    outcome = world.run_process(
+        measure_direct_path(world, ctx, f"{scheme}://stall.example/")
+    )
+    assert outcome.blocked, outcome
+    return outcome, access
+
+
+class TestTable5StallOracles:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("mechanism", sorted(TIMEOUT_STALLS))
+    def test_timeout_stall_is_the_timeout_schedule(self, mechanism, seed):
+        scheme, stage, expected = TIMEOUT_STALLS[mechanism]
+        outcome, _access = measure_stall(mechanism, scheme, seed)
+        spans = outcome.trace.stage_durations()
+        assert spans[stage] == pytest.approx(expected, abs=1e-9), spans
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_servfail_stall_is_the_resolver_stall_plus_one_rtt_each(
+        self, seed
+    ):
+        outcome, access = measure_stall("dns-servfail", "http", seed)
+        span = outcome.trace.stage_durations()["local-dns"]
+        stalls = dns.SERVFAIL_ATTEMPTS * dns.SERVFAIL_DELAY
+        assert span >= stalls
+        # Each attempt's round trip includes the access link's.
+        per_attempt_rtt = (span - stalls) / dns.SERVFAIL_ATTEMPTS
+        assert per_attempt_rtt > access.access_rtt

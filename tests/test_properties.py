@@ -620,13 +620,8 @@ class TestRunBatchedWriteProperties:
         (BlockType.DNS_TIMEOUT,),
     )
     ASN0 = 64500
-    #: Pull criteria compared: accept-all, a reporter quorum, and a
-    #: plane-weighted criterion.
-    CRITERIA = (
-        {},
-        {"min_reporters": 2},
-        {"plane_weights": {"encore": 0.5}},
-    )
+    #: Pull criteria compared: accept-all and a reporter quorum.
+    CRITERIA = ({}, {"min_reporters": 2})
 
     _dt = st.sampled_from([0.0, 1.0, 2.5])
     _client = st.integers(min_value=0, max_value=3)

@@ -34,6 +34,12 @@ def make_client(scenario, name, server, isp=None, report_via_tor=False, **kw):
     )
 
 
+def pulls_of(reporting):
+    """Blocked-list pulls a client completed: every pull is a full or a
+    delta sync."""
+    return reporting.full_syncs + reporting.delta_syncs
+
+
 class TestGlobalView:
     def test_lookup_exact_and_base(self):
         from repro.core.globaldb import GlobalEntry
@@ -194,11 +200,11 @@ class TestReportLifecycle:
             yield response.measurement_process
 
         world.run_process(flow())
-        downloads_before = client.reporting.downloads
+        pulls_before = pulls_of(client.reporting)
         client.start_background(until=world.env.now + 500)
         world.env.run(until=world.env.timeout(600))
         assert client.reporting.reports_posted >= 1
-        assert client.reporting.downloads > downloads_before
+        assert pulls_of(client.reporting) > pulls_before
 
     @pytest.mark.parametrize(
         "report_interval, download_interval, posts, pulls",
@@ -226,12 +232,12 @@ class TestReportLifecycle:
             return (yield from post_reports(ctx))
 
         reporting.post_reports = counted_post
-        downloads_before = reporting.downloads
+        pulls_before = pulls_of(reporting)
         start = world.env.now
         client.start_background(until=start + 900.0)
         world.env.run(until=world.env.timeout(1000.0))
         assert len(post_times) == posts
-        assert reporting.downloads - downloads_before == pulls
+        assert pulls_of(reporting) - pulls_before == pulls
 
     def test_collector_site_idempotent(self, scenario):
         url_a = ensure_collector(scenario.world)

@@ -32,10 +32,7 @@ class TestProxyFleet:
         assert {"UK", "Japan", "Germany-1", "US-3"} <= labels
 
     def test_congested_proxies_carry_jitter(self, scenario):
-        fleet = build_proxy_fleet(
-            scenario.world,
-            specs=None,
-        )
+        fleet = build_proxy_fleet(scenario.world)
         by_label = {t.proxy_host.tags["label"]: t.proxy_host for t in fleet}
         assert by_label["Germany-1"].jitter_sigma > by_label["Germany-2"].jitter_sigma
         assert by_label["UK"].extra_rtt > by_label["Netherlands"].extra_rtt
@@ -43,26 +40,25 @@ class TestProxyFleet:
 
 class TestHoldOnCosts:
     def test_hold_on_adds_margin_on_clean_resolution(self, scenario):
-        """Quantified: Hold-On pays ~the configured margin per lookup."""
+        """Quantified: Hold-On pays ~its margin per lookup."""
         world = scenario.world
-        margin = world.dns_config.hold_on_margin
-        from repro.simnet.dns import resolve
+        from repro.simnet.dns import HOLD_ON_MARGIN, resolve
 
         ctx = make_ctx(scenario, scenario.isp_clean, "ho-1")
         t0 = world.env.now
         world.run_process(
             resolve(world.env, world.network, ctx, "www.youtube.com",
-                    world.public_resolver, world.dns_config, hold_on=False)
+                    world.public_resolver, hold_on=False)
         )
         plain = world.env.now - t0
         t1 = world.env.now
         world.run_process(
             resolve(world.env, world.network, ctx, "www.youtube.com",
-                    world.public_resolver, world.dns_config, hold_on=True)
+                    world.public_resolver, hold_on=True)
         )
         held = world.env.now - t1
         assert held >= plain  # jitter aside, the margin dominates
-        assert held - plain <= margin + 0.3
+        assert held - plain <= HOLD_ON_MARGIN + 0.3
 
 
 class TestIpLearning:

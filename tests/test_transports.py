@@ -180,13 +180,12 @@ class TestRelays:
     def test_tor_circuit_rotation(self, scenario):
         world = scenario.world
         client = scenario.tor.client("rotation-test", rotation_period=600)
-        first, fresh1 = client.circuit(world.env.now)
-        again, fresh2 = client.circuit(world.env.now + 10)
-        assert fresh1 and not fresh2
+        first = client.circuit(world.env.now)
+        again = client.circuit(world.env.now + 10)
         assert again is first
-        rotated, fresh3 = client.circuit(world.env.now + 700)
-        assert fresh3
+        rotated = client.circuit(world.env.now + 700)
         assert rotated is not first
+        assert rotated.built_at > first.built_at
 
     def test_tor_exit_location_pinning(self, scenario):
         client = scenario.tor.client("pin-test", exit_location="germany")

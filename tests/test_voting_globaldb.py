@@ -678,40 +678,6 @@ class TestBatchCache:
         # ... and the rebuilt batches are themselves cached again.
         assert server.sync_batch_for_as(self.ASN, now=5.0) is fresh
 
-    def test_revoke_invalidates_weighted_batch_variants(self):
-        """Plane-weighted cache keys are invalidated by revoke() just
-        like unweighted ones — a revoked reporter's vote mass must not
-        linger in any cached variant."""
-        server = ServerDB(entry_ttl=None)
-        bad = server.register(now=0.0, plane="encore")
-        good = server.register(now=0.0)
-        items = [
-            ReportItem(url="http://solo.com/", asn=self.ASN,
-                       stages=(BlockType.BLOCK_PAGE,), measured_at=1.0,
-                       plane="encore"),
-        ]
-        server.post_update(bad, items, now=1.0)
-        server.post_update(good, self.make_reports(["http://shared.com/"]), now=1.0)
-        weights = {"csaw": 1.0, "encore": 0.5}
-        # min_reporters=0: encore's down-weighted reporter mass (0.5)
-        # must clear the threshold for solo.com to appear at all.
-        stale = server.sync_batch_for_as(
-            self.ASN, now=2.0, min_reporters=0, min_votes=0.4,
-            plane_weights=weights,
-        )
-        assert set(stale.urls) == {"http://solo.com/", "http://shared.com/"}
-        assert server.sync_batch_for_as(
-            self.ASN, now=2.5, min_reporters=0, min_votes=0.4,
-            plane_weights=weights,
-        ) is stale  # weighted variant is cached
-        server.revoke(bad)
-        fresh = server.sync_batch_for_as(
-            self.ASN, now=3.0, min_reporters=0, min_votes=0.4,
-            plane_weights=weights,
-        )
-        assert fresh is not stale
-        assert set(fresh.urls) == {"http://shared.com/"}
-
     def test_distinct_since_versions_cache_separately(self):
         server = ServerDB(entry_ttl=None)
         uuid = server.register(now=0.0)

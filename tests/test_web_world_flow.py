@@ -11,7 +11,7 @@ from repro.censor.policy import CensorPolicy, Matcher, Rule
 from repro.circumvent import DirectTransport, DomainFrontingTransport
 from repro.circumvent.relay import relay_fetch
 from repro.scenarios.library import FRONT
-from repro.simnet import web
+from repro.simnet import flow, web
 from repro.simnet.flow import ClientLoadTracker, FlowContext
 from repro.simnet.web import EmbeddedRef, WebPage, make_normal_html
 from repro.simnet.world import World
@@ -143,7 +143,7 @@ class TestFlowContext:
         assert ctx.middlebox is isp.censor
 
     def test_load_tracker_factor_shape(self):
-        tracker = ClientLoadTracker(penalty=0.2, capacity=3, max_factor=2.0)
+        tracker = ClientLoadTracker()
         assert tracker.factor() == 1.0
         tracker.enter()
         assert tracker.factor() == 1.0  # one request: no contention
@@ -151,18 +151,20 @@ class TestFlowContext:
         two = tracker.factor()
         tracker.enter()
         three = tracker.factor()
-        assert 1.0 < two < three <= 2.0
+        assert two == 1.0 + flow.PENALTY
+        assert three == 1.0 + flow.PENALTY * 2**1.7
+        assert 1.0 < two < three <= flow.MAX_FACTOR
         for _ in range(3):
             tracker.exit()
         with pytest.raises(RuntimeError):
             tracker.exit()
 
     def test_load_factor_saturates(self):
-        tracker = ClientLoadTracker(max_factor=1.5)
+        tracker = ClientLoadTracker()
         for _ in range(50):
             tracker.enter()
-        assert tracker.factor() == 1.5
-        assert tracker.peak == 50
+        assert tracker.factor() == flow.MAX_FACTOR
+        assert tracker.active == 50
 
 
 class TestRelayFetch:
@@ -253,6 +255,36 @@ class TestHtmlRenderedOnRead:
         assert sites and not held(built), held(built)
         # A read may leave a free-listed list behind, never a page's HTML.
         assert sum(stat.size for stat in held(read)) < 1024, held(read)
+
+    def test_a_served_page_renders_only_when_read(self, monkeypatch):
+        """Serving a page renders none of its HTML; each read of
+        ``response.html`` renders it once, equal to the rendering."""
+        render = web.make_normal_html
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(web, "make_normal_html", counting)
+        scenario = pakistan_case_study(seed=33, with_proxy_fleet=False)
+        world = scenario.world
+        client, access = world.add_client("unread", [scenario.isp_a])
+        small = scenario.urls["small-unblocked"]
+        youtube = scenario.urls["youtube"]
+        for transport, url in ((DirectTransport(), small),
+                               (DomainFrontingTransport(FRONT), youtube)):
+            ctx = world.new_ctx(client, access, stream=f"unread/{url}")
+            calls.clear()
+            result = world.run_process(transport.fetch(world, ctx, url))
+            assert result.ok and result.response.page is not None, result
+            assert calls == [], url
+            html = result.response.html
+            assert len(calls) == 1, url
+            parsed = parse_url(url)
+            assert html == render(
+                parsed.host, parsed.path, result.response.page.embedded
+            ), url
 
     def test_response_html_is_the_page_rendering_or_the_given_html(self):
         scenario = pakistan_case_study(seed=33, with_proxy_fleet=False)

@@ -7,7 +7,7 @@ import pytest
 from tests._golden import check, oni_construction, pilot_construction
 from repro.scenarios import ScenarioRunner, wave_spec
 from repro.urlkit import parse_url
-from repro.workloads.corpus import build_corpus
+from repro.workloads.corpus import ZIPF_EXPONENT, build_corpus
 from repro.workloads.oni import FIG2_CATEGORIES, OniSweep
 from repro.workloads.pilot import PilotConfig, PilotStudy
 from repro.simnet.world import World
@@ -41,7 +41,7 @@ class TestCorpus:
         same RNG state after."""
         corpus = build_corpus(n_sites=300, seed=seed)
         weights = [
-            1 / site.rank ** corpus.zipf_exponent for site in corpus.sites
+            1 / site.rank ** ZIPF_EXPONENT for site in corpus.sites
         ]
         fast, reference = random.Random(seed), random.Random(seed)
         for _ in range(500):
