@@ -247,13 +247,15 @@ def test_plane_mix_storm_within_1_5x_of_single_plane(report):
     cost at most 1.5x the single-plane 100k storm.
     Plane groups add per-plane RNG streams, per-reporter Encore item
     draws and per-plane curves; the ledger's per-plane histograms are
-    built only when read, which no storm does.  A shared-list plane's
-    reporters due in one tick are absorbed as one group write, so
-    report absorption does not dominate the single-plane storm; the
-    ratio mostly measures what the mix adds on its own: Encore's one
-    upload per reporter, the batch builds its extra shard versions
-    cause, and per-plane wave set-up (DESIGN.md §16).  Interleaved
-    best-of-3, same idiom as the grouped-vs-spec guard."""
+    built only when read, which no storm does.  A plane's reporters due
+    in one tick post in one write call, where a fresh reporter's upload
+    of items the call already applied is absorbed by count, so report
+    absorption does not dominate either storm; the ratio mostly
+    measures what the mix adds on its own: the one-client steps of
+    Encore's thinned lists until the call has applied every wave item,
+    the batch builds its extra shard versions cause, and per-plane wave
+    set-up (DESIGN.md §16).  Interleaved best-of-3, same idiom as the
+    grouped-vs-spec guard."""
     single_best = mixed_best = float("inf")
     mixed = None
     for _ in range(3):  # interleave rounds so drift hits both sides alike

@@ -32,10 +32,11 @@ Pulls ride the *columnar* delta-sync wire format
 built per (AS, since-version) per service tick and shared by every
 client at that version.  Reports go through the server's one write
 path, so the voting ledger and shard change logs see real traffic: the
-reporters of a shared-list plane due in one tick post their common list
-in one :meth:`~repro.core.globaldb.ServerDB.post_updates` call, which
-absorbs the group by count (DESIGN.md §16); a per-reporter plane
-(Encore) posts one ``post_update`` per reporter.
+reporters of one plane due in one tick post in one
+:meth:`~repro.core.globaldb.ServerDB.post_updates` call, a shared-list
+plane's common list or a per-reporter plane's (Encore's) own lists, and
+the server absorbs a fresh reporter's upload of items the call already
+applied by count (DESIGN.md §16).
 
 Sweeps work on *version runs* (DESIGN.md §15): the clients due in a
 sweep are a prefix of ``runs``, found by bisecting the offsets, and
@@ -615,10 +616,9 @@ class ClientCohort:
         """Post every report due by ``now``, plane group by plane group.
 
         A group's due reporters are a prefix of its ``report_order`` from
-        ``report_ptr``.  A shared-list plane's due reporters all upload
-        the same list at ``now``, so they go to the server as one
-        :meth:`~repro.core.globaldb.ServerDB.post_updates` call; a
-        per-reporter plane posts each reporter's own list.
+        ``report_ptr``, and they go to the server as one
+        :meth:`~repro.core.globaldb.ServerDB.post_updates` call: the
+        shared list once per reporter, or each reporter's own list.
         """
         server = self.server
         metrics = self.metrics
@@ -636,25 +636,24 @@ class ClientCohort:
                 if items_by_r is None:
                     # One shared list per shard per wave.  Even an empty
                     # one moves the report window.
-                    accepted = server.post_updates(
-                        [uuids[r] for r in due], group.items, now
-                    )
+                    items = group.items
+                    uploads = [(uuids[r], items) for r in due]
                     posted = True
                 else:
                     # A vantage that observed nothing (e.g. every
-                    # blockpage misclassified) makes no server call and
-                    # leaves the report window alone.
-                    posting = [r for r in due if items_by_r[r]]
-                    accepted = sum(
-                        server.post_update(uuids[r], items_by_r[r], now)
-                        for r in posting
-                    )
-                    posted = bool(posting)
+                    # blockpage misclassified) posts nothing, and a tick
+                    # of such vantages makes no server call and leaves
+                    # the report window alone.
+                    uploads = [
+                        (uuids[r], items_by_r[r]) for r in due if items_by_r[r]
+                    ]
+                    posted = bool(uploads)
                     # Nothing reads a reporter's list after its post:
                     # free it rather than hold it for the whole run.
                     for r in due:
                         items_by_r[r] = ()
                 if posted:
+                    accepted = server.post_updates(uploads, now)
                     metrics.reports_absorbed += accepted
                     by_plane[group.name] = (
                         by_plane.get(group.name, 0) + accepted

@@ -83,6 +83,9 @@ class BlockType(enum.Enum):
 # rebuild entries bit-identical to the per-row object path.
 
 _BLOCK_TYPES: tuple = ()  # filled below, after the enum exists
+# Nibble by member value: a BlockType key would hash through the
+# Python-level ``Enum.__hash__`` on every lookup, while the value string
+# caches its hash.
 _STAGE_NIBBLE: dict = {}
 
 
@@ -91,7 +94,7 @@ def encode_stages(stages) -> int:
     code = 0
     nibble = _STAGE_NIBBLE
     for stage in stages:
-        code = (code << 4) | nibble[stage]
+        code = (code << 4) | nibble[stage._value_]
     return code
 
 
@@ -140,4 +143,4 @@ class URLRecord:
 
 _BLOCK_TYPES = tuple(BlockType)
 assert len(_BLOCK_TYPES) <= 15, "stage nibble codec needs BlockType to fit 4 bits"
-_STAGE_NIBBLE = {stage: i + 1 for i, stage in enumerate(_BLOCK_TYPES)}
+_STAGE_NIBBLE = {stage._value_: i + 1 for i, stage in enumerate(_BLOCK_TYPES)}

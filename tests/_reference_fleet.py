@@ -7,10 +7,10 @@ shard version each client last applied, its next pull deadline, and the
 rows and bytes it received — where the production shard keeps stagger
 offsets, version runs and a log of served run slices.  Its report loop
 posts each due reporter with its own ``post_update`` call, where
-production hands a shared-list plane's due reporters to one
-``post_updates`` call, and when a plane's target is set it counts the
-clients below it from that versions array, where production sums the
-version runs.
+production hands a plane's due reporters, with the shared list or each
+reporter's own, to one ``post_updates`` call per tick, and when a
+plane's target is set it counts the clients below it from that
+versions array, where production sums the version runs.
 This is the executable spec the version-run sweep and the grouped posts
 must match bit for bit (``tests/test_properties.py``,
 ``TestGroupedSweepProperties``, and the ``"spec"`` entry of

@@ -98,6 +98,78 @@ class TestFleetStorm:
         assert grouped.summary() == spec.summary()
         assert grouped.convergence_by_as == spec.convergence_by_as
 
+    def test_one_write_call_per_plane_group_and_tick(self):
+        """report_flood's plane mix at a small size: every (AS, plane
+        group, tick with due reporters) makes exactly one server write
+        call, carrying those reporters' uploads in report order, whether
+        the plane posts one shared list (C-Saw, the probe list) or each
+        reporter's own (Encore).  With 20 wave URLs and a 0.2 miss rate,
+        no Encore vantage misses every URL, so every due reporter
+        uploads."""
+        server = ServerDB(entry_ttl=None)
+        calls = []
+        post_updates = server.post_updates
+
+        def record(uploads, now):
+            calls.append((now, [uuid for uuid, _ in uploads]))
+            return post_updates(uploads, now)
+
+        def refuse(uuid, reports, now):
+            raise AssertionError("the fleet posted one upload alone")
+
+        server.post_updates = record
+        server.post_update = refuse
+        cohort = ClientCohort(
+            server, asns=[64700, 64701, 64702], clients_per_as=500, seed=5,
+            planes=[
+                {"kind": "csaw", "fraction": 0.04},
+                {"kind": "encore", "fraction": 0.05, "miss_rate": 0.2},
+                {"kind": "problist", "fraction": 0.01, "coverage": 0.9},
+            ],
+        )
+        ticks = []
+        service = cohort.service
+
+        def timed(now):
+            ticks.append(now)
+            service(now)
+
+        cohort.service = timed
+        env = Environment()
+
+        def wave():
+            yield env.timeout(300.0)
+            cohort.start_wave(env.now, urls_per_as=20)
+
+        env.process(wave())
+        env.process(cohort.run(env, 300.0 + 2 * 600.0 + cohort.tick))
+        env.run()
+        assert cohort.finalize().pending_at_horizon == 0
+        expected = []
+        previous = float("-inf")
+        for now in ticks:
+            for st in cohort.shards:
+                for group in st.groups:
+                    due = [
+                        group.uuids[r] for r in group.report_order
+                        if previous < group.report_at[r] <= now
+                    ]
+                    if due:
+                        expected.append((now, due))
+            previous = now
+        assert calls == expected
+        # Each call's reporters belong to one AS and one plane group.
+        owner = {
+            uuid: (st.asn, group.name)
+            for st in cohort.shards for group in st.groups
+            for uuid in group.uuids
+        }
+        for _, uuids in calls:
+            assert len({owner[uuid] for uuid in uuids}) == 1
+        assert {owner[uuids[0]][1] for _, uuids in calls} == {
+            "csaw", "encore", "problist"
+        }
+
     def test_no_wave_no_convergence_entry(self):
         server = ServerDB(entry_ttl=None)
         env = Environment()

@@ -53,7 +53,8 @@ def test_grouped_upload_shares_one_vouch_set():
     uuids = [server.register(now=0.0) for _ in range(6)]
     urls = [f"http://u{i}.example/" for i in range(12)]
     keys = [(url, ASN) for url in urls + urls[:3]]
-    server.post_updates(uuids, _reports(urls + urls[:3]), now=1.0)
+    reports = _reports(urls + urls[:3])
+    server.post_updates([(uuid, reports) for uuid in uuids], now=1.0)
     ledger = server.voting
     # The first UUID takes the one-client step; the other five are new
     # clients absorbed as one block.
@@ -69,7 +70,8 @@ def test_a_change_to_one_client_leaves_the_shared_set_alone():
     server = ServerDB(entry_ttl=None)
     uuids = [server.register(now=0.0) for _ in range(5)]
     urls = [f"http://u{i}.example/" for i in range(4)]
-    server.post_updates(uuids, _reports(urls), now=1.0)
+    reports = _reports(urls)
+    server.post_updates([(uuid, reports) for uuid in uuids], now=1.0)
     ledger = server.voting
     shared = ledger._by_client[uuids[1]]
     before = list(shared)
@@ -107,7 +109,8 @@ def test_key_table_holds_exactly_the_owned_keys():
     a, b, c = (server.register(now=0.0) for _ in range(3))
     urls = [f"http://u{i}.example/" for i in range(3)]
     ledger = server.voting
-    server.post_updates([a, b, c], _reports(urls), now=1.0)
+    reports = _reports(urls)
+    server.post_updates([(a, reports), (b, reports), (c, reports)], now=1.0)
     server.post_update(a, _reports(["http://alone.example/"], asn=ASN + 1),
                        now=2.0)
     assert_keys_stored_once(ledger)
@@ -154,8 +157,9 @@ def test_an_empty_first_vouch_block_changes_nothing():
     known = ("http://known.example/", ASN)
     ledger.set_client_reports("c0", [known])
     before = _ledger_state(ledger)
-    ledger.add_first_vouches([], [known, ("http://new.example/", ASN)])
-    ledger.add_first_vouches(["c1", "c2"], [])
+    ledger.add_first_vouches([])
+    ledger.add_first_vouches([((known, ("http://new.example/", ASN)), [])])
+    ledger.add_first_vouches([((), ["c1", "c2"])])
     assert _ledger_state(ledger) == before
     assert not ledger.has_reporters("http://new.example/", ASN)
     assert not ledger.vouches("c1") and ledger.client_count() == 1
@@ -173,7 +177,10 @@ def test_grouped_uploads_grow_the_ledger_by_their_vouch_sets_only():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for start in range(0, len(uuids), 100):
-            server.post_updates(uuids[start:start + 100], reports, now=1.0)
+            server.post_updates(
+                [(uuid, reports) for uuid in uuids[start:start + 100]],
+                now=1.0,
+            )
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -28,8 +28,15 @@ Voting (paper §5).  Each client's one vote is split evenly over the d
 URLs it vouches for, so URL j holds n_j reporters and s_j = Σ 1/d_i
 votes over its reporters i, and an entry is served exactly when n_j
 reaches ``min_reporters`` and s_j reaches ``min_votes``.
+
+Encore (PAPERS.md).  Each of an AS's R probe reporters keeps each wave
+URL independently with probability 1 - ``miss_rate``, and the reporters
+due in a tick post in one write call, most of them absorbed.  So each
+key's n is Binomial(R, 1 - ``miss_rate``); the n over all keys sum to
+the items absorbed, and the s to one vote per reporter that posted.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -250,3 +257,98 @@ class TestTable5StallOracles:
         # Each attempt's round trip includes the access link's.
         per_attempt_rtt = (span - stalls) / dns.SERVFAIL_ATTEMPTS
         assert per_attempt_rtt > access.access_rtt
+
+
+def binomial_band(n, p, alpha):
+    """The narrowest ``[lo, hi]`` with P(X < lo) <= alpha / 2 and
+    P(X > hi) <= alpha / 2, for X ~ Binomial(n, p)."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    pmf = [
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                 - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+        for k in range(n + 1)
+    ]
+    lo, below = 0, 0.0
+    while below + pmf[lo] <= alpha / 2:
+        below += pmf[lo]
+        lo += 1
+    hi, above = n, 0.0
+    while above + pmf[hi] <= alpha / 2:
+        above += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
+class TestEncoreOracles:
+    """An Encore-only cohort against the plane's closed forms.
+
+    The seeds are fixed in advance, and the binomial checks share one
+    false-alarm budget: half of it over every key of every seed, half
+    on the total over all of them.  A seed that fails is a finding to
+    fix or record, never one to re-roll."""
+
+    SEEDS = (101, 102, 103, 104, 105)
+    N_ASES = 4
+    CLIENTS = 400
+    URLS = 12
+    FRACTION = 0.25  # 100 reporters per AS
+    MISS = 0.2
+    FALSE_ALARM = 1e-3
+
+    def storm(self, seed):
+        """One storm; returns the server, the cohort, and the reporters
+        whose upload reached the server with at least one item."""
+        server = ServerDB(entry_ttl=None)
+        posted = set()
+        post_updates = server.post_updates
+
+        def record(uploads, now):
+            posted.update(uuid for uuid, items in uploads if items)
+            return post_updates(uploads, now)
+
+        server.post_updates = record
+        cohort = run_storm(
+            ClientCohort, seed=seed, n_ases=self.N_ASES,
+            clients_per_as=self.CLIENTS, urls_per_as=self.URLS,
+            asn_base=62000, server=server,
+            planes=[{"kind": "encore", "fraction": self.FRACTION,
+                     "miss_rate": self.MISS}],
+        )
+        assert cohort.metrics.pending_at_horizon == 0
+        return server, cohort, posted
+
+    @staticmethod
+    def wave_stats(server, cohort):
+        """Each wave key's VoteStats, zero for a key nobody reported."""
+        return [
+            server.stats_for(url, st.asn)
+            for st in cohort.shards for url in st.wave_urls
+        ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_n_sums_to_reports_and_s_to_one_vote_per_reporter(self, seed):
+        server, cohort, posted = self.storm(seed)
+        stats = self.wave_stats(server, cohort)
+        assert sum(stat.reporters for stat in stats) == \
+            cohort.metrics.reports_absorbed
+        assert len(posted) == server.voting.client_count()
+        assert math.isclose(
+            sum(stat.votes for stat in stats), len(posted), rel_tol=1e-9
+        )
+
+    def test_reports_per_key_are_binomial(self):
+        reporters = max(1, round(self.CLIENTS * self.FRACTION))
+        keep = 1.0 - self.MISS
+        keys = len(self.SEEDS) * self.N_ASES * self.URLS
+        lo, hi = binomial_band(reporters, keep, self.FALSE_ALARM / 2 / keys)
+        total = 0
+        for seed in self.SEEDS:
+            server, cohort, _ = self.storm(seed)
+            assert cohort.metrics.reporters_by_plane == {
+                "encore": self.N_ASES * reporters
+            }
+            for stat in self.wave_stats(server, cohort):
+                assert lo <= stat.reporters <= hi, (seed, stat, lo, hi)
+                total += stat.reporters
+        lo, hi = binomial_band(reporters * keys, keep, self.FALSE_ALARM / 2)
+        assert lo <= total <= hi, (total, lo, hi)

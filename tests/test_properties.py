@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from repro.core.aggregation import UrlPrefixIndex
 from repro.core.globaldb import RegistrationError, ReportItem, ServerDB
 from repro.core.localdb import LocalDatabase
-from repro.core.records import BlockStatus, BlockType
+from repro.core.records import (
+    BlockStatus,
+    BlockType,
+    decode_stages,
+    encode_stages,
+)
 from repro.core.voting import VotingLedger
 from repro.simnet.engine import Environment
 from tests._reference_globaldb import (
@@ -372,6 +377,24 @@ class TestSyncWireFormatProperties:
             pull(asn, now)
 
 
+class TestStageCodec:
+    def test_round_trips_every_block_type_in_both_orders(self):
+        """Each stage is its 1-based index in BlockType definition order,
+        and decoding restores the order the stages were encoded in."""
+        types = list(BlockType)
+        assert encode_stages([]) == 0 and decode_stages(0) == []
+        for i, first in enumerate(types):
+            assert encode_stages((first,)) == i + 1
+            assert decode_stages(i + 1) == [first]
+            for second in types[i + 1:]:
+                assert decode_stages(encode_stages([first, second])) == \
+                    [first, second]
+                assert decode_stages(encode_stages((second, first))) == \
+                    [second, first]
+        assert decode_stages(encode_stages(types)) == types
+        assert decode_stages(encode_stages(types[::-1])) == types[::-1]
+
+
 class TestGroupedSweepProperties:
     """The version-run fleet pull sweep and grouped report posts against
     the per-client reference loops in ``tests/_reference_fleet.py``:
@@ -603,6 +626,11 @@ class TestGroupedSweepProperties:
         assert shard.due(now) == sum(1 for at in deadlines if at <= now)
 
 
+def shared_by(*clients):
+    """Group picks: each of ``clients`` posts the group's shared list."""
+    return [(client, "shared") for client in clients]
+
+
 class TestRunBatchedWriteProperties:
     """ServerDB's run-batched write path against the per-item reference
     in ``tests/_reference_globaldb.py``: hypothesis drives both through
@@ -636,17 +664,26 @@ class TestRunBatchedWriteProperties:
         max_size=8,
     )
     _bulk_count = st.integers(min_value=1, max_value=80)
+    # A group client's list: the group's shared list itself, a fresh list
+    # of new items on the same rows, or a thinning of the shared list
+    # (the same item objects, kept where the mask's bit i % 16 is set).
+    _pick = st.sampled_from(["shared", "fresh"]) | st.integers(
+        min_value=0, max_value=0xFFFF
+    )
     # Each op ends with the sim-time step taken before it.  Small uploads
     # span ASes and repeat URLs.  A bulk upload posts the first `count`
     # URLs of one fixed list to the first AS: short ones fill its log to
     # the 256-row limit, and a longer one refreshes the stored prefix
     # before inserting past 64 entries, so the limit rises mid-upload
-    # after rows were already trimmed.  A group posts one small or bulk
-    # list for 1-5 of eight clients, repeats allowed: clients that vouch
-    # already or repeat within the group take the one-client step, the
-    # others are absorbed as repeats.  Clients 0-3 also post alone;
+    # after rows were already trimmed.  A group is one write call for
+    # 1-5 of eight clients, repeats allowed, each posting its pick of
+    # one small or bulk shared list, which may hold its first item
+    # twice.  Clients that vouch already or repeat within the group, and
+    # lists with an item the call has not applied, take the one-client
+    # step; the others are absorbed.  Clients 0-3 also post alone;
     # planes go round-robin, so a block can hold two fresh clients of a
-    # plane that already vouches for the list.
+    # plane that already vouches for the list, and a fresh list carries
+    # its own client's plane.
     ops = st.lists(
         st.one_of(
             st.tuples(st.just("post"), _client, _rows, _dt),
@@ -667,9 +704,13 @@ class TestRunBatchedWriteProperties:
             st.tuples(st.just("pull"), _asn, _dt),
             st.tuples(
                 st.just("group"),
-                st.lists(st.integers(min_value=0, max_value=7),
-                         min_size=1, max_size=5),
+                st.lists(
+                    st.tuples(st.integers(min_value=0, max_value=7), _pick),
+                    min_size=1,
+                    max_size=5,
+                ),
                 _rows | _bulk_count,
+                st.booleans(),  # the shared list holds its first item twice
                 _dt,
             ),
         ),
@@ -796,8 +837,8 @@ class TestRunBatchedWriteProperties:
         planes=False,
         operations=[
             ("post", 0, [(0, 0, 0, 0.0), (1, 0, 1, 0.5)], 1.0),
-            ("group", [1, 2, 3, 4, 5], 64, 1.0),
-            ("group", [2, 2, 5], [(0, 0, 1, 0.5)], 1.0),
+            ("group", shared_by(1, 2, 3, 4, 5), 64, False, 1.0),
+            ("group", shared_by(2, 2, 5), [(0, 0, 1, 0.5)], False, 1.0),
             ("pull", 0, 0.0),
         ],
     )
@@ -808,8 +849,8 @@ class TestRunBatchedWriteProperties:
         ttl=5.0,
         planes=True,
         operations=[("bulk", 0, 60, 1.0)] * 5 + [
-            ("group", [1, 2, 3, 4, 5], 80, 1.0),
-            ("group", [0, 1, 4], 70, 0.0),
+            ("group", shared_by(1, 2, 3, 4, 5), 80, False, 1.0),
+            ("group", shared_by(0, 1, 4), 70, False, 0.0),
             ("pull", 0, 1.0),
         ],
     )
@@ -824,11 +865,11 @@ class TestRunBatchedWriteProperties:
             ("post", 0, [(0, 0, 0, 0.0), (1, 1, 1, 0.5)], 1.0),
             ("post", 3, [(5, 1, 0, 0.0)], 0.0),
             ("dissent", 3, 5, 1, 0.0),
-            ("group", [1, 0, 2, 1, 3],
+            ("group", shared_by(1, 0, 2, 1, 3),
              [(0, 0, 1, 0.5), (1, 1, 0, 0.0), (2, 1, 2, 3.0), (0, 0, 2, 0.0)],
-             1.0),
+             False, 1.0),
             ("dissent", 2, 1, 1, 0.0),
-            ("group", [2, 4], [(1, 1, 2, 0.0)], 0.0),
+            ("group", shared_by(2, 4), [(1, 1, 2, 0.0)], False, 0.0),
             ("pull", 1, 1.0),
         ],
     )
@@ -842,8 +883,9 @@ class TestRunBatchedWriteProperties:
         planes=True,
         operations=[
             ("post", 0, [(0, 0, 0, 0.0), (1, 1, 1, 0.0)], 1.0),
-            ("group", [1, 3, 6], [(0, 0, 1, 0.0), (1, 1, 0, 0.5)], 1.0),
-            ("group", [7, 2], 16, 1.0),
+            ("group", shared_by(1, 3, 6), [(0, 0, 1, 0.0), (1, 1, 0, 0.5)],
+             False, 1.0),
+            ("group", shared_by(7, 2), 16, False, 1.0),
             ("revoke", 2, 0.0),
             ("pull", 0, 0.0),
         ],
@@ -856,8 +898,62 @@ class TestRunBatchedWriteProperties:
         operations=[
             ("post", 0, [(3, 0, 0, 0.0), (0, 0, 1, 0.0)], 1.0),
             ("post", 1, [(4, 1, 0, 0.0)], 2.5),
-            ("group", [2, 3], [(0, 0, 0, 0.0), (4, 1, 1, 0.5)], 2.5),
-            ("group", [4, 5, 1], [(0, 0, 2, 0.0), (5, 0, 0, 0.0)], 2.5),
+            ("group", shared_by(2, 3), [(0, 0, 0, 0.0), (4, 1, 1, 0.5)],
+             False, 2.5),
+            ("group", shared_by(4, 5, 1), [(0, 0, 2, 0.0), (5, 0, 0, 0.0)],
+             False, 2.5),
+            ("pull", 0, 0.0),
+        ],
+    )
+    # A miss-free thinning (every item, in a list of its own) takes the
+    # step; the thinnings after it, that list again under another object
+    # and an empty thinning are absorbed, one run each.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[
+            ("post", 0, [(0, 0, 0, 0.0)], 1.0),
+            ("group",
+             [(1, 0xFFFF), (2, 0b101101), (3, 0b010011), (4, 0xFFFF), (5, 0)],
+             [(u, 0, u % 3, 0.5 * (u % 2)) for u in range(6)], False, 1.0),
+            ("pull", 0, 0.0),
+        ],
+    )
+    # Sparse thinnings: a later one lists an item no earlier upload of
+    # the call applied, so its step inserts a URL between two blocks of
+    # absorbed thinnings; a fresh list steps too.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[
+            ("group",
+             [(1, 0b0011), (2, 0b0001), (3, 0b0010), (4, 0b0111),
+              (5, 0b0011), (6, 0b0101), (7, "fresh"), (0, 0b1000)],
+             [(u, 0, u % 3, 0.0) for u in range(4)], False, 1.0),
+            ("pull", 0, 1.0),
+        ],
+    )
+    # A block spanning two ASes: the step lists both, the thinnings and
+    # the shared list after it are absorbed.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[
+            ("group", [(1, 0b1111), (2, 0b0110), (3, 0b1001), (4, "shared")],
+             [(0, 0, 0, 0.0), (1, 1, 1, 0.5), (2, 0, 2, 0.0), (3, 1, 0, 0.0)],
+             False, 1.0),
+            ("pull", 1, 0.0),
+        ],
+    )
+    # A list that holds one item twice: the shared list, a thinning
+    # keeping both copies, and one keeping only them.
+    @example(
+        ttl=5.0,
+        planes=True,
+        operations=[
+            ("group",
+             [(1, "shared"), (2, "shared"), (3, 0b11111), (4, 0b1001)],
+             [(0, 0, 0, 0.0), (1, 0, 1, 0.0), (2, 1, 2, 0.5)], True, 1.0),
             ("pull", 0, 0.0),
         ],
     )
@@ -912,13 +1008,25 @@ class TestRunBatchedWriteProperties:
                 reports = items(client, rows, now)
                 both(lambda db: db.post_update(uuids[client], reports, now))
             elif kind == "group":
-                _, clients, rows, _ = op
-                reports = items(clients[0], rows, now)
-                group = [uuids[client] for client in clients]
+                _, picks, rows, twice, _ = op
+                shared = items(picks[0][0], rows, now)
+                if twice and shared:
+                    shared.append(shared[0])
+                uploads = []
+                for client, pick in picks:
+                    if pick == "shared":
+                        posted = shared
+                    elif pick == "fresh":
+                        posted = items(client, rows, now)
+                    else:
+                        posted = [item for i, item in enumerate(shared)
+                                  if pick >> (i % 16) & 1]
+                    uploads.append((uuids[client], posted))
                 one_by_one = sum(
-                    ref.post_update(uuid, reports, now) for uuid in group
+                    ref.post_update(uuid, posted, now)
+                    for uuid, posted in uploads
                 )
-                assert fast.post_updates(group, reports, now) == one_by_one
+                assert fast.post_updates(uploads, now) == one_by_one
             elif kind == "dissent":
                 _, client, url, asn, _ = op
                 both(lambda db: db.post_dissent(
@@ -1027,9 +1135,12 @@ class TestRunBatchedWriteProperties:
         db.post_update(first, reports[:2], now=1.0)
         before = copy.deepcopy(self._state(db))
         with pytest.raises(RegistrationError):
-            db.post_updates([second, "nope", first], reports, now=2.0)
+            db.post_updates(
+                [(second, reports), ("nope", reports), (first, reports)],
+                now=2.0,
+            )
         with pytest.raises(RegistrationError):
-            db.post_updates(["nope"], [], now=2.0)
-        assert db.post_updates([], reports, now=2.0) == 0
-        assert db.post_updates([second, first], [], now=2.0) == 0
+            db.post_updates([("nope", [])], now=2.0)
+        assert db.post_updates([], now=2.0) == 0
+        assert db.post_updates([(second, []), (first, [])], now=2.0) == 0
         assert self._state(db) == before
