@@ -7,7 +7,8 @@ and serves per-AS blocked lists that clients pull periodically.
 
 Registration is gated by a CAPTCHA (modeled as a solve-time cost paid by
 the caller plus a pass/fail flag), rate-limiting mass creation of fake
-identities.
+identities.  An identity registers under the measurement plane it
+reports through, and that registration is its reports' only plane tag.
 
 Storage is sharded per AS: every query a client issues is scoped to its
 own AS (§5's pull protocol), so ``blocked_for_as`` touches only that AS's
@@ -35,7 +36,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import (
@@ -87,16 +88,15 @@ def _check_criterion(min_reporters: float, min_votes: float) -> None:
 class ReportItem:
     """One blocked-URL measurement as uploaded by a client.
 
-    ``plane`` is the measurement plane the report came through (see
-    :mod:`repro.planes`): the provenance tag the server threads into
-    per-plane vote statistics and entry bookkeeping.
+    It carries no plane: a report's plane is its reporter's, recorded
+    once at registration (:meth:`ServerDB.register`) and read from the
+    voting ledger (:meth:`~repro.core.voting.VotingLedger.plane_of`).
     """
 
     url: str
     asn: int
     stages: Tuple[BlockType, ...]
     measured_at: float  # T_m
-    plane: str = DEFAULT_PLANE
 
 
 #: One client's upload: its UUID and the items it posts.
@@ -114,10 +114,6 @@ class GlobalEntry:
     posted_at: float  # T_p
     last_uuid: str  # reporter of the freshest update
     first_measured_at: float = 0.0  # when the blocking was first observed
-    # Plane of the freshest report.  Excluded from equality so a pulled
-    # row (the wire does not carry the tag) decodes to an entry equal to
-    # the server's own.
-    last_plane: str = field(default=DEFAULT_PLANE, compare=False)
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -215,9 +211,9 @@ def _urls_by_shard(keys: Sequence[Key]) -> Dict[int, List[str]]:
     return runs
 
 
-#: A run of a block of absorbed uploads: one list object, its keys, and
-#: the UUIDs that posted it in turn.
-_Run = Tuple[Sequence[ReportItem], List[Key], List[str]]
+#: A run of a block of absorbed uploads: the keys of one list object,
+#: and the UUIDs that posted it in turn.
+_Run = Tuple[List[Key], List[str]]
 
 
 class _AsShard:
@@ -321,11 +317,6 @@ class ServerDB:
         self.rejected_registrations = 0
         self.full_syncs_served = 0
         self.delta_syncs_served = 0
-        # Measurement-plane provenance (DESIGN.md §13): identities and
-        # accepted updates per plane.  Single-plane operation keeps one
-        # bucket, DEFAULT_PLANE.
-        self.clients_by_plane: Dict[str, int] = {}
-        self.reports_by_plane: Dict[str, int] = {}
 
     def _shard(self, asn: int) -> _AsShard:
         shard = self._shards.get(asn)
@@ -344,9 +335,11 @@ class ServerDB:
     ) -> str:
         """Assign a UUID: a cryptographic hash of the current server time.
 
-        ``plane`` records which measurement plane the identity reports
-        through; non-default planes flip the voting ledger into per-plane
-        tracking.  ``captcha_gated=False`` models planes whose reporters
+        ``plane`` is the measurement plane the identity reports through,
+        and so the plane of every report it makes; the voting ledger
+        records it, its one home
+        (:meth:`~repro.core.voting.VotingLedger.plane_of`).
+        ``captcha_gated=False`` models planes whose reporters
         are unwitting page visitors (Encore) — no CAPTCHA challenge is
         issued, so ``captcha_passed`` is not consulted and mass identity
         creation is *not* rate-limited (exactly the sybil exposure the
@@ -358,7 +351,6 @@ class ServerDB:
         token = f"{now:.9f}/{next(self._uuid_counter)}"
         uuid = hashlib.sha256(token.encode()).hexdigest()[:32]
         self._clients[uuid] = now
-        self.clients_by_plane[plane] = self.clients_by_plane.get(plane, 0) + 1
         if plane != DEFAULT_PLANE:
             self.voting.set_client_plane(uuid, plane)
         return uuid
@@ -389,10 +381,11 @@ class ServerDB:
         changes nothing.  An upload is *absorbed* when it is fresh — its
         UUID has no vouch set and has not appeared earlier in the call —
         and every one of its :class:`ReportItem` objects was applied
-        earlier in the call.  Such an upload can only move ``last_uuid``
-        and ``last_plane``, so consecutive absorbed uploads are applied
-        as one block, by count (:meth:`_absorb`).  Any other upload takes
-        the one-client step where it stands (:meth:`_apply_upload`).
+        earlier in the call.  Such an upload can only move ``last_uuid``,
+        so consecutive absorbed uploads are applied as one block, by
+        count (:meth:`_absorb`).  Any other upload takes the one-client
+        step where it stands (:meth:`_apply_upload`).  No upload's plane
+        is read: it is its UUID's, registered once.
 
         Items are recognised by identity: the table of applied items is
         keyed by ``id(item)`` and lives for this call only, while
@@ -449,7 +442,7 @@ class ServerDB:
                         pass  # an item the call has not applied
                 if keys is not None:
                     run_items, run_uuids = items, [uuid]
-                    block.append((items, keys, run_uuids))
+                    block.append((keys, run_uuids))
                     continue
             if block:
                 accepted += self._absorb(block, steps, now)
@@ -483,12 +476,10 @@ class ServerDB:
         )
         # asn -> (shard, URLs changed since the shard's last run ended)
         runs: Dict[int, Tuple[_AsShard, List[str]]] = {}
-        by_plane = self.reports_by_plane
         track_expiry = self.entry_ttl is not None
         heappush = heapq.heappush
         run_asn = None  # the AS of the run the loop holds
         for item, (url, asn) in zip(reports, keys):
-            plane = item.plane
             if asn != run_asn:
                 run = runs.get(asn)
                 if run is None:
@@ -511,14 +502,12 @@ class ServerDB:
                     posted_at=now,
                     last_uuid=uuid,
                     first_measured_at=item.measured_at,
-                    last_plane=plane,
                 )
             else:
                 entry.posted_at = now
                 if item.measured_at > entry.measured_at:
                     entry.measured_at = item.measured_at
                 entry.last_uuid = uuid
-                entry.last_plane = plane
                 stages = entry.stages
                 for stage in item.stages:
                     if stage not in stages:
@@ -526,7 +515,6 @@ class ServerDB:
             pending.append(url)
             if track_expiry:
                 heappush(shard.expiry, (now, url))
-            by_plane[plane] = by_plane.get(plane, 0) + 1
         for shard, pending in runs.values():
             shard.mark_changed(pending)
         self.update_count += len(keys)
@@ -552,58 +540,50 @@ class ServerDB:
     ) -> int:
         """Apply a block of absorbed uploads (see :meth:`post_updates`)
         by count, and return the items accepted.  ``block`` holds runs
-        ``(items, keys, uuids)``: the list ``items``, with its keys,
-        posted by each of ``uuids`` in turn.  Every item was applied at
-        ``now`` by one of the call's one-client ``steps``.
+        ``(keys, uuids)``: the keys of one list, posted by each of
+        ``uuids`` in turn.  Every item was applied at ``now`` by one of
+        the call's one-client ``steps``.
 
         Entries: each listed URL's ``last_uuid`` goes to its last
-        writer, the block's last upload that lists it, and its
-        ``last_plane`` to that upload's last item for it.  Every other
+        writer, the block's last upload that lists it.  Every other
         field already holds what the uploads write.  Shards: one run per
         shard, the uploads' URLs in upload order (no entry is inserted,
         so the log limit holds still), and one expiry row per item per
-        upload, in that order.  Counters rise by count.  Ledger: one call
-        adds every first vouch set; a first vouch dilutes no earlier key,
-        so nothing is re-marked.  Eviction is skipped: the step that
-        applied an item evicted its shard at ``now``, and a row written
-        at ``now`` cannot expire at ``now`` (``entry_ttl >= 0``).
+        upload, in that order.  ``update_count`` rises by count.
+        Ledger: one call adds every first vouch set; a first vouch
+        dilutes no earlier key, so nothing is re-marked.  Eviction is
+        skipped: the step that applied an item evicted its shard at
+        ``now``, and a row written at ``now`` cannot expire at ``now``
+        (``entry_ttl >= 0``).
         """
         shards = self._shards
-        # Each run's keys, distinct in report order, each with the run's
-        # last item for it; the keys are the run's first vouch set,
-        # shared by its uploads.
-        lasts = [dict(zip(keys, items)) for items, keys, _ in block]
+        # Each run's keys, distinct in report order: the run's first
+        # vouch set, shared by its uploads.
         vouch_sets = [
-            (tuple(last), uuids) for last, (_, _, uuids) in zip(lasts, block)
+            (tuple(dict.fromkeys(keys)), uuids) for keys, uuids in block
         ]
         # Last writers, from the block's end back: each key takes the UUID
-        # of the last run that lists it, and the plane of that run's last
-        # item for it.  Past a lone run, the scan stops once every key the
-        # steps applied has its writer.
+        # of the last run that lists it.  Past a lone run, the scan stops
+        # once every key the steps applied has its writer.
         listable = 0
         if len(block) > 1:
             step_keys = itertools.chain.from_iterable(k for _, k in steps)
             listable = len(dict.fromkeys(step_keys))
-        written: Dict[Key, ReportItem] = {}
-        for last, (_, _, uuids) in zip(reversed(lasts), reversed(block)):
+        written: Set[Key] = set()
+        for vouch_set, uuids in reversed(vouch_sets):
+            keys = vouch_set
             if written:
-                last = {
-                    key: item for key, item in last.items()
-                    if key not in written
-                }
+                keys = [key for key in vouch_set if key not in written]
             uuid = uuids[-1]
-            for (url, asn), item in last.items():
-                entry = shards[asn].entries[url]
-                entry.last_uuid = uuid
-                entry.last_plane = item.plane
+            for url, asn in keys:
+                shards[asn].entries[url].last_uuid = uuid
             if listable:
-                written.update(last)
+                written.update(keys)
                 if len(written) == listable:
                     break
         marks: Dict[int, List[str]] = {}
-        by_plane = self.reports_by_plane
         accepted = 0
-        for items, keys, uuids in block:
+        for keys, uuids in block:
             repeats = len(uuids)
             for asn, urls in _urls_by_shard(keys).items():
                 run = marks.get(asn)
@@ -611,10 +591,7 @@ class ServerDB:
                     marks[asn] = urls * repeats
                 else:
                     run += urls * repeats
-            planes = [item.plane for item in items]
-            for plane in dict.fromkeys(planes):
-                by_plane[plane] += planes.count(plane) * repeats
-            accepted += len(items) * repeats
+            accepted += len(keys) * repeats
         self.update_count += accepted
         track_expiry = self.entry_ttl is not None
         for asn, urls in marks.items():
@@ -811,10 +788,12 @@ class ServerDB:
         Under the accept-all criterion neither branch reads vote
         statistics: every stored entry has a reporter (see
         :meth:`blocked_for_as`), so every live entry passes.  Columns are
-        built by per-field passes over the selected rows — C-speed
-        comprehensions instead of six appends per row.  The executable
-        spec is the row twin in ``tests/_reference_globaldb.py``, which
-        lists the same rows one entry object at a time.
+        built by per-field passes over the selected rows — list
+        comprehensions instead of six appends per row, each handed to
+        ``tuple`` whole, which costs about half what draining a
+        generator does.  The executable spec is the row twin in
+        ``tests/_reference_globaldb.py``, which lists the same rows one
+        entry object at a time.
         """
         stats = self.voting.stats
         check_votes = min_reporters > 1 or min_votes > 0.0
@@ -827,7 +806,7 @@ class ServerDB:
                     for url, entry in entries.items()
                     if stats(url, asn).passes(min_reporters, min_votes)
                 ]
-                urls = tuple(entry.url for entry in rows)
+                urls = tuple([entry.url for entry in rows])
             else:
                 rows = list(entries.values())
                 urls = tuple(entries)
@@ -842,19 +821,19 @@ class ServerDB:
                     rows.append(entry)
                 else:
                     removed.append(url)
-            urls = tuple(entry.url for entry in rows)
+            urls = tuple([entry.url for entry in rows])
         return SyncBatch(
             asn=asn,
             version=shard.version,
             full=since_version is None,
             urls=urls,
-            stage_codes=tuple(encode_stages(entry.stages) for entry in rows),
-            measured_at=tuple(entry.measured_at for entry in rows),
-            posted_at=tuple(entry.posted_at for entry in rows),
+            stage_codes=tuple([encode_stages(entry.stages) for entry in rows]),
+            measured_at=tuple([entry.measured_at for entry in rows]),
+            posted_at=tuple([entry.posted_at for entry in rows]),
             first_measured_at=tuple(
-                entry.first_measured_at for entry in rows
+                [entry.first_measured_at for entry in rows]
             ),
-            reporter_uuids=tuple(entry.last_uuid for entry in rows),
+            reporter_uuids=tuple([entry.last_uuid for entry in rows]),
             removed=tuple(removed),
         )
 

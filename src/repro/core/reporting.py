@@ -18,7 +18,7 @@ from ..simnet.flow import FlowContext
 from ..simnet.world import World
 from ..urlkit import base_url, normalize_url
 from .config import CSawConfig
-from .globaldb import GlobalEntry, PackedRow, ServerDB, SyncBatch
+from .globaldb import GlobalEntry, PackedRow, ReportItem, ServerDB, SyncBatch
 from .localdb import LocalDatabase
 
 __all__ = ["GlobalView", "ReportingService", "ensure_collector"]
@@ -126,7 +126,6 @@ class ReportingService:
         report_transport: Optional[Transport] = None,
         min_reporters: int = 1,
         min_votes: float = 0.0,
-        plane=None,
     ):
         self.world = world
         self.server = server
@@ -136,15 +135,6 @@ class ReportingService:
         self.report_transport = report_transport  # Tor, for anonymity
         self.min_reporters = min_reporters
         self.min_votes = min_votes
-        # The measurement plane this client reports through; the default
-        # is the in-browser C-Saw plane (imported lazily — the planes
-        # package imports core modules).  Registration and every
-        # uploaded ReportItem carry the plane's provenance tag.
-        if plane is None:
-            from ..planes.csaw import CSawBrowserPlane
-
-            plane = CSawBrowserPlane(fraction=1.0)
-        self.plane = plane
         self.uuid: Optional[str] = None
         self.reports_posted = 0
         self.full_syncs = 0
@@ -186,12 +176,10 @@ class ReportingService:
         rpc = yield from self._rpc(ctx)
         if rpc.failed:
             return None
-        profile = self.plane.profile
+        # A CAPTCHA-gated identity on the default plane, C-Saw's own
+        # in-browser one: the plane of every report it posts.
         self.uuid = self.server.register(
-            env.now,
-            captcha_passed=captcha_passed,
-            plane=profile.name,
-            captcha_gated=profile.registered,
+            env.now, captcha_passed=captcha_passed
         )
         yield from self.download_blocked_list(ctx)
         return self.uuid
@@ -206,7 +194,15 @@ class ReportingService:
         rpc = yield from self._rpc(ctx)
         if rpc.failed:
             return 0  # retry at the next interval
-        items = self.plane.report_items(pending)
+        items = [
+            ReportItem(
+                url=record.url,
+                asn=record.asn,
+                stages=tuple(record.stages),
+                measured_at=record.measured_at,
+            )
+            for record in pending
+        ]
         accepted = self.server.post_update(self.uuid, items, self.world.env.now)
         self.local_db.mark_posted([record.url for record in pending])
         self.reports_posted += accepted

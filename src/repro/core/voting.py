@@ -14,18 +14,16 @@ entry, which bounds the influence any single registered identity can buy.
 
 **Measurement planes.**  Reports can arrive through planes of different
 fidelity (in-browser C-Saw, Encore-style probes, generated probe lists —
-see :mod:`repro.planes`).  The ledger optionally keys its d-histograms
-per plane so consumers can weight the criterion by plane fidelity
-(:meth:`VotingLedger.weighted_stats`).  Plane tracking is *dormant*
-until a per-plane statistic is first read after some client was tagged
-with a non-default plane (:meth:`VotingLedger.set_client_plane`): the
-per-plane histograms are then built once from current state and every
-later mutation mirrors into them.  The dormant hot path is the
-pre-plane code plus one boolean check, so a writer nobody asks for
-per-plane statistics never pays for them, and a dormant ledger's
-:meth:`stats` is bit-identical to a plane-free one (property-tested).
-When active, the per-plane histograms partition the aggregate one —
-merging them bucket-wise reproduces ``_vote_hist`` exactly.
+see :mod:`repro.planes`).  A report's plane is its reporter's: the
+ledger records each client's plane once, at registration
+(:meth:`VotingLedger.set_client_plane`), and no write path reads it.
+Consumers that weight the criterion by plane fidelity
+(:meth:`VotingLedger.weighted_stats`) read per-plane d-histograms: a
+snapshot built from the vouch sets and the plane assignments on the
+first per-plane read after a mutation, and dropped by every mutation.
+While every client is on the default plane none is built.  The
+per-plane histograms partition the aggregate one — merging them
+bucket-wise reproduces ``_vote_hist`` exactly.
 
 s_{j,k} and n_{j,k} are maintained **incrementally**: per key we keep a
 histogram ``{d: count}`` of how many reporters currently spread their
@@ -56,8 +54,10 @@ __all__ = ["DEFAULT_PLANE", "VoteStats", "VotingLedger"]
 
 Key = Tuple[str, int]  # (url, asn)
 Keys = Tuple[Key, ...]  # distinct keys, in a documented order
+#: key -> plane -> {d: count}
+PlaneHistograms = Dict[Key, Dict[str, Dict[int, int]]]
 
-#: The plane every report belongs to unless tagged otherwise: C-Saw's
+#: The plane of every client not registered under another: C-Saw's
 #: own in-browser redundant-request plane.  Canonical home of the name
 #: (``repro.planes`` re-exports it) so the core layer never imports the
 #: planes package.
@@ -110,6 +110,9 @@ class VotingLedger:
       to n.  The key's one canonical tuple enters and leaves with its
       histogram; a writer that maps its keys through
       :meth:`canonical_keys` stores that one object in every vouch set.
+    - A client's plane is stored once, in ``_plane_of``.  The per-plane
+      histograms are derived from it and the vouch sets on read
+      (:meth:`_plane_histograms`), and every mutator drops them.
 
     Orders: a first vouch and :meth:`set_client_reports` store the keys
     in argument order, duplicates dropped at their first occurrence;
@@ -126,15 +129,12 @@ class VotingLedger:
         self._canonical: Dict[Key, Key] = {}
         # key -> {d: number of reporters currently spreading over d URLs}
         self._vote_hist: Dict[Key, Dict[int, int]] = {}
-        # Per-plane refinement of _vote_hist, built on the first
-        # per-plane read once a non-default plane exists and maintained
-        # from then on (dormant ledgers pay one boolean per mutation).
-        # client -> plane holds non-default assignments only; key ->
-        # plane -> {d: count} partitions the aggregate histogram when
-        # active.
+        # client -> plane, non-default assignments only.
         self._plane_of: Dict[str, str] = {}
-        self._plane_hist: Dict[Key, Dict[str, Dict[int, int]]] = {}
-        self._planes_active = False
+        # key -> plane -> {d: count}, a partition of _vote_hist: a
+        # snapshot built by the first per-plane read after a mutation
+        # (_plane_histograms), None until then.
+        self._plane_hist: Optional[PlaneHistograms] = None
 
     # -- incremental histogram maintenance ------------------------------------
 
@@ -161,81 +161,43 @@ class VotingLedger:
                 del self._vote_hist[key]
                 del self._canonical[key]
 
-    def _plane_hist_add(self, key: Key, plane: str, d: int) -> None:
-        by_plane = self._plane_hist.get(key)
-        if by_plane is None:
-            self._plane_hist[key] = {plane: {d: 1}}
-            return
-        hist = by_plane.get(plane)
-        if hist is None:
-            by_plane[plane] = {d: 1}
-        else:
-            hist[d] = hist.get(d, 0) + 1
-
-    def _plane_hist_sub(self, key: Key, plane: str, d: int) -> None:
-        by_plane = self._plane_hist[key]
-        hist = by_plane[plane]
-        count = hist[d] - 1
-        if count:
-            hist[d] = count
-        else:
-            del hist[d]
-            if not hist:
-                del by_plane[plane]
-                if not by_plane:
-                    del self._plane_hist[key]
-
     # -- plane assignment ------------------------------------------------------
 
     def set_client_plane(self, client_id: str, plane: str = DEFAULT_PLANE) -> None:
-        """Tag a client's reports with a measurement plane.
-
-        May be called before or after the client's first report.  Once
-        the per-plane histograms exist (:meth:`_plane_histograms`), the
-        client's vote moves between planes in them; before that, the
-        assignment is all there is to record.
-        """
-        old = self._plane_of.get(client_id, DEFAULT_PLANE)
-        if plane == old:
-            return
+        """Record the measurement plane a client reports through: the
+        plane of every report it makes, before or after this call."""
         if plane == DEFAULT_PLANE:
-            del self._plane_of[client_id]
+            self._plane_of.pop(client_id, None)
         else:
             self._plane_of[client_id] = plane
-        if not self._planes_active:
-            return  # dormant: the histograms are built when first read
-        keys = self._by_client.get(client_id)
-        if keys:
-            d = len(keys)
-            for key in keys:
-                self._plane_hist_sub(key, old, d)
-                self._plane_hist_add(key, plane, d)
+        self._plane_hist = None
 
-    def _plane_histograms(
-        self,
-    ) -> Optional[Dict[Key, Dict[str, Dict[int, int]]]]:
+    def _plane_histograms(self) -> Optional[PlaneHistograms]:
         """The per-plane histograms, or None while every client is on the
-        default plane.  The first call after a non-default assignment
-        builds them (:meth:`_activate_planes`); every later mutation
-        keeps them up to date."""
-        if not self._planes_active:
-            if not self._plane_of:
-                return None
-            self._activate_planes()
-        return self._plane_hist
-
-    def _activate_planes(self) -> None:
-        """Build the per-plane histograms from scratch (first per-plane
-        read).  One pass over clients — the same bucket contents
-        incremental mirroring maintains from here on."""
-        self._planes_active = True
-        self._plane_hist.clear()
+        default plane.  A snapshot: the first call after a mutation
+        builds it in one pass over the clients, and later calls return
+        it until the next mutation drops it."""
+        if not self._plane_of:
+            return None
+        if self._plane_hist is not None:
+            return self._plane_hist
+        plane_hist: PlaneHistograms = {}
         plane_of = self._plane_of
         for client_id, keys in self._by_client.items():
             plane = plane_of.get(client_id, DEFAULT_PLANE)
             d = len(keys)
             for key in keys:
-                self._plane_hist_add(key, plane, d)
+                by_plane = plane_hist.get(key)
+                if by_plane is None:
+                    plane_hist[key] = {plane: {d: 1}}
+                    continue
+                hist = by_plane.get(plane)
+                if hist is None:
+                    by_plane[plane] = {d: 1}
+                else:
+                    hist[d] = hist.get(d, 0) + 1
+        self._plane_hist = plane_hist
+        return plane_hist
 
     def plane_of(self, client_id: str) -> str:
         return self._plane_of.get(client_id, DEFAULT_PLANE)
@@ -283,6 +245,7 @@ class VotingLedger:
         if not sets:
             return
         self._count_first_vouches(sets)
+        self._plane_hist = None
         by_client = self._by_client
         for vouch_set, client_ids in sets:
             for client_id in client_ids:
@@ -291,15 +254,14 @@ class VotingLedger:
     def _count_first_vouches(
         self, sets: Sequence[Tuple[Keys, Sequence[str]]]
     ) -> None:
-        """Seed the d-histograms (the per-plane mirror too, when active)
-        for clients that vouch for nothing yet: each ``(keys,
-        client_ids)`` gives its k clients the same d distinct ``keys``,
-        so ``hist[d] += k`` per key (``+= n`` per plane of n of them in
-        the mirror), set by set in order, so every bucket is created
-        where one client at a time creates it.  A key with no histogram
-        yet enters the histogram and canonical tables as the object
-        given.  No old votes to retract or re-bucket, and a first vouch
-        dilutes no earlier key."""
+        """Seed the d-histograms for clients that vouch for nothing yet:
+        each ``(keys, client_ids)`` gives its k clients the same d
+        distinct ``keys``, so ``hist[d] += k`` per key, set by set in
+        order, so every bucket is created where one client at a time
+        creates it.  A key with no histogram yet enters the histogram
+        and canonical tables as the object given.  No old votes to
+        retract or re-bucket, and a first vouch dilutes no earlier
+        key."""
         canonical = self._canonical
         hists = self._vote_hist
         for keys, client_ids in sets:
@@ -312,27 +274,6 @@ class VotingLedger:
                     canonical[key] = key
                 else:
                     hist[d] = hist.get(d, 0) + count
-        if not self._planes_active:
-            return
-        plane_of = self._plane_of
-        plane_hists = self._plane_hist
-        for keys, client_ids in sets:
-            d = len(keys)
-            plane_counts: Dict[str, int] = {}
-            for client_id in client_ids:
-                plane = plane_of.get(client_id, DEFAULT_PLANE)
-                plane_counts[plane] = plane_counts.get(plane, 0) + 1
-            for plane, count in plane_counts.items():
-                for key in keys:
-                    key_planes = plane_hists.get(key)
-                    if key_planes is None:
-                        plane_hists[key] = {plane: {d: count}}
-                        continue
-                    hist = key_planes.get(plane)
-                    if hist is None:
-                        key_planes[plane] = {d: count}
-                    else:
-                        hist[d] = hist.get(d, 0) + count
 
     def canonical_keys(self, keys: Sequence[Key]) -> List[Key]:
         """``keys`` with each key that has owners replaced by the tuple
@@ -358,6 +299,7 @@ class VotingLedger:
             # First vouch set for this client (the server-side hot path):
             # the count form with a count of one.
             self._count_first_vouches(((new_keys, (client_id,)),))
+            self._plane_hist = None
             self._by_client[client_id] = new_keys
             return new_keys
         new_set = set(new_keys)
@@ -365,23 +307,17 @@ class VotingLedger:
         d_new = len(new_keys)
         if d_new == d_old and new_set.issuperset(old_keys):
             return ()  # the same keys: the stored order stands
+        self._plane_hist = None
         hist_add = self._hist_add
         hist_sub = self._hist_sub
-        mirror = self._planes_active
-        plane = self._plane_of.get(client_id, DEFAULT_PLANE) if mirror else ""
         affected: List[Key] = []
         for key in old_keys:
             if key not in new_set:
                 hist_sub(key, d_old)
-                if mirror:
-                    self._plane_hist_sub(key, plane, d_old)
             elif d_new != d_old:
                 # In before out: an owned key's histogram never empties.
                 hist_add(key, d_new)
                 hist_sub(key, d_old)
-                if mirror:
-                    self._plane_hist_sub(key, plane, d_old)
-                    self._plane_hist_add(key, plane, d_new)
             else:
                 continue  # stayed at the same d: its weight is untouched
             affected.append(key)
@@ -389,8 +325,6 @@ class VotingLedger:
         for key in new_keys:
             if key not in old_set:
                 hist_add(key, d_new)
-                if mirror:
-                    self._plane_hist_add(key, plane, d_new)
                 affected.append(key)
         if new_keys:
             self._by_client[client_id] = new_keys

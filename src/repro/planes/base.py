@@ -22,13 +22,15 @@ server and the fleet layer need to know about one such source:
   persistent, or ephemeral and mass-creatable (``register_reporters``,
   :class:`PlaneProfile.registered`).
 
-Provenance is threaded end to end: every :class:`ReportItem` a plane
-produces carries ``plane=profile.name``, the server's
-:class:`~repro.core.voting.VotingLedger` keeps per-plane vote
-statistics, and consumers may weight the confidence criterion by plane
-fidelity (``weights={name: fidelity}``).  The single-plane case is the
-degenerate configuration and is bit-identical to the pre-refactor
-pipeline (``tests/data/plane_golden.json``).
+Provenance is the reporter's registration: ``register_reporters``
+registers each identity under ``profile.name``, the server's
+:class:`~repro.core.voting.VotingLedger` records it once
+(``plane_of``) and derives per-plane vote statistics from it on read,
+and consumers may weight the confidence criterion by plane fidelity
+(``weights={name: fidelity}``).  A :class:`ReportItem` carries no
+plane.  The single-plane case is the degenerate configuration and is
+bit-identical to the pre-refactor pipeline
+(``tests/data/plane_golden.json``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ __all__ = ["DEFAULT_PLANE", "PlaneProfile", "MeasurementPlane"]
 class PlaneProfile:
     """The identity and trade-off card of one measurement plane."""
 
-    #: Provenance tag carried by every ReportItem this plane produces.
+    #: The plane's name: its reporters register under it, which makes
+    #: it the plane of every report they post.
     name: str
     #: Plane family: "csaw" | "encore" | "problist" | "flood" | "clique"
     #: (registry key).
@@ -75,9 +78,7 @@ class MeasurementPlane(ABC):
     ``register_reporters`` issues identities per the plane's
     registration semantics, ``detection_delays`` draws each reporter's
     post time, and ``wave_items``/``reporter_items`` produce the
-    :class:`ReportItem` lists (the fidelity model).  The session layer
-    (``ReportingService``) uses ``report_items`` to tag client-path
-    uploads with the plane's provenance.
+    :class:`ReportItem` lists (the fidelity model).
 
     All randomness comes from the ``rng`` arguments the caller passes —
     planes hold no RNG state of their own, which keeps fleet storms
@@ -145,18 +146,3 @@ class MeasurementPlane(ABC):
         """One reporter's own observation (only consulted when
         ``per_reporter_items`` is True)."""
         return shared
-
-    def report_items(self, records) -> List[ReportItem]:
-        """Client-path uploads: local_DB records -> provenance-tagged
-        :class:`ReportItem` list (used by ``ReportingService``)."""
-        name = self.profile.name
-        return [
-            ReportItem(
-                url=record.url,
-                asn=record.asn,
-                stages=tuple(record.stages),
-                measured_at=record.measured_at,
-                plane=name,
-            )
-            for record in records
-        ]

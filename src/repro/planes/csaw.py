@@ -56,14 +56,12 @@ class CSawBrowserPlane(MeasurementPlane):
     ) -> List[ReportItem]:
         # Full-evidence observation shared by every reporter of the AS:
         # the redundant-request session surfaces both blocking stages.
-        name = self.profile.name
         return [
             ReportItem(
                 url=url,
                 asn=asn,
                 stages=WAVE_STAGES,
                 measured_at=onset,
-                plane=name,
             )
             for url in urls
         ]

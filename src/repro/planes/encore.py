@@ -69,14 +69,12 @@ class EncoreProbePlane(MeasurementPlane):
     ) -> List[ReportItem]:
         # The superset one vantage *could* observe; reporter_items thins
         # it per vantage by the blockpage-misclassification draw.
-        name = self.profile.name
         return [
             ReportItem(
                 url=url,
                 asn=asn,
                 stages=ENCORE_STAGES,
                 measured_at=onset,
-                plane=name,
             )
             for url in urls
         ]

@@ -66,7 +66,6 @@ class GeneratedProbeListPlane(MeasurementPlane):
         # generated per-AS list with probability ``coverage`` (one draw
         # per URL, shard-shared — the list is common to every vantage of
         # the AS).  Listed URLs get a full-evidence scheduled probe.
-        name = self.profile.name
         coverage = self.coverage
         return [
             ReportItem(
@@ -74,7 +73,6 @@ class GeneratedProbeListPlane(MeasurementPlane):
                 asn=asn,
                 stages=WAVE_STAGES,
                 measured_at=onset,
-                plane=name,
             )
             for url in urls
             if coverage >= 1.0 or rng.random() < coverage

@@ -16,8 +16,9 @@ The production paths must match these bit for bit; only the tests and
 - :func:`recompute_stats` and :func:`recompute_plane_stats` rebuild a
   key's d-histogram from its reporters, the clients whose vouch sets
   hold it (:func:`reporters_of`); the ledger's incremental ``stats``
-  and one plane's entry of ``plane_stats`` (:func:`plane_stats_of`)
-  must equal them exactly.  They read only the vouch sets, the
+  and one plane's entry of ``plane_stats`` (:func:`plane_stats_of`,
+  read from the ledger's per-plane snapshot) must equal them exactly.
+  They read only the vouch sets and the plane assignments, the
   ledger's primary state.
 """
 
@@ -71,7 +72,6 @@ class ReferenceServerDB(ServerDB):
         accepted = 0
         keys: List[Tuple[str, int]] = []
         shards_touched: Dict[int, _AsShard] = {}
-        by_plane = self.reports_by_plane
         for item in reports:
             url = normalize_url(item.url)
             keys.append((url, item.asn))
@@ -87,14 +87,12 @@ class ReferenceServerDB(ServerDB):
                     posted_at=now,
                     last_uuid=uuid,
                     first_measured_at=item.measured_at,
-                    last_plane=item.plane,
                 )
                 shard.entries[url] = entry
             else:
                 entry.posted_at = now
                 entry.measured_at = max(entry.measured_at, item.measured_at)
                 entry.last_uuid = uuid
-                entry.last_plane = item.plane
                 for stage in item.stages:
                     if stage not in entry.stages:
                         entry.stages.append(stage)
@@ -103,7 +101,6 @@ class ReferenceServerDB(ServerDB):
                 heapq.heappush(shard.expiry, (now, url))
             accepted += 1
             self.update_count += 1
-            by_plane[item.plane] = by_plane.get(item.plane, 0) + 1
         if accepted:
             affected = self.voting.add_client_reports(uuid, keys)
             self._mark_vote_changes(
@@ -228,8 +225,9 @@ def recompute_stats(ledger: VotingLedger, url: str, asn: int) -> VoteStats:
 def plane_stats_of(
     ledger: VotingLedger, url: str, asn: int, plane: str
 ) -> VoteStats:
-    """The ledger's incremental s/n over ``plane``'s reporters of a key,
-    read from ``plane_stats`` (zero when the plane has none)."""
+    """The ledger's s/n over ``plane``'s reporters of a key, read from
+    ``plane_stats``, its per-plane snapshot (zero when the plane has
+    none)."""
     return ledger.plane_stats(url, asn).get(plane, VoteStats(0.0, 0))
 
 

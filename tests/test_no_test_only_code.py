@@ -57,10 +57,6 @@ ALLOWED: Dict[Tuple[str, str], str] = {
         "README 'Beyond the paper's evaluation': local_DB persistence (snapshot/restore)",
     ("src/repro/analysis/plt_decomposition.py", "render_plt_decomposition"):
         "README 'Quickstart': the PLT decomposition sample",
-    ("src/repro/analysis/planes.py", "render_plane_mix"):
-        "README 'Measurement planes': the per-plane metrics sample",
-    ("src/repro/analysis/planes.py", "voting_robustness"):
-        "README 'Measurement planes': the per-plane metrics sample",
     ("src/repro/workloads/pilot.py", "pilot_sweep"):
         "README 'Multi-seed sweeps with repro.runner': the pilot sweep sample",
     ("src/repro/workloads/pilot.py", "summarize_sweep"):

@@ -10,16 +10,17 @@ Four layers under test (ISSUE 10):
   sampling, per-plane wave items;
 - mixed-plane storms: provenance counters, per-plane convergence,
   sweep/reference equivalence, sharding-style metric merges;
-- per-plane voting: the dormant ledger is the pre-plane ledger, active
-  per-plane histograms partition the aggregate, and the weighted
-  criterion degenerates to today's unweighted one.
+- per-plane voting: a ledger with every client on the default plane is
+  the pre-plane ledger, the per-plane snapshot partitions the aggregate
+  and matches the from-scratch reference after every operation, and the
+  weighted criterion degenerates to today's unweighted one.
 """
 
 import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests._golden import capture_planes, check, freeze, golden_storm
@@ -149,7 +150,9 @@ class TestPlaneAbstraction:
         plane = EncoreProbePlane(fraction=0.1)
         uuids = plane.register_reporters(server, now=1.0, count=3)
         assert len(uuids) == len(set(uuids)) == 3
-        assert server.clients_by_plane == {"encore": 3}
+        assert [server.voting.plane_of(uuid) for uuid in uuids] == [
+            "encore"
+        ] * 3
 
     def test_encore_reporters_drop_items_independently(self):
         plane = EncoreProbePlane(fraction=0.1, miss_rate=0.5)
@@ -161,14 +164,12 @@ class TestPlaneAbstraction:
         rng = random.Random(5)
         kept = [len(plane.reporter_items(shared, rng)) for _ in range(50)]
         assert min(kept) < 3  # ... but individual probes miss
-        assert all(item.plane == "encore" for item in shared)
 
     def test_problist_coverage_filters_wave_urls(self):
         plane = GeneratedProbeListPlane(fraction=0.1, coverage=0.5)
         urls = [f"http://u{i}.com/" for i in range(40)]
         items = plane.wave_items(urls, asn=1, onset=10.0, rng=random.Random(9))
         assert 0 < len(items) < len(urls)
-        assert all(item.plane == "problist" for item in items)
 
 
 class TestSybilPlanes:
@@ -188,8 +189,11 @@ class TestSybilPlanes:
                 items = plane.reporter_items(items, rng)
             assert len({item.url for item in items}) == 5
             assert not {item.url for item in items} & set(self.WAVE)
-            assert {(i.asn, i.stages, i.measured_at, i.plane) for i in items} \
-                == {(7, WAVE_STAGES, 9.0, kind)}
+            assert {(i.asn, i.stages, i.measured_at) for i in items} \
+                == {(7, WAVE_STAGES, 9.0)}
+            server = ServerDB(entry_ttl=None)
+            (uuid,) = plane.register_reporters(server, now=0.0, count=1)
+            assert server.voting.plane_of(uuid) == kind
 
     def test_bad_kind_and_volume_rejected(self):
         with pytest.raises(ValueError):
@@ -262,9 +266,11 @@ class TestMixedPlaneStorm:
 
     def test_server_keeps_per_plane_vote_statistics(self):
         server = ServerDB(entry_ttl=None)
-        mixed_storm(server=server)
-        assert set(server.clients_by_plane) == {"csaw", "encore", "problist"}
-        assert set(server.reports_by_plane) == {"csaw", "encore", "problist"}
+        metrics = mixed_storm(server=server)
+        voting = server.voting
+        planes = {"csaw", "encore", "problist"}
+        assert {voting.plane_of(c) for c in voting.clients()} == planes
+        assert set(metrics.reports_by_plane) == planes
         entry = next(iter(server.all_entries()))
         by_plane = server.voting.plane_stats(entry.url, entry.asn)
         assert by_plane  # provenance survives into the voting ledger
@@ -367,8 +373,7 @@ class TestPerPlaneVoting:
         server.post_update(
             probe,
             [ReportItem(url="http://coarse.com/", asn=9,
-                        stages=(BlockType.HTTP_TIMEOUT,), measured_at=1.0,
-                        plane="encore")],
+                        stages=(BlockType.HTTP_TIMEOUT,), measured_at=1.0)],
             now=1.0,
         )
         server.post_update(
@@ -390,27 +395,29 @@ class TestPerPlaneVoting:
 
 PLANE_NAMES = (DEFAULT_PLANE, "encore", "problist")
 URLS = tuple(f"http://u{i}.com/" for i in range(4))
+CLIENTS = ("c0", "c1", "c2", "c3")
+_keys = st.lists(
+    st.sampled_from([(url, 1) for url in URLS]), max_size=4, unique=True
+)
 
 ledger_ops = st.lists(
     st.one_of(
+        st.tuples(st.just("reports"), st.sampled_from(CLIENTS), _keys),
+        # One vouch set for the fresh ones among 1-4 clients, counted as
+        # a block of absorbed uploads counts it.
         st.tuples(
-            st.just("reports"),
-            st.sampled_from(["c0", "c1", "c2", "c3"]),
+            st.just("first"),
             st.lists(
-                st.sampled_from([(url, 1) for url in URLS]),
-                max_size=4, unique=True,
+                st.sampled_from(CLIENTS), min_size=1, max_size=4, unique=True
             ),
+            _keys,
         ),
         st.tuples(
             st.just("plane"),
-            st.sampled_from(["c0", "c1", "c2", "c3"]),
+            st.sampled_from(CLIENTS),
             st.sampled_from(PLANE_NAMES),
         ),
-        st.tuples(
-            st.just("revoke"),
-            st.sampled_from(["c0", "c1", "c2", "c3"]),
-            st.none(),
-        ),
+        st.tuples(st.just("revoke"), st.sampled_from(CLIENTS), st.none()),
     ),
     max_size=24,
 )
@@ -418,26 +425,31 @@ ledger_ops = st.lists(
 
 class TestPlaneLedgerProperties:
     """The per-plane histograms are a *partition* of the aggregate, and
-    the incremental mirror agrees with the from-scratch reference."""
+    the snapshot agrees with the from-scratch reference after every
+    operation: a per-plane read between two writes sees the second."""
 
     @staticmethod
-    def apply(ledger, ops, with_planes):
-        for op, client, arg in ops:
-            if op == "reports":
-                ledger.set_client_reports(client, arg)
-            elif op == "plane":
-                if with_planes:
-                    ledger.set_client_plane(client, arg)
-            else:
-                ledger.revoke_client(client)
+    def apply(ledger, op, with_planes=True):
+        kind, client, arg = op
+        if kind == "reports":
+            ledger.set_client_reports(client, arg)
+        elif kind == "first":
+            fresh = [c for c in client if not ledger.vouches(c)]
+            ledger.add_first_vouches([(tuple(arg), fresh)])
+        elif kind == "plane":
+            if with_planes:
+                ledger.set_client_plane(client, arg)
+        else:
+            ledger.revoke_client(client)
 
     @given(ops=ledger_ops)
     @settings(max_examples=60, deadline=None)
     def test_plane_tracking_never_disturbs_aggregate_stats(self, ops):
         tracked = VotingLedger()
         plain = VotingLedger()
-        self.apply(tracked, ops, with_planes=True)
-        self.apply(plain, ops, with_planes=False)
+        for op in ops:
+            self.apply(tracked, op)
+            self.apply(plain, op, with_planes=False)
         for url in URLS:
             assert tracked.stats(url, 1) == plain.stats(url, 1)
             assert recompute_stats(tracked, url, 1) == tracked.stats(url, 1)
@@ -446,7 +458,8 @@ class TestPlaneLedgerProperties:
     @settings(max_examples=60, deadline=None)
     def test_plane_histograms_partition_the_aggregate(self, ops):
         ledger = VotingLedger()
-        self.apply(ledger, ops, with_planes=True)
+        for op in ops:
+            self.apply(ledger, op)
         for url in URLS:
             total = ledger.stats(url, 1)
             by_plane = ledger.plane_stats(url, 1)
@@ -460,16 +473,27 @@ class TestPlaneLedgerProperties:
             assert all_ones.reporters == pytest.approx(total.reporters)
             assert all_ones.votes == pytest.approx(total.votes)
 
+    # Each mutator after a per-plane read: a first vouch block, a first
+    # vouch, a re-bucketing one, a plane change and a revocation.
+    @example(ops=[
+        ("plane", "c0", "encore"),
+        ("first", ["c0", "c1"], [(URLS[0], 1), (URLS[1], 1)]),
+        ("reports", "c2", [(URLS[0], 1)]),
+        ("reports", "c2", [(URLS[1], 1), (URLS[2], 1)]),
+        ("plane", "c1", "problist"),
+        ("revoke", "c0", None),
+    ])
     @given(ops=ledger_ops)
     @settings(max_examples=60, deadline=None)
-    def test_incremental_plane_stats_match_recompute(self, ops):
+    def test_plane_stats_match_recompute_after_every_op(self, ops):
         ledger = VotingLedger()
-        self.apply(ledger, ops, with_planes=True)
-        for url in URLS:
-            for plane in PLANE_NAMES:
-                incremental = plane_stats_of(ledger, url, 1, plane)
-                reference = recompute_plane_stats(ledger, url, 1, plane)
-                assert incremental == reference, (url, plane)
+        for op in ops:
+            self.apply(ledger, op)
+            for url in URLS:
+                for plane in PLANE_NAMES:
+                    assert plane_stats_of(ledger, url, 1, plane) == (
+                        recompute_plane_stats(ledger, url, 1, plane)
+                    ), (op, url, plane)
 
 
 class TestPlaneSpecDsl:

@@ -681,9 +681,8 @@ class TestRunBatchedWriteProperties:
     # twice.  Clients that vouch already or repeat within the group, and
     # lists with an item the call has not applied, take the one-client
     # step; the others are absorbed.  Clients 0-3 also post alone;
-    # planes go round-robin, so a block can hold two fresh clients of a
-    # plane that already vouches for the list, and a fresh list carries
-    # its own client's plane.
+    # clients register under planes round-robin, so a block can hold two
+    # fresh clients of a plane that already vouches for the list.
     ops = st.lists(
         st.one_of(
             st.tuples(st.just("post"), _client, _rows, _dt),
@@ -723,7 +722,6 @@ class TestRunBatchedWriteProperties:
         return (
             entry.url, entry.asn, tuple(entry.stages), entry.measured_at,
             entry.posted_at, entry.last_uuid, entry.first_measured_at,
-            entry.last_plane,
         )
 
     @classmethod
@@ -742,8 +740,7 @@ class TestRunBatchedWriteProperties:
                 for asn, shard in db._shards.items()
             ],
             db.update_count,
-            list(db.reports_by_plane.items()),
-            list(db.clients_by_plane.items()),
+            ledger._plane_of,
             ledger._vote_hist,
             ledger._plane_histograms(),
             ledger._by_client,
@@ -874,7 +871,8 @@ class TestRunBatchedWriteProperties:
         ],
     )
     # Two fresh C-Saw clients (3 and 6) in one block, on keys client 0
-    # (C-Saw) vouches for: the per-plane mirror adds them by count.
+    # (C-Saw) vouches for: the ledger adds them by count, and the
+    # per-plane snapshot built after the block holds them on one plane.
     # Then client 2, a repeat with 16 keys, is revoked: its vouch set
     # must iterate as a one-by-one upload's does, since revocation
     # marks in that order.
@@ -979,7 +977,7 @@ class TestRunBatchedWriteProperties:
             for i in range(8)
         ]
 
-        def items(client, rows, now):
+        def items(rows, now):
             """A small upload from rows, or a bulk one from a count."""
             if isinstance(rows, int):
                 urls = [f"http://b{i}.example/" for i in range(rows)]
@@ -994,7 +992,6 @@ class TestRunBatchedWriteProperties:
                     asn=self.ASN0 + asn,
                     stages=self.STAGE_SETS[stages],
                     measured_at=now - lag,
-                    plane=plane_of[client],
                 )
                 for url, asn, stages, lag in rows
             ]
@@ -1005,11 +1002,11 @@ class TestRunBatchedWriteProperties:
             now += op[-1]
             if kind in ("post", "bulk"):
                 _, client, rows, _ = op
-                reports = items(client, rows, now)
+                reports = items(rows, now)
                 both(lambda db: db.post_update(uuids[client], reports, now))
             elif kind == "group":
                 _, picks, rows, twice, _ = op
-                shared = items(picks[0][0], rows, now)
+                shared = items(rows, now)
                 if twice and shared:
                     shared.append(shared[0])
                 uploads = []
@@ -1017,7 +1014,7 @@ class TestRunBatchedWriteProperties:
                     if pick == "shared":
                         posted = shared
                     elif pick == "fresh":
-                        posted = items(client, rows, now)
+                        posted = items(rows, now)
                     else:
                         posted = [item for i, item in enumerate(shared)
                                   if pick >> (i % 16) & 1]
